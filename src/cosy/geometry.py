@@ -29,6 +29,8 @@ class DegenerateBasisError(ValueError):
 
 
 DEFAULT_Z_MIN = 1e-3
+_BOTTOM_ROW = np.array([0.0, 0.0, 0.0, 1.0])
+_EYE3 = np.eye(3)
 
 
 def _as_points(pts) -> np.ndarray:
@@ -67,14 +69,20 @@ class Pose:
 
     @staticmethod
     def from_matrix(matrix, rtol: float = 1e-6) -> "Pose":
-        """Build a pose from a homogeneous matrix, validating its structure."""
+        """Build a pose from a homogeneous matrix, validating its structure.
+
+        The entries must be finite, the bottom row (0, 0, 0, 1) within 1e-9,
+        and R^T R within `rtol` of the identity (max abs entry) with det R > 0.
+        """
         m = np.asarray(matrix, dtype=np.float64)
         if m.shape != (4, 4):
             raise ValueError(f"pose matrix must be 4x4, got {m.shape}")
-        if not np.allclose(m[3], (0.0, 0.0, 0.0, 1.0), atol=1e-9):
+        if not np.isfinite(m).all():
+            raise ValueError("matrix has non-finite entries")
+        if np.abs(m[3] - _BOTTOM_ROW).max() > 1e-9:
             raise ValueError(f"bottom row must be (0, 0, 0, 1), got {m[3]}")
         R = m[:3, :3]
-        if not np.allclose(R.T @ R, np.eye(3), atol=rtol):
+        if np.abs(R.T @ R - _EYE3).max() > rtol:
             raise ValueError("rotation block is not orthonormal")
         if np.linalg.det(R) < 0.0:
             raise ValueError("rotation block has negative determinant")

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose
+from .geometry import Pose, apply_matrices, apply_matrix
+from .numeric import point_norms
 from .scene_io import ModelDB, SceneObservations
 from .symmetry import SymmetryGroup, discretize, symmetric_distance
 
@@ -29,6 +30,12 @@ DEFAULT_INLIER_THRESHOLD = 0.02  # meters
 DEFAULT_MAX_ITERATIONS = 2000
 DEFAULT_MIN_INLIERS = 3
 DEFAULT_SYMMETRY_ANGLES = 64
+
+# Slack added to a centroid lower bound before it may skip an exact
+# symmetric distance. Float64 rounding on metre-scale coordinates is around
+# 1e-15 m, so a computed bound never exceeds the true distance by this much
+# and pruning cannot drop a true inlier or a true argmin.
+BOUND_MARGIN = 1e-9  # meters
 
 
 class DegeneratePairsError(ValueError):
@@ -137,6 +144,41 @@ def _groups_for(obs: SceneObservations, db: ModelDB, angles: int, groups):
     return symmetry_groups(db, (c.label for c in obs.candidates), angles)
 
 
+@dataclass(frozen=True, eq=False)
+class LabelCentroid:
+    """One label's symmetry group with its model centroid and the centroid's images.
+
+    For rigid A, B and any group element S, the mean of the norms is at
+    least the norm of the mean:
+
+        mean_x ||A S x - B x|| >= ||A S c - B c||,   c = mean_x x
+
+    so min_S ||A S c - B c|| is a lower bound on symmetric_distance.
+    """
+
+    group: SymmetryGroup
+    centroid: np.ndarray  # (3,)
+    images: np.ndarray  # (G, 3): S c for each group element, in group order
+
+
+def centroid_table(
+    db: ModelDB, groups: dict[str, SymmetryGroup]
+) -> dict[str, LabelCentroid]:
+    """Per-label centroid data for every label in `groups`; built once per solve."""
+    table = {}
+    for label, group in groups.items():
+        c = np.mean(db[label].points, axis=0)
+        images = apply_matrices(group.matrices, c).reshape(len(group), 3)
+        table[label] = LabelCentroid(group=group, centroid=c, images=images)
+    return table
+
+
+def _table_for(obs, db, angles: int, groups, table):
+    if table is not None:
+        return table
+    return centroid_table(db, _groups_for(obs, db, angles, groups))
+
+
 def relative_pose_from_pairs(
     pair1: CandidatePair,
     pair2: CandidatePair,
@@ -145,6 +187,7 @@ def relative_pose_from_pairs(
     *,
     angles_per_axis: int = DEFAULT_SYMMETRY_ANGLES,
     groups: dict[str, SymmetryGroup] | None = None,
+    table: dict[str, LabelCentroid] | None = None,
 ) -> Pose:
     """Relative camera pose hypothesized from two candidate pairs.
 
@@ -153,6 +196,11 @@ def relative_pose_from_pairs(
     (a symmetric object constrains the cameras only up to S). The returned
     pose is the one whose induced alignment of the second pair has the
     smallest symmetric distance; ties keep the earliest group element.
+
+    Group elements are visited in ascending order of the centroid lower
+    bound on that distance, and the scan stops once the bound exceeds the
+    best distance found; the result equals a full scan's. `table` (from
+    `centroid_table`) takes precedence over `groups`.
     """
     if pair1.a == pair2.a or pair1.b == pair2.b:
         raise DegeneratePairsError(f"pairs {pair1} and {pair2} share a candidate")
@@ -165,51 +213,102 @@ def relative_pose_from_pairs(
     if c_a1.view_id == c_b1.view_id:
         raise ValueError("a pair must connect two distinct views")
 
-    groups = _groups_for(obs, db, angles_per_axis, groups)
-    group1 = groups[c_a1.label]
-    model2 = db[c_a2.label]
-    group2 = groups[c_a2.label]
+    table = _table_for(obs, db, angles_per_axis, groups, table)
+    entry1 = table[c_a1.label]
+    entry2 = table[c_a2.label]
+    elements = entry1.group.elements
 
     t_b1_inv = c_b1.pose.inverse()
+    if len(elements) == 1:
+        return c_a1.pose.compose(elements[0]).compose(t_b1_inv)
+
+    # Under element S the second model's centroid lands at T_a1 S q in view
+    # a, with q = T_b1^-1 T_b2 c; compare with its images T_a2 S2 c there.
+    q = apply_matrix(t_b1_inv.compose(c_b2.pose).matrix, entry2.centroid)
+    moved = apply_matrix(
+        c_a1.pose.matrix, apply_matrices(entry1.group.matrices, q).reshape(-1, 3)
+    )
+    fixed = apply_matrix(c_a2.pose.matrix, entry2.images)
+    bounds = np.min(point_norms(moved[:, None, :] - fixed[None, :, :]), axis=1)
+
+    points2 = db[c_a2.label].points
+    best_k = -1
     best_pose = None
     best_d = np.inf
-    for s in group1.elements:
-        t_ab = c_a1.pose.compose(s).compose(t_b1_inv)
+    for k in np.argsort(bounds, kind="stable").tolist():
+        if bounds[k] > best_d + BOUND_MARGIN:
+            break
+        t_ab = c_a1.pose.compose(elements[k]).compose(t_b1_inv)
         d = symmetric_distance(
-            model2.points, group2, c_a2.pose, t_ab.compose(c_b2.pose)
+            points2, entry2.group, c_a2.pose, t_ab.compose(c_b2.pose)
         )
-        if d < best_d:
-            best_d = d
-            best_pose = t_ab
+        if best_pose is None or d < best_d or (d == best_d and k < best_k):
+            best_k, best_d, best_pose = k, d, t_ab
     return best_pose
+
+
+class _PairBounds:
+    """Centroid lower bounds for one view pair's label-consistent pairs.
+
+    Built once per view pair; every hypothesis then costs one transform of
+    the view-b centroids and one small bound matrix. Row k belongs to
+    `pairs[k]`, the lexicographic order of `_candidate_pairs`.
+    """
+
+    def __init__(self, candidates_a, candidates_b, table: dict[str, LabelCentroid]):
+        self.pairs = _candidate_pairs(candidates_a, candidates_b)
+        self.candidates = dict(candidates_a) | dict(candidates_b)
+        # T_bj c per view-b candidate, and the row of each pair's b side.
+        self.b_centroids = np.array(
+            [apply_matrix(cb.pose.matrix, table[cb.label].centroid)[0]
+             for _, cb in candidates_b]
+        ).reshape(-1, 3)
+        row_of = {j: r for r, (j, _) in enumerate(candidates_b)}
+        self.b_rows = np.array([row_of[p.b] for p in self.pairs], dtype=np.intp)
+        # T_ai S c per pair; shorter groups repeat their last image, which
+        # leaves the minimum over S unchanged.
+        a_labels = [self.candidates[p.a].label for p in self.pairs]
+        width = max((len(table[label].group) for label in a_labels), default=1)
+        self.a_images = np.empty((len(self.pairs), width, 3))
+        for r, p in enumerate(self.pairs):
+            ca = self.candidates[p.a]
+            img = apply_matrix(ca.pose.matrix, table[ca.label].images)
+            self.a_images[r, : len(img)] = img
+            self.a_images[r, len(img):] = img[-1]
+
+    def bounds(self, t_ab: Pose) -> np.ndarray:
+        """Lower bound on each pair's symmetric distance under `t_ab`."""
+        moved = apply_matrix(t_ab.matrix, self.b_centroids)[self.b_rows]
+        return np.min(point_norms(self.a_images - moved[:, None, :]), axis=1)
 
 
 def _inlier_matches(
     t_ab: Pose,
-    candidates_a,
-    candidates_b,
+    pair_bounds: _PairBounds,
     db: ModelDB,
     threshold: float,
-    groups: dict[str, SymmetryGroup],
+    table: dict[str, LabelCentroid],
 ) -> list[tuple[float, CandidatePair]]:
     """Greedy one-to-one matching by ascending symmetric distance.
 
-    candidates_a / candidates_b are sequences of (global index, Candidate).
-    Returns (distance, pair) in acceptance order.
+    Only pairs whose centroid bound is below threshold + BOUND_MARGIN get an
+    exact distance; the others cannot reach the threshold. Returns
+    (distance, pair) in acceptance order.
     """
     scored = []
-    for i, ca in candidates_a:
-        for j, cb in candidates_b:
-            if ca.label != cb.label:
-                continue
-            d = symmetric_distance(
-                db[ca.label].points,
-                groups[ca.label],
-                ca.pose,
-                t_ab.compose(cb.pose),
-            )
-            if d < threshold:
-                scored.append((d, i, j))
+    hits = np.flatnonzero(pair_bounds.bounds(t_ab) < threshold + BOUND_MARGIN)
+    for k in hits.tolist():
+        pair = pair_bounds.pairs[k]
+        ca = pair_bounds.candidates[pair.a]
+        cb = pair_bounds.candidates[pair.b]
+        d = symmetric_distance(
+            db[ca.label].points,
+            table[ca.label].group,
+            ca.pose,
+            t_ab.compose(cb.pose),
+        )
+        if d < threshold:
+            scored.append((d, pair.a, pair.b))
     scored.sort()
     used_a: set[int] = set()
     used_b: set[int] = set()
@@ -244,8 +343,10 @@ def count_inliers(
     if groups is None:
         labels = [c.label for _, c in candidates_a] + [c.label for _, c in candidates_b]
         groups = symmetry_groups(db, labels, angles_per_axis)
+    table = centroid_table(db, groups)
+    pair_bounds = _PairBounds(candidates_a, candidates_b, table)
     return [pair for _, pair in _inlier_matches(
-        t_ab, candidates_a, candidates_b, db, threshold, groups)]
+        t_ab, pair_bounds, db, threshold, table)]
 
 
 def _pair_rng(seed: int, view_a: str, view_b: str) -> np.random.Generator:
@@ -335,6 +436,7 @@ def two_view_ransac(
     params: MatchParams = MatchParams(),
     *,
     groups: dict[str, SymmetryGroup] | None = None,
+    table: dict[str, LabelCentroid] | None = None,
 ) -> TwoViewHypothesis | None:
     """Best-supported relative pose between two views, or None.
 
@@ -344,15 +446,17 @@ def two_view_ransac(
     sampling without replacement from a generator seeded per view pair.
     The winner maximizes inlier count, then minimizes total inlier
     distance, then takes the lexicographically smallest generating pairs.
+    `table` (from `centroid_table`) takes precedence over `groups`.
     """
     by_view = obs.by_view()
     cands_a = by_view.get(view_a, [])
     cands_b = by_view.get(view_b, [])
     if not cands_a or not cands_b:
         return None
-    groups = _groups_for(obs, db, params.symmetry_angles, groups)
+    table = _table_for(obs, db, params.symmetry_angles, groups, table)
 
-    pairs = _candidate_pairs(cands_a, cands_b)
+    pair_bounds = _PairBounds(cands_a, cands_b, table)
+    pairs = pair_bounds.pairs
     if len(pairs) < 2:
         return None
     combos = hypothesis_combos(
@@ -365,9 +469,9 @@ def two_view_ransac(
     best: TwoViewHypothesis | None = None
     for k1, k2 in combos:
         p1, p2 = pairs[k1], pairs[k2]
-        t_ab = relative_pose_from_pairs(p1, p2, obs, db, groups=groups)
+        t_ab = relative_pose_from_pairs(p1, p2, obs, db, table=table)
         matches = _inlier_matches(
-            t_ab, cands_a, cands_b, db, params.inlier_threshold, groups
+            t_ab, pair_bounds, db, params.inlier_threshold, table
         )
         if len(matches) < params.min_inliers:
             continue
@@ -402,12 +506,12 @@ def build_match_graph(
     view_ids = sorted(v.view_id for v in obs.views)
     if len(view_ids) < 2:
         raise ValueError("matching needs at least two views")
-    groups = _groups_for(obs, db, params.symmetry_angles, None)
+    table = centroid_table(db, _groups_for(obs, db, params.symmetry_angles, None))
     view_pairs = list(itertools.combinations(view_ids, 2))
 
     def run(pair):
         va, vb = pair
-        return two_view_ransac(va, vb, obs, db, params, groups=groups)
+        return two_view_ransac(va, vb, obs, db, params, table=table)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -222,13 +222,14 @@ def pose_to_list(pose: Pose) -> list[float]:
 
 
 def pose_from_list(values, where: str) -> Pose:
+    """Rigid pose from 16 row-major floats; rejects non-finite or non-rigid input."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.shape != (16,):
         raise SchemaError(f"{where}: pose must be 16 floats row-major, got {arr.shape}")
-    m = arr.reshape(4, 4)
-    if np.max(np.abs(m[3] - (0.0, 0.0, 0.0, 1.0))) > 1e-9:
-        raise SchemaError(f"{where}: pose bottom row must be (0,0,0,1)")
-    return Pose(m)
+    try:
+        return Pose.from_matrix(arr.reshape(4, 4))
+    except ValueError as e:
+        raise SchemaError(f"{where}: pose {e}") from None
 
 
 # ---------------------------------------------------------------------------

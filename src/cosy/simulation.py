@@ -374,11 +374,13 @@ def load_ground_truth(path, db: ModelDB) -> tuple[GroundTruthScene, tuple[int, .
         for v in doc["views"]
     )
     camera_poses = tuple(
-        pose_from_list(c["pose_world"], f"{path}: cameras") for c in doc["cameras"]
+        pose_from_list(c["pose_world"], f"{path}: cameras[{i}]")
+        for i, c in enumerate(doc["cameras"])
     )
     object_labels = tuple(o["label"] for o in doc["objects"])
     object_poses = tuple(
-        pose_from_list(o["pose_world"], f"{path}: objects") for o in doc["objects"]
+        pose_from_list(o["pose_world"], f"{path}: objects[{i}]")
+        for i, o in enumerate(doc["objects"])
     )
     scene = GroundTruthScene(
         db=db,

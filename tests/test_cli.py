@@ -193,6 +193,36 @@ def test_solve_missing_file_is_config_error(tmp_path):
                  tmp_path / "out.json") == EXIT_CONFIG
 
 
+def _corrupt_candidate_pose(obs_path, index, edit):
+    doc = json.loads(obs_path.read_text())
+    pose = np.array(doc["candidates"][index]["pose"], dtype=float).reshape(4, 4)
+    edit(pose)
+    doc["candidates"][index]["pose"] = [float(v) for v in pose.reshape(-1)]
+    obs_path.write_text(json.dumps(doc))
+
+
+def _set_nan(pose):
+    pose[0, 1] = np.nan
+
+
+def _scale_rotation(pose):
+    pose[:3, :3] *= 1.5
+
+
+@pytest.mark.parametrize("edit", [_set_nan, _scale_rotation],
+                         ids=["nan_rotation", "scaled_rotation"])
+def test_solve_rejects_non_rigid_candidate_pose(tmp_path, capsys, edit):
+    models, obs, _ = simulate(tmp_path, "--n-objects", "4", "--n-views", "3",
+                              "--symmetric-labels", "obj_00")
+    _corrupt_candidate_pose(obs, 2, edit)
+    capsys.readouterr()
+    assert solve(models, obs, tmp_path / "out.json") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "candidates[2]" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
+
+
 # --------------------------------------------------------------------- eval
 
 

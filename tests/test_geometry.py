@@ -43,6 +43,14 @@ class TestPose:
         with pytest.raises(ValueError):
             geo.Pose.from_matrix(m)
 
+    @pytest.mark.parametrize("entry", [(0, 3), (1, 2), (3, 3)])
+    def test_from_matrix_rejects_non_finite(self, entry):
+        for value in (np.nan, np.inf):
+            m = np.eye(4)
+            m[entry] = value
+            with pytest.raises(ValueError, match="non-finite"):
+                geo.Pose.from_matrix(m)
+
     def test_matrix_is_immutable(self):
         p = geo.Pose.identity()
         with pytest.raises(ValueError):

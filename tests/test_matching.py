@@ -4,19 +4,25 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
-from cosy.geometry import Pose
+import cosy.matching
+from cosy.geometry import Pose, rotation_exp
 from cosy.matching import (
+    BOUND_MARGIN,
     CandidatePair,
     DegeneratePairsError,
     MatchGraph,
     MatchParams,
     PhysicalObject,
     TwoViewHypothesis,
+    _PairBounds,
     _pair_rng,
     _valid_combo_count,
     build_match_graph,
+    centroid_table,
     count_inliers,
     extract_physical_objects,
     hypothesis_combos,
@@ -24,7 +30,7 @@ from cosy.matching import (
     symmetry_groups,
     two_view_ransac,
 )
-from cosy.scene_io import Candidate, SceneObservations, View
+from cosy.scene_io import Candidate, ModelDB, ObjectModel, SceneObservations, View
 from cosy.simulation import (
     DEFAULT_INTRINSICS,
     NoiseModel,
@@ -33,7 +39,7 @@ from cosy.simulation import (
     generate_scene,
     make_models,
 )
-from cosy.symmetry import symmetric_distance
+from cosy.symmetry import SymmetrySpec, discretize, symmetric_distance
 
 
 def manual_observations(scene, scores=None):
@@ -288,6 +294,200 @@ def test_greedy_matching_equals_scalar_oracle():
     assert got == expected
     assert len({p.a for p in got}) == len(got)
     assert len({p.b for p in got}) == len(got)
+
+
+# ------------------------------------------------ bound-pruned exactness
+
+
+def unpruned_relative_pose(pair1, pair2, obs, db, groups):
+    """Full scan over the first pair's group; first minimum wins."""
+    c_a1, c_b1 = obs.candidates[pair1.a], obs.candidates[pair1.b]
+    c_a2, c_b2 = obs.candidates[pair2.a], obs.candidates[pair2.b]
+    t_b1_inv = c_b1.pose.inverse()
+    best_d, best = np.inf, None
+    for s in groups[c_a1.label].elements:
+        t_ab = c_a1.pose.compose(s).compose(t_b1_inv)
+        d = symmetric_distance(
+            db[c_a2.label].points, groups[c_a2.label],
+            c_a2.pose, t_ab.compose(c_b2.pose),
+        )
+        if d < best_d:
+            best_d, best = d, t_ab
+    return best
+
+
+def unpruned_inliers(t_ab, cands_a, cands_b, db, threshold, groups):
+    """Exact distance for every label-consistent pair, then greedy matching."""
+    scored = []
+    for i, ca in cands_a:
+        for j, cb in cands_b:
+            if ca.label != cb.label:
+                continue
+            d = symmetric_distance(
+                db[ca.label].points, groups[ca.label],
+                ca.pose, t_ab.compose(cb.pose),
+            )
+            if d < threshold:
+                scored.append((d, i, j))
+    scored.sort()
+    used_a, used_b, out = set(), set(), []
+    for d, i, j in scored:
+        if i in used_a or j in used_b:
+            continue
+        used_a.add(i)
+        used_b.add(j)
+        out.append(CandidatePair(i, j))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pruned_kernel_equals_unpruned_scan(seed):
+    db, scene = small_scene(4, 2, seed=100 + seed, symmetric=("obj_00", "obj_01"))
+    noise = NoiseModel(rot_sigma_deg=5.0, trans_sigma=0.01, outlier_prob=0.3)
+    obs, _ = generate_observations(scene, noise, np.random.default_rng(seed))
+    by_view = obs.by_view()
+    cands_a, cands_b = by_view["view_000"], by_view["view_001"]
+    groups = symmetry_groups(db, [c.label for c in obs.candidates])
+    pairs = [
+        CandidatePair(i, j)
+        for i, ca in cands_a
+        for j, cb in cands_b
+        if ca.label == cb.label
+    ]
+    both_symmetric = 0
+    for p1, p2 in itertools.permutations(pairs, 2):
+        if p1.a == p2.a or p1.b == p2.b:
+            continue
+        got = relative_pose_from_pairs(p1, p2, obs, db, groups=groups)
+        want = unpruned_relative_pose(p1, p2, obs, db, groups)
+        assert np.array_equal(got.matrix, want.matrix)
+        for threshold in (0.02, 0.1):
+            assert count_inliers(
+                got, cands_a, cands_b, db, threshold, groups=groups
+            ) == unpruned_inliers(got, cands_a, cands_b, db, threshold, groups)
+        labels = (obs.candidates[p1.a].label, obs.candidates[p2.a].label)
+        both_symmetric += all(len(groups[label]) > 1 for label in labels)
+    assert both_symmetric > 0
+
+
+def test_pruning_skips_exact_evaluations(monkeypatch):
+    db, scene = small_scene(4, 2, seed=101, symmetric=("obj_00", "obj_01"))
+    obs = manual_observations(scene)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return symmetric_distance(*args, **kwargs)
+
+    monkeypatch.setattr(cosy.matching, "symmetric_distance", counting)
+    t = relative_pose_from_pairs(CandidatePair(0, 4), CandidatePair(1, 5), obs, db)
+    assert pose_close(t, true_relative_pose(scene, 0, 1))
+    assert 0 < len(calls) < 64
+    calls.clear()
+    by_view = obs.by_view()
+    inliers = count_inliers(t, by_view["view_000"], by_view["view_001"], db, 0.02)
+    assert len(inliers) == 4
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("offset", [1e-10, 0.0, -1e-10, -2 * BOUND_MARGIN])
+@pytest.mark.parametrize("symmetric", [False, True], ids=["unique", "symmetric"])
+def test_tight_bound_at_threshold(symmetric, offset):
+    db, scene = small_scene(4, 2, seed=71, symmetric=("obj_02",) if symmetric else ())
+    obs = manual_observations(scene)
+    # A pure translation of object 2's view-b candidate in its own frame
+    # moves every model point by the same vector, so the centroid bound is
+    # tight. Along the symmetry axis no group element can reduce it.
+    direction = np.array([0.0, 0.0, 1.0]) if symmetric else np.array([0.6, 0.0, 0.8])
+    moved = list(obs.candidates)
+    c = moved[6]
+    shift = Pose.from_rt(np.eye(3), 0.02 * direction)
+    moved[6] = Candidate(c.view_id, c.label, c.score, c.pose.compose(shift))
+    obs = SceneObservations(views=obs.views, candidates=tuple(moved))
+    by_view = obs.by_view()
+    cands_a, cands_b = by_view["view_000"], by_view["view_001"]
+    t_ab = true_relative_pose(scene, 0, 1)
+    groups = symmetry_groups(db, [c.label for c in obs.candidates])
+
+    d = symmetric_distance(
+        db["obj_02"].points, groups["obj_02"],
+        obs.candidates[2].pose, t_ab.compose(obs.candidates[6].pose),
+    )
+    bounds = _PairBounds(cands_a, cands_b, centroid_table(db, groups))
+    bound = bounds.bounds(t_ab)[bounds.pairs.index(CandidatePair(2, 6))]
+    assert abs(d - 0.02) < 1e-12
+    assert abs(bound - d) < 1e-12
+
+    # ||delta|| just below (offset > 0), exactly at, and just above the
+    # threshold; the last offset puts the bound past the margin.
+    threshold = d + offset
+    got = count_inliers(t_ab, cands_a, cands_b, db, threshold, groups=groups)
+    assert got == unpruned_inliers(t_ab, cands_a, cands_b, db, threshold, groups)
+    assert (CandidatePair(2, 6) in got) == (offset > 0)
+    assert len(got) == (4 if offset > 0 else 3)
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["unique", "symmetric"])
+def test_nan_candidate_pose_gives_pose_or_value_error(symmetric):
+    db, scene = small_scene(4, 2, seed=11, symmetric=("obj_00",) if symmetric else ())
+    obs = manual_observations(scene)
+    moved = list(obs.candidates)
+    c = moved[0]
+    m = c.pose.matrix.copy()
+    m[0, 1] = np.nan
+    moved[0] = Candidate(c.view_id, c.label, c.score, Pose(m))
+    obs = SceneObservations(views=obs.views, candidates=tuple(moved))
+    for p1, p2 in [(CandidatePair(0, 4), CandidatePair(1, 5)),
+                   (CandidatePair(1, 5), CandidatePair(0, 4))]:
+        try:
+            t = relative_pose_from_pairs(p1, p2, obs, db)
+        except ValueError:
+            continue
+        assert isinstance(t, Pose)
+    build_match_graph(obs, db)
+
+
+_unit = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rotations=arrays(np.float64, (3, 3), elements=st.floats(-3.2, 3.2)),
+    translations=arrays(np.float64, (3, 3), elements=st.floats(-0.5, 0.5)),
+    points=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 16), st.just(3)),
+        elements=st.floats(-0.1, 0.1),
+    ),
+    axis=arrays(np.float64, 3, elements=_unit),
+    offset=arrays(np.float64, 3, elements=st.floats(-0.05, 0.05)),
+    angles=st.integers(1, 16),
+    flip=st.booleans(),
+)
+def test_centroid_bound_never_exceeds_symmetric_distance(
+    rotations, translations, points, axis, offset, angles, flip
+):
+    norm = float(np.linalg.norm(axis))
+    assume(norm > 0.1)
+    discrete = [Pose.identity()]
+    if flip:  # half-turn about x, as for a part that can be mounted upside down
+        discrete.append(Pose.from_rt(np.diag([1.0, -1.0, -1.0]), np.zeros(3)))
+    spec = SymmetrySpec(discrete=tuple(discrete),
+                        continuous_axes=((axis / norm, offset),))
+    group = discretize(spec, angles)
+    spread = float(np.max(np.linalg.norm(points[:, None] - points[None], axis=2)))
+    model = ObjectModel("m", points, max(0.01, spread * 1.01), spec)
+    db = ModelDB({"m": model})
+    poses = []
+    for rot, trans in zip(rotations, translations):
+        poses.append(Pose.from_rt(rotation_exp(rot), trans + [0.0, 0.0, 1.0]))
+    cand_a, cand_b, t_ab = poses
+    view_a = [(0, Candidate("va", "m", 0.9, cand_a))]
+    view_b = [(1, Candidate("vb", "m", 0.9, cand_b))]
+
+    bound = _PairBounds(view_a, view_b, centroid_table(db, {"m": group})).bounds(t_ab)[0]
+    d = symmetric_distance(model.points, group, cand_a, t_ab.compose(cand_b))
+    assert bound <= d + BOUND_MARGIN
 
 
 # ---------------------------------------------------------- two_view_ransac

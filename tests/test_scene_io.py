@@ -269,6 +269,61 @@ class TestObservationsFile:
             sio.load_observations(p)
 
 
+_RIGID = [0.0, -1.0, 0.0, 0.1, 1.0, 0.0, 0.0, 0.2, 0.0, 0.0, 1.0, 1.0, 0, 0, 0, 1]
+
+
+def _bad_poses():
+    nan = list(_RIGID)
+    nan[1] = math.nan
+    inf = list(_RIGID)
+    inf[3] = math.inf
+    scaled = [1.5 * v if k % 4 < 3 and k < 12 else v for k, v in enumerate(_RIGID)]
+    reflected = list(_RIGID)
+    reflected[10] = -1.0
+    return {"nan": nan, "inf": inf, "scaled": scaled, "reflected": reflected}
+
+
+class TestPoseFromList:
+    def test_rigid_pose_loads_bit_exactly(self):
+        pose = sio.pose_from_list(_RIGID, "here")
+        assert np.array_equal(pose.matrix.reshape(-1), np.array(_RIGID, float))
+
+    @pytest.mark.parametrize("kind", sorted(_bad_poses()))
+    def test_non_finite_or_non_rigid_rejected(self, kind):
+        with pytest.raises(sio.SchemaError, match="^somewhere: pose"):
+            sio.pose_from_list(_bad_poses()[kind], "somewhere")
+
+    @pytest.mark.parametrize("kind", sorted(_bad_poses()))
+    def test_every_load_site_rejects(self, tmp_path, kind):
+        bad = _bad_poses()[kind]
+        db = sio.ModelDB({"box": _model()})
+
+        models = tmp_path / "models.json"
+        sio.save_models(db, models)
+        doc = json.loads(models.read_text())
+        doc["models"][0]["symmetries"]["discrete"].append(bad)
+        models.write_text(json.dumps(doc))
+        with pytest.raises(sio.SchemaError, match=r"discrete\[1\]"):
+            sio.load_models(models)
+
+        obs = tmp_path / "obs.json"
+        sio.save_observations(_observations(2, 2), obs)
+        doc = json.loads(obs.read_text())
+        doc["candidates"][3]["pose"] = bad
+        obs.write_text(json.dumps(doc))
+        with pytest.raises(sio.SchemaError, match=r"candidates\[3\]"):
+            sio.load_observations(obs)
+
+        est = tmp_path / "estimate.json"
+        sio.save_estimate(sio.SceneEstimate(
+            cameras=(sio.EstimatedCamera("v0", Pose.identity()),), objects=()), est)
+        doc = json.loads(est.read_text())
+        doc["cameras"][0]["pose_world"] = bad
+        est.write_text(json.dumps(doc))
+        with pytest.raises(sio.SchemaError, match=r"cameras\[0\]"):
+            sio.load_estimate(est)
+
+
 class TestFilterByScore:
     def test_strict_inequality(self):
         views = (sio.View(view_id="v0", intrinsics=_intrinsics()),)

@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from cosy import simulation as sim
 from cosy import evaluation as ev
 from cosy.geometry import Pose
-from cosy.scene_io import UnknownLabelError
+from cosy.scene_io import SchemaError, UnknownLabelError
 
 
 def _db(n_labels=3, symmetric=False):
@@ -229,3 +231,15 @@ class TestGroundTruthFile:
         for a, b in zip(scene.views, back.views):
             assert a.view_id == b.view_id
             assert a.intrinsics == b.intrinsics
+
+    @pytest.mark.parametrize("key", ["cameras", "objects"])
+    def test_non_rigid_pose_rejected(self, tmp_path, key):
+        db = _db()
+        scene = sim.generate_scene(_cfg(3, 4, seed=17), db)
+        path = tmp_path / "gt.json"
+        sim.save_ground_truth(scene, (), path)
+        doc = json.loads(path.read_text())
+        doc[key][1]["pose_world"][0] *= 1.5
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=rf"{key}\[1\]: pose rotation"):
+            sim.load_ground_truth(path, db)
