@@ -201,6 +201,15 @@ def cmd_solve(cfg: RunConfig) -> int:
         save_estimate(_diagnostic_estimate(cfg, stats), cfg.paths["out"])
         print("all components lost to disconnected views; wrote diagnostic estimate")
         return EXIT_NO_SCENE
+    # Placement reaches every view connected to the root, member or not,
+    # so the member views left without a camera are exactly the pruned ones.
+    member_views = {v for o in objects for v, _ in o.members}
+    dropped = sorted(member_views - set(state.camera_poses))
+    if dropped:
+        print(
+            "refine: dropped candidates in views unreachable from the root "
+            f"camera: {', '.join(dropped)}"
+        )
     final_loss = total_loss(state, kept, obs, db, cfg.refine)
     stats["final_loss"] = final_loss
     print(

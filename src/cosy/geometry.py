@@ -172,6 +172,19 @@ def apply_matrices(matrices: np.ndarray, pts) -> np.ndarray:
     ) + t[:, None, :]
 
 
+def apply_matrices_indexed(matrices: np.ndarray, index: np.ndarray, pts) -> np.ndarray:
+    """Apply matrices[index[i]] to point i: (T, 4, 4), (N,), (N, 3) -> (N, 3).
+
+    Same accumulation order as apply_matrix, so each point matches
+    apply_matrix with its own matrix bit for bit.
+    """
+    pts = _as_points(pts)
+    # Coordinate-major (3, 4, N) gather: each term below is a contiguous row.
+    m = np.take(matrices[:, :3, :].transpose(1, 2, 0), index, axis=2)
+    x, y, z = pts.T
+    return (((x * m[:, 0] + y * m[:, 1]) + z * m[:, 2]) + m[:, 3]).T
+
+
 def transform_points(t: Pose, pts) -> np.ndarray:
     """Transform each point by R @ x + translation, preserving order."""
     return apply_matrix(t.matrix, pts)
@@ -199,7 +212,8 @@ def project_masked(
     """Project points, returning (pixels, valid_mask).
 
     Points with z <= z_min get mask False and an undefined (finite) pixel
-    value; callers must ignore them.
+    value; callers must ignore them. Only k's fx, fy, cx and cy are read,
+    and they may be (N,) arrays giving each point its own camera.
     """
     pts = _as_points(pts_camera_frame)
     valid = pts[:, 2] > z_min

@@ -353,10 +353,11 @@ def _pair_rng(seed: int, view_a: str, view_b: str) -> np.random.Generator:
     """Generator derived from (seed, view pair); stable across processes.
 
     Independent per-pair streams keep serial and threaded runs bit-identical.
+    The view ids are length-prefixed, so ids containing ':' cannot make two
+    pairs share a key.
     """
-    digest = hashlib.blake2b(
-        f"{seed}:{view_a}:{view_b}".encode(), digest_size=8
-    ).digest()
+    key = f"{seed}:{len(view_a)}:{view_a}:{len(view_b)}:{view_b}"
+    digest = hashlib.blake2b(key.encode(), digest_size=8).digest()
     return np.random.default_rng(int.from_bytes(digest, "big"))
 
 

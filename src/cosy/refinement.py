@@ -20,7 +20,8 @@ from __future__ import annotations
 import hashlib
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .geometry import (
     CameraIntrinsics,
     Pose,
     apply_matrices,
+    apply_matrices_indexed,
     apply_matrix,
     project_masked,
     retract,
@@ -206,35 +208,32 @@ def _groups_for(db: ModelDB, labels, angles: int, groups):
     }
 
 
-def _per_symmetry_losses(
-    state_pose: Pose,
+def _candidate_image(
     cand_pose: Pose,
     pts: np.ndarray,
     group: SymmetryGroup,
     intrinsics: CameraIntrinsics,
-    truncation: float,
-):
-    """Per-group-element truncated mean pixel error plus reusable pieces.
-
-    Returns (losses (G,), predicted pixels (M,2), predicted valid (M,),
-    target pixels (G,M,2), target valid (G,M)).
-    """
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pixels (G, M, 2) and validity (G, M) of T_cand S x for every S."""
     m = pts.shape[0]
-    u = apply_matrix(state_pose.matrix, pts)
-    pred_px, pred_valid = project_masked(intrinsics, u)
-
     sym_pts = apply_matrices(group.matrices, pts)  # (G, M, 3)
     g = sym_pts.shape[0]
     cam_pts = apply_matrix(cand_pose.matrix, sym_pts.reshape(g * m, 3))
-    tgt_px, tgt_valid = project_masked(intrinsics, cam_pts)
-    tgt_px = tgt_px.reshape(g, m, 2)
-    tgt_valid = tgt_valid.reshape(g, m)
+    px, valid = project_masked(intrinsics, cam_pts)
+    return px.reshape(g, m, 2), valid.reshape(g, m)
 
-    diff = pred_px[None, :, :] - tgt_px
+
+def _truncated_errors(pred_px, pred_valid, target_px, target_valid, truncation):
+    """Per-point pixel error, its truncated contribution, and joint validity.
+
+    Arguments broadcast, so (1, M) predictions score against (G, M) images.
+    A point behind either projection contributes the truncation value.
+    Returns (contribution, error, both valid).
+    """
+    diff = pred_px - target_px
     err = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
-    both = pred_valid[None, :] & tgt_valid
-    contrib = np.where(both, np.minimum(err, truncation), truncation)
-    return contrib.mean(axis=1), pred_px, pred_valid, tgt_px, tgt_valid
+    both = pred_valid & target_valid
+    return np.where(both, np.minimum(err, truncation), truncation), err, both
 
 
 def candidate_loss(
@@ -258,18 +257,19 @@ def candidate_loss(
     if candidate.view_id not in {v for v, _ in physical_object.members}:
         raise ValueError("candidate's view is not a member of the object")
     groups = _groups_for(db, [candidate.label], angles_per_axis, groups)
-    model = db[candidate.label]
+    pts = db[candidate.label].points
     cam = state.camera_poses[candidate.view_id]
     state_pose = cam.inverse().compose(state.object_poses[physical_object.id])
-    losses, *_ = _per_symmetry_losses(
-        state_pose,
-        candidate.pose,
-        model.points,
-        groups[candidate.label],
-        intrinsics,
-        truncation,
+    pred_px, pred_valid = project_masked(
+        intrinsics, apply_matrix(state_pose.matrix, pts)
     )
-    return float(np.min(losses))
+    px, valid = _candidate_image(
+        candidate.pose, pts, groups[candidate.label], intrinsics
+    )
+    contrib, _, _ = _truncated_errors(
+        pred_px[None], pred_valid[None], px, valid, truncation
+    )
+    return float(np.min(contrib.mean(axis=1)))
 
 
 def total_loss(
@@ -353,167 +353,249 @@ def apply_delta(state: SceneState, layout: ParamLayout, delta) -> SceneState:
     return SceneState(camera_poses=cameras, object_poses=obj_poses)
 
 
+class PointIntrinsics(NamedTuple):
+    """Pinhole parameters per point, (N,) each; see `project_masked`."""
+
+    fx: np.ndarray
+    fy: np.ndarray
+    cx: np.ndarray
+    cy: np.ndarray
+
+
 @dataclass(frozen=True)
-class _Target:
-    """One candidate's frozen measurement for the current outer iteration."""
+class CandidateImages:
+    """What one `refine` call needs of its member candidates, built once.
 
-    view_id: str
-    object_id: int
-    intrinsics: CameraIntrinsics
-    points: np.ndarray  # residual subsample, (M, 3)
-    target_px: np.ndarray  # (M, 2), candidate projection under S*
-    target_valid: np.ndarray  # (M,)
-    active: np.ndarray  # (M,), points that carry gradient at selection
-    weight: float  # 1 / M
+    Member t is one (view, candidate) of a physical object, in object-id
+    then member order. Its residual points fill rows bounds[t]:bounds[t+1]
+    of the stacked per-point arrays. images[t] holds the candidate's
+    projection of T_cand S x under every symmetry S of its label: no pose
+    update changes it, so it is not recomputed per iteration.
+    """
 
-    candidate_index: int = field(default=-1)
+    view_ids: tuple[str, ...]
+    object_ids: tuple[int, ...]
+    bounds: tuple[int, ...]  # T + 1 row offsets
+    member: np.ndarray  # (N,), member index of each point
+    points: np.ndarray  # (N, 3), residual subsample of each member's model
+    intrinsics: PointIntrinsics
+    sqrt_weight: np.ndarray  # (N,), 1 / sqrt(M) of the point's member
+    images: tuple[np.ndarray, ...]  # per member, (G, M, 2) pixels
+    image_valid: tuple[np.ndarray, ...]  # per member, (G, M)
 
 
-def select_targets(
-    state: SceneState,
+@dataclass(frozen=True)
+class Targets:
+    """One outer iteration's symmetry selection, stacked like its images."""
+
+    images: CandidateImages
+    px: np.ndarray  # (N, 2), each member's image under its selected S
+    valid: np.ndarray  # (N,)
+    active: np.ndarray  # (N,), points that carry gradient at selection
+
+
+def candidate_images(
     objects: list[PhysicalObject],
     obs: SceneObservations,
     db: ModelDB,
-    cfg: RefineConfig,
+    cfg: RefineConfig = RefineConfig(),
     *,
     groups: dict[str, SymmetryGroup] | None = None,
-) -> tuple[list[_Target], float]:
-    """Pick the best symmetry per candidate; freeze its projected points.
-
-    Returns the frozen targets and the (true) total loss at `state`.
-    """
-    state.require_views(objects)
+) -> CandidateImages:
+    """Residual points and symmetry images of every member candidate."""
     groups = _groups_for(db, [o.label for o in objects], cfg.symmetry_angles, groups)
     intr = {v.view_id: v.intrinsics for v in obs.views}
-    targets: list[_Target] = []
-    loss = 0.0
+    view_ids, object_ids, points, images, image_valid = [], [], [], [], []
     for obj in sorted(objects, key=lambda o: o.id):
         pts = residual_points(db[obj.label])
-        group = groups[obj.label]
-        t_obj = state.object_poses[obj.id]
         for view_id, cand_idx in obj.members:
-            cand = obs.candidates[cand_idx]
-            state_pose = state.camera_poses[view_id].inverse().compose(t_obj)
-            losses, pred_px, pred_valid, tgt_px, tgt_valid = _per_symmetry_losses(
-                state_pose, cand.pose, pts, group, intr[view_id], cfg.truncation
+            px, valid = _candidate_image(
+                obs.candidates[cand_idx].pose, pts, groups[obj.label], intr[view_id]
             )
-            best = int(np.argmin(losses))
-            loss += float(losses[best])
-            diff = pred_px - tgt_px[best]
-            err = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2)
-            active = pred_valid & tgt_valid[best] & (err < cfg.truncation)
-            targets.append(
-                _Target(
-                    view_id=view_id,
-                    object_id=obj.id,
-                    intrinsics=intr[view_id],
-                    points=pts,
-                    target_px=tgt_px[best],
-                    target_valid=tgt_valid[best],
-                    active=active,
-                    weight=1.0 / pts.shape[0],
-                    candidate_index=cand_idx,
-                )
+            view_ids.append(view_id)
+            object_ids.append(obj.id)
+            points.append(pts)
+            images.append(px)
+            image_valid.append(valid)
+    counts = np.array([p.shape[0] for p in points], dtype=np.int64)
+    cams = [intr[v] for v in view_ids]
+    return CandidateImages(
+        view_ids=tuple(view_ids),
+        object_ids=tuple(object_ids),
+        bounds=tuple(np.concatenate([[0], np.cumsum(counts)]).tolist()),
+        member=np.repeat(np.arange(len(counts)), counts),
+        points=np.concatenate(points) if points else np.zeros((0, 3)),
+        intrinsics=PointIntrinsics(
+            *(
+                np.repeat([float(getattr(k, f)) for k in cams], counts)
+                for f in PointIntrinsics._fields
             )
+        ),
+        sqrt_weight=np.repeat(np.sqrt(1.0 / counts), counts),
+        images=tuple(images),
+        image_valid=tuple(image_valid),
+    )
+
+
+def _member_poses(state: SceneState, images: CandidateImages) -> np.ndarray:
+    """(T, 4, 4) camera-from-object matrix of each member.
+
+    One inverse per camera; each product equals
+    cam.inverse().compose(obj).matrix bit for bit.
+    """
+    inv = {v: state.camera_poses[v].inverse().matrix for v in set(images.view_ids)}
+    return np.stack(
+        [
+            inv[v] @ state.object_poses[o].matrix
+            for v, o in zip(images.view_ids, images.object_ids)
+        ]
+    )
+
+
+def _project_points(state: SceneState, images: CandidateImages, rows=slice(None)):
+    """Camera-frame points, pixels and validity of the stacked points `rows`."""
+    u = apply_matrices_indexed(
+        _member_poses(state, images), images.member[rows], images.points[rows]
+    )
+    intr = PointIntrinsics(*(a[rows] for a in images.intrinsics))
+    px, valid = project_masked(intr, u)
+    return u, px, valid
+
+
+def select_targets(
+    state: SceneState, images: CandidateImages, truncation: float
+) -> tuple[Targets, float]:
+    """Pick the best symmetry per member; freeze its projected points.
+
+    Returns the frozen targets and the (true) total loss at `state`. With
+    no residual subsampling this is total_loss bit for bit: the same
+    projections, per-member means and left-to-right sum.
+    """
+    _, pred_px, pred_valid = _project_points(state, images)
+    b = images.bounds
+    px, valid, active = [], [], []
+    loss = 0.0
+    for t, (img, img_valid) in enumerate(zip(images.images, images.image_valid)):
+        s, e = b[t], b[t + 1]
+        contrib, err, both = _truncated_errors(
+            pred_px[None, s:e], pred_valid[None, s:e], img, img_valid, truncation
+        )
+        losses = contrib.mean(axis=1)
+        best = int(np.argmin(losses))
+        loss += float(losses[best])
+        px.append(img[best])
+        valid.append(img_valid[best])
+        active.append(both[best] & (err[best] < truncation))
+    targets = Targets(
+        images=images,
+        px=np.concatenate(px),
+        valid=np.concatenate(valid),
+        active=np.concatenate(active),
+    )
     return targets, float(loss)
 
 
-def frozen_loss(state: SceneState, targets: list[_Target], truncation: float) -> float:
-    """Truncated loss with the symmetry selection (targets) held fixed."""
+def frozen_loss(state: SceneState, targets: Targets, truncation: float) -> float:
+    """Truncated loss with the symmetry selection (targets) held fixed.
+
+    At the selection state it equals select_targets' loss bit for bit, so
+    a zero step never passes the strict acceptance test on rounding.
+    """
+    _, pred_px, pred_valid = _project_points(state, targets.images)
+    contrib, _, _ = _truncated_errors(
+        pred_px, pred_valid, targets.px, targets.valid, truncation
+    )
+    b = targets.images.bounds
     total = 0.0
-    for t in targets:
-        state_pose = state.camera_poses[t.view_id].inverse().compose(
-            state.object_poses[t.object_id]
-        )
-        u = apply_matrix(state_pose.matrix, t.points)
-        pred_px, pred_valid = project_masked(t.intrinsics, u)
-        diff = pred_px - t.target_px
-        err = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2)
-        both = pred_valid & t.target_valid
-        contrib = np.where(both, np.minimum(err, truncation), truncation)
-        total += float(contrib.mean())
+    for s, e in zip(b[:-1], b[1:]):
+        total += float(contrib[s:e].mean())
     return total
 
 
-def residual_vector(
-    state: SceneState, targets: list[_Target], layout: ParamLayout
-) -> np.ndarray:
-    """Stacked weighted pixel residuals over each target's active points.
+def _active_residuals(state: SceneState, targets: Targets):
+    """Camera-frame points and weighted pixel residuals of the active points."""
+    act = targets.active
+    u, pred_px, _ = _project_points(state, targets.images, act)
+    sw = targets.images.sqrt_weight[act]
+    return u, ((pred_px - targets.px[act]) * sw[:, None]).ravel()
+
+
+def residual_vector(state: SceneState, targets: Targets) -> np.ndarray:
+    """Stacked weighted pixel residuals over the active points.
 
     Meaningful near the linearization state: the active set is frozen, so
     points that wander behind the camera keep their placeholder projection.
     """
-    chunks = []
-    for t in targets:
-        if not np.any(t.active):
-            continue
-        state_pose = state.camera_poses[t.view_id].inverse().compose(
-            state.object_poses[t.object_id]
-        )
-        u = apply_matrix(state_pose.matrix, t.points[t.active])
-        pred_px, _ = project_masked(t.intrinsics, u)
-        r = (pred_px - t.target_px[t.active]) * np.sqrt(t.weight)
-        chunks.append(r.ravel())
-    if not chunks:
-        return np.zeros(0)
-    return np.concatenate(chunks)
+    return _active_residuals(state, targets)[1]
 
 
-def linearize(
-    state: SceneState, targets: list[_Target], layout: ParamLayout
-) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals and their analytic Jacobian at `state`.
+def linearize(state: SceneState, targets: Targets) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals over the active points and their compact Jacobian E.
 
-    Blocks per active point, for world point w and camera rotation R:
-    with A = d(pixel)/d(camera point) and B = A R^T, C = B [w]x, the
-    camera columns are [+C | -B] and the object columns [-C | +B]
-    (rotation increment first, translation second, matching `retract`).
+    A residual depends on its camera and object poses only through
+    cam^-1 * obj, so equal left increments of both cancel: a target's
+    camera columns are exactly E and its object columns exactly -E.
+    `normal_equations` places them. E is (2N, 6), rows (u, v) per point
+    with the weight applied: for world point w and camera rotation R, with
+    A = d(pixel)/d(camera point), B = A R^T and C = B [w]x, a point's rows
+    are [C | -B] (rotation increment first, translation second, matching
+    `retract`).
     """
-    rows_r = []
-    rows_j = []
-    for t in targets:
-        if not np.any(t.active):
+    images = targets.images
+    act = targets.active
+    member = images.member[act]
+    u, r = _active_residuals(state, targets)
+    obj_mats = np.stack([state.object_poses[o].matrix for o in images.object_ids])
+    w = apply_matrices_indexed(obj_mats, member, images.points[act])  # world
+    rot = np.stack([state.camera_poses[v].rotation for v in images.view_ids])[member]
+    x, y, z = u[:, 0], u[:, 1], u[:, 2]
+    fx_z = images.intrinsics.fx[act] / z
+    fy_z = images.intrinsics.fy[act] / z
+    # B = A R^T: row i is sum_k A[i, k] R[:, k], and A has two nonzeros per row
+    b = np.empty((u.shape[0], 2, 3))
+    b[:, 0] = fx_z[:, None] * rot[:, :, 0] - (fx_z * x / z)[:, None] * rot[:, :, 2]
+    b[:, 1] = fy_z[:, None] * rot[:, :, 1] - (fy_z * y / z)[:, None] * rot[:, :, 2]
+    e = np.empty((u.shape[0], 2, 6))
+    e[:, :, :3] = np.cross(b, w[:, None, :])  # b [w]x == b x w per row
+    e[:, :, 3:] = -b
+    e *= images.sqrt_weight[act, None, None]
+    return r, e.reshape(-1, 6)
+
+
+def normal_equations(
+    r: np.ndarray, e: np.ndarray, targets: Targets, layout: ParamLayout
+) -> tuple[np.ndarray, np.ndarray]:
+    """J^T J and J^T r from linearize's compact Jacobian, by 6x6 blocks.
+
+    With K = E_t^T E_t and k = E_t^T r_t over target t's rows, the target
+    adds [[K, -K], [-K, K]] and [k, -k] at its camera and object offsets;
+    the gauge camera has no columns, so only its object block remains.
+    """
+    images = targets.images
+    h = np.zeros((layout.size, layout.size))
+    g = np.zeros(layout.size)
+    counts = np.bincount(
+        images.member[targets.active], minlength=len(images.view_ids)
+    ).tolist()
+    row = 0
+    for view_id, object_id, n in zip(images.view_ids, images.object_ids, counts):
+        if n == 0:
             continue
-        cam = state.camera_poses[t.view_id]
-        t_obj = state.object_poses[t.object_id]
-        pts = t.points[t.active]
-        w = apply_matrix(t_obj.matrix, pts)  # world points
-        u = apply_matrix(cam.inverse().matrix, w)  # camera frame
-        pred_px, _ = project_masked(t.intrinsics, u)
-        sw = np.sqrt(t.weight)
-        rows_r.append(((pred_px - t.target_px[t.active]) * sw).ravel())
-
-        n = u.shape[0]
-        x, y, z = u[:, 0], u[:, 1], u[:, 2]
-        a = np.zeros((n, 2, 3))
-        a[:, 0, 0] = t.intrinsics.fx / z
-        a[:, 0, 2] = -t.intrinsics.fx * x / z**2
-        a[:, 1, 1] = t.intrinsics.fy / z
-        a[:, 1, 2] = -t.intrinsics.fy * y / z**2
-        rt = cam.rotation.T
-        b = a @ rt  # (n, 2, 3)
-        wx = np.zeros((n, 3, 3))
-        wx[:, 0, 1] = -w[:, 2]
-        wx[:, 0, 2] = w[:, 1]
-        wx[:, 1, 0] = w[:, 2]
-        wx[:, 1, 2] = -w[:, 0]
-        wx[:, 2, 0] = -w[:, 1]
-        wx[:, 2, 1] = w[:, 0]
-        c = b @ wx  # (n, 2, 3)
-
-        block = np.zeros((n, 2, layout.size))
-        cam_off = layout.camera_offset(t.view_id)
-        if cam_off is not None:
-            block[:, :, cam_off : cam_off + 3] = c
-            block[:, :, cam_off + 3 : cam_off + 6] = -b
-        obj_off = layout.object_offset(t.object_id)
-        block[:, :, obj_off : obj_off + 3] = -c
-        block[:, :, obj_off + 3 : obj_off + 6] = b
-        rows_j.append((block * sw).reshape(2 * n, layout.size))
-
-    if not rows_r:
-        return np.zeros(0), np.zeros((0, layout.size))
-    return np.concatenate(rows_r), np.concatenate(rows_j, axis=0)
+        e_t = e[row : row + 2 * n]
+        r_t = r[row : row + 2 * n]
+        row += 2 * n
+        k_mat = e_t.T @ e_t
+        k_vec = e_t.T @ r_t
+        o = layout.object_offset(object_id)
+        h[o : o + 6, o : o + 6] += k_mat
+        g[o : o + 6] -= k_vec
+        c = layout.camera_offset(view_id)
+        if c is not None:
+            h[c : c + 6, c : c + 6] += k_mat
+            h[c : c + 6, o : o + 6] -= k_mat
+            h[o : o + 6, c : c + 6] -= k_mat
+            g[c : c + 6] += k_vec
+    return h, g
 
 
 # --------------------------------------------------------------------- LM
@@ -545,22 +627,21 @@ def refine(
     if not objects:
         return state
     state.require_views(objects)
-    groups = _groups_for(db, [o.label for o in objects], cfg.symmetry_angles, groups)
     layout = parameter_layout(state, objects)
+    images = candidate_images(objects, obs, db, cfg, groups=groups)
     lam = cfg.damping_init
     eye = np.eye(layout.size)
 
     for _ in range(cfg.max_iterations):
-        targets, loss0 = select_targets(state, objects, obs, db, cfg, groups=groups)
+        targets, loss0 = select_targets(state, images, cfg.truncation)
         if trace is not None:
             trace.append(loss0)
         if loss0 <= 1e-12:  # numerically zero; nothing left to gain
             return state
-        r, jac = linearize(state, targets, layout)
+        r, e = linearize(state, targets)
         if r.size == 0:
             return state
-        g = jac.T @ r
-        h = jac.T @ jac
+        h, g = normal_equations(r, e, targets, layout)
 
         accepted = False
         rel_decrease = 0.0
@@ -585,7 +666,7 @@ def refine(
             break
 
     if trace is not None:
-        _, final_loss = select_targets(state, objects, obs, db, cfg, groups=groups)
+        _, final_loss = select_targets(state, images, cfg.truncation)
         trace.append(final_loss)
     return state
 

@@ -168,3 +168,29 @@ def random_pose_nudge(matrix, rng, rot_scale, trans_scale):
     m[:3, :3] = rotation_about_axis(axis, rng.normal() * rot_scale)
     m[:3, 3] = rng.normal(size=3) * trans_scale
     return m @ np.asarray(matrix, dtype=np.float64)
+
+
+def dense_jacobian(e, targets, layout):
+    """Dense (2N, P) Jacobian from linearize's compact (2N, 6) block.
+
+    Target t owns the next 2 * (its active points) rows, in member order.
+    Its rows of E go to its camera's columns (none for the gauge view) and
+    their negation to its object's columns.
+    """
+    images = targets.images
+    d = np.zeros((e.shape[0], layout.size))
+    row = 0
+    for t in range(len(images.view_ids)):
+        n_active = 0
+        for i in range(images.bounds[t], images.bounds[t + 1]):
+            if targets.active[i]:
+                n_active += 1
+        cam = layout.camera_offset(images.view_ids[t])
+        obj = layout.object_offset(images.object_ids[t])
+        for i in range(row, row + 2 * n_active):
+            for j in range(6):
+                if cam is not None:
+                    d[i, cam + j] = e[i, j]
+                d[i, obj + j] = -e[i, j]
+        row += 2 * n_active
+    return d

@@ -12,12 +12,17 @@ from cosy.scene_io import (
     EstimatedCamera,
     EstimatedObject,
     SceneEstimate,
+    SceneObservations,
     load_estimate,
     load_json,
     load_models,
     save_estimate,
+    save_models,
+    save_observations,
 )
 from cosy.simulation import load_ground_truth
+
+from test_matching import manual_observations, small_scene
 
 
 def simulate(tmp_path, *extra, seed=3):
@@ -186,6 +191,33 @@ def test_solve_min_score_filters_members(tmp_path):
     for obj in doc.get("objects", []):
         for m in obj["members"]:
             assert obs_doc["candidates"][m["candidate_index"]]["score"] > 0.8
+
+
+def test_solve_reports_views_dropped_as_unreachable(tmp_path, capsys):
+    # Views 0-1 see objects 0-2 and views 2-3 objects 3-5. No label spans
+    # both groups, so no hypothesis links them and refinement prunes the
+    # group that does not hold the root camera.
+    db, scene = small_scene(6, 4, seed=4)
+    obs = manual_observations(scene)
+    keep = tuple(
+        c for i, c in enumerate(obs.candidates) if (i // 6 < 2) == (i % 6 < 3)
+    )
+    models, observations = tmp_path / "models.json", tmp_path / "obs.json"
+    save_models(db, models)
+    save_observations(SceneObservations(views=obs.views, candidates=keep),
+                      observations)
+    out = tmp_path / "estimate.json"
+    capsys.readouterr()
+    assert solve(models, observations, out) == EXIT_OK
+    stdout = capsys.readouterr().out
+    groups = (("view_000", "view_001"), ("view_002", "view_003"))
+    named = [
+        g for g in groups
+        if f"unreachable from the root camera: {', '.join(g)}" in stdout
+    ]
+    assert len(named) == 1
+    cameras = {c.view_id for c in load_estimate(out).cameras}
+    assert cameras.isdisjoint(named[0])
 
 
 def test_solve_missing_file_is_config_error(tmp_path):

@@ -645,6 +645,11 @@ def test_pair_rng_depends_on_views_not_call_order():
     assert not np.array_equal(a1, b)
 
 
+def test_pair_rng_view_ids_with_colons_do_not_collide():
+    first = _pair_rng(0, "a:b", "c").integers(1 << 62)
+    assert first != _pair_rng(0, "a", "b:c").integers(1 << 62)
+
+
 # -------------------------------------------------------- build_match_graph
 
 

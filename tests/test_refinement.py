@@ -9,16 +9,19 @@ from cosy.geometry import Pose
 from cosy.matching import MatchParams, PhysicalObject, build_match_graph, \
     extract_physical_objects
 from cosy.refinement import (
+    MAX_RESIDUAL_POINTS,
     DisconnectedViews,
     RefineConfig,
     SceneState,
     apply_delta,
+    candidate_images,
     candidate_loss,
     express_in_camera_frames,
     frozen_loss,
     initialize_scene,
     initialize_scene_with_pruning,
     linearize,
+    normal_equations,
     parameter_layout,
     prune_unreachable_members,
     refine,
@@ -374,34 +377,75 @@ def test_jacobian_matches_central_differences():
         n_objects=3, n_views=3, seed=18, symmetric=("obj_01",)
     )
     cfg = RefineConfig()
+    images = candidate_images(objects, obs, db, cfg)
     rng = np.random.default_rng(18)
     for trial in range(3):
         noisy = perturbed_state(state, rng, rot=0.01, trans=0.005)
-        targets, _ = select_targets(noisy, objects, obs, db, cfg)
-        assert all(t.active.all() for t in targets)  # nothing truncated
+        targets, _ = select_targets(noisy, images, cfg.truncation)
+        assert targets.active.all()  # nothing truncated
         layout = parameter_layout(noisy, objects)
-        r0, jac = linearize(noisy, targets, layout)
-        assert np.max(np.abs(r0 - residual_vector(noisy, targets, layout))) < 1e-9
+        r0, block = linearize(noisy, targets)
+        jac = oracles.dense_jacobian(block, targets, layout)
+        assert np.max(np.abs(r0 - residual_vector(noisy, targets))) < 1e-9
 
         h = 1e-6
         fd = np.zeros_like(jac)
         for k in range(layout.size):
             e = np.zeros(layout.size)
             e[k] = h
-            rp = residual_vector(apply_delta(noisy, layout, e), targets, layout)
-            rm = residual_vector(apply_delta(noisy, layout, -e), targets, layout)
+            rp = residual_vector(apply_delta(noisy, layout, e), targets)
+            rm = residual_vector(apply_delta(noisy, layout, -e), targets)
             fd[:, k] = (rp - rm) / (2 * h)
         rel = np.max(np.abs(fd - jac)) / max(1.0, np.max(np.abs(jac)))
         assert rel < 1e-4
 
 
+def test_normal_equations_match_dense_oracle():
+    db, scene, obs, objects, state = consistent_setup(
+        n_objects=3, n_views=3, seed=26, symmetric=("obj_01",)
+    )
+    # Move one candidate far off-image: its target saturates completely.
+    cands = list(obs.candidates)
+    view_id, idx = objects[2].members[1]
+    m = cands[idx].pose.matrix.copy()
+    m[0, 3] += 50.0
+    cands[idx] = Candidate(view_id, cands[idx].label, cands[idx].score,
+                           Pose.from_matrix(m))
+    obs = SceneObservations(views=obs.views, candidates=tuple(cands))
+    cfg = RefineConfig()
+    noisy = perturbed_state(state, np.random.default_rng(26))
+    images = candidate_images(objects, obs, db, cfg)
+    targets, _ = select_targets(noisy, images, cfg.truncation)
+    layout = parameter_layout(noisy, objects)
+    per_member = [
+        targets.active[s:e].sum()
+        for s, e in zip(images.bounds[:-1], images.bounds[1:])
+    ]
+    assert per_member.count(0) == 1  # the moved candidate only
+    assert layout.gauge_view in images.view_ids
+    assert len(discretize(db["obj_01"].symmetries)) > 1
+
+    r, block = linearize(noisy, targets)
+    h, g = normal_equations(r, block, targets, layout)
+    d = oracles.dense_jacobian(block, targets, layout)
+    ad = np.abs(d)
+    assert np.all(np.abs(h - d.T @ d) <= 1e-9 * (ad.T @ ad))
+    assert np.all(np.abs(g - d.T @ r) <= 1e-9 * (ad.T @ np.abs(r)))
+
+
 def test_frozen_loss_agrees_with_selection_loss():
-    db, scene, obs, objects, state = consistent_setup(n_objects=3, n_views=2, seed=19)
+    db, scene, obs, objects, state = consistent_setup(
+        n_objects=3, n_views=2, seed=19, symmetric=("obj_01",)
+    )
+    assert all(db[o.label].points.shape[0] <= MAX_RESIDUAL_POINTS for o in objects)
     rng = np.random.default_rng(19)
     noisy = perturbed_state(state, rng)
     cfg = RefineConfig()
-    targets, loss = select_targets(noisy, objects, obs, db, cfg)
-    assert abs(frozen_loss(noisy, targets, cfg.truncation) - loss) < 1e-12
+    images = candidate_images(objects, obs, db, cfg)
+    targets, loss = select_targets(noisy, images, cfg.truncation)
+    assert loss > 0
+    assert loss == total_loss(noisy, objects, obs, db, cfg)
+    assert frozen_loss(noisy, targets, cfg.truncation) == loss
 
 
 # ----------------------------------------------------------------- refine
