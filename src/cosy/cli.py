@@ -587,6 +587,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             echo=echo,
         )
     if args.command == "solve":
+        if not np.isfinite(args.min_score):
+            raise ValueError(f"min_score must be finite, got {args.min_score}")
         match = MatchParams(
             inlier_threshold=args.inlier_threshold,
             max_iterations=args.ransac_max_iters,

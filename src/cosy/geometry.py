@@ -31,6 +31,10 @@ class DegenerateBasisError(ValueError):
 DEFAULT_Z_MIN = 1e-3
 _BOTTOM_ROW = np.array([0.0, 0.0, 0.0, 1.0])
 _EYE3 = np.eye(3)
+# Flat row-major slots of x, y, z and of -x, -y, -z in the cross matrix
+# [[0, -z, y], [z, 0, -x], [-y, x, 0]].
+_SKEW_PLUS = np.array([7, 2, 3])
+_SKEW_MINUS = np.array([5, 6, 1])
 
 
 def _as_points(pts) -> np.ndarray:
@@ -100,12 +104,7 @@ class Pose:
         return Pose(self.matrix @ other.matrix)
 
     def inverse(self) -> "Pose":
-        R = self.matrix[:3, :3]
-        t = self.matrix[:3, 3]
-        m = np.eye(4)
-        m[:3, :3] = R.T
-        m[:3, 3] = -(R.T @ t)
-        return Pose(m)
+        return Pose(inverse_matrices(self.matrix[None])[0])
 
     def transform(self, pts) -> np.ndarray:
         return apply_matrix(self.matrix, pts)
@@ -129,6 +128,8 @@ class CameraIntrinsics:
     def __post_init__(self):
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError("focal lengths must be positive")
+        if not np.isfinite([self.fx, self.fy, self.cx, self.cy]).all():
+            raise ValueError("intrinsics fx, fy, cx, cy must be finite")
 
 
 def compose(a: Pose, b: Pose) -> Pose:
@@ -261,37 +262,78 @@ def rotation_from_6d(e1, e2, eps: float = 1e-9) -> np.ndarray:
     return np.stack([c1, c2, c3], axis=1)
 
 
-def skew(v: np.ndarray) -> np.ndarray:
-    """Cross-product matrix: skew(v) @ w == v x w."""
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
+def skew(v) -> np.ndarray:
+    """Cross-product matrices: skew(v) @ w == v x w, over (..., 3) vectors."""
+    v = np.asarray(v, dtype=np.float64)
+    k = np.zeros(v.shape[:-1] + (9,))
+    k[..., _SKEW_PLUS] = v
+    k[..., _SKEW_MINUS] = -v
+    return k.reshape(v.shape[:-1] + (3, 3))
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    # One (1, 3) @ (3, 1) product per row: the same dot np.linalg.norm takes.
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
+def rotations_about_axes(axes, angles) -> np.ndarray:
+    """(P, 3, 3) rotations about (P, 3) nonzero axes through the origin.
+
+    Rodrigues' formula I + sin(a) K + (1 - cos(a)) K^2 with K the cross
+    matrix of the normalized axis; the only Rodrigues evaluation in the
+    package, so every caller gets the same bits per row.
+    """
+    axes = np.asarray(axes, dtype=np.float64).reshape(-1, 3)
+    angles = np.asarray(angles, dtype=np.float64).reshape(-1)
+    n = _row_norms(axes)
+    if not n.all():
+        raise ValueError("rotation axis must be nonzero")
+    k = skew(axes / n[:, None])
+    return (_EYE3 + np.sin(angles)[:, None, None] * k) + (
+        1.0 - np.cos(angles)
+    )[:, None, None] * (k @ k)
 
 
 def rotation_about_axis(axis, angle: float) -> np.ndarray:
     """Rotation matrix about a (not necessarily unit) axis through the origin."""
-    axis = np.asarray(axis, dtype=np.float64).reshape(3)
-    n = np.linalg.norm(axis)
-    if n == 0.0:
-        raise ValueError("rotation axis must be nonzero")
-    u = axis / n
-    K = skew(u)
-    return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
+    return rotations_about_axes(axis, angle)[0]
+
+
+def rotation_exps(omegas) -> np.ndarray:
+    """Axis-angle exponentials (Rodrigues) of (P, 3) vectors, (P, 3, 3)."""
+    omegas = np.asarray(omegas, dtype=np.float64).reshape(-1, 3)
+    theta = _row_norms(omegas)
+    small = theta < 1e-12
+    if not small.any():
+        # The axis omega / theta is normalized once more, as any axis is.
+        return rotations_about_axes(omegas / theta[:, None], theta)
+    # Second-order series; below this angle the closed form loses precision.
+    k = skew(omegas[small])
+    out = np.empty((omegas.shape[0], 3, 3))
+    out[small] = (_EYE3 + k) + 0.5 * (k @ k)
+    big = ~small
+    if big.any():
+        out[big] = rotations_about_axes(omegas[big] / theta[big, None], theta[big])
+    return out
 
 
 def rotation_exp(omega: np.ndarray) -> np.ndarray:
     """Axis-angle exponential (Rodrigues) of a 3-vector."""
-    omega = np.asarray(omega, dtype=np.float64).reshape(3)
-    theta = np.linalg.norm(omega)
-    if theta < 1e-12:
-        # Second-order series; below this angle the closed form loses precision.
-        K = skew(omega)
-        return np.eye(3) + K + 0.5 * (K @ K)
-    return rotation_about_axis(omega / theta, theta)
+    return rotation_exps(omega)[0]
+
+
+def retract_matrices(matrices: np.ndarray, deltas) -> np.ndarray:
+    """`retract` of a (P, 4, 4) pose stack by (P, 6) increments, (P, 4, 4).
+
+    All rotation increments are computed in one pass and applied with one
+    stacked product; each row equals `retract` of that pose bit for bit.
+    """
+    deltas = np.asarray(deltas, dtype=np.float64).reshape(-1, 6)
+    inc = np.zeros((deltas.shape[0], 4, 4))
+    inc[:, :3, :3] = rotation_exps(deltas[:, :3])
+    inc[:, :3, 3] = deltas[:, 3:]
+    inc[:, 3, 3] = 1.0
+    return inc @ matrices
 
 
 def retract(t: Pose, delta) -> Pose:
@@ -301,10 +343,17 @@ def retract(t: Pose, delta) -> Pose:
     rigid-body exponential to second order.
     """
     delta = np.asarray(delta, dtype=np.float64).reshape(6)
-    m = np.eye(4)
-    m[:3, :3] = rotation_exp(delta[:3])
-    m[:3, 3] = delta[3:]
-    return Pose(m @ t.matrix)
+    return Pose(retract_matrices(t.matrix[None], delta)[0])
+
+
+def inverse_matrices(matrices: np.ndarray) -> np.ndarray:
+    """Inverses of a (P, 4, 4) rigid-pose stack: rotation R^T, translation -R^T t."""
+    rt = matrices[:, :3, :3].transpose(0, 2, 1)
+    out = np.zeros(matrices.shape)
+    out[:, :3, :3] = rt
+    out[:, :3, 3] = -(rt @ matrices[:, :3, 3, None])[:, :, 0]
+    out[:, 3, 3] = 1.0
+    return out
 
 
 def is_rotation(R: np.ndarray, tol: float = 1e-9) -> bool:

@@ -146,7 +146,7 @@ def _groups_for(obs: SceneObservations, db: ModelDB, angles: int, groups):
 
 @dataclass(frozen=True, eq=False)
 class LabelCentroid:
-    """One label's symmetry group with its model centroid and the centroid's images.
+    """One label's symmetry group, its model points' and centroid's images.
 
     For rigid A, B and any group element S, the mean of the norms is at
     least the norm of the mean:
@@ -159,6 +159,7 @@ class LabelCentroid:
     group: SymmetryGroup
     centroid: np.ndarray  # (3,)
     images: np.ndarray  # (G, 3): S c for each group element, in group order
+    sym_points: np.ndarray  # (G, M, 3): S x, as symmetric_distance builds it
 
 
 def centroid_table(
@@ -167,9 +168,14 @@ def centroid_table(
     """Per-label centroid data for every label in `groups`; built once per solve."""
     table = {}
     for label, group in groups.items():
-        c = np.mean(db[label].points, axis=0)
+        points = db[label].points
+        c = np.mean(points, axis=0)
         images = apply_matrices(group.matrices, c).reshape(len(group), 3)
-        table[label] = LabelCentroid(group=group, centroid=c, images=images)
+        sym_points = apply_matrices(group.matrices, points)
+        sym_points.setflags(write=False)
+        table[label] = LabelCentroid(
+            group=group, centroid=c, images=images, sym_points=sym_points
+        )
     return table
 
 
@@ -240,7 +246,11 @@ def relative_pose_from_pairs(
             break
         t_ab = c_a1.pose.compose(elements[k]).compose(t_b1_inv)
         d = symmetric_distance(
-            points2, entry2.group, c_a2.pose, t_ab.compose(c_b2.pose)
+            points2,
+            entry2.group,
+            c_a2.pose,
+            t_ab.compose(c_b2.pose),
+            sym_points=entry2.sym_points,
         )
         if best_pose is None or d < best_d or (d == best_d and k < best_k):
             best_k, best_d, best_pose = k, d, t_ab
@@ -301,11 +311,13 @@ def _inlier_matches(
         pair = pair_bounds.pairs[k]
         ca = pair_bounds.candidates[pair.a]
         cb = pair_bounds.candidates[pair.b]
+        entry = table[ca.label]
         d = symmetric_distance(
             db[ca.label].points,
-            table[ca.label].group,
+            entry.group,
             ca.pose,
             t_ab.compose(cb.pose),
+            sym_points=entry.sym_points,
         )
         if d < threshold:
             scored.append((d, pair.a, pair.b))

@@ -31,8 +31,9 @@ from .geometry import (
     apply_matrices,
     apply_matrices_indexed,
     apply_matrix,
+    inverse_matrices,
     project_masked,
-    retract,
+    retract_matrices,
 )
 from .matching import PhysicalObject, TwoViewHypothesis
 from .scene_io import Candidate, ModelDB, ObjectModel, SceneObservations
@@ -341,15 +342,20 @@ def parameter_layout(state: SceneState, objects) -> ParamLayout:
 
 
 def apply_delta(state: SceneState, layout: ParamLayout, delta) -> SceneState:
-    """Left-multiplicative 6-dof update of every parameterized pose."""
+    """Left-multiplicative 6-dof update of every parameterized pose.
+
+    All poses are retracted together (`retract_matrices`); each equals
+    `retract` of that pose and its 6-block of `delta` bit for bit.
+    """
     delta = np.asarray(delta, dtype=np.float64).reshape(layout.size)
+    poses = [state.camera_poses[v] for v in layout.camera_ids]
+    poses += [state.object_poses[o] for o in layout.object_ids]
+    moved = retract_matrices(np.stack([p.matrix for p in poses]), delta)
+    n_cam = len(layout.camera_ids)
     cameras = dict(state.camera_poses)
-    for k, vid in enumerate(layout.camera_ids):
-        cameras[vid] = retract(cameras[vid], delta[6 * k : 6 * k + 6])
-    off = 6 * len(layout.camera_ids)
+    cameras.update(zip(layout.camera_ids, map(Pose, moved[:n_cam])))
     obj_poses = dict(state.object_poses)
-    for k, oid in enumerate(layout.object_ids):
-        obj_poses[oid] = retract(obj_poses[oid], delta[off + 6 * k : off + 6 * k + 6])
+    obj_poses.update(zip(layout.object_ids, map(Pose, moved[n_cam:])))
     return SceneState(camera_poses=cameras, object_poses=obj_poses)
 
 
@@ -440,16 +446,14 @@ def candidate_images(
 def _member_poses(state: SceneState, images: CandidateImages) -> np.ndarray:
     """(T, 4, 4) camera-from-object matrix of each member.
 
-    One inverse per camera; each product equals
-    cam.inverse().compose(obj).matrix bit for bit.
+    One stacked inverse of every camera and one stacked product; each
+    member's matrix equals cam.inverse().compose(obj).matrix bit for bit.
     """
-    inv = {v: state.camera_poses[v].inverse().matrix for v in set(images.view_ids)}
-    return np.stack(
-        [
-            inv[v] @ state.object_poses[o].matrix
-            for v, o in zip(images.view_ids, images.object_ids)
-        ]
-    )
+    views = sorted(set(images.view_ids))
+    row = {v: k for k, v in enumerate(views)}
+    inv = inverse_matrices(np.stack([state.camera_poses[v].matrix for v in views]))
+    objs = np.stack([state.object_poses[o].matrix for o in images.object_ids])
+    return inv[[row[v] for v in images.view_ids]] @ objs
 
 
 def _project_points(state: SceneState, images: CandidateImages, rows=slice(None)):
@@ -610,6 +614,7 @@ def refine(
     *,
     groups: dict[str, SymmetryGroup] | None = None,
     trace: list | None = None,
+    images: CandidateImages | None = None,
 ) -> SceneState:
     """Levenberg-Marquardt descent on the truncated symmetric loss.
 
@@ -622,13 +627,16 @@ def refine(
     residual set.
 
     `trace`, when given, collects the true total loss at the start of each
-    outer iteration plus the final value; it is non-increasing.
+    outer iteration plus the final value; it is non-increasing. `images`
+    are `candidate_images(objects, obs, db, cfg, groups=groups)`, built here
+    when not given; they depend on no pose, so restarts may share them.
     """
     if not objects:
         return state
     state.require_views(objects)
     layout = parameter_layout(state, objects)
-    images = candidate_images(objects, obs, db, cfg, groups=groups)
+    if images is None:
+        images = candidate_images(objects, obs, db, cfg, groups=groups)
     lam = cfg.damping_init
     eye = np.eye(layout.size)
 
@@ -684,8 +692,14 @@ def refine_best_of(
     Initialization chains noisy pairwise relative poses, so different
     random roots land in different descent basins. All starts share one
     rng stream seeded from cfg.seed and one pruned object set, keeping the
-    whole procedure deterministic; ties keep the earliest start. Returns
+    whole procedure deterministic; ties keep the earliest start, and so
+    does a run whose every loss is NaN. Returns
     (best refined state, surviving objects, first initialization).
+
+    Every start refines against one shared `candidate_images` build. A
+    start is scored by `select_targets`' loss, which is total_loss bit for
+    bit unless some model's residual points are a subsample; total_loss
+    scores the starts then.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
@@ -694,15 +708,22 @@ def refine_best_of(
     if not kept:
         return first_init, kept, first_init
     groups = _groups_for(db, [o.label for o in kept], cfg.symmetry_angles, None)
+    images = candidate_images(kept, obs, db, cfg, groups=groups)
+    subsampled = any(
+        residual_points(db[o.label]) is not db[o.label].points for o in kept
+    )
     best_state = None
     best_loss = np.inf
     state0 = first_init
     for start in range(n_starts):
         if start > 0:
             state0 = initialize_scene(kept, hypotheses, obs, rng)
-        refined = refine(state0, kept, obs, db, cfg, groups=groups)
-        loss = total_loss(refined, kept, obs, db, cfg, groups=groups)
-        if loss < best_loss:
+        refined = refine(state0, kept, obs, db, cfg, groups=groups, images=images)
+        if subsampled:
+            loss = total_loss(refined, kept, obs, db, cfg, groups=groups)
+        else:
+            loss = select_targets(refined, images, cfg.truncation)[1]
+        if best_state is None or loss < best_loss:
             best_state, best_loss = refined, loss
     return best_state, kept, first_init
 

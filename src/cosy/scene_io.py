@@ -21,6 +21,7 @@ outputs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +68,8 @@ class ObjectModel:
             raise InvariantError(
                 f"model '{self.label}': points must be (N>=1, 3), got {pts.shape}"
             )
+        if not np.isfinite(pts).all():
+            raise InvariantError(f"model '{self.label}': points must be finite")
         pts = np.ascontiguousarray(pts)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -223,7 +226,7 @@ def pose_to_list(pose: Pose) -> list[float]:
 
 def pose_from_list(values, where: str) -> Pose:
     """Rigid pose from 16 row-major floats; rejects non-finite or non-rigid input."""
-    arr = np.asarray(values, dtype=np.float64)
+    arr = _numbers(values, where)
     if arr.shape != (16,):
         raise SchemaError(f"{where}: pose must be 16 floats row-major, got {arr.shape}")
     try:
@@ -237,9 +240,46 @@ def pose_from_list(values, where: str) -> Pose:
 
 
 def _require(obj: dict, key: str, where: str):
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: must be an object, got {type(obj).__name__}")
     if key not in obj:
         raise SchemaError(f"{where}: missing field '{key}'")
     return obj[key]
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{where}: must be a list, got {type(value).__name__}")
+    return value
+
+
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise SchemaError(f"{where}: must be a string, got {type(value).__name__}")
+    return value
+
+
+def _number(value, where: str) -> float:
+    """A number as float() reads it; other JSON types are a SchemaError."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{where}: must be a number, got {value!r:.40}") from None
+
+
+def _integer(value, where: str) -> int:
+    number = _number(value, where)
+    if not math.isfinite(number):
+        raise SchemaError(f"{where}: must be a finite number, got {number}")
+    return int(number)
+
+
+def _numbers(values, where: str) -> np.ndarray:
+    """An array of numbers as float64; other JSON types are a SchemaError."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{where}: must be numbers") from None
 
 
 def load_json(path) -> dict:
@@ -274,15 +314,16 @@ def _symmetries_from_json(obj: dict, where: str) -> SymmetrySpec:
         raise SchemaError(f"{where}: symmetries must be an object")
     discrete = [
         pose_from_list(m, f"{where}.discrete[{i}]")
-        for i, m in enumerate(obj.get("discrete", []))
+        for i, m in enumerate(_list(obj.get("discrete", []), f"{where}.discrete"))
     ]
     if not discrete:
         discrete = [Pose.identity()]
     axes = []
-    for i, a in enumerate(obj.get("axes", [])):
-        axis = _require(a, "axis", f"{where}.axes[{i}]")
-        offset = a.get("offset", [0.0, 0.0, 0.0])
-        axes.append((np.asarray(axis, float), np.asarray(offset, float)))
+    for i, a in enumerate(_list(obj.get("axes", []), f"{where}.axes")):
+        at = f"{where}.axes[{i}]"
+        axis = _numbers(_require(a, "axis", at), f"{at}.axis")
+        offset = _numbers(a.get("offset", [0.0, 0.0, 0.0]), f"{at}.offset")
+        axes.append((axis, offset))
     try:
         return SymmetrySpec(discrete=tuple(discrete), continuous_axes=tuple(axes))
     except ValueError as e:
@@ -306,9 +347,7 @@ def save_models(db: ModelDB, path) -> None:
 
 def load_models(path) -> ModelDB:
     doc = load_json(path)
-    entries = _require(doc, "models", str(path))
-    if not isinstance(entries, list):
-        raise SchemaError(f"{path}: 'models' must be a list")
+    entries = _list(_require(doc, "models", str(path)), f"{path}: models")
     models: dict[str, ObjectModel] = {}
     for i, e in enumerate(entries):
         where = f"{path}: models[{i}]"
@@ -317,7 +356,7 @@ def load_models(path) -> ModelDB:
             raise SchemaError(f"{where}: label must be a non-empty string")
         if label in models:
             raise SchemaError(f"{where}: duplicate label '{label}'")
-        flat = np.asarray(_require(e, "points", where), dtype=np.float64)
+        flat = _numbers(_require(e, "points", where), f"{where}.points")
         if flat.ndim != 1 or flat.size % 3 != 0:
             raise SchemaError(f"{where}: points must be a flat xyz array")
         if flat.size == 0:
@@ -328,7 +367,7 @@ def load_models(path) -> ModelDB:
         models[label] = ObjectModel(
             label=label,
             points=flat.reshape(-1, 3),
-            diameter=_require(e, "diameter", where),
+            diameter=_number(_require(e, "diameter", where), f"{where}.diameter"),
             symmetries=sym_spec,
         )
     return ModelDB(models=models)
@@ -369,35 +408,36 @@ def save_observations(obs: SceneObservations, path) -> None:
 
 def load_observations(path, db: ModelDB | None = None) -> SceneObservations:
     doc = load_json(path)
-    views_raw = _require(doc, "views", str(path))
-    cands_raw = _require(doc, "candidates", str(path))
+    views_raw = _list(_require(doc, "views", str(path)), f"{path}: views")
+    cands_raw = _list(_require(doc, "candidates", str(path)), f"{path}: candidates")
     views = []
     for i, v in enumerate(views_raw):
         where = f"{path}: views[{i}]"
         intr = _require(v, "intrinsics", where)
-        try:
-            k = CameraIntrinsics(
-                fx=float(_require(intr, "fx", where)),
-                fy=float(_require(intr, "fy", where)),
-                cx=float(_require(intr, "cx", where)),
-                cy=float(_require(intr, "cy", where)),
-                width=int(_require(intr, "width", where)),
-                height=int(_require(intr, "height", where)),
+        fields = {
+            name: convert(_require(intr, name, where), f"{where}.intrinsics.{name}")
+            for name, convert in (
+                ("fx", _number), ("fy", _number), ("cx", _number), ("cy", _number),
+                ("width", _integer), ("height", _integer),
             )
+        }
+        try:
+            k = CameraIntrinsics(**fields)
         except ValueError as e:
             raise InvariantError(f"{where}: {e}") from None
-        views.append(View(view_id=_require(v, "view_id", where), intrinsics=k))
+        view_id = _string(_require(v, "view_id", where), f"{where}.view_id")
+        views.append(View(view_id=view_id, intrinsics=k))
     candidates = []
     for i, c in enumerate(cands_raw):
         where = f"{path}: candidates[{i}]"
-        label = _require(c, "label", where)
+        label = _string(_require(c, "label", where), f"{where}.label")
         if db is not None and label not in db:
             raise UnknownLabelError(label)
         candidates.append(
             Candidate(
-                view_id=_require(c, "view_id", where),
+                view_id=_string(_require(c, "view_id", where), f"{where}.view_id"),
                 label=label,
-                score=float(_require(c, "score", where)),
+                score=_number(_require(c, "score", where), f"{where}.score"),
                 pose=pose_from_list(_require(c, "pose", where), where),
             )
         )

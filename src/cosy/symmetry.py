@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose, apply_matrices, apply_matrix, rotation_about_axis
+from .geometry import Pose, apply_matrices, apply_matrix, rotations_about_axes
 from .numeric import point_l1, point_norms, seq_sum
 
 DEFAULT_ANGLES_PER_AXIS = 64
@@ -47,6 +47,8 @@ class SymmetrySpec:
 
     def __post_init__(self):
         discrete = tuple(self.discrete)
+        if not all(np.isfinite(d.matrix).all() for d in discrete):
+            raise ValueError("discrete symmetries must be finite")
         if not any(
             np.max(np.abs(d.matrix - np.eye(4))) <= _DEDUP_TOL for d in discrete
         ):
@@ -55,8 +57,10 @@ class SymmetrySpec:
         for axis, offset in self.continuous_axes:
             axis = np.asarray(axis, dtype=np.float64).reshape(3)
             offset = np.asarray(offset, dtype=np.float64).reshape(3)
-            if abs(np.linalg.norm(axis) - 1.0) > 1e-9:
+            if not abs(np.linalg.norm(axis) - 1.0) <= 1e-9:
                 raise ValueError(f"symmetry axis must have unit norm: {axis}")
+            if not np.isfinite(offset).all():
+                raise ValueError(f"symmetry axis offset must be finite: {offset}")
             axis.setflags(write=False)
             offset.setflags(write=False)
             axes.append((axis, offset))
@@ -93,16 +97,6 @@ class SymmetryGroup:
         return SymmetryGroup(elements=(Pose.identity(),))
 
 
-def axis_rotation_pose(axis, offset, angle: float) -> Pose:
-    """Rotation about the line through `offset` with direction `axis`."""
-    R = rotation_about_axis(axis, angle)
-    offset = np.asarray(offset, dtype=np.float64).reshape(3)
-    m = np.eye(4)
-    m[:3, :3] = R
-    m[:3, 3] = offset - R @ offset
-    return Pose(m)
-
-
 def discretize(
     spec: SymmetrySpec,
     angles_per_axis: int = DEFAULT_ANGLES_PER_AXIS,
@@ -119,10 +113,15 @@ def discretize(
         raise ValueError("angles_per_axis must be >= 1")
     axis_rotations: list[np.ndarray] = []
     if spec.continuous_axes:
+        angles = [2.0 * np.pi * k / angles_per_axis for k in range(angles_per_axis)]
         for axis, offset in spec.continuous_axes:
-            for k in range(angles_per_axis):
-                angle = 2.0 * np.pi * k / angles_per_axis
-                axis_rotations.append(axis_rotation_pose(axis, offset, angle).matrix)
+            # Rotations about the line through `offset` along `axis`.
+            axes = np.tile(axis, (angles_per_axis, 1))
+            for R in rotations_about_axes(axes, angles):
+                m = np.eye(4)
+                m[:3, :3] = R
+                m[:3, 3] = offset - R @ offset
+                axis_rotations.append(m)
     else:
         axis_rotations.append(np.eye(4))
 
@@ -145,23 +144,40 @@ def discretize(
 
 
 def _distances_per_element(
-    points: np.ndarray, group: SymmetryGroup, t1: Pose, t2: Pose
+    points: np.ndarray,
+    group: SymmetryGroup,
+    t1: Pose,
+    t2: Pose,
+    sym_points: np.ndarray | None = None,
 ) -> np.ndarray:
     """Mean point error for every group element; order matches the group."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.size == 0:
         raise ValueError("point set must be non-empty")
-    sym_pts = apply_matrices(group.matrices, pts)  # (G, M, 3)
-    g, m, _ = sym_pts.shape
-    a = apply_matrix(t1.matrix, sym_pts.reshape(g * m, 3)).reshape(g, m, 3)
+    if sym_points is None:
+        sym_points = apply_matrices(group.matrices, pts)  # (G, M, 3)
+    g, m, _ = sym_points.shape
+    a = apply_matrix(t1.matrix, sym_points.reshape(g * m, 3)).reshape(g, m, 3)
     b = apply_matrix(t2.matrix, pts)  # (M, 3)
     per_point = point_norms(a - b[None, :, :])  # (G, M)
     return seq_sum(per_point, axis=1) / m
 
 
-def symmetric_distance(points, group: SymmetryGroup, t1: Pose, t2: Pose) -> float:
-    """min over S in group of mean_x || t1 S x - t2 x ||, in meters."""
-    return float(np.min(_distances_per_element(points, group, t1, t2)))
+def symmetric_distance(
+    points,
+    group: SymmetryGroup,
+    t1: Pose,
+    t2: Pose,
+    *,
+    sym_points: np.ndarray | None = None,
+) -> float:
+    """min over S in group of mean_x || t1 S x - t2 x ||, in meters.
+
+    `sym_points`, when given, must be apply_matrices(group.matrices, points),
+    the (G, M, 3) images S x; callers that reuse one label's group many
+    times build it once.
+    """
+    return float(np.min(_distances_per_element(points, group, t1, t2, sym_points)))
 
 
 def best_symmetry(points, group: SymmetryGroup, t1: Pose, t2: Pose) -> Pose:

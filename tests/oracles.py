@@ -194,3 +194,63 @@ def dense_jacobian(e, targets, layout):
                 d[i, obj + j] = -e[i, j]
         row += 2 * n_active
     return d
+
+
+def _skew(v):
+    return np.array(
+        [
+            [0.0, -v[2], v[1]],
+            [v[2], 0.0, -v[0]],
+            [-v[1], v[0], 0.0],
+        ]
+    )
+
+
+def rodrigues(axis, angle):
+    """I + sin(a) K + (1 - cos(a)) K^2, K the cross matrix of the unit axis."""
+    axis = np.asarray(axis, dtype=np.float64).reshape(3)
+    k = _skew(axis / np.linalg.norm(axis))
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
+def retract_matrix(matrix, delta):
+    """One pose's left 6-dof update, written out per pose.
+
+    The rotation increment is Rodrigues of delta[:3]: theta from
+    np.linalg.norm, a second-order series below 1e-12, otherwise the axis
+    omega / theta (normalized once more by `rodrigues`). The library's
+    stacked retraction must reproduce this bit for bit.
+    """
+    delta = np.asarray(delta, dtype=np.float64).reshape(6)
+    omega = delta[:3]
+    theta = np.linalg.norm(omega)
+    if theta < 1e-12:
+        k = _skew(omega)
+        rot = np.eye(3) + k + 0.5 * (k @ k)
+    else:
+        rot = rodrigues(omega / theta, theta)
+    m = np.eye(4)
+    m[:3, :3] = rot
+    m[:3, 3] = delta[3:]
+    return m @ np.asarray(matrix, dtype=np.float64)
+
+
+def inverse_matrix(matrix):
+    """Rigid inverse of one pose: rotation R^T, translation -(R^T t)."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    r = matrix[:3, :3]
+    m = np.eye(4)
+    m[:3, :3] = r.T
+    m[:3, 3] = -(r.T @ matrix[:3, 3])
+    return m
+
+
+def hard_rotation_increments(rng, n):
+    """(n, 3) rotation vectors: zero, below the 1e-12 series cutoff, near
+    and at pi, beyond 2 pi, and random magnitudes over many decades."""
+    axes = rng.normal(size=(n, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    special = [0.0, 1e-300, 3e-13, 9.99e-13, 1e-12, 1e-8,
+               math.pi - 1e-9, math.pi, math.pi + 1e-9, 2.0 * math.pi, 7.0, 40.0]
+    angles = np.concatenate([special, 10.0 ** rng.uniform(-14, 1.5, n - len(special))])
+    return axes * angles[:n, None]

@@ -255,6 +255,17 @@ def test_solve_rejects_non_rigid_candidate_pose(tmp_path, capsys, edit):
     assert not (tmp_path / "out.json").exists()
 
 
+def test_solve_rejects_nan_min_score(tmp_path, capsys):
+    models, obs, _ = simulate(tmp_path, "--n-objects", "4", "--n-views", "3")
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    assert solve(models, obs, out, "--min-score", "nan") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "min_score must be finite" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------- eval
 
 

@@ -149,6 +149,13 @@ class TestProjection:
         with pytest.raises(ValueError):
             geo.CameraIntrinsics(fx=-1.0, fy=600.0, cx=0, cy=0, width=10, height=10)
 
+    @pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy"])
+    def test_rejects_non_finite_intrinsics(self, field):
+        good = dict(fx=600.0, fy=600.0, cx=0.0, cy=0.0, width=10, height=10)
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite|positive"):
+                geo.CameraIntrinsics(**(good | {field: value}))
+
 
 class TestRotation6d:
     def test_fixed_point_on_rotations(self):
@@ -218,6 +225,35 @@ class TestRetract:
         assert geo.is_rotation(R, tol=1e-9)
         assert np.max(np.abs(R - (np.eye(3) + geo.skew(omega)))) < 1e-20
 
+    def test_stacked_retraction_matches_per_pose_oracle_bit_for_bit(self):
+        rng = _rng(12)
+        n = 400
+        mats = np.stack([oracles.random_pose_matrix(rng) for _ in range(n)])
+        deltas = np.concatenate(
+            [oracles.hard_rotation_increments(rng, n), rng.normal(size=(n, 3))],
+            axis=1,
+        )
+        got = geo.retract_matrices(mats, deltas)
+        for i in range(n):
+            want = oracles.retract_matrix(mats[i], deltas[i])
+            assert np.array_equal(got[i], want), deltas[i]
+            assert np.array_equal(
+                geo.retract(geo.Pose(mats[i]), deltas[i]).matrix, want
+            )
+            rot = oracles.retract_matrix(np.eye(4), deltas[i])[:3, :3]
+            assert np.array_equal(geo.rotation_exp(deltas[i, :3]), rot)
+
+    def test_stacked_inverse_matches_per_pose_oracle_bit_for_bit(self):
+        rng = _rng(13)
+        mats = np.stack(
+            [oracles.random_pose_matrix(rng, t_scale=3.0) for _ in range(200)]
+        )
+        got = geo.inverse_matrices(mats)
+        for m, inv in zip(mats, got):
+            want = oracles.inverse_matrix(m)
+            assert np.array_equal(inv, want)
+            assert np.array_equal(geo.Pose(m).inverse().matrix, want)
+
     def test_local_injectivity(self):
         # Distinct small increments give distinct poses.
         p = geo.Pose.identity()
@@ -235,6 +271,14 @@ class TestRotationHelpers:
             got = geo.rotation_about_axis(axis, angle)
             want = oracles.rotation_about_axis(axis, angle)
             assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_rotation_about_axis_matches_rodrigues_bit_for_bit(self):
+        rng = _rng(14)
+        for _ in range(200):
+            axis = rng.normal(size=3) * 10.0 ** rng.uniform(-4, 4)
+            angle = rng.uniform(-10.0, 10.0)
+            want = oracles.rodrigues(axis, angle)
+            assert np.array_equal(geo.rotation_about_axis(axis, angle), want)
 
     def test_zero_axis_raises(self):
         with pytest.raises(ValueError):

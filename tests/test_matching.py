@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 import cosy.matching
-from cosy.geometry import Pose, rotation_exp
+from cosy.geometry import Pose, apply_matrices, rotation_exp
 from cosy.matching import (
     BOUND_MARGIN,
     CandidatePair,
@@ -388,6 +388,43 @@ def test_pruning_skips_exact_evaluations(monkeypatch):
     inliers = count_inliers(t, by_view["view_000"], by_view["view_001"], db, 0.02)
     assert len(inliers) == 4
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["G1", "G64"])
+def test_symmetric_distance_with_label_stack_is_identical(symmetric):
+    db, scene = small_scene(3, 2, seed=43, symmetric=("obj_01",) if symmetric else ())
+    entry = centroid_table(db, symmetry_groups(db, db.models))["obj_01"]
+    assert len(entry.group) == (64 if symmetric else 1)
+    points = db["obj_01"].points
+    assert np.array_equal(
+        entry.sym_points, apply_matrices(entry.group.matrices, points)
+    )
+    assert not entry.sym_points.flags.writeable
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        t1 = Pose(oracles.random_pose_matrix(rng))
+        t2 = Pose(oracles.random_pose_nudge(t1.matrix, rng, 0.3, 0.05))
+        stacked = symmetric_distance(
+            points, entry.group, t1, t2, sym_points=entry.sym_points
+        )
+        assert stacked == symmetric_distance(points, entry.group, t1, t2)
+
+
+def test_matching_passes_each_label_stack(monkeypatch):
+    db, scene = small_scene(4, 3, seed=44, symmetric=("obj_00",))
+    obs = manual_observations(scene)
+    seen = []
+
+    def recording(points, group, t1, t2, *, sym_points=None):
+        seen.append((points, group, sym_points))
+        return symmetric_distance(points, group, t1, t2, sym_points=sym_points)
+
+    monkeypatch.setattr(cosy.matching, "symmetric_distance", recording)
+    build_match_graph(obs, db, MatchParams())
+    assert any(len(group) == 64 for _, group, _ in seen)
+    for points, group, sym_points in seen:
+        assert sym_points.shape == (len(group), len(points), 3)
+        assert not sym_points.flags.writeable
 
 
 @pytest.mark.parametrize("offset", [1e-10, 0.0, -1e-10, -2 * BOUND_MARGIN])

@@ -1,8 +1,11 @@
 """Tests for scene initialization and bundle-adjustment refinement."""
 
+import math
+
 import numpy as np
 import pytest
 
+import cosy.refinement
 import oracles
 from cosy.evaluation import pose_error
 from cosy.geometry import Pose
@@ -359,6 +362,30 @@ def test_apply_delta_zero_is_identity():
                               state.object_poses[k].matrix)
 
 
+def test_apply_delta_matches_per_pose_retract_oracle():
+    db, scene, obs, objects, state = consistent_setup(n_objects=4, n_views=3, seed=27)
+    layout = parameter_layout(state, objects)
+    n_blocks = layout.size // 6
+    n_cams = len(layout.camera_ids)
+    rng = np.random.default_rng(27)
+    # Zero, sub-1e-12, near-pi and beyond-2pi increments land in every block.
+    rots = oracles.hard_rotation_increments(rng, 12 * n_blocks)
+    rots = rots[rng.permutation(len(rots))]
+    for rows in np.split(rots, 12):
+        blocks = np.concatenate([rows, rng.normal(size=rows.shape) * 0.1], axis=1)
+        moved = apply_delta(state, layout, blocks.ravel())
+        for k, vid in enumerate(layout.camera_ids):
+            want = oracles.retract_matrix(state.camera_poses[vid].matrix, blocks[k])
+            assert np.array_equal(moved.camera_poses[vid].matrix, want)
+        for k, oid in enumerate(layout.object_ids):
+            want = oracles.retract_matrix(
+                state.object_poses[oid].matrix, blocks[n_cams + k]
+            )
+            assert np.array_equal(moved.object_poses[oid].matrix, want)
+        gauge = layout.gauge_view
+        assert moved.camera_poses[gauge] is state.camera_poses[gauge]
+
+
 def perturbed_state(state, rng, rot=0.02, trans=0.01):
     return SceneState(
         camera_poses={
@@ -536,10 +563,10 @@ def mean_candidate_adds(objs, obs, db, scene, provenance):
     return float(np.mean(errs))
 
 
-def noisy_depth_scene(seed, n_views=4, n_objects=8):
+def noisy_depth_scene(seed, n_views=4, n_objects=8, n_points=48):
     """Scene whose candidates carry the depth-heavy single-view error profile."""
     labels = [f"obj_{i:02d}" for i in range(n_objects)]
-    db = make_models(labels, seed=7, symmetric=("obj_03",))
+    db = make_models(labels, seed=7, n_points=n_points, symmetric=("obj_03",))
     cfg = ScenarioConfig(n_objects=n_objects, n_views=n_views,
                          model_labels=labels, seed=seed)
     scene = generate_scene(cfg, db)
@@ -594,6 +621,88 @@ def test_refine_best_of_never_worse_than_single_start():
     loss_single = total_loss(single, kept, obs, db, cfg)
     loss_multi = total_loss(multi, kept_m, obs, db, cfg)
     assert loss_multi <= loss_single + 1e-12
+
+
+def assert_same_state(a, b):
+    assert a.camera_poses.keys() == b.camera_poses.keys()
+    assert a.object_poses.keys() == b.object_poses.keys()
+    for k in a.camera_poses:
+        assert np.array_equal(a.camera_poses[k].matrix, b.camera_poses[k].matrix)
+    for k in a.object_poses:
+        assert np.array_equal(a.object_poses[k].matrix, b.object_poses[k].matrix)
+
+
+@pytest.mark.parametrize("n_points", [48, MAX_RESIDUAL_POINTS + 20],
+                         ids=["symmetric", "subsampled"])
+def test_refine_best_of_shared_images_equal_per_restart_rebuild(monkeypatch, n_points):
+    db, scene, obs, provenance = noisy_depth_scene(
+        seed=6, n_views=3, n_objects=5, n_points=n_points
+    )
+    graph = build_match_graph(obs, db, MatchParams(inlier_threshold=0.2))
+    objs = extract_physical_objects(graph)
+    cfg = RefineConfig()
+    n_starts = 3
+
+    # Reference: every restart's refine builds its own images, total_loss scores.
+    rng = np.random.default_rng(cfg.seed)
+    state0, kept = initialize_scene_with_pruning(objs, graph.hypotheses, obs, rng)
+    assert any(o.label == "obj_03" for o in kept)
+    want_states, want_losses = [], []
+    for start in range(n_starts):
+        if start > 0:
+            state0 = initialize_scene(kept, graph.hypotheses, obs, rng)
+        want_states.append(refine(state0, kept, obs, db, cfg))
+        want_losses.append(total_loss(want_states[-1], kept, obs, db, cfg))
+
+    real_images, real_refine = candidate_images, refine
+    builds, got_states, total_loss_calls = [], [], []
+
+    def counting_images(*args, **kwargs):
+        builds.append(args[0])
+        return real_images(*args, **kwargs)
+
+    def recording_refine(*args, **kwargs):
+        got_states.append(real_refine(*args, **kwargs))
+        return got_states[-1]
+
+    def recording_total_loss(*args, **kwargs):
+        total_loss_calls.append(total_loss(*args, **kwargs))
+        return total_loss_calls[-1]
+
+    monkeypatch.setattr(cosy.refinement, "candidate_images", counting_images)
+    monkeypatch.setattr(cosy.refinement, "refine", recording_refine)
+    monkeypatch.setattr(cosy.refinement, "total_loss", recording_total_loss)
+    best, got_kept, _ = refine_best_of(
+        objs, graph.hypotheses, obs, db, cfg, n_starts=n_starts
+    )
+    assert got_kept == kept
+    assert len(builds) == 1
+    assert len(got_states) == n_starts
+    for got, want in zip(got_states, want_states):
+        assert_same_state(got, want)
+    assert_same_state(best, want_states[int(np.argmin(want_losses))])
+    if n_points > MAX_RESIDUAL_POINTS:
+        assert total_loss_calls == want_losses
+    else:
+        assert total_loss_calls == []
+        images = real_images(kept, obs, db, cfg)
+        for got, loss in zip(got_states, want_losses):
+            assert select_targets(got, images, cfg.truncation)[1] == loss
+
+
+def test_refine_best_of_keeps_first_start_when_every_loss_is_nan(monkeypatch):
+    db, scene, obs, provenance = noisy_depth_scene(seed=2, n_views=3, n_objects=4)
+    graph = build_match_graph(obs, db, MatchParams(inlier_threshold=0.2))
+    objs = extract_physical_objects(graph)
+    real_select = select_targets
+    monkeypatch.setattr(cosy.refinement, "select_targets",
+                        lambda *args: (real_select(*args)[0], math.nan))
+    monkeypatch.setattr(cosy.refinement, "total_loss", lambda *a, **k: math.nan)
+    state, kept, init = refine_best_of(objs, graph.hypotheses, obs, db,
+                                       RefineConfig(), n_starts=2)
+    assert kept
+    # A NaN loss accepts no step, so the first start comes back unchanged.
+    assert_same_state(state, init)
 
 
 def test_refine_best_of_empty_objects():

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from cosy import scene_io as sio
+from cosy.cli import EXIT_CONFIG
 from cosy.geometry import CameraIntrinsics, Pose
 from cosy.symmetry import SymmetrySpec
 
 import oracles
+from test_cli import simulate, solve
 
 
 def _model(label="box", n=12, seed=0, diameter=None, symmetric=False):
@@ -76,6 +78,20 @@ class TestObjectModel:
         flat = sio.ObjectModel(label="x", points=flat_pts, diameter=0.05)
         with pytest.raises(sio.InvariantError):
             flat.require_matchable()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_solve_rejects_non_finite_model_point(tmp_path, capsys, value):
+    models, obs, _ = simulate(tmp_path, "--n-objects", "4", "--n-views", "3")
+    doc = json.loads(models.read_text())
+    doc["models"][1]["points"][4] = value
+    models.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert solve(models, obs, tmp_path / "out.json") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'obj_01': points must be finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
 
 
 class TestCandidate:

@@ -1,12 +1,15 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from cosy import symmetry as sym
+from cosy.cli import EXIT_CONFIG
 from cosy.geometry import Pose, rotation_about_axis
 
 import oracles
+from test_cli import simulate, solve
 
 
 def _pose_rz(angle, t=(0, 0, 0)):
@@ -43,6 +46,23 @@ class TestSpec:
     def test_requires_unit_axis(self):
         with pytest.raises(ValueError):
             sym.SymmetrySpec(continuous_axes=(([0, 0, 2.0], [0, 0, 0]),))
+
+    @pytest.mark.parametrize("field, value", [
+        ("axis", [0.0, 0.0, math.nan]),
+        ("offset", [0.0, math.inf, 0.0]),
+    ])
+    def test_solve_rejects_non_finite_axis(self, tmp_path, capsys, field, value):
+        models, obs, _ = simulate(tmp_path, "--n-objects", "4", "--n-views", "3",
+                                  "--symmetric-labels", "obj_00")
+        doc = json.loads(models.read_text())
+        doc["models"][0]["symmetries"]["axes"][0][field] = value
+        models.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert solve(models, obs, tmp_path / "out.json") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"models[0]: symmetry axis {'offset ' * (field == 'offset')}must" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.json").exists()
 
     def test_none(self):
         s = sym.SymmetrySpec.none()
