@@ -4,7 +4,9 @@ Metrics operate on camera-frame pose pairs (prediction vs ground truth):
 
   - add_error: mean distance between same-index model points.
   - adds_error: mean distance from each ground-truth-posed point to its
-    nearest predicted-posed point (symmetric-object friendly).
+    nearest predicted-posed point (symmetric-object friendly). The nearest
+    point is the row minimum of numeric.pairwise_sq_reduce's squared
+    distances, with one sqrt per ground-truth point.
   - add_s_auc: exact area under the accuracy-vs-threshold curve for
     thresholds 0..max (closed form over the error list, no sampling grid).
   - recall_at_fraction_of_diameter: hit rate at a per-object threshold.
@@ -14,6 +16,8 @@ Metrics operate on camera-frame pose pairs (prediction vs ground truth):
 nms_3d greedily keeps the highest-aggregate-score object among any set
 whose world positions fall within a radius of each other.
 
+evaluate computes ADD-S once per (prediction, ground truth) pair that
+greedy matching examines; matched pairs reuse the errors matching found.
 Error computations follow the fixed accumulation-order conventions (see
 numeric module) and reproduce loop-based reference implementations bit for
 bit.
@@ -27,13 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Pose, apply_matrix
-from .numeric import point_norms, seq_sum
+from .numeric import pairwise_sq_reduce, point_norms, seq_sum
 from .scene_io import ModelDB, ObjectModel
 
 DEFAULT_AUC_MAX = 0.10
 DEFAULT_DIAMETER_FRACTION = 0.1
 DEFAULT_NMS_RADIUS = 0.02
-_PAIRWISE_CHUNK = 2_000_000  # max distance-matrix entries held at once
 
 
 @dataclass(frozen=True)
@@ -88,14 +91,8 @@ def adds_error(model: ObjectModel, t_pred: Pose, t_gt: Pose) -> float:
     """Mean nearest-neighbor distance from gt-posed to pred-posed points."""
     est = apply_matrix(t_pred.matrix, model.points)
     gt = apply_matrix(t_gt.matrix, model.points)
-    m = gt.shape[0]
-    rows = max(1, min(m, _PAIRWISE_CHUNK // m))
-    mins = np.empty(m)
-    for start in range(0, m, rows):
-        block = gt[start : start + rows]
-        d = point_norms(block[:, None, :] - est[None, :, :])
-        mins[start : start + rows] = d.min(axis=1)
-    return float(seq_sum(mins) / m)
+    mins = np.sqrt(pairwise_sq_reduce(gt, est, np.minimum))
+    return float(seq_sum(mins) / gt.shape[0])
 
 
 def pose_error(model: ObjectModel, t_pred: Pose, t_gt: Pose) -> float:
@@ -252,7 +249,7 @@ def evaluate(
             for gi, (rank, _) in sorted(claimed.items())
         ]
         add_vals = [add_error(model, p.pose, g.pose) for p, g in matched_pairs]
-        adds_vals = [adds_error(model, p.pose, g.pose) for p, g in matched_pairs]
+        adds_vals = [err for _, (_, err) in sorted(claimed.items())]
         per_gt_err = [
             claimed[gi][1] if gi in claimed else math.inf
             for gi in range(len(label_gts))

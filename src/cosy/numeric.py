@@ -10,6 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
+# Max entries of one (rows, M) distance block: 125 KiB of float64 stays in
+# cache and under glibc's default 128 KiB mmap threshold, so each block is
+# recycled from the heap instead of being mapped and page-faulted afresh.
+_PAIRWISE_CHUNK = 16_000
+
 
 def seq_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
     """Left-to-right sequential sum along an axis (cumsum is sequential)."""
@@ -42,3 +47,31 @@ def point_l1(diffs: np.ndarray) -> np.ndarray:
     """L1 norms over the last axis of (..., 3) differences, fixed grouping."""
     a = np.abs(diffs)
     return (a[..., 0] + a[..., 1]) + a[..., 2]
+
+
+def pairwise_sq_reduce(a: np.ndarray, b: np.ndarray, reduce: np.ufunc) -> np.ndarray:
+    """reduce.reduce over j of |a_i - b_j|^2, for each row i of (N, 3) `a`.
+
+    Works on (rows, M) blocks of at most max(M, _PAIRWISE_CHUNK) entries, one
+    per coordinate, squared and summed in place with point_norms' grouping
+    ((dx^2 + dy^2) + dz^2); no (rows, M, 3) array is formed. Since sqrt is
+    monotone and correctly rounded, sqrt of a row's minimum equals the
+    minimum of point_norms over that row bit for bit.
+    """
+    bx, by, bz = np.ascontiguousarray(np.asarray(b, dtype=np.float64).T)
+    a = np.asarray(a, dtype=np.float64)
+    n = a.shape[0]
+    rows = max(1, min(n, _PAIRWISE_CHUNK // bx.shape[0]))
+    out = np.empty(n)
+    for start in range(0, n, rows):
+        block = a[start : start + rows]
+        dx = np.subtract.outer(block[:, 0], bx)
+        dy = np.subtract.outer(block[:, 1], by)
+        dz = np.subtract.outer(block[:, 2], bz)
+        dx *= dx
+        dy *= dy
+        dx += dy
+        dz *= dz
+        dx += dz
+        out[start : start + rows] = reduce.reduce(dx, axis=1)
+    return out

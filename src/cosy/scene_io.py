@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import CameraIntrinsics, Pose
+from .numeric import pairwise_sq_reduce
 from .symmetry import SymmetrySpec
 
 DIAMETER_MIN = 0.01
@@ -103,13 +104,7 @@ class ObjectModel:
 
 
 def _max_pairwise_distance(pts: np.ndarray) -> float:
-    best = 0.0
-    for i in range(pts.shape[0] - 1):
-        d2 = np.sum((pts[i + 1 :] - pts[i]) ** 2, axis=1)
-        m = float(d2.max())
-        if m > best:
-            best = m
-    return float(np.sqrt(best))
+    return float(np.sqrt(pairwise_sq_reduce(pts, pts, np.maximum).max()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,27 +401,30 @@ def save_observations(obs: SceneObservations, path) -> None:
     dump_json(doc, path)
 
 
+def view_from_json(v, where: str) -> View:
+    """One {view_id, intrinsics} entry of observations or ground truth."""
+    intr = _require(v, "intrinsics", where)
+    at = f"{where}.intrinsics"
+    fields = {
+        name: convert(_require(intr, name, at), f"{at}.{name}")
+        for name, convert in (
+            ("fx", _number), ("fy", _number), ("cx", _number), ("cy", _number),
+            ("width", _integer), ("height", _integer),
+        )
+    }
+    try:
+        k = CameraIntrinsics(**fields)
+    except ValueError as e:
+        raise InvariantError(f"{where}: {e}") from None
+    view_id = _string(_require(v, "view_id", where), f"{where}.view_id")
+    return View(view_id=view_id, intrinsics=k)
+
+
 def load_observations(path, db: ModelDB | None = None) -> SceneObservations:
     doc = load_json(path)
     views_raw = _list(_require(doc, "views", str(path)), f"{path}: views")
     cands_raw = _list(_require(doc, "candidates", str(path)), f"{path}: candidates")
-    views = []
-    for i, v in enumerate(views_raw):
-        where = f"{path}: views[{i}]"
-        intr = _require(v, "intrinsics", where)
-        fields = {
-            name: convert(_require(intr, name, where), f"{where}.intrinsics.{name}")
-            for name, convert in (
-                ("fx", _number), ("fy", _number), ("cx", _number), ("cy", _number),
-                ("width", _integer), ("height", _integer),
-            )
-        }
-        try:
-            k = CameraIntrinsics(**fields)
-        except ValueError as e:
-            raise InvariantError(f"{where}: {e}") from None
-        view_id = _string(_require(v, "view_id", where), f"{where}.view_id")
-        views.append(View(view_id=view_id, intrinsics=k))
+    views = [view_from_json(v, f"{path}: views[{i}]") for i, v in enumerate(views_raw)]
     candidates = []
     for i, c in enumerate(cands_raw):
         where = f"{path}: candidates[{i}]"
@@ -487,35 +485,40 @@ def estimate_to_json(est: SceneEstimate) -> dict:
 
 def load_estimate(path) -> SceneEstimate:
     doc = load_json(path)
-    cameras = tuple(
-        EstimatedCamera(
-            view_id=_require(c, "view_id", f"{path}: cameras[{i}]"),
-            pose_world=pose_from_list(
-                _require(c, "pose_world", f"{path}: cameras[{i}]"),
-                f"{path}: cameras[{i}]",
-            ),
+    cameras = []
+    for i, c in enumerate(_list(_require(doc, "cameras", str(path)), f"{path}: cameras")):
+        where = f"{path}: cameras[{i}]"
+        cameras.append(
+            EstimatedCamera(
+                view_id=_string(_require(c, "view_id", where), f"{where}.view_id"),
+                pose_world=pose_from_list(_require(c, "pose_world", where), where),
+            )
         )
-        for i, c in enumerate(_require(doc, "cameras", str(path)))
-    )
-    objects = tuple(
-        EstimatedObject(
-            object_id=_require(o, "object_id", f"{path}: objects[{i}]"),
-            label=_require(o, "label", f"{path}: objects[{i}]"),
-            pose_world=pose_from_list(
-                _require(o, "pose_world", f"{path}: objects[{i}]"),
-                f"{path}: objects[{i}]",
-            ),
-            score=float(_require(o, "score", f"{path}: objects[{i}]")),
-            members=tuple(
-                (m["view_id"], int(m["candidate_index"]))
-                for m in _require(o, "members", f"{path}: objects[{i}]")
-            ),
+    objects = []
+    for i, o in enumerate(_list(_require(doc, "objects", str(path)), f"{path}: objects")):
+        where = f"{path}: objects[{i}]"
+        score = _number(_require(o, "score", where), f"{where}.score")
+        if not math.isfinite(score):
+            raise SchemaError(f"{where}.score: must be finite, got {score}")
+        members = []
+        for j, m in enumerate(_list(_require(o, "members", where), f"{where}.members")):
+            at = f"{where}.members[{j}]"
+            members.append((
+                _string(_require(m, "view_id", at), f"{at}.view_id"),
+                _integer(_require(m, "candidate_index", at), f"{at}.candidate_index"),
+            ))
+        objects.append(
+            EstimatedObject(
+                object_id=_string(_require(o, "object_id", where), f"{where}.object_id"),
+                label=_string(_require(o, "label", where), f"{where}.label"),
+                pose_world=pose_from_list(_require(o, "pose_world", where), where),
+                score=score,
+                members=tuple(members),
+            )
         )
-        for i, o in enumerate(_require(doc, "objects", str(path)))
-    )
     return SceneEstimate(
-        cameras=cameras,
-        objects=objects,
+        cameras=tuple(cameras),
+        objects=tuple(objects),
         config=doc.get("config", {}),
         stats=doc.get("stats", {}),
     )

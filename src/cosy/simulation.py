@@ -32,10 +32,16 @@ from .scene_io import (
     ObjectModel,
     SceneObservations,
     View,
+    _integer,
+    _list,
+    _number,
+    _require,
+    _string,
     dump_json,
     load_json,
     pose_from_list,
     pose_to_list,
+    view_from_json,
 )
 from .symmetry import SymmetrySpec
 
@@ -360,34 +366,28 @@ def save_ground_truth(scene: GroundTruthScene, provenance, path) -> None:
 def load_ground_truth(path, db: ModelDB) -> tuple[GroundTruthScene, tuple[int, ...]]:
     doc = load_json(path)
     views = tuple(
-        View(
-            view_id=v["view_id"],
-            intrinsics=CameraIntrinsics(
-                fx=float(v["intrinsics"]["fx"]),
-                fy=float(v["intrinsics"]["fy"]),
-                cx=float(v["intrinsics"]["cx"]),
-                cy=float(v["intrinsics"]["cy"]),
-                width=int(v["intrinsics"]["width"]),
-                height=int(v["intrinsics"]["height"]),
-            ),
-        )
-        for v in doc["views"]
+        view_from_json(v, f"{path}: views[{i}]")
+        for i, v in enumerate(_list(_require(doc, "views", str(path)), f"{path}: views"))
     )
-    camera_poses = tuple(
-        pose_from_list(c["pose_world"], f"{path}: cameras[{i}]")
-        for i, c in enumerate(doc["cameras"])
-    )
-    object_labels = tuple(o["label"] for o in doc["objects"])
-    object_poses = tuple(
-        pose_from_list(o["pose_world"], f"{path}: objects[{i}]")
-        for i, o in enumerate(doc["objects"])
+    camera_poses = []
+    for i, c in enumerate(_list(_require(doc, "cameras", str(path)), f"{path}: cameras")):
+        where = f"{path}: cameras[{i}]"
+        camera_poses.append(pose_from_list(_require(c, "pose_world", where), where))
+    object_labels, object_poses = [], []
+    for i, o in enumerate(_list(_require(doc, "objects", str(path)), f"{path}: objects")):
+        where = f"{path}: objects[{i}]"
+        object_labels.append(_string(_require(o, "label", where), f"{where}.label"))
+        object_poses.append(pose_from_list(_require(o, "pose_world", where), where))
+    provenance = tuple(
+        _integer(p, f"{path}: provenance[{i}]")
+        for i, p in enumerate(_list(doc.get("provenance", []), f"{path}: provenance"))
     )
     scene = GroundTruthScene(
         db=db,
         views=views,
-        camera_poses=camera_poses,
-        object_labels=object_labels,
-        object_poses=object_poses,
-        box_size=float(doc["box_size"]),
+        camera_poses=tuple(camera_poses),
+        object_labels=tuple(object_labels),
+        object_poses=tuple(object_poses),
+        box_size=_number(_require(doc, "box_size", str(path)), f"{path}: box_size"),
     )
-    return scene, tuple(int(p) for p in doc.get("provenance", ()))
+    return scene, provenance

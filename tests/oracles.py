@@ -104,6 +104,41 @@ def adds_error(matrix_est, matrix_gt, pts):
     return total / len(pts)
 
 
+def max_pairwise_distance(pts):
+    """Largest distance between two rows of pts: the original per-row loop
+    of the model diameter check, kept verbatim (numpy within a row)."""
+    best = 0.0
+    for i in range(pts.shape[0] - 1):
+        d2 = np.sum((pts[i + 1 :] - pts[i]) ** 2, axis=1)
+        m = float(d2.max())
+        if m > best:
+            best = m
+    return float(np.sqrt(best))
+
+
+def greedy_adds_matches(preds, gts, pts, threshold):
+    """Score-ordered greedy ADD-S matching of one label, scalar arithmetic.
+
+    preds and gts carry view_id, score and pose. Returns ({gt index:
+    (prediction index, error)}, number of (prediction, gt) pairs scored).
+    """
+    order = sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))
+    claimed = {}
+    n_scored = 0
+    for pi in order:
+        best = None
+        for gi, g in enumerate(gts):
+            if gi in claimed or g.view_id != preds[pi].view_id:
+                continue
+            err = adds_error(preds[pi].pose.matrix, g.pose.matrix, pts)
+            n_scored += 1
+            if err < threshold and (best is None or err < best[1]):
+                best = (gi, err)
+        if best is not None:
+            claimed[best[0]] = (pi, best[1])
+    return claimed, n_scored
+
+
 def auc_of_recall(errors, max_threshold):
     """Area under recall(threshold)/threshold for threshold in (0, max].
 

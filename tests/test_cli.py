@@ -379,6 +379,60 @@ def test_eval_schema_mismatch_is_config_error(tmp_path):
     assert run_eval(models, bad, gt_path, tmp_path / "r.json") == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("before", [False, True])
+def test_eval_writes_identical_bytes_twice(tmp_path, before):
+    models, obs, gt_path = simulate(tmp_path, "--n-objects", "5",
+                                    "--n-views", "4", "--n-labels", "3",
+                                    "--symmetric-labels", "obj_00",
+                                    "--rot-sigma-deg", "3",
+                                    "--trans-sigma", "0.005")
+    out_est, init_est = tmp_path / "estimate.json", tmp_path / "init.json"
+    assert solve(models, obs, out_est, "--init-out", str(init_est)) == EXIT_OK
+    extra = ("--before", str(init_est)) if before else ()
+    outs = [tmp_path / "report_a.json", tmp_path / "report_b.json"]
+    for out in outs:
+        assert run_eval(models, out_est, gt_path, out, *extra) == EXIT_OK
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert ("comparison" in load_json(outs[0])) == before
+
+
+def _break_estimate_member(doc):
+    doc["objects"][0]["members"] = [5]
+
+
+def _break_ground_truth_intrinsics(doc):
+    doc["views"][1]["intrinsics"] = 7
+
+
+def _drop_box_size(doc):
+    del doc["box_size"]
+
+
+@pytest.mark.parametrize("name, break_doc, message", [
+    ("estimate.json", _break_estimate_member,
+     "objects[0].members[0]: must be an object, got int"),
+    ("ground_truth.json", _break_ground_truth_intrinsics,
+     "views[1].intrinsics: must be an object, got int"),
+    ("ground_truth.json", _drop_box_size, "missing field 'box_size'"),
+])
+def test_eval_malformed_input_exits_2_naming_the_field(
+        tmp_path, capsys, name, break_doc, message):
+    models, obs, gt_path = simulate(tmp_path, "--n-objects", "3",
+                                    "--n-views", "3")
+    out_est = tmp_path / "estimate.json"
+    assert solve(models, obs, out_est) == EXIT_OK
+    doc = json.loads((tmp_path / name).read_text())
+    break_doc(doc)
+    (tmp_path / name).write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "report.json"
+    assert run_eval(models, out_est, gt_path, out) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------- report
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cosy import evaluation as ev
+from cosy import numeric
 from cosy.geometry import Pose
 from cosy.scene_io import ModelDB, ObjectModel
 from cosy.symmetry import SymmetrySpec, discretize
@@ -75,6 +76,17 @@ class TestAddsError:
             got = ev.adds_error(m, t1, t2)
             want = oracles.adds_error(t1.matrix, t2.matrix, m.points)
             assert got == want
+
+    @pytest.mark.parametrize("chunk", [1, 31, 4 * 31, 5 * 31 - 1, 31 * 31 - 1])
+    def test_matches_loop_oracle_across_chunk_sizes(self, monkeypatch, chunk):
+        # 1 and M give one-row blocks; 4M and 5M - 1 give 4-row blocks,
+        # which do not divide M = 31; M^2 - 1 leaves a 1-row tail block.
+        monkeypatch.setattr(numeric, "_PAIRWISE_CHUNK", chunk)
+        m = _model(n=31, seed=8, symmetric=True)
+        for trial in range(4):
+            t1, t2 = _pose(200 + trial), _pose(250 + trial)
+            got = ev.adds_error(m, t1, t2)
+            assert got == oracles.adds_error(t1.matrix, t2.matrix, m.points)
 
     def test_add_dominates_adds(self):
         m = _model(n=40, seed=7)
@@ -235,6 +247,77 @@ class TestEvaluateReport:
         preds = [ev.PosePrediction("v0", "a", 0.9, gts[0].pose)]
         rep = ev.evaluate(preds, gts, db)
         assert rep.per_label["a"].auc_adds == pytest.approx(0.5)
+
+
+def _noisy_multi_view_scene(seed=0):
+    """Three labels (one symmetric), three views, noisy and false predictions."""
+    rng = np.random.default_rng(seed)
+    db = ModelDB(models={
+        "a": _model("a", seed=11),
+        "b": _model("b", n=30, seed=12, symmetric=True),
+        "c": _model("c", n=20, seed=13),
+    })
+    gts, preds = [], []
+    for view in ("v0", "v1", "v2"):
+        for label, count in (("a", 2), ("b", 2), ("c", 1)):
+            for _ in range(count):
+                pose = Pose.from_matrix(oracles.random_pose_matrix(rng, 0.3))
+                gts.append(ev.PosePrediction(view, label, 1.0, pose))
+                if rng.uniform() < 0.8:  # a noisy detection of this object
+                    nudged = oracles.random_pose_nudge(pose.matrix, rng, 0.02, 0.004)
+                    preds.append(ev.PosePrediction(
+                        view, label, float(rng.uniform(0.3, 1.0)),
+                        Pose.from_matrix(nudged)))
+        for label in ("a", "b", "c"):  # false positives
+            pose = Pose.from_matrix(oracles.random_pose_matrix(rng, 0.3))
+            preds.append(ev.PosePrediction(view, label, float(rng.uniform(0.3, 1.0)), pose))
+    return db, preds, gts
+
+
+class TestEvaluateAddsOnce:
+    def test_adds_means_equal_oracle_over_matched_pairs(self):
+        # The ADD-S means recomputed over every matched pair, as evaluate
+        # once did, must equal the errors taken from greedy matching.
+        db, preds, gts = _noisy_multi_view_scene()
+        rep = ev.evaluate(preds, gts, db)
+        want = {}
+        for label in ("a", "b", "c"):
+            model = db[label]
+            lp = [p for p in preds if p.label == label]
+            lg = [g for g in gts if g.label == label]
+            claimed, _ = oracles.greedy_adds_matches(
+                lp, lg, model.points, ev.DEFAULT_DIAMETER_FRACTION * model.diameter)
+            assert claimed and len(claimed) < len(lp)
+            assert rep.per_label[label].n_matched == len(claimed)
+            want[label] = float(np.mean([
+                oracles.adds_error(lp[pi].pose.matrix, lg[gi].pose.matrix, model.points)
+                for gi, (pi, _) in sorted(claimed.items())
+            ]))
+            assert rep.per_label[label].adds == want[label]
+        assert rep.adds == float(np.mean([want[label] for label in ("a", "b", "c")]))
+
+    def test_adds_computed_once_per_examined_pair(self, monkeypatch):
+        db, preds, gts = _noisy_multi_view_scene()
+        calls = []
+        adds_error = ev.adds_error
+
+        def counting(model, t_pred, t_gt):
+            calls.append((id(t_pred), id(t_gt)))
+            return adds_error(model, t_pred, t_gt)
+
+        monkeypatch.setattr(ev, "adds_error", counting)
+        rep = ev.evaluate(preds, gts, db)
+        assert rep.n_matched > 0
+        assert len(calls) == len(set(calls))
+        n_examined = 0
+        for label in ("a", "b", "c"):
+            model = db[label]
+            _, n = oracles.greedy_adds_matches(
+                [p for p in preds if p.label == label],
+                [g for g in gts if g.label == label],
+                model.points, ev.DEFAULT_DIAMETER_FRACTION * model.diameter)
+            n_examined += n
+        assert len(calls) == n_examined
 
 
 class TestGatedMean:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cosy import numeric
 from cosy import scene_io as sio
 from cosy.cli import EXIT_CONFIG
 from cosy.geometry import CameraIntrinsics, Pose
@@ -78,6 +79,52 @@ class TestObjectModel:
         flat = sio.ObjectModel(label="x", points=flat_pts, diameter=0.05)
         with pytest.raises(sio.InvariantError):
             flat.require_matchable()
+
+
+def _clouds():
+    """Clouds across scales and offsets, N = 2, duplicate points, random sizes."""
+    rng = np.random.default_rng(21)
+    clouds = []
+    for scale in (1e-3, 0.05, 1.0, 40.0):
+        for n in (2, 3, 17, 250):
+            offset = rng.uniform(-3.0, 3.0, size=3) * scale
+            clouds.append(rng.normal(size=(n, 3)) * scale + offset)
+    dup = rng.uniform(-0.1, 0.1, size=(9, 3))
+    clouds.append(np.concatenate([dup, dup[::-1], dup[:1]]))
+    clouds.append(np.tile(rng.uniform(size=(1, 3)), (5, 1)))  # all one point
+    clouds.append(np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]]))
+    for _ in range(100):
+        n = int(rng.integers(2, 120))
+        clouds.append(rng.uniform(-1, 1, size=(n, 3)) * 10.0 ** rng.uniform(-3, 1))
+    return clouds
+
+
+class TestMaxPairwiseDistance:
+    def test_equals_row_loop(self):
+        for pts in _clouds():
+            assert sio._max_pairwise_distance(pts) == oracles.max_pairwise_distance(pts)
+
+    @pytest.mark.parametrize("chunk", [1, 17, 3 * 17 + 2, 17 * 17 - 1])
+    def test_equals_row_loop_across_chunk_boundaries(self, monkeypatch, chunk):
+        # One-row blocks, a block size that does not divide N = 17, and a
+        # one-row tail block.
+        monkeypatch.setattr(numeric, "_PAIRWISE_CHUNK", chunk)
+        rng = np.random.default_rng(23)
+        for _ in range(5):
+            pts = rng.normal(size=(17, 3)) * 0.05
+            assert sio._max_pairwise_distance(pts) == oracles.max_pairwise_distance(pts)
+
+    def test_diameter_acceptance_at_the_tolerance(self):
+        # The check rejects d < spread * (1 - 1e-6), spread from the row loop:
+        # the edge itself and one ulp above load, one ulp below does not.
+        rng = np.random.default_rng(24)
+        for _ in range(20):
+            pts = rng.uniform(-0.05, 0.05, size=(40, 3))
+            edge = oracles.max_pairwise_distance(pts) * (1.0 - 1e-6)
+            for d in (edge, np.nextafter(edge, 1.0)):
+                assert sio.ObjectModel(label="m", points=pts, diameter=d).diameter == d
+            with pytest.raises(sio.InvariantError, match="smaller than point spread"):
+                sio.ObjectModel(label="m", points=pts, diameter=np.nextafter(edge, 0.0))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -1,11 +1,12 @@
-"""Property test: `cosy solve` on mutated input files never crashes.
+"""Property tests: `cosy solve` and `cosy eval` on mutated input files never crash.
 
-A tiny simulated scene is written once; each example applies a few
-mutations to its models.json or observations.json (a dropped field or
-list entry, a value of the wrong type, a non-finite or huge number, an
-emptied container, a duplicated list entry) and runs the solver
-in-process. Every run must end with exit 0, 2 or 3; an exception
-escaping `main` would be a traceback for the user.
+A tiny simulated scene is written and solved once; each example applies a
+few mutations (a dropped field or list entry, a value of the wrong type, a
+non-finite or huge number, an emptied container, a duplicated list entry)
+to the solver's inputs, models.json and observations.json, or to the
+evaluator's, estimate.json and ground_truth.json, and runs the command
+in-process. Every solve must end with exit 0, 2 or 3 and every eval with
+exit 0 or 2; an exception escaping `main` would be a traceback for the user.
 """
 
 import contextlib
@@ -19,9 +20,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cosy.cli import EXIT_CONFIG, EXIT_NO_SCENE, EXIT_OK, main
 
-from test_cli import simulate
+from test_cli import run_eval, simulate, solve
 
 FILES = ("models.json", "observations.json")
+EVAL_FILES = ("estimate.json", "ground_truth.json")
 
 ODD_VALUES = st.one_of(
     st.none(),
@@ -68,26 +70,32 @@ def _mutate(doc, path, op, value):
 @pytest.fixture(scope="module")
 def scene(tmp_path_factory):
     base = tmp_path_factory.mktemp("fuzz_scene")
-    simulate(base, "--n-objects", "3", "--n-views", "3",
-             "--symmetric-labels", "obj_00", "--rot-sigma-deg", "2",
-             "--trans-sigma", "0.005")
-    docs = {name: json.loads((base / name).read_text()) for name in FILES}
+    models, observations, _ = simulate(
+        base, "--n-objects", "3", "--n-views", "3", "--symmetric-labels",
+        "obj_00", "--rot-sigma-deg", "2", "--trans-sigma", "0.005")
+    assert solve(models, observations, base / "estimate.json") == EXIT_OK
+    docs = {
+        name: json.loads((base / name).read_text()) for name in FILES + EVAL_FILES
+    }
     paths = {name: list(_paths(doc)) for name, doc in docs.items()}
     return base, docs, paths
 
 
-MUTATION = st.tuples(
-    st.sampled_from(FILES),
-    st.integers(min_value=0),
-    st.sampled_from(["drop", "replace", "empty", "duplicate"]),
-    ODD_VALUES,
-)
+def _mutations(files):
+    return st.lists(
+        st.tuples(
+            st.sampled_from(files),
+            st.integers(min_value=0),
+            st.sampled_from(["drop", "replace", "empty", "duplicate"]),
+            ODD_VALUES,
+        ),
+        min_size=1,
+        max_size=3,
+    )
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(mutations=st.lists(MUTATION, min_size=1, max_size=3))
-def test_mutated_inputs_exit_cleanly(scene, mutations):
+def _write_mutated(scene, mutations, files):
+    """Write fuzz_<name> for each of `files`, mutated as listed."""
     base, docs, paths = scene
     mutated = copy.deepcopy(docs)
     for name, index, op, value in mutations:
@@ -97,8 +105,16 @@ def test_mutated_inputs_exit_cleanly(scene, mutations):
             mutated[name] = _mutate(mutated[name], path, op, value)
         except (KeyError, IndexError, TypeError):
             continue
-    for name in FILES:
+    for name in files:
         (base / f"fuzz_{name}").write_text(json.dumps(mutated[name]))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutations=_mutations(FILES))
+def test_mutated_inputs_exit_cleanly(scene, mutations):
+    base = scene[0]
+    _write_mutated(scene, mutations, FILES)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         rc = main([
@@ -109,4 +125,18 @@ def test_mutated_inputs_exit_cleanly(scene, mutations):
             "--seed", "1",
         ])
     assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_NO_SCENE)
+    assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutations=_mutations(EVAL_FILES))
+def test_mutated_eval_inputs_exit_cleanly(scene, mutations):
+    base = scene[0]
+    _write_mutated(scene, mutations, EVAL_FILES)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = run_eval(base / "models.json", base / "fuzz_estimate.json",
+                      base / "fuzz_ground_truth.json", base / "fuzz_report.json")
+    assert rc in (EXIT_OK, EXIT_CONFIG)
     assert "Traceback" not in err.getvalue()
