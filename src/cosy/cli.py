@@ -28,6 +28,7 @@ from .evaluation import (
     DEFAULT_AUC_MAX,
     DEFAULT_DIAMETER_FRACTION,
     DEFAULT_NMS_RADIUS,
+    PairErrors,
     PosePrediction,
     evaluate,
     nms_3d,
@@ -337,8 +338,11 @@ def cmd_eval(cfg: RunConfig) -> int:
 
     gts = _ground_truth_records(scene, db)
     preds = _predictions_from_estimate(est)
+    # The comparison report scores the same pairs at another fraction.
+    errors = PairErrors(preds, gts, db)
     report = evaluate(
-        preds, gts, db, fraction=cfg.diameter_fraction, auc_max=cfg.auc_max
+        preds, gts, db, fraction=cfg.diameter_fraction, auc_max=cfg.auc_max,
+        errors=errors,
     )
 
     doc = {
@@ -372,7 +376,8 @@ def cmd_eval(cfg: RunConfig) -> int:
             auc_max=cfg.auc_max,
         )
         after_report = evaluate(
-            preds, gts, db, fraction=cfg.compare_fraction, auc_max=cfg.auc_max
+            preds, gts, db, fraction=cfg.compare_fraction, auc_max=cfg.auc_max,
+            errors=errors,
         )
         before_mm = None if before_report.adds is None else before_report.adds * 1000.0
         after_mm = None if after_report.adds is None else after_report.adds * 1000.0

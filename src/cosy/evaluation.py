@@ -16,8 +16,11 @@ Metrics operate on camera-frame pose pairs (prediction vs ground truth):
 nms_3d greedily keeps the highest-aggregate-score object among any set
 whose world positions fall within a radius of each other.
 
-evaluate computes ADD-S once per (prediction, ground truth) pair that
-greedy matching examines; matched pairs reuse the errors matching found.
+evaluate poses each record's model points once and computes ADD-S once
+per (prediction, ground truth) pair that greedy matching examines, through
+a PairErrors; matched pairs reuse the errors matching found, and evaluate
+calls over the same records at other fractions can share one PairErrors,
+so none of them scores a pair again.
 Error computations follow the fixed accumulation-order conventions (see
 numeric module) and reproduce loop-based reference implementations bit for
 bit.
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose, apply_matrix
+from .geometry import Pose, apply_matrices, apply_matrix
 from .numeric import pairwise_sq_reduce, point_norms, seq_sum
 from .scene_io import ModelDB, ObjectModel
 
@@ -79,19 +82,27 @@ class MetricReport:
     n_predictions: int
 
 
-def add_error(model: ObjectModel, t_pred: Pose, t_gt: Pose) -> float:
-    """Mean same-index point distance between the two posed models."""
-    a = apply_matrix(t_pred.matrix, model.points)
-    b = apply_matrix(t_gt.matrix, model.points)
-    d = point_norms(a - b)
+def _posed(model: ObjectModel, t) -> np.ndarray:
+    return t if isinstance(t, np.ndarray) else apply_matrix(t.matrix, model.points)
+
+
+def add_error(model: ObjectModel, t_pred, t_gt) -> float:
+    """Mean same-index point distance between the two posed models.
+
+    Each of t_pred and t_gt is a Pose or the model points already posed by
+    one, (M, 3) as apply_matrix gives them.
+    """
+    d = point_norms(_posed(model, t_pred) - _posed(model, t_gt))
     return float(seq_sum(d) / d.shape[0])
 
 
-def adds_error(model: ObjectModel, t_pred: Pose, t_gt: Pose) -> float:
-    """Mean nearest-neighbor distance from gt-posed to pred-posed points."""
-    est = apply_matrix(t_pred.matrix, model.points)
-    gt = apply_matrix(t_gt.matrix, model.points)
-    mins = np.sqrt(pairwise_sq_reduce(gt, est, np.minimum))
+def adds_error(model: ObjectModel, t_pred, t_gt) -> float:
+    """Mean nearest-neighbor distance from gt-posed to pred-posed points.
+
+    Poses or posed points are accepted as in add_error.
+    """
+    gt = _posed(model, t_gt)
+    mins = np.sqrt(pairwise_sq_reduce(gt, _posed(model, t_pred), np.minimum))
     return float(seq_sum(mins) / gt.shape[0])
 
 
@@ -137,11 +148,73 @@ def recall_at_fraction_of_diameter(
     return float(np.count_nonzero(e < fraction * d)) / e.size
 
 
+def _posed_rows(records, model: ObjectModel) -> list[np.ndarray]:
+    """The model points under each record's pose, by one stacked transform."""
+    if not records:
+        return []
+    mats = np.stack([r.pose.matrix for r in records])
+    return list(apply_matrices(mats, model.points))
+
+
+class LabelPairs:
+    """One label's predictions and ground truths, each posed once.
+
+    The model points are posed under every record's pose by one stacked
+    apply_matrices per side (each row equals apply_matrix bit for bit), and
+    each (prediction, ground truth) ADD-S is computed once.
+    """
+
+    def __init__(self, preds, gts, model: ObjectModel):
+        self.preds = preds
+        self.gts = gts
+        self.model = model
+        self._pred_pts = _posed_rows(preds, model)
+        self._gt_pts = _posed_rows(gts, model)
+        self._adds: dict[tuple[int, int], float] = {}
+
+    def adds(self, pi: int, gi: int) -> float:
+        if (pi, gi) not in self._adds:
+            self._adds[pi, gi] = adds_error(
+                self.model, self._pred_pts[pi], self._gt_pts[gi]
+            )
+        return self._adds[pi, gi]
+
+    def add(self, pi: int, gi: int) -> float:
+        return add_error(self.model, self._pred_pts[pi], self._gt_pts[gi])
+
+
+class PairErrors:
+    """Per-label LabelPairs of one set of predictions and ground truths.
+
+    Every evaluate call given this object shares its posed points and its
+    errors, so no pair is scored twice.
+    """
+
+    def __init__(self, preds, gts, db: ModelDB):
+        self.preds = list(preds)
+        self.gts = list(gts)
+        self._db = db
+        self._labels: dict[str, LabelPairs] = {}
+
+    def covers(self, preds, gts) -> bool:
+        """True when preds and gts are this object's records, in order."""
+        return all(
+            len(mine) == len(theirs) and all(a is b for a, b in zip(mine, theirs))
+            for mine, theirs in ((self.preds, preds), (self.gts, gts))
+        )
+
+    def label(self, label: str) -> LabelPairs:
+        if label not in self._labels:
+            self._labels[label] = LabelPairs(
+                [p for p in self.preds if p.label == label],
+                [g for g in self.gts if g.label == label],
+                self._db[label],
+            )
+        return self._labels[label]
+
+
 def _greedy_match(
-    preds: list[PosePrediction],
-    gts: list[PosePrediction],
-    model: ObjectModel,
-    threshold: float,
+    pairs: LabelPairs, threshold: float
 ) -> tuple[list[bool], dict[int, tuple[int, float]]]:
     """Match score-sorted predictions to GTs of one label.
 
@@ -150,6 +223,7 @@ def _greedy_match(
     single unmatched same-view GT with the smallest ADD-S error below the
     threshold; each GT is claimed at most once.
     """
+    preds, gts = pairs.preds, pairs.gts
     order = sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))
     claimed: dict[int, tuple[int, float]] = {}
     flags: list[bool] = []
@@ -159,7 +233,7 @@ def _greedy_match(
         for gi, g in enumerate(gts):
             if gi in claimed or g.view_id != p.view_id:
                 continue
-            err = adds_error(model, p.pose, g.pose)
+            err = pairs.adds(pi, gi)
             if err < threshold and err < best_err:
                 best_gt, best_err = gi, err
         if best_gt >= 0:
@@ -198,18 +272,15 @@ def map_adds(
     fraction: float = DEFAULT_DIAMETER_FRACTION,
 ) -> float:
     """Mean over GT labels of detection-style AP at ADD-S < fraction*d."""
-    preds = list(preds)
-    gts = list(gts)
-    labels = sorted({g.label for g in gts})
+    errors = PairErrors(preds, gts, db)
+    labels = sorted({g.label for g in errors.gts})
     if not labels:
         raise ValueError("no ground-truth objects")
     aps = []
     for label in labels:
-        model = db[label]
-        label_preds = [p for p in preds if p.label == label]
-        label_gts = [g for g in gts if g.label == label]
-        flags, _ = _greedy_match(label_preds, label_gts, model, fraction * model.diameter)
-        aps.append(average_precision(flags, len(label_gts)))
+        pairs = errors.label(label)
+        flags, _ = _greedy_match(pairs, fraction * db[label].diameter)
+        aps.append(average_precision(flags, len(pairs.gts)))
     return float(np.mean(aps))
 
 
@@ -219,6 +290,8 @@ def evaluate(
     db: ModelDB,
     fraction: float = DEFAULT_DIAMETER_FRACTION,
     auc_max: float = DEFAULT_AUC_MAX,
+    *,
+    errors: PairErrors | None = None,
 ) -> MetricReport:
     """Full metric report over one or more scenes' worth of records.
 
@@ -227,28 +300,32 @@ def evaluate(
     Unmatched ground truths enter AUC and recall as infinite error; ADD and
     ADD-S averages cover matched pairs only (None when nothing matched).
     Aggregates are means over labels present in the ground truth.
+
+    `errors`, when given, is a PairErrors of these same preds and gts;
+    calls at several fractions that share it score each pair once.
     """
     preds = list(preds)
     gts = list(gts)
+    if errors is None:
+        errors = PairErrors(preds, gts, db)
+    elif not errors.covers(preds, gts):
+        raise ValueError("errors belong to other predictions or ground truths")
     labels = sorted({g.label for g in gts})
     if not labels:
         raise ValueError("no ground-truth objects")
     per_label: dict[str, LabelMetrics] = {}
     for label in labels:
         model = db[label]
-        label_preds = [p for p in preds if p.label == label]
-        label_gts = [g for g in gts if g.label == label]
-        flags, claimed = _greedy_match(
-            label_preds, label_gts, model, fraction * model.diameter
-        )
+        pairs = errors.label(label)
+        label_preds, label_gts = pairs.preds, pairs.gts
+        flags, claimed = _greedy_match(pairs, fraction * model.diameter)
         order = sorted(
             range(len(label_preds)), key=lambda i: (-label_preds[i].score, i)
         )
         matched_pairs = [
-            (label_preds[order[rank]], label_gts[gi])
-            for gi, (rank, _) in sorted(claimed.items())
+            (order[rank], gi) for gi, (rank, _) in sorted(claimed.items())
         ]
-        add_vals = [add_error(model, p.pose, g.pose) for p, g in matched_pairs]
+        add_vals = [pairs.add(pi, gi) for pi, gi in matched_pairs]
         adds_vals = [err for _, (_, err) in sorted(claimed.items())]
         per_gt_err = [
             claimed[gi][1] if gi in claimed else math.inf

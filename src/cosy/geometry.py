@@ -173,17 +173,17 @@ def apply_matrices(matrices: np.ndarray, pts) -> np.ndarray:
     ) + t[:, None, :]
 
 
-def apply_matrices_indexed(matrices: np.ndarray, index: np.ndarray, pts) -> np.ndarray:
-    """Apply matrices[index[i]] to point i: (T, 4, 4), (N,), (N, 3) -> (N, 3).
+def apply_matrices_repeated(matrices: np.ndarray, counts, pts_t) -> np.ndarray:
+    """Apply matrices[t] to the next counts[t] points: (T, 4, 4), (T,), (3, N).
 
-    Same accumulation order as apply_matrix, so each point matches
+    Points and result are coordinate-major (3, N). Each matrix entry is
+    repeated over its run of points, so every term below is a contiguous
+    row, and the accumulation order is apply_matrix's: each point matches
     apply_matrix with its own matrix bit for bit.
     """
-    pts = _as_points(pts)
-    # Coordinate-major (3, 4, N) gather: each term below is a contiguous row.
-    m = np.take(matrices[:, :3, :].transpose(1, 2, 0), index, axis=2)
-    x, y, z = pts.T
-    return (((x * m[:, 0] + y * m[:, 1]) + z * m[:, 2]) + m[:, 3]).T
+    m = np.repeat(matrices[:, :3, :].transpose(1, 2, 0), counts, axis=2)
+    x, y, z = pts_t
+    return ((x * m[:, 0] + y * m[:, 1]) + z * m[:, 2]) + m[:, 3]
 
 
 def transform_points(t: Pose, pts) -> np.ndarray:
@@ -204,7 +204,7 @@ def project(k: CameraIntrinsics, pts_camera_frame, z_min: float = DEFAULT_Z_MIN)
         raise BehindCameraError(
             f"point {bad} has depth {z[bad]:.6g} <= z_min {z_min:.6g}"
         )
-    return _project_unchecked(k, pts)
+    return _pixels(k, pts[:, 0], pts[:, 1], pts[:, 2])
 
 
 def project_masked(
@@ -217,16 +217,24 @@ def project_masked(
     and they may be (N,) arrays giving each point its own camera.
     """
     pts = _as_points(pts_camera_frame)
-    valid = pts[:, 2] > z_min
-    safe = pts.copy()
-    safe[~valid, 2] = 1.0
-    return _project_unchecked(k, safe), valid
+    return project_masked_xyz(k, pts[:, 0], pts[:, 1], pts[:, 2], z_min)
 
 
-def _project_unchecked(k: CameraIntrinsics, pts: np.ndarray) -> np.ndarray:
-    z = pts[:, 2]
-    u = k.fx * pts[:, 0] / z + k.cx
-    v = k.fy * pts[:, 1] / z + k.cy
+def project_masked_xyz(
+    k: CameraIntrinsics, x, y, z, z_min: float = DEFAULT_Z_MIN
+) -> tuple[np.ndarray, np.ndarray]:
+    """project_masked of points given as coordinate arrays x, y, z.
+
+    A point with z <= z_min (or NaN z) is projected at the placeholder
+    depth z = 1 and flagged invalid.
+    """
+    valid = z > z_min
+    return _pixels(k, x, y, np.where(valid, z, 1.0)), valid
+
+
+def _pixels(k: CameraIntrinsics, x, y, z) -> np.ndarray:
+    u = k.fx * x / z + k.cx
+    v = k.fy * y / z + k.cy
     return np.stack([u, v], axis=1)
 
 

@@ -29,13 +29,15 @@ from .geometry import (
     CameraIntrinsics,
     Pose,
     apply_matrices,
-    apply_matrices_indexed,
+    apply_matrices_repeated,
     apply_matrix,
     inverse_matrices,
     project_masked,
+    project_masked_xyz,
     retract_matrices,
 )
 from .matching import PhysicalObject, TwoViewHypothesis
+from .numeric import seq_sum
 from .scene_io import Candidate, ModelDB, ObjectModel, SceneObservations
 from .symmetry import SymmetryGroup, discretize
 
@@ -369,35 +371,62 @@ class PointIntrinsics(NamedTuple):
 
 
 @dataclass(frozen=True)
+class ImageStack:
+    """Symmetry images of the k members that share M residual points and G
+    symmetry elements, in member order."""
+
+    members: np.ndarray  # (k,), member indices, ascending
+    rows: np.ndarray  # (k, M), each member's indices into the per-point arrays
+    px: np.ndarray  # (k, G, M, 2), pixels of T_cand S x for every S
+    valid: np.ndarray  # (k, G, M)
+
+
+@dataclass(frozen=True)
 class CandidateImages:
-    """What one `refine` call needs of its member candidates, built once.
+    """What refinement needs of its member candidates, built once per solve.
 
     Member t is one (view, candidate) of a physical object, in object-id
-    then member order. Its residual points fill rows bounds[t]:bounds[t+1]
-    of the stacked per-point arrays. images[t] holds the candidate's
-    projection of T_cand S x under every symmetry S of its label: no pose
-    update changes it, so it is not recomputed per iteration.
+    then member order. Its counts[t] residual points fill indices
+    bounds[t]:bounds[t+1] of the flat per-point arrays, so a per-member
+    value reaches its points with np.repeat(..., counts). The candidate's
+    projections of T_cand S x under every symmetry S of its label depend on
+    no pose: each member's are stored once, in the stack of its (M, G).
+    Per-point values computed stack by stack, concatenated in stack order,
+    return to the flat order by np.take(..., order, axis=0).
+
+    The layout changes no arithmetic: elementwise steps see the same operand
+    values per point as a per-member loop, each member's mean is taken over
+    one contiguous row, and totals are summed left to right in member order,
+    so every loss, residual and Jacobian entry keeps its bits.
     """
 
     view_ids: tuple[str, ...]
     object_ids: tuple[int, ...]
-    bounds: tuple[int, ...]  # T + 1 row offsets
-    member: np.ndarray  # (N,), member index of each point
-    points: np.ndarray  # (N, 3), residual subsample of each member's model
+    bounds: tuple[int, ...]  # T + 1 offsets into the per-point arrays
+    counts: np.ndarray  # (T,), residual points of each member
+    points: np.ndarray  # (3, N), coordinate-major residual points
     intrinsics: PointIntrinsics
     sqrt_weight: np.ndarray  # (N,), 1 / sqrt(M) of the point's member
-    images: tuple[np.ndarray, ...]  # per member, (G, M, 2) pixels
-    image_valid: tuple[np.ndarray, ...]  # per member, (G, M)
+    stacks: tuple[ImageStack, ...]
+    order: np.ndarray  # (N,), each point's position in all stacks' rows in turn
 
 
 @dataclass(frozen=True)
 class Targets:
-    """One outer iteration's symmetry selection, stacked like its images."""
+    """One outer iteration's symmetry selection, per point like its images.
+
+    It keeps the camera-frame points and pixels of the selection `state`,
+    so `linearize` at that state projects nothing.
+    """
 
     images: CandidateImages
+    state: SceneState
+    cam_points: np.ndarray  # (3, N), camera-frame points at state
+    pred_px: np.ndarray  # (N, 2), their pixels
     px: np.ndarray  # (N, 2), each member's image under its selected S
     valid: np.ndarray  # (N,)
     active: np.ndarray  # (N,), points that carry gradient at selection
+    active_counts: np.ndarray  # (T,), active points of each member
 
 
 def candidate_images(
@@ -411,26 +440,46 @@ def candidate_images(
     """Residual points and symmetry images of every member candidate."""
     groups = _groups_for(db, [o.label for o in objects], cfg.symmetry_angles, groups)
     intr = {v.view_id: v.intrinsics for v in obs.views}
-    view_ids, object_ids, points, images, image_valid = [], [], [], [], []
-    for obj in sorted(objects, key=lambda o: o.id):
-        pts = residual_points(db[obj.label])
-        for view_id, cand_idx in obj.members:
-            px, valid = _candidate_image(
-                obs.candidates[cand_idx].pose, pts, groups[obj.label], intr[view_id]
+    pts = {o.label: residual_points(db[o.label]) for o in objects}
+    members = [
+        (view_id, obj, cand_idx)
+        for obj in sorted(objects, key=lambda o: o.id)
+        for view_id, cand_idx in obj.members
+    ]
+    counts = np.array([pts[o.label].shape[0] for _, o, _ in members], dtype=np.int64)
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for t, (_, obj, _) in enumerate(members):
+        by_shape.setdefault((int(counts[t]), len(groups[obj.label])), []).append(t)
+    stacks = []
+    for (m, g), ts in by_shape.items():
+        px = np.empty((len(ts), g, m, 2))
+        valid = np.empty((len(ts), g, m), dtype=bool)
+        for j, t in enumerate(ts):
+            view_id, obj, cand_idx = members[t]
+            px[j], valid[j] = _candidate_image(
+                obs.candidates[cand_idx].pose, pts[obj.label], groups[obj.label],
+                intr[view_id],
             )
-            view_ids.append(view_id)
-            object_ids.append(obj.id)
-            points.append(pts)
-            images.append(px)
-            image_valid.append(valid)
-    counts = np.array([p.shape[0] for p in points], dtype=np.int64)
-    cams = [intr[v] for v in view_ids]
+        ts = np.array(ts)
+        stacks.append(
+            ImageStack(ts, bounds[ts][:, None] + np.arange(m), px, valid)
+        )
+    cams = [intr[v] for v, _, _ in members]
+    order = np.empty(int(bounds[-1]), dtype=np.intp)
+    if stacks:
+        stacked_rows = np.concatenate([st.rows.ravel() for st in stacks])
+        order[stacked_rows] = np.arange(order.size)
     return CandidateImages(
-        view_ids=tuple(view_ids),
-        object_ids=tuple(object_ids),
-        bounds=tuple(np.concatenate([[0], np.cumsum(counts)]).tolist()),
-        member=np.repeat(np.arange(len(counts)), counts),
-        points=np.concatenate(points) if points else np.zeros((0, 3)),
+        view_ids=tuple(v for v, _, _ in members),
+        object_ids=tuple(o.id for _, o, _ in members),
+        bounds=tuple(bounds.tolist()),
+        counts=counts,
+        points=np.ascontiguousarray(
+            np.concatenate([pts[o.label] for _, o, _ in members]).T
+            if members
+            else np.zeros((3, 0))
+        ),
         intrinsics=PointIntrinsics(
             *(
                 np.repeat([float(getattr(k, f)) for k in cams], counts)
@@ -438,8 +487,8 @@ def candidate_images(
             )
         ),
         sqrt_weight=np.repeat(np.sqrt(1.0 / counts), counts),
-        images=tuple(images),
-        image_valid=tuple(image_valid),
+        stacks=tuple(stacks),
+        order=order,
     )
 
 
@@ -456,13 +505,12 @@ def _member_poses(state: SceneState, images: CandidateImages) -> np.ndarray:
     return inv[[row[v] for v in images.view_ids]] @ objs
 
 
-def _project_points(state: SceneState, images: CandidateImages, rows=slice(None)):
-    """Camera-frame points, pixels and validity of the stacked points `rows`."""
-    u = apply_matrices_indexed(
-        _member_poses(state, images), images.member[rows], images.points[rows]
+def _project_points(state: SceneState, images: CandidateImages):
+    """Camera-frame points (3, N), pixels (N, 2) and validity (N,) at state."""
+    u = apply_matrices_repeated(
+        _member_poses(state, images), images.counts, images.points
     )
-    intr = PointIntrinsics(*(a[rows] for a in images.intrinsics))
-    px, valid = project_masked(intr, u)
+    px, valid = project_masked_xyz(images.intrinsics, *u)
     return u, px, valid
 
 
@@ -473,30 +521,42 @@ def select_targets(
 
     Returns the frozen targets and the (true) total loss at `state`. With
     no residual subsampling this is total_loss bit for bit: the same
-    projections, per-member means and left-to-right sum.
+    projections, the same per-member means (a mean over the contiguous last
+    axis of a stack sums each member's row as a 1-D mean does), the first
+    minimum over symmetries, and a left-to-right sum in member order.
     """
-    _, pred_px, pred_valid = _project_points(state, images)
-    b = images.bounds
+    u, pred_px, pred_valid = _project_points(state, images)
+    member_loss = np.empty(len(images.view_ids))
     px, valid, active = [], [], []
-    loss = 0.0
-    for t, (img, img_valid) in enumerate(zip(images.images, images.image_valid)):
-        s, e = b[t], b[t + 1]
+    for st in images.stacks:
         contrib, err, both = _truncated_errors(
-            pred_px[None, s:e], pred_valid[None, s:e], img, img_valid, truncation
+            np.take(pred_px, st.rows, axis=0)[:, None],
+            np.take(pred_valid, st.rows)[:, None],
+            st.px, st.valid, truncation,
         )
-        losses = contrib.mean(axis=1)
-        best = int(np.argmin(losses))
-        loss += float(losses[best])
-        px.append(img[best])
-        valid.append(img_valid[best])
-        active.append(both[best] & (err[best] < truncation))
+        losses = contrib.mean(axis=2)  # (k, G)
+        pick = (np.arange(len(st.members)), losses.argmin(axis=1))
+        member_loss[st.members] = losses[pick]
+        px.append(st.px[pick].reshape(-1, 2))
+        valid.append(st.valid[pick].ravel())
+        active.append((both[pick] & (err[pick] < truncation)).ravel())
+    active = _flat(active, images.order)
     targets = Targets(
         images=images,
-        px=np.concatenate(px),
-        valid=np.concatenate(valid),
-        active=np.concatenate(active),
+        state=state,
+        cam_points=u,
+        pred_px=pred_px,
+        px=_flat(px, images.order),
+        valid=_flat(valid, images.order),
+        active=active,
+        active_counts=np.add.reduceat(active, images.bounds[:-1], dtype=np.intp),
     )
-    return targets, float(loss)
+    return targets, float(seq_sum(member_loss))
+
+
+def _flat(per_stack: list[np.ndarray], order: np.ndarray) -> np.ndarray:
+    """Per-point values computed stack by stack, in the flat point order."""
+    return np.take(np.concatenate(per_stack), order, axis=0)
 
 
 def frozen_loss(state: SceneState, targets: Targets, truncation: float) -> float:
@@ -505,23 +565,21 @@ def frozen_loss(state: SceneState, targets: Targets, truncation: float) -> float
     At the selection state it equals select_targets' loss bit for bit, so
     a zero step never passes the strict acceptance test on rounding.
     """
-    _, pred_px, pred_valid = _project_points(state, targets.images)
+    images = targets.images
+    _, pred_px, pred_valid = _project_points(state, images)
     contrib, _, _ = _truncated_errors(
         pred_px, pred_valid, targets.px, targets.valid, truncation
     )
-    b = targets.images.bounds
-    total = 0.0
-    for s, e in zip(b[:-1], b[1:]):
-        total += float(contrib[s:e].mean())
-    return total
+    member_loss = np.empty(len(images.view_ids))
+    for st in images.stacks:
+        member_loss[st.members] = np.take(contrib, st.rows).mean(axis=1)
+    return float(seq_sum(member_loss))
 
 
-def _active_residuals(state: SceneState, targets: Targets):
-    """Camera-frame points and weighted pixel residuals of the active points."""
-    act = targets.active
-    u, pred_px, _ = _project_points(state, targets.images, act)
-    sw = targets.images.sqrt_weight[act]
-    return u, ((pred_px - targets.px[act]) * sw[:, None]).ravel()
+def _weighted_residuals(pred_px: np.ndarray, targets: Targets, idx: np.ndarray):
+    sw = targets.images.sqrt_weight[idx]
+    diff = np.take(pred_px, idx, axis=0) - np.take(targets.px, idx, axis=0)
+    return (diff * sw[:, None]).ravel()
 
 
 def residual_vector(state: SceneState, targets: Targets) -> np.ndarray:
@@ -530,7 +588,8 @@ def residual_vector(state: SceneState, targets: Targets) -> np.ndarray:
     Meaningful near the linearization state: the active set is frozen, so
     points that wander behind the camera keep their placeholder projection.
     """
-    return _active_residuals(state, targets)[1]
+    pred_px = _project_points(state, targets.images)[1]
+    return _weighted_residuals(pred_px, targets, np.flatnonzero(targets.active))
 
 
 def linearize(state: SceneState, targets: Targets) -> tuple[np.ndarray, np.ndarray]:
@@ -544,25 +603,47 @@ def linearize(state: SceneState, targets: Targets) -> tuple[np.ndarray, np.ndarr
     A = d(pixel)/d(camera point), B = A R^T and C = B [w]x, a point's rows
     are [C | -B] (rotation increment first, translation second, matching
     `retract`).
+
+    `state` must be the one `targets` were selected at: the camera-frame
+    points and pixels come from the selection, not from a new projection.
+    The active points are gathered once, and each entry of the (2, 6) block
+    is computed for all of them as one contiguous (n,) row, from the
+    expressions np.cross evaluates (b1 w2 - b2 w1, ...); the weight is
+    applied last, as the row is written into its column of E. Each entry
+    equals the per-point evaluation bit for bit.
     """
+    if state is not targets.state:
+        raise ValueError("linearize needs the state its targets were selected at")
     images = targets.images
-    act = targets.active
-    member = images.member[act]
-    u, r = _active_residuals(state, targets)
+    idx = np.flatnonzero(targets.active)
+    counts = targets.active_counts
+    r = _weighted_residuals(targets.pred_px, targets, idx)
+    x, y, z = np.take(targets.cam_points, idx, axis=1)
     obj_mats = np.stack([state.object_poses[o].matrix for o in images.object_ids])
-    w = apply_matrices_indexed(obj_mats, member, images.points[act])  # world
-    rot = np.stack([state.camera_poses[v].rotation for v in images.view_ids])[member]
-    x, y, z = u[:, 0], u[:, 1], u[:, 2]
-    fx_z = images.intrinsics.fx[act] / z
-    fy_z = images.intrinsics.fy[act] / z
-    # B = A R^T: row i is sum_k A[i, k] R[:, k], and A has two nonzeros per row
-    b = np.empty((u.shape[0], 2, 3))
-    b[:, 0] = fx_z[:, None] * rot[:, :, 0] - (fx_z * x / z)[:, None] * rot[:, :, 2]
-    b[:, 1] = fy_z[:, None] * rot[:, :, 1] - (fy_z * y / z)[:, None] * rot[:, :, 2]
-    e = np.empty((u.shape[0], 2, 6))
-    e[:, :, :3] = np.cross(b, w[:, None, :])  # b [w]x == b x w per row
-    e[:, :, 3:] = -b
-    e *= images.sqrt_weight[act, None, None]
+    w0, w1, w2 = apply_matrices_repeated(
+        obj_mats, counts, np.take(images.points, idx, axis=1)
+    )
+    cam_rots = np.stack([state.camera_poses[v].rotation for v in images.view_ids])
+    rot = np.repeat(cam_rots.reshape(-1, 9).T, counts, axis=1)  # row 3j+k: R[j, k]
+    sw = images.sqrt_weight[idx]
+    e = np.empty((idx.shape[0], 2, 6))
+    for i, (f, c) in enumerate(
+        ((images.intrinsics.fx[idx], x), (images.intrinsics.fy[idx], y))
+    ):
+        # B = A R^T: B_j = f/z R[j, i] - (f/z) c/z R[j, 2], A having two nonzeros
+        f_z = f / z
+        fc_z = f_z * c / z
+        b0, b1, b2 = (f_z * rot[3 * j + i] - fc_z * rot[3 * j + 2] for j in range(3))
+        terms = (
+            b1 * w2 - b2 * w1,  # B [w]x == B x w
+            b2 * w0 - b0 * w2,
+            b0 * w1 - b1 * w0,
+            -b0,
+            -b1,
+            -b2,
+        )
+        for j, term in enumerate(terms):
+            np.multiply(term, sw, out=e[:, i, j])
     return r, e.reshape(-1, 6)
 
 
@@ -573,16 +654,17 @@ def normal_equations(
 
     With K = E_t^T E_t and k = E_t^T r_t over target t's rows, the target
     adds [[K, -K], [-K, K]] and [k, -k] at its camera and object offsets;
-    the gauge camera has no columns, so only its object block remains.
+    the gauge camera has no columns, so only its object block remains. All
+    blocks are scattered by one np.add.at per array, indexed by 6-block and
+    in member order, so each entry receives its additions in the order of a
+    per-member loop.
     """
     images = targets.images
-    h = np.zeros((layout.size, layout.size))
-    g = np.zeros(layout.size)
-    counts = np.bincount(
-        images.member[targets.active], minlength=len(images.view_ids)
-    ).tolist()
+    blocks, block_at, vecs, vec_at = [], [], [], []
     row = 0
-    for view_id, object_id, n in zip(images.view_ids, images.object_ids, counts):
+    for view_id, object_id, n in zip(
+        images.view_ids, images.object_ids, targets.active_counts.tolist()
+    ):
         if n == 0:
             continue
         e_t = e[row : row + 2 * n]
@@ -590,16 +672,25 @@ def normal_equations(
         row += 2 * n
         k_mat = e_t.T @ e_t
         k_vec = e_t.T @ r_t
-        o = layout.object_offset(object_id)
-        h[o : o + 6, o : o + 6] += k_mat
-        g[o : o + 6] -= k_vec
+        o = layout.object_offset(object_id) // 6
+        blocks.append(k_mat)
+        block_at.append((o, o))
+        vecs.append(-k_vec)
+        vec_at.append(o)
         c = layout.camera_offset(view_id)
         if c is not None:
-            h[c : c + 6, c : c + 6] += k_mat
-            h[c : c + 6, o : o + 6] -= k_mat
-            h[o : o + 6, c : c + 6] -= k_mat
-            g[c : c + 6] += k_vec
-    return h, g
+            c //= 6
+            blocks += [k_mat, -k_mat, -k_mat]
+            block_at += [(c, c), (c, o), (o, c)]
+            vecs.append(k_vec)
+            vec_at.append(c)
+    n_blocks = layout.size // 6
+    h = np.zeros((n_blocks, n_blocks, 6, 6))
+    g = np.zeros((n_blocks, 6))
+    if blocks:
+        np.add.at(h, tuple(np.array(block_at).T), np.stack(blocks))
+        np.add.at(g, np.array(vec_at), np.stack(vecs))
+    return h.transpose(0, 2, 1, 3).reshape(layout.size, layout.size), g.ravel()
 
 
 # --------------------------------------------------------------------- LM

@@ -8,7 +8,7 @@ decodes a 9-value prediction (vx, vy in crop pixels, vz depth ratio, and a
 1 m from the camera, and the disentangled symmetric loss that scores a
 prediction while isolating xy / depth / rotation errors from each other.
 
-The simulator uses these to emulate refiner behavior; tests validate the
+Nothing in the solve or simulate pipeline calls them; tests validate the
 algebra (round trips, disentanglement) independently of any learning.
 """
 

@@ -186,11 +186,6 @@ def best_symmetry(points, group: SymmetryGroup, t1: Pose, t2: Pose) -> Pose:
     return group.elements[int(np.argmin(d))]
 
 
-def best_symmetry_index(points, group: SymmetryGroup, t1: Pose, t2: Pose) -> int:
-    d = _distances_per_element(points, group, t1, t2)
-    return int(np.argmin(d))
-
-
 def symmetric_distance_l1(points, group: SymmetryGroup, t1: Pose, t2: Pose) -> float:
     """L1-norm variant: min over S of mean_x | t1 S x - t2 x |_1.
 

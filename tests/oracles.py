@@ -116,11 +116,13 @@ def max_pairwise_distance(pts):
     return float(np.sqrt(best))
 
 
-def greedy_adds_matches(preds, gts, pts, threshold):
+def greedy_adds_matches(preds, gts, pts, threshold, scored=None):
     """Score-ordered greedy ADD-S matching of one label, scalar arithmetic.
 
     preds and gts carry view_id, score and pose. Returns ({gt index:
-    (prediction index, error)}, number of (prediction, gt) pairs scored).
+    (prediction index, error)}, number of (prediction, gt) pairs scored);
+    each scored (prediction index, gt index) is appended to `scored` when
+    a list is given.
     """
     order = sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))
     claimed = {}
@@ -132,6 +134,8 @@ def greedy_adds_matches(preds, gts, pts, threshold):
                 continue
             err = adds_error(preds[pi].pose.matrix, g.pose.matrix, pts)
             n_scored += 1
+            if scored is not None:
+                scored.append((pi, gi))
             if err < threshold and (best is None or err < best[1]):
                 best = (gi, err)
         if best is not None:
@@ -289,3 +293,175 @@ def hard_rotation_increments(rng, n):
                math.pi - 1e-9, math.pi, math.pi + 1e-9, 2.0 * math.pi, 7.0, 40.0]
     angles = np.concatenate([special, 10.0 ** rng.uniform(-14, 1.5, n - len(special))])
     return axes * angles[:n, None]
+
+
+# ---------------------------------------------------------------------------
+# Per-member Levenberg-Marquardt inner loop: the loop-over-members version of
+# cosy.refinement's select_targets, frozen_loss, linearize (with np.cross)
+# and normal_equations, kept as written before the flat per-point rewrite.
+# `per_member_view` turns a CandidateImages into the per-member layout these
+# functions read; the library's results must equal theirs bit for bit, and
+# they can stand in for the library's functions inside `refine`.
+
+
+def per_member_view(images):
+    """CandidateImages as per-member tuples and (N, 3) points."""
+    from types import SimpleNamespace
+
+    n_members = len(images.view_ids)
+    per_member = [None] * n_members
+    for st in images.stacks:
+        for j, t in enumerate(st.members.tolist()):
+            per_member[t] = (st.px[j], st.valid[j])
+    return SimpleNamespace(
+        view_ids=images.view_ids,
+        object_ids=images.object_ids,
+        bounds=images.bounds,
+        member=np.repeat(np.arange(n_members), images.counts),
+        points=np.ascontiguousarray(images.points.T),
+        intrinsics=images.intrinsics,
+        sqrt_weight=images.sqrt_weight,
+        images=tuple(p for p, _ in per_member),
+        image_valid=tuple(v for _, v in per_member),
+    )
+
+
+def apply_matrices_indexed(matrices, index, pts):
+    """Apply matrices[index[i]] to point i: (T, 4, 4), (N,), (N, 3) -> (N, 3)."""
+    # Coordinate-major (3, 4, N) gather: each term below is a contiguous row.
+    m = np.take(matrices[:, :3, :].transpose(1, 2, 0), index, axis=2)
+    x, y, z = pts.T
+    return (((x * m[:, 0] + y * m[:, 1]) + z * m[:, 2]) + m[:, 3]).T
+
+
+def project_masked(k, pts, z_min=1e-3):
+    """Pixels and validity; a point with z <= z_min is projected at z = 1."""
+    valid = pts[:, 2] > z_min
+    safe = pts.copy()
+    safe[~valid, 2] = 1.0
+    z = safe[:, 2]
+    u = k.fx * safe[:, 0] / z + k.cx
+    v = k.fy * safe[:, 1] / z + k.cy
+    return np.stack([u, v], axis=1), valid
+
+
+def member_poses(state, images):
+    from cosy.geometry import inverse_matrices
+
+    views = sorted(set(images.view_ids))
+    row = {v: k for k, v in enumerate(views)}
+    inv = inverse_matrices(np.stack([state.camera_poses[v].matrix for v in views]))
+    objs = np.stack([state.object_poses[o].matrix for o in images.object_ids])
+    return inv[[row[v] for v in images.view_ids]] @ objs
+
+
+def project_points(state, images, rows=slice(None)):
+    from cosy.refinement import PointIntrinsics
+
+    u = apply_matrices_indexed(
+        member_poses(state, images), images.member[rows], images.points[rows]
+    )
+    intr = PointIntrinsics(*(a[rows] for a in images.intrinsics))
+    px, valid = project_masked(intr, u)
+    return u, px, valid
+
+
+def select_targets(state, images, truncation):
+    """Per-member symmetry selection of a CandidateImages: (targets, loss).
+
+    The targets carry the per-member view as `images`; the other three
+    functions read only that.
+    """
+    from types import SimpleNamespace
+
+    from cosy.refinement import _truncated_errors
+
+    images = per_member_view(images)
+    _, pred_px, pred_valid = project_points(state, images)
+    b = images.bounds
+    px, valid, active = [], [], []
+    loss = 0.0
+    for t, (img, img_valid) in enumerate(zip(images.images, images.image_valid)):
+        s, e = b[t], b[t + 1]
+        contrib, err, both = _truncated_errors(
+            pred_px[None, s:e], pred_valid[None, s:e], img, img_valid, truncation
+        )
+        losses = contrib.mean(axis=1)
+        best = int(np.argmin(losses))
+        loss += float(losses[best])
+        px.append(img[best])
+        valid.append(img_valid[best])
+        active.append(both[best] & (err[best] < truncation))
+    targets = SimpleNamespace(
+        images=images,
+        px=np.concatenate(px),
+        valid=np.concatenate(valid),
+        active=np.concatenate(active),
+    )
+    return targets, float(loss)
+
+
+def frozen_loss(state, targets, truncation):
+    from cosy.refinement import _truncated_errors
+
+    _, pred_px, pred_valid = project_points(state, targets.images)
+    contrib, _, _ = _truncated_errors(
+        pred_px, pred_valid, targets.px, targets.valid, truncation
+    )
+    b = targets.images.bounds
+    total = 0.0
+    for s, e in zip(b[:-1], b[1:]):
+        total += float(contrib[s:e].mean())
+    return total
+
+
+def linearize(state, targets):
+    images = targets.images
+    act = targets.active
+    member = images.member[act]
+    u, pred_px, _ = project_points(state, images, act)
+    sw = images.sqrt_weight[act]
+    r = ((pred_px - targets.px[act]) * sw[:, None]).ravel()
+    obj_mats = np.stack([state.object_poses[o].matrix for o in images.object_ids])
+    w = apply_matrices_indexed(obj_mats, member, images.points[act])  # world
+    rot = np.stack([state.camera_poses[v].rotation for v in images.view_ids])[member]
+    x, y, z = u[:, 0], u[:, 1], u[:, 2]
+    fx_z = images.intrinsics.fx[act] / z
+    fy_z = images.intrinsics.fy[act] / z
+    # B = A R^T: row i is sum_k A[i, k] R[:, k], and A has two nonzeros per row
+    b = np.empty((u.shape[0], 2, 3))
+    b[:, 0] = fx_z[:, None] * rot[:, :, 0] - (fx_z * x / z)[:, None] * rot[:, :, 2]
+    b[:, 1] = fy_z[:, None] * rot[:, :, 1] - (fy_z * y / z)[:, None] * rot[:, :, 2]
+    e = np.empty((u.shape[0], 2, 6))
+    e[:, :, :3] = np.cross(b, w[:, None, :])  # b [w]x == b x w per row
+    e[:, :, 3:] = -b
+    e *= images.sqrt_weight[act, None, None]
+    return r, e.reshape(-1, 6)
+
+
+def normal_equations(r, e, targets, layout):
+    images = targets.images
+    h = np.zeros((layout.size, layout.size))
+    g = np.zeros(layout.size)
+    counts = np.bincount(
+        images.member[targets.active], minlength=len(images.view_ids)
+    ).tolist()
+    row = 0
+    for view_id, object_id, n in zip(images.view_ids, images.object_ids, counts):
+        if n == 0:
+            continue
+        e_t = e[row : row + 2 * n]
+        r_t = r[row : row + 2 * n]
+        row += 2 * n
+        k_mat = e_t.T @ e_t
+        k_vec = e_t.T @ r_t
+        o = layout.object_offset(object_id)
+        h[o : o + 6, o : o + 6] += k_mat
+        g[o : o + 6] -= k_vec
+        c = layout.camera_offset(view_id)
+        if c is not None:
+            h[c : c + 6, c : c + 6] += k_mat
+            h[c : c + 6, o : o + 6] -= k_mat
+            h[o : o + 6, c : c + 6] -= k_mat
+            g[c : c + 6] += k_vec
+    return h, g

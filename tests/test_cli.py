@@ -5,6 +5,9 @@ import json
 import numpy as np
 import pytest
 
+import oracles
+from cosy import cli
+from cosy import evaluation as ev
 from cosy.cli import EXIT_CONFIG, EXIT_NO_SCENE, EXIT_OK, derive_seed, main
 from cosy.evaluation import PosePrediction, evaluate
 from cosy.geometry import Pose
@@ -394,6 +397,62 @@ def test_eval_writes_identical_bytes_twice(tmp_path, before):
         assert run_eval(models, out_est, gt_path, out, *extra) == EXIT_OK
     assert outs[0].read_bytes() == outs[1].read_bytes()
     assert ("comparison" in load_json(outs[0])) == before
+
+
+def test_eval_poses_each_record_and_scores_each_pair_once(tmp_path, monkeypatch):
+    models, obs, gt_path = simulate(tmp_path, "--n-objects", "5",
+                                    "--n-views", "4", "--n-labels", "3",
+                                    "--symmetric-labels", "obj_00",
+                                    "--rot-sigma-deg", "3",
+                                    "--trans-sigma", "0.005")
+    out_est, init_est = tmp_path / "estimate.json", tmp_path / "init.json"
+    assert solve(models, obs, out_est, "--init-out", str(init_est)) == EXIT_OK
+
+    db = load_models(models)
+    scene, _ = load_ground_truth(gt_path, db)
+    gts = cli._ground_truth_records(scene, db)
+
+    def examined(preds, fraction):
+        pairs = set()
+        for label in {g.label for g in gts}:
+            lp = [i for i, p in enumerate(preds) if p.label == label]
+            lg = [i for i, g in enumerate(gts) if g.label == label]
+            scored = []
+            oracles.greedy_adds_matches(
+                [preds[i] for i in lp], [gts[i] for i in lg], db[label].points,
+                fraction * db[label].diameter, scored)
+            pairs |= {(lp[a], lg[b]) for a, b in scored}
+        return pairs
+
+    preds = cli._predictions_from_estimate(load_estimate(out_est))
+    before_preds = cli._predictions_from_estimate(load_estimate(init_est))
+    after = examined(preds, ev.DEFAULT_DIAMETER_FRACTION)
+    after |= examined(preds, cli.RunConfig.compare_fraction)
+    before = examined(before_preds, cli.RunConfig.compare_fraction)
+    assert after and before
+    # Each record of a ground-truth label is posed once per record set.
+    gt_labels = {g.label for g in gts}
+    n_posed = sum(p.label in gt_labels for p in preds + before_preds) + 2 * len(gts)
+
+    pairs, posed = [], []
+    real_adds, real_apply = ev.adds_error, ev.apply_matrices
+
+    def counting_adds(model, t_pred, t_gt):
+        pairs.append((id(t_pred), id(t_gt)))
+        return real_adds(model, t_pred, t_gt)
+
+    def counting_apply(matrices, pts):
+        posed.append(len(matrices))
+        return real_apply(matrices, pts)
+
+    monkeypatch.setattr(ev, "adds_error", counting_adds)
+    monkeypatch.setattr(ev, "apply_matrices", counting_apply)
+    monkeypatch.setattr(ev, "apply_matrix", None)  # no per-pair posing
+    out = tmp_path / "report.json"
+    assert run_eval(models, out_est, gt_path, out, "--before", str(init_est)) == EXIT_OK
+    assert load_json(out)["comparison"]["after_matched"] > 0
+    assert len(pairs) == len(set(pairs)) == len(after) + len(before)
+    assert sum(posed) == n_posed
 
 
 def _break_estimate_member(doc):

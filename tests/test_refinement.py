@@ -8,7 +8,7 @@ import pytest
 import cosy.refinement
 import oracles
 from cosy.evaluation import pose_error
-from cosy.geometry import Pose
+from cosy.geometry import DEFAULT_Z_MIN, Pose
 from cosy.matching import MatchParams, PhysicalObject, build_match_graph, \
     extract_physical_objects
 from cosy.refinement import (
@@ -34,7 +34,7 @@ from cosy.refinement import (
     select_targets,
     total_loss,
 )
-from cosy.scene_io import Candidate, ObjectModel, SceneObservations, View
+from cosy.scene_io import Candidate, ModelDB, ObjectModel, SceneObservations, View
 from cosy.simulation import (
     NoiseModel,
     ScenarioConfig,
@@ -473,6 +473,171 @@ def test_frozen_loss_agrees_with_selection_loss():
     assert loss > 0
     assert loss == total_loss(noisy, objects, obs, db, cfg)
     assert frozen_loss(noisy, targets, cfg.truncation) == loss
+
+
+# ---------------------------------------- flat inner loop vs per-member oracle
+
+
+def mixed_db(seed=31):
+    """A G = 64 symmetric label, unique labels of 40 and 250 points, and a
+    520-point model whose residual points are a subsample. The 40-point
+    model's first point is (0.01, 0, 0)."""
+    models = {}
+    for label, n in (("sym", 48), ("u040", 40), ("u250", 250), ("u520", 520)):
+        sym = (label,) if label == "sym" else ()
+        models.update(make_models([label], seed=seed, n_points=n, symmetric=sym).models)
+    m = models["u040"]
+    pts = m.points.copy()
+    pts[0] = [0.01, 0.0, 0.0]
+    models["u040"] = ObjectModel(label="u040", points=pts, diameter=m.diameter * 1.5,
+                                 symmetries=m.symmetries)
+    return ModelDB(models=models)
+
+
+def mixed_setup(nan_member=False):
+    """Exact candidates of a six-object, three-view mixed scene, and a noisy
+    state in which a symmetric member is off-image (its 64 losses tie at the
+    truncation), a point of object 1 lies exactly at DEFAULT_Z_MIN in
+    view_000 (other points of it behind), and optionally a symmetric
+    member's candidate has a NaN row (its 64 losses are NaN)."""
+    db = mixed_db()
+    labels = ("sym", "u040", "u250", "u520")
+    scene = generate_scene(ScenarioConfig(n_objects=6, n_views=3, model_labels=labels,
+                                          seed=31), db)
+    obs = manual_observations(scene)
+    objects = [
+        PhysicalObject(id=oi, label=scene.object_labels[oi],
+                       members=tuple((scene.views[vi].view_id, vi * 6 + oi)
+                                     for vi in range(3)))
+        for oi in range(6)
+    ]
+    cands = list(obs.candidates)
+    off_view, off_idx = objects[4].members[1]
+    m = cands[off_idx].pose.matrix.copy()
+    m[0, 3] += 50.0  # far off-image: this member saturates completely
+    cands[off_idx] = Candidate(off_view, cands[off_idx].label, 0.9, Pose.from_matrix(m))
+    if nan_member:
+        nan_view, nan_idx = objects[0].members[2]
+        m = cands[nan_idx].pose.matrix.copy()
+        m[0, :3] = np.nan
+        cands[nan_idx] = Candidate(nan_view, cands[nan_idx].label, 0.9, Pose(m))
+    obs = SceneObservations(views=obs.views, candidates=tuple(cands))
+
+    truth = SceneState(
+        camera_poses={v.view_id: scene.camera_poses[vi]
+                      for vi, v in enumerate(scene.views)},
+        object_poses={oi: scene.object_poses[oi] for oi in range(6)},
+    )
+    noisy = perturbed_state(truth, np.random.default_rng(31))
+    # World frame := view_000's camera; object 1's frame sits on its z axis.
+    to_cam0 = noisy.camera_poses["view_000"].inverse()
+    cams = {k: to_cam0.compose(v) for k, v in noisy.camera_poses.items()}
+    cams["view_000"] = Pose.identity()
+    obj_poses = {k: to_cam0.compose(v) for k, v in noisy.object_poses.items()}
+    obj_poses[1] = Pose.from_rt(np.eye(3), [0.0, 0.0, DEFAULT_Z_MIN])
+    return db, obs, objects, SceneState(camera_poses=cams, object_poses=obj_poses)
+
+
+def same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@pytest.mark.parametrize("nan_member", [False, True], ids=["finite", "nan-member"])
+def test_flat_inner_loop_equals_per_member_oracle(nan_member):
+    db, obs, objects, state = mixed_setup(nan_member)
+    cfg = RefineConfig()
+    images = candidate_images(objects, obs, db, cfg)
+    shapes = sorted((st.px.shape[1], st.px.shape[2], len(st.members))
+                    for st in images.stacks)
+    assert shapes == [(1, 40, 6), (1, 250, 3), (1, 500, 3), (64, 48, 6)]
+
+    u, pred_px, pred_valid = oracles.project_points(
+        state, oracles.per_member_view(images))
+    got = cosy.refinement._project_points(state, images)
+    assert np.array_equal(got[0], u.T) and np.array_equal(got[1], pred_px)
+    assert np.array_equal(got[2], pred_valid)
+
+    targets, loss = select_targets(state, images, cfg.truncation)
+    want, want_loss = oracles.select_targets(state, images, cfg.truncation)
+    assert np.array_equal(targets.cam_points, u.T)
+    assert np.array_equal(targets.pred_px, pred_px)
+    assert same_float(loss, want_loss)
+    assert math.isnan(loss) == nan_member
+    assert np.array_equal(targets.px, want.px, equal_nan=True)
+    assert np.array_equal(targets.valid, want.valid)
+    assert np.array_equal(targets.active, want.active)
+    z = targets.cam_points[2]
+    assert (z == DEFAULT_Z_MIN).any() and (z < 0).any()
+    assert 0 < targets.active.sum() < targets.active.size
+    # Object 1's three members (moved onto view_000's camera plane), the
+    # off-image member, and the NaN member carry no active point.
+    assert (targets.active_counts == 0).sum() == 4 + nan_member
+
+    layout = parameter_layout(state, objects)
+    r, e = linearize(state, targets)
+    want_r, want_e = oracles.linearize(state, want)
+    assert np.array_equal(r, want_r) and np.array_equal(e, want_e)
+    assert e.flags.c_contiguous and e.shape == (r.size, 6)
+    h, g = normal_equations(r, e, targets, layout)
+    want_h, want_g = oracles.normal_equations(want_r, want_e, want, layout)
+    assert np.array_equal(h, want_h) and np.array_equal(g, want_g)
+
+    rng = np.random.default_rng(32)
+    moved = apply_delta(state, layout, rng.normal(size=layout.size) * 1e-3)
+    for trial in (state, moved):
+        assert same_float(frozen_loss(trial, targets, cfg.truncation),
+                          oracles.frozen_loss(trial, want, cfg.truncation))
+    if not nan_member:
+        assert frozen_loss(state, targets, cfg.truncation) == loss
+
+
+def test_linearize_projects_nothing(monkeypatch):
+    db, obs, objects, state = mixed_setup()
+    cfg = RefineConfig()
+    images = candidate_images(objects, obs, db, cfg)
+    projections = []
+    real = cosy.refinement.project_masked_xyz
+
+    def counting(*args, **kwargs):
+        projections.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cosy.refinement, "project_masked_xyz", counting)
+    targets, _ = select_targets(state, images, cfg.truncation)
+    assert len(projections) == 1
+    r, _ = linearize(state, targets)
+    assert len(projections) == 1
+    assert np.array_equal(residual_vector(state, targets), r)
+    assert len(projections) == 2
+    moved = apply_delta(state, parameter_layout(state, objects),
+                        np.zeros(parameter_layout(state, objects).size))
+    with pytest.raises(ValueError):
+        linearize(moved, targets)
+
+
+def test_refine_best_of_equals_per_member_oracle_loop(monkeypatch):
+    db = mixed_db()
+    labels = ("sym", "u040", "u250", "u520")
+    scene = generate_scene(ScenarioConfig(n_objects=6, n_views=3, seed=33,
+                                          model_labels=labels), db)
+    noise = NoiseModel(rot_sigma_deg=3.0, trans_sigma=0.01, depth_sigma_extra=0.05)
+    obs, _ = generate_observations(scene, noise, np.random.default_rng(33))
+    graph = build_match_graph(obs, db, MatchParams(inlier_threshold=0.2))
+    objs = extract_physical_objects(graph)
+    assert {o.label for o in objs} == set(labels)
+    cfg = RefineConfig()
+    got, kept, _ = refine_best_of(objs, graph.hypotheses, obs, db, cfg, n_starts=3)
+    for name in ("select_targets", "linearize", "frozen_loss", "normal_equations"):
+        monkeypatch.setattr(cosy.refinement, name, getattr(oracles, name))
+    want, want_kept, _ = refine_best_of(objs, graph.hypotheses, obs, db, cfg,
+                                        n_starts=3)
+    monkeypatch.undo()
+    assert kept == want_kept
+    assert_same_state(got, want)
+    images = candidate_images(kept, obs, db, cfg)
+    loss = select_targets(got, images, cfg.truncation)[1]
+    assert loss == oracles.select_targets(want, images, cfg.truncation)[1]
+    assert total_loss(got, kept, obs, db, cfg) == total_loss(want, kept, obs, db, cfg)
 
 
 # ----------------------------------------------------------------- refine
