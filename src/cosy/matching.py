@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Pose, apply_matrices, apply_matrix
-from .numeric import point_norms
+from .numeric import _PAIRWISE_CHUNK, point_norms
 from .scene_io import ModelDB, SceneObservations
 from .symmetry import SymmetryGroup, discretize, symmetric_distance
 
@@ -36,6 +36,12 @@ DEFAULT_SYMMETRY_ANGLES = 64
 # 1e-15 m, so a computed bound never exceeds the true distance by this much
 # and pruning cannot drop a true inlier or a true argmin.
 BOUND_MARGIN = 1e-9  # meters
+
+# Centroid images closer than this to an earlier one are dropped from the
+# hypothesis bounds (an axis through the centroid maps it to G copies that
+# differ in rounding only). The minimum over the rest exceeds the full
+# minimum by at most this much, far inside BOUND_MARGIN.
+IMAGE_MERGE_TOL = 1e-12  # meters
 
 
 class DegeneratePairsError(ValueError):
@@ -160,6 +166,7 @@ class LabelCentroid:
     centroid: np.ndarray  # (3,)
     images: np.ndarray  # (G, 3): S c for each group element, in group order
     sym_points: np.ndarray  # (G, M, 3): S x, as symmetric_distance builds it
+    distinct: np.ndarray  # (D, 3): images, less those within IMAGE_MERGE_TOL
 
 
 def centroid_table(
@@ -174,9 +181,20 @@ def centroid_table(
         sym_points = apply_matrices(group.matrices, points)
         sym_points.setflags(write=False)
         table[label] = LabelCentroid(
-            group=group, centroid=c, images=images, sym_points=sym_points
+            group=group, centroid=c, images=images, sym_points=sym_points,
+            distinct=_distinct_rows(images),
         )
     return table
+
+
+def _distinct_rows(points: np.ndarray) -> np.ndarray:
+    """Rows of (G, 3) `points`, less each within IMAGE_MERGE_TOL of an
+    earlier kept row."""
+    kept = [0]
+    for k in range(1, len(points)):
+        if np.min(point_norms(points[kept] - points[k])) > IMAGE_MERGE_TOL:
+            kept.append(k)
+    return points[kept]
 
 
 def _table_for(obs, db, angles: int, groups, table):
@@ -229,12 +247,13 @@ def relative_pose_from_pairs(
         return c_a1.pose.compose(elements[0]).compose(t_b1_inv)
 
     # Under element S the second model's centroid lands at T_a1 S q in view
-    # a, with q = T_b1^-1 T_b2 c; compare with its images T_a2 S2 c there.
+    # a, with q = T_b1^-1 T_b2 c; compare with its distinct images T_a2 S2 c
+    # there.
     q = apply_matrix(t_b1_inv.compose(c_b2.pose).matrix, entry2.centroid)
     moved = apply_matrix(
         c_a1.pose.matrix, apply_matrices(entry1.group.matrices, q).reshape(-1, 3)
     )
-    fixed = apply_matrix(c_a2.pose.matrix, entry2.images)
+    fixed = apply_matrix(c_a2.pose.matrix, entry2.distinct)
     bounds = np.min(point_norms(moved[:, None, :] - fixed[None, :, :]), axis=1)
 
     points2 = db[c_a2.label].points
@@ -257,6 +276,12 @@ def relative_pose_from_pairs(
     return best_pose
 
 
+def _incidence(ids: list[int]) -> np.ndarray:
+    """(len(ids), distinct ids) mask whose row r marks the column of ids[r]."""
+    columns = np.array(sorted(set(ids)), dtype=np.intp)
+    return np.array(ids, dtype=np.intp)[:, None] == columns
+
+
 class _PairBounds:
     """Centroid lower bounds for one view pair's label-consistent pairs.
 
@@ -275,21 +300,62 @@ class _PairBounds:
         ).reshape(-1, 3)
         row_of = {j: r for r, (j, _) in enumerate(candidates_b)}
         self.b_rows = np.array([row_of[p.b] for p in self.pairs], dtype=np.intp)
-        # T_ai S c per pair; shorter groups repeat their last image, which
-        # leaves the minimum over S unchanged.
-        a_labels = [self.candidates[p.a].label for p in self.pairs]
-        width = max((len(table[label].group) for label in a_labels), default=1)
-        self.a_images = np.empty((len(self.pairs), width, 3))
-        for r, p in enumerate(self.pairs):
-            ca = self.candidates[p.a]
-            img = apply_matrix(ca.pose.matrix, table[ca.label].images)
-            self.a_images[r, : len(img)] = img
-            self.a_images[r, len(img):] = img[-1]
+        # (pairs, distinct sides) incidence: hits @ incidence marks the
+        # candidates a set of pairs touches on each side.
+        self.a_incidence = _incidence([p.a for p in self.pairs])
+        self.b_incidence = _incidence([p.b for p in self.pairs])
+        # T_ai S c for the distinct images S c of each pair's label, pair
+        # after pair: rows starts[r]:starts[r + 1] belong to pairs[r].
+        a_images = {
+            i: apply_matrix(ca.pose.matrix, table[ca.label].distinct)
+            for i, ca in candidates_a
+        }
+        images = [a_images[p.a] for p in self.pairs]
+        sizes = [len(img) for img in images]
+        self.a_images = np.concatenate(images) if images else np.zeros((0, 3))
+        self.starts = np.cumsum([0] + sizes[:-1], dtype=np.intp)
+        self.image_b_rows = np.repeat(self.b_rows, sizes)
 
     def bounds(self, t_ab: Pose) -> np.ndarray:
         """Lower bound on each pair's symmetric distance under `t_ab`."""
-        moved = apply_matrix(t_ab.matrix, self.b_centroids)[self.b_rows]
-        return np.min(point_norms(self.a_images - moved[:, None, :]), axis=1)
+        if not self.pairs:
+            return np.zeros(0)
+        moved = apply_matrix(t_ab.matrix, self.b_centroids)[self.image_b_rows]
+        return np.minimum.reduceat(point_norms(self.a_images - moved), self.starts)
+
+    def inlier_bounds(self, hit: np.ndarray) -> np.ndarray:
+        """Per row of a (g, P) pair mask, the fewer of the distinct view-a
+        and view-b candidates its pairs touch: an upper bound on the
+        one-to-one inliers among them."""
+        return np.minimum(np.count_nonzero(hit @ self.a_incidence, axis=1),
+                          np.count_nonzero(hit @ self.b_incidence, axis=1))
+
+    def anchor_bound(
+        self, k: int, table: dict[str, LabelCentroid], threshold: float
+    ) -> int:
+        """Max of `inlier_bounds` over the poses T_a S T_b^-1, (a, b) = pairs[k].
+
+        S ranges over the group of the pair's label. The element poses come
+        from one stacked product, so their last bits may differ from
+        `relative_pose_from_pairs`; the hit test's BOUND_MARGIN covers that.
+        Elements are taken in blocks of at most _PAIRWISE_CHUNK bound entries.
+        """
+        pair = self.pairs[k]
+        ca, cb = self.candidates[pair.a], self.candidates[pair.b]
+        group = table[ca.label].group
+        mats = ca.pose.matrix @ group.matrices @ cb.pose.inverse().matrix
+        most = min(self.a_incidence.shape[1], self.b_incidence.shape[1])
+        step = max(1, _PAIRWISE_CHUNK // len(self.a_images))
+        best = 0
+        for start in range(0, len(mats), step):
+            moved = apply_matrices(mats[start : start + step], self.b_centroids)
+            dist = point_norms(self.a_images - moved[:, self.image_b_rows])
+            bounds = np.minimum.reduceat(dist, self.starts, axis=1)  # (g, P)
+            hit = bounds < threshold + BOUND_MARGIN
+            best = max(best, int(np.max(self.inlier_bounds(hit))))
+            if best == most:
+                break
+        return best
 
 
 def _inlier_matches(
@@ -298,16 +364,20 @@ def _inlier_matches(
     db: ModelDB,
     threshold: float,
     table: dict[str, LabelCentroid],
-) -> list[tuple[float, CandidatePair]]:
+    need: int = 0,
+) -> list[tuple[float, CandidatePair]] | None:
     """Greedy one-to-one matching by ascending symmetric distance.
 
     Only pairs whose centroid bound is below threshold + BOUND_MARGIN get an
     exact distance; the others cannot reach the threshold. Returns
-    (distance, pair) in acceptance order.
+    (distance, pair) in acceptance order, or None without any exact
+    distance when those pairs hold fewer than `need` one-to-one matches.
     """
     scored = []
-    hits = np.flatnonzero(pair_bounds.bounds(t_ab) < threshold + BOUND_MARGIN)
-    for k in hits.tolist():
+    hit = pair_bounds.bounds(t_ab) < threshold + BOUND_MARGIN
+    if pair_bounds.inlier_bounds(hit[None])[0] < need:
+        return None
+    for k in np.flatnonzero(hit).tolist():
         pair = pair_bounds.pairs[k]
         ca = pair_bounds.candidates[pair.a]
         cb = pair_bounds.candidates[pair.b]
@@ -460,6 +530,20 @@ def two_view_ransac(
     The winner maximizes inlier count, then minimizes total inlier
     distance, then takes the lexicographically smallest generating pairs.
     `table` (from `centroid_table`) takes precedence over `groups`.
+
+    Three exact skips leave the winner and its bytes unchanged. Let `need`
+    be the larger of `min_inliers` and the best inlier count so far.
+    1. A relative pose is scored once per call, keyed by its matrix bytes:
+       its matches depend on nothing else.
+    2. A pose whose centroid-bound hits touch fewer than `need` distinct
+       candidates on one side gets no exact distance (`_inlier_matches`).
+    3. A hypothesis is skipped before its pose is computed when its first
+       pair's bound, the maximum of 2 over every element pose
+       T_a1 S T_b1^-1, is below `need` (`_PairBounds.anchor_bound`).
+    Both bounds are upper bounds on the inlier count, and `need` never
+    decreases, so a skipped hypothesis would have had fewer inliers than
+    the best and lost on the first key. A bound equal to `need` is not
+    skipped: its hypothesis may tie the best count and win on distance.
     """
     by_view = obs.by_view()
     cands_a = by_view.get(view_a, [])
@@ -478,15 +562,26 @@ def two_view_ransac(
         lambda: _pair_rng(params.seed, view_a, view_b),
     )
 
+    threshold = params.inlier_threshold
+    anchor_bounds: dict[int, int] = {}
+    scored: dict[bytes, list | None] = {}
     best_key = None
     best: TwoViewHypothesis | None = None
     for k1, k2 in combos:
+        need = params.min_inliers if best is None else len(best.inliers)
+        if k1 not in anchor_bounds:
+            anchor_bounds[k1] = pair_bounds.anchor_bound(k1, table, threshold)
+        if anchor_bounds[k1] < need:
+            continue
         p1, p2 = pairs[k1], pairs[k2]
         t_ab = relative_pose_from_pairs(p1, p2, obs, db, table=table)
-        matches = _inlier_matches(
-            t_ab, pair_bounds, db, params.inlier_threshold, table
-        )
-        if len(matches) < params.min_inliers:
+        pose_key = t_ab.matrix.tobytes()
+        if pose_key not in scored:
+            scored[pose_key] = _inlier_matches(
+                t_ab, pair_bounds, db, threshold, table, need
+            )
+        matches = scored[pose_key]
+        if matches is None or len(matches) < params.min_inliers:
             continue
         total = float(sum(d for d, _ in matches))
         key = (-len(matches), total, (p1.a, p1.b, p2.a, p2.b))

@@ -402,6 +402,10 @@ class CandidateImages:
 
     view_ids: tuple[str, ...]
     object_ids: tuple[int, ...]
+    cameras: tuple[str, ...]  # sorted distinct view_ids
+    camera_rows: np.ndarray  # (T,), each member's view in cameras
+    objects: tuple[int, ...]  # sorted distinct object_ids
+    object_rows: np.ndarray  # (T,), each member's object in objects
     bounds: tuple[int, ...]  # T + 1 offsets into the per-point arrays
     counts: np.ndarray  # (T,), residual points of each member
     points: np.ndarray  # (3, N), coordinate-major residual points
@@ -470,9 +474,17 @@ def candidate_images(
     if stacks:
         stacked_rows = np.concatenate([st.rows.ravel() for st in stacks])
         order[stacked_rows] = np.arange(order.size)
+    view_ids = [v for v, _, _ in members]
+    object_ids = [o.id for _, o, _ in members]
+    cameras = sorted(set(view_ids))
+    objects = sorted(set(object_ids))
     return CandidateImages(
-        view_ids=tuple(v for v, _, _ in members),
-        object_ids=tuple(o.id for _, o, _ in members),
+        view_ids=tuple(view_ids),
+        object_ids=tuple(object_ids),
+        cameras=tuple(cameras),
+        camera_rows=_rows_in(cameras, view_ids),
+        objects=tuple(objects),
+        object_rows=_rows_in(objects, object_ids),
         bounds=tuple(bounds.tolist()),
         counts=counts,
         points=np.ascontiguousarray(
@@ -492,17 +504,28 @@ def candidate_images(
     )
 
 
+def _rows_in(keys: list, values: list) -> np.ndarray:
+    """Index of each value in the list `keys`."""
+    row = {k: r for r, k in enumerate(keys)}
+    return np.array([row[v] for v in values], dtype=np.intp)
+
+
+def _pose_stacks(state: SceneState, images: CandidateImages):
+    """(C, 4, 4) camera and (O, 4, 4) object matrices, one per distinct id,
+    in the order of images.cameras and images.objects."""
+    cams = np.stack([state.camera_poses[v].matrix for v in images.cameras])
+    objs = np.stack([state.object_poses[o].matrix for o in images.objects])
+    return cams, objs
+
+
 def _member_poses(state: SceneState, images: CandidateImages) -> np.ndarray:
     """(T, 4, 4) camera-from-object matrix of each member.
 
     One stacked inverse of every camera and one stacked product; each
     member's matrix equals cam.inverse().compose(obj).matrix bit for bit.
     """
-    views = sorted(set(images.view_ids))
-    row = {v: k for k, v in enumerate(views)}
-    inv = inverse_matrices(np.stack([state.camera_poses[v].matrix for v in views]))
-    objs = np.stack([state.object_poses[o].matrix for o in images.object_ids])
-    return inv[[row[v] for v in images.view_ids]] @ objs
+    cams, objs = _pose_stacks(state, images)
+    return inverse_matrices(cams)[images.camera_rows] @ objs[images.object_rows]
 
 
 def _project_points(state: SceneState, images: CandidateImages):
@@ -619,11 +642,11 @@ def linearize(state: SceneState, targets: Targets) -> tuple[np.ndarray, np.ndarr
     counts = targets.active_counts
     r = _weighted_residuals(targets.pred_px, targets, idx)
     x, y, z = np.take(targets.cam_points, idx, axis=1)
-    obj_mats = np.stack([state.object_poses[o].matrix for o in images.object_ids])
+    cams, objs = _pose_stacks(state, images)
     w0, w1, w2 = apply_matrices_repeated(
-        obj_mats, counts, np.take(images.points, idx, axis=1)
+        objs[images.object_rows], counts, np.take(images.points, idx, axis=1)
     )
-    cam_rots = np.stack([state.camera_poses[v].rotation for v in images.view_ids])
+    cam_rots = cams[images.camera_rows, :3, :3]
     rot = np.repeat(cam_rots.reshape(-1, 9).T, counts, axis=1)  # row 3j+k: R[j, k]
     sw = images.sqrt_weight[idx]
     e = np.empty((idx.shape[0], 2, 6))

@@ -346,6 +346,8 @@ def project_masked(k, pts, z_min=1e-3):
 
 
 def member_poses(state, images):
+    """cosy.refinement._member_poses as written before CandidateImages kept
+    its camera and object rows: one stacked object matrix per member."""
     from cosy.geometry import inverse_matrices
 
     views = sorted(set(images.view_ids))
@@ -465,3 +467,89 @@ def normal_equations(r, e, targets, layout):
             h[o : o + 6, c : c + 6] -= k_mat
             g[c : c + 6] += k_vec
     return h, g
+
+
+# cosy.matching.two_view_ransac's hypothesis loop as written before exact
+# hypothesis pruning: every combo computes its pose and scores it, with no
+# memo and no inlier bound. Scoring takes an exact symmetric distance for
+# every label-consistent pair, with no centroid bound either. The library's
+# winner must equal this one bit for bit.
+
+
+def inlier_matches(t_ab, cands_a, cands_b, db, threshold, groups):
+    """(distance, pair) of the greedy one-to-one matching, acceptance order."""
+    from cosy.matching import CandidatePair
+    from cosy.symmetry import symmetric_distance
+
+    scored = []
+    for i, ca in cands_a:
+        for j, cb in cands_b:
+            if ca.label != cb.label:
+                continue
+            d = symmetric_distance(
+                db[ca.label].points, groups[ca.label],
+                ca.pose, t_ab.compose(cb.pose),
+            )
+            if d < threshold:
+                scored.append((d, i, j))
+    scored.sort()
+    used_a, used_b, out = set(), set(), []
+    for d, i, j in scored:
+        if i in used_a or j in used_b:
+            continue
+        used_a.add(i)
+        used_b.add(j)
+        out.append((d, CandidatePair(i, j)))
+    return out
+
+
+def two_view_ransac(view_a, view_b, obs, db, params):
+    from cosy.matching import (
+        TwoViewHypothesis,
+        _candidate_pairs,
+        _pair_rng,
+        hypothesis_combos,
+        relative_pose_from_pairs,
+        symmetry_groups,
+    )
+
+    by_view = obs.by_view()
+    cands_a = by_view.get(view_a, [])
+    cands_b = by_view.get(view_b, [])
+    if not cands_a or not cands_b:
+        return None
+    groups = symmetry_groups(
+        db, [c.label for c in obs.candidates], params.symmetry_angles
+    )
+    pairs = _candidate_pairs(cands_a, cands_b)
+    if len(pairs) < 2:
+        return None
+    combos = hypothesis_combos(
+        pairs,
+        params.max_iterations,
+        lambda: _pair_rng(params.seed, view_a, view_b),
+    )
+
+    best_key = None
+    best = None
+    for k1, k2 in combos:
+        p1, p2 = pairs[k1], pairs[k2]
+        t_ab = relative_pose_from_pairs(p1, p2, obs, db, groups=groups)
+        matches = inlier_matches(
+            t_ab, cands_a, cands_b, db, params.inlier_threshold, groups
+        )
+        if len(matches) < params.min_inliers:
+            continue
+        total = float(sum(d for d, _ in matches))
+        key = (-len(matches), total, (p1.a, p1.b, p2.a, p2.b))
+        if best_key is None or key < best_key:
+            best_key = key
+            best = TwoViewHypothesis(
+                view_a=view_a,
+                view_b=view_b,
+                relative_pose=t_ab,
+                inliers=tuple(pair for _, pair in matches),
+                generating_pairs=(p1, p2),
+                total_distance=total,
+            )
+    return best

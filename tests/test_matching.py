@@ -12,6 +12,7 @@ import cosy.matching
 from cosy.geometry import Pose, apply_matrices, rotation_exp
 from cosy.matching import (
     BOUND_MARGIN,
+    IMAGE_MERGE_TOL,
     CandidatePair,
     DegeneratePairsError,
     MatchGraph,
@@ -19,6 +20,7 @@ from cosy.matching import (
     PhysicalObject,
     TwoViewHypothesis,
     _PairBounds,
+    _candidate_pairs,
     _pair_rng,
     _valid_combo_count,
     build_match_graph,
@@ -534,8 +536,6 @@ def test_six_unique_labels_yield_fifteen_hypotheses():
     db, scene = small_scene(6, 2, seed=31)
     obs = manual_observations(scene)
     by_view = obs.by_view()
-    from cosy.matching import _candidate_pairs
-
     pairs = _candidate_pairs(by_view["view_000"], by_view["view_001"])
     assert len(pairs) == 6
     assert _valid_combo_count(pairs) == 15
@@ -647,8 +647,6 @@ def test_sampling_branch_is_deterministic_and_valid():
             cands.append(Candidate(view.view_id, "bolt", 0.9, Pose.from_rt(R, t)))
     obs = SceneObservations(views=views, candidates=tuple(cands))
     by_view = obs.by_view()
-    from cosy.matching import _candidate_pairs
-
     pairs = _candidate_pairs(by_view["va"], by_view["vb"])
     assert _valid_combo_count(pairs) > 50
 
@@ -685,6 +683,157 @@ def test_pair_rng_depends_on_views_not_call_order():
 def test_pair_rng_view_ids_with_colons_do_not_collide():
     first = _pair_rng(0, "a:b", "c").integers(1 << 62)
     assert first != _pair_rng(0, "a", "b:c").integers(1 << 62)
+
+
+# ------------------------------------------- exact hypothesis pruning
+
+
+def shared_label_observations(seed):
+    """Noisy candidates in two views; labels repeat, two of three symmetric."""
+    labels = ("obj_00", "obj_01", "obj_02")
+    db = make_models(labels, seed=seed, symmetric=labels[:2])
+    cfg = ScenarioConfig(n_objects=6, n_views=2, model_labels=labels, seed=seed)
+    scene = generate_scene(cfg, db)
+    noise = NoiseModel(rot_sigma_deg=3.0, trans_sigma=0.006,
+                       outlier_prob=0.3, miss_prob=0.1)
+    obs, _ = generate_observations(scene, noise, np.random.default_rng(seed))
+    return db, obs
+
+
+def assert_same_hypothesis(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert got is not None
+    assert np.array_equal(got.relative_pose.matrix, want.relative_pose.matrix)
+    assert got.inliers == want.inliers
+    assert got.generating_pairs == want.generating_pairs
+    assert got.total_distance == want.total_distance
+
+
+@pytest.mark.parametrize("min_inliers", [3, 5])
+@pytest.mark.parametrize(
+    "max_iterations, angles", [(2000, 8), (12, 64)], ids=["exhaustive", "sampled"]
+)
+def test_pruned_ransac_equals_unpruned_oracle(max_iterations, angles, min_inliers):
+    accepted = 0
+    for seed in range(203, 210):
+        db, obs = shared_label_observations(seed)
+        by_view = obs.by_view()
+        pairs = _candidate_pairs(by_view["view_000"], by_view["view_001"])
+        symmetric = [p for p in pairs if obs.candidates[p.a].label != "obj_02"]
+        assert len({p.a for p in symmetric}) > 1 and len({p.b for p in symmetric}) > 1
+        assert (_valid_combo_count(pairs) > max_iterations) == (max_iterations == 12)
+        params = MatchParams(min_inliers=min_inliers, max_iterations=max_iterations,
+                             seed=seed, symmetry_angles=angles)
+        want = oracles.two_view_ransac("view_000", "view_001", obs, db, params)
+        got = two_view_ransac("view_000", "view_001", obs, db, params)
+        assert_same_hypothesis(got, want)
+        accepted += want is not None
+    assert accepted > 0
+    if min_inliers == 5:
+        assert accepted < 7
+
+
+def test_later_hypothesis_tying_the_count_wins_on_distance():
+    db, scene = small_scene(3, 2, seed=81)
+    obs = manual_observations(scene)
+    # Object 0's view-b candidate is shifted 5 mm in its own frame. Its
+    # anchor's pose has all three inliers at total 10 mm; the later anchors'
+    # poses have all three at total 5 mm and must win on distance.
+    moved = list(obs.candidates)
+    c = moved[3]
+    shift = Pose.from_rt(np.eye(3), [0.003, 0.0, 0.004])
+    moved[3] = Candidate(c.view_id, c.label, c.score, c.pose.compose(shift))
+    obs = SceneObservations(views=obs.views, candidates=tuple(moved))
+    params = MatchParams()
+    want = oracles.two_view_ransac("view_000", "view_001", obs, db, params)
+    got = two_view_ransac("view_000", "view_001", obs, db, params)
+    assert_same_hypothesis(got, want)
+    assert len(got.inliers) == 3
+    assert got.generating_pairs[0] != CandidatePair(0, 3)
+    assert abs(got.total_distance - 0.005) < 1e-9
+
+
+def test_distinct_images_drop_only_near_duplicates():
+    db, _ = small_scene(2, 2, seed=43, symmetric=("obj_01",))
+    table = centroid_table(db, symmetry_groups(db, db.models))
+    assert len(table["obj_00"].distinct) == 1
+    on_axis = table["obj_01"]
+    # The z axis passes through the centroid: its 64 images differ in
+    # rounding only.
+    assert len(on_axis.group) == 64 and len(on_axis.distinct) == 1
+    gaps = np.linalg.norm(on_axis.images - on_axis.distinct[0], axis=1)
+    assert gaps.max() <= IMAGE_MERGE_TOL
+    points = db["obj_01"].points
+    spec = SymmetrySpec(continuous_axes=((np.array([0.0, 0.0, 1.0]),
+                                          np.array([0.01, 0.0, 0.0])),))
+    model = ObjectModel("m", points, db["obj_01"].diameter, spec)
+    off_axis = centroid_table(ModelDB({"m": model}), {"m": discretize(spec, 64)})["m"]
+    assert np.array_equal(off_axis.distinct, off_axis.images)
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["unique", "symmetric"])
+def test_anchor_bound_covers_inliers_at_a_tight_threshold(symmetric):
+    db, scene = small_scene(4, 2, seed=71, symmetric=("obj_02",) if symmetric else ())
+    obs = manual_observations(scene)
+    # As in test_tight_bound_at_threshold: candidate 6 is moved 2 cm in its
+    # own frame, so its pair's centroid bound equals its distance up to
+    # rounding. Thresholds a few ulps above that distance keep the pair an
+    # inlier; the anchor bound's stacked element poses must still count it.
+    direction = np.array([0.0, 0.0, 1.0]) if symmetric else np.array([0.6, 0.0, 0.8])
+    moved = list(obs.candidates)
+    c = moved[6]
+    shift = Pose.from_rt(np.eye(3), 0.02 * direction)
+    moved[6] = Candidate(c.view_id, c.label, c.score, c.pose.compose(shift))
+    obs = SceneObservations(views=obs.views, candidates=tuple(moved))
+    by_view = obs.by_view()
+    cands_a, cands_b = by_view["view_000"], by_view["view_001"]
+    groups = symmetry_groups(db, [c.label for c in obs.candidates])
+    table = centroid_table(db, groups)
+    bounds = _PairBounds(cands_a, cands_b, table)
+    for k, p1 in enumerate(bounds.pairs):
+        if p1.a == 2:
+            continue
+        p2 = next(p for p in bounds.pairs if p.a not in (p1.a, 2) and p.b != p1.b)
+        t_ab = relative_pose_from_pairs(p1, p2, obs, db, table=table)
+        threshold = symmetric_distance(
+            db["obj_02"].points, groups["obj_02"],
+            obs.candidates[2].pose, t_ab.compose(obs.candidates[6].pose),
+        )
+        for _ in range(6):
+            threshold = np.nextafter(threshold, np.inf)
+            inliers = count_inliers(t_ab, cands_a, cands_b, db, threshold, groups=groups)
+            assert len(inliers) == 4
+            assert bounds.anchor_bound(k, table, threshold) == 4
+
+
+def test_each_distinct_pose_is_scored_once_per_view_pair(monkeypatch):
+    poses, scored = [], []
+    real_pose = cosy.matching.relative_pose_from_pairs
+    real_matches = cosy.matching._inlier_matches
+
+    def recording_pose(*args, **kwargs):
+        t_ab = real_pose(*args, **kwargs)
+        poses.append(t_ab.matrix.tobytes())
+        return t_ab
+
+    def recording_matches(t_ab, *args, **kwargs):
+        scored.append(t_ab.matrix.tobytes())
+        return real_matches(t_ab, *args, **kwargs)
+
+    monkeypatch.setattr(cosy.matching, "relative_pose_from_pairs", recording_pose)
+    monkeypatch.setattr(cosy.matching, "_inlier_matches", recording_matches)
+    repeated = 0
+    for seed in range(200, 204):
+        db, obs = shared_label_observations(seed)
+        poses.clear()
+        scored.clear()
+        two_view_ransac("view_000", "view_001", obs, db, MatchParams(seed=seed))
+        assert len(set(scored)) == len(scored)
+        assert set(scored) == set(poses)
+        repeated += len(poses) - len(set(poses))
+    assert repeated > 0
 
 
 # -------------------------------------------------------- build_match_graph

@@ -591,6 +591,19 @@ def test_flat_inner_loop_equals_per_member_oracle(nan_member):
         assert frozen_loss(state, targets, cfg.truncation) == loss
 
 
+def test_member_poses_stack_each_pose_once_and_equal_oracle():
+    db, obs, objects, state = mixed_setup()
+    images = candidate_images(objects, obs, db, RefineConfig())
+    assert images.cameras == tuple(sorted(set(images.view_ids)))
+    assert images.objects == tuple(sorted(set(images.object_ids)))
+    assert len(images.cameras) == 3 and len(images.objects) == 6
+    assert len(images.view_ids) == 18
+    assert [images.cameras[r] for r in images.camera_rows] == list(images.view_ids)
+    assert [images.objects[r] for r in images.object_rows] == list(images.object_ids)
+    got = cosy.refinement._member_poses(state, images)
+    assert np.array_equal(got, oracles.member_poses(state, images))
+
+
 def test_linearize_projects_nothing(monkeypatch):
     db, obs, objects, state = mixed_setup()
     cfg = RefineConfig()
