@@ -37,6 +37,7 @@ from .matching import MatchParams, build_match_graph, extract_physical_objects
 from .refinement import (
     RefineConfig,
     SceneState,
+    any_subsampled,
     express_in_camera_frames,
     refine_best_of,
     total_loss,
@@ -192,8 +193,10 @@ def cmd_solve(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # unreachable-view pruning is reported below
+        lm_trace = []
         state, kept, init_state = refine_best_of(
-            objects, graph.hypotheses, obs, db, cfg.refine, n_starts=cfg.restarts
+            objects, graph.hypotheses, obs, db, cfg.refine, n_starts=cfg.restarts,
+            trace=lm_trace,
         )
     t_refine = time.perf_counter() - t0
     stats["n_components"] = len(kept)
@@ -211,7 +214,12 @@ def cmd_solve(cfg: RunConfig) -> int:
             "refine: dropped candidates in views unreachable from the root "
             f"camera: {', '.join(dropped)}"
         )
-    final_loss = total_loss(state, kept, obs, db, cfg.refine)
+    # The best start's last trace value is total_loss at its state bit for
+    # bit unless some model's residual points are a subsample.
+    if any_subsampled(kept, db):
+        final_loss = total_loss(state, kept, obs, db, cfg.refine)
+    else:
+        final_loss = lm_trace[-1]
     stats["final_loss"] = final_loss
     print(
         f"refine: {len(kept)} objects over {len(state.camera_poses)} cameras, "

@@ -415,16 +415,26 @@ class CandidateImages:
     order: np.ndarray  # (N,), each point's position in all stacks' rows in turn
 
 
+class Projection(NamedTuple):
+    """The residual points at one pose stack: camera-frame points (3, N),
+    pixels (N, 2) and validity (N,)."""
+
+    cam_points: np.ndarray
+    px: np.ndarray
+    valid: np.ndarray
+
+
 @dataclass(frozen=True)
 class Targets:
     """One outer iteration's symmetry selection, per point like its images.
 
-    It keeps the camera-frame points and pixels of the selection `state`,
-    so `linearize` at that state projects nothing.
+    It keeps the pose stack and the projection of the selection `state`, so
+    `linearize` at that state projects nothing.
     """
 
     images: CandidateImages
-    state: SceneState
+    state: SceneState | np.ndarray  # as given to select_targets
+    poses: np.ndarray  # (C + O, 4, 4), pose_stack of state
     cam_points: np.ndarray  # (3, N), camera-frame points at state
     pred_px: np.ndarray  # (N, 2), their pixels
     px: np.ndarray  # (N, 2), each member's image under its selected S
@@ -510,45 +520,61 @@ def _rows_in(keys: list, values: list) -> np.ndarray:
     return np.array([row[v] for v in values], dtype=np.intp)
 
 
-def _pose_stacks(state: SceneState, images: CandidateImages):
-    """(C, 4, 4) camera and (O, 4, 4) object matrices, one per distinct id,
-    in the order of images.cameras and images.objects."""
-    cams = np.stack([state.camera_poses[v].matrix for v in images.cameras])
-    objs = np.stack([state.object_poses[o].matrix for o in images.objects])
-    return cams, objs
+def pose_stack(state: SceneState, images: CandidateImages) -> np.ndarray:
+    """(C + O, 4, 4) matrices of images.cameras, then of images.objects.
+
+    Row 0 is the gauge camera (`parameter_layout`'s first member view), and
+    rows 1: follow the 6-blocks of the layout's parameter vector.
+    """
+    return np.stack(
+        [state.camera_poses[v].matrix for v in images.cameras]
+        + [state.object_poses[o].matrix for o in images.objects]
+    )
 
 
-def _member_poses(state: SceneState, images: CandidateImages) -> np.ndarray:
+def _as_stack(poses, images: CandidateImages) -> np.ndarray:
+    return pose_stack(poses, images) if isinstance(poses, SceneState) else poses
+
+
+def _member_poses(poses, images: CandidateImages) -> np.ndarray:
     """(T, 4, 4) camera-from-object matrix of each member.
 
-    One stacked inverse of every camera and one stacked product; each
-    member's matrix equals cam.inverse().compose(obj).matrix bit for bit.
+    `poses` is a SceneState or its pose_stack. One stacked inverse of every
+    camera and one stacked product; each member's matrix equals
+    cam.inverse().compose(obj).matrix bit for bit.
     """
-    cams, objs = _pose_stacks(state, images)
-    return inverse_matrices(cams)[images.camera_rows] @ objs[images.object_rows]
+    poses = _as_stack(poses, images)
+    n_cam = len(images.cameras)
+    cams = inverse_matrices(poses[:n_cam])
+    return cams[images.camera_rows] @ poses[n_cam:][images.object_rows]
 
 
-def _project_points(state: SceneState, images: CandidateImages):
-    """Camera-frame points (3, N), pixels (N, 2) and validity (N,) at state."""
+def _project_points(poses, images: CandidateImages) -> Projection:
+    """The residual points at `poses`, a SceneState or its pose_stack."""
     u = apply_matrices_repeated(
-        _member_poses(state, images), images.counts, images.points
+        _member_poses(poses, images), images.counts, images.points
     )
-    px, valid = project_masked_xyz(images.intrinsics, *u)
-    return u, px, valid
+    return Projection(u, *project_masked_xyz(images.intrinsics, *u))
 
 
 def select_targets(
-    state: SceneState, images: CandidateImages, truncation: float
+    state, images: CandidateImages, truncation: float, projection=None
 ) -> tuple[Targets, float]:
     """Pick the best symmetry per member; freeze its projected points.
 
-    Returns the frozen targets and the (true) total loss at `state`. With
-    no residual subsampling this is total_loss bit for bit: the same
-    projections, the same per-member means (a mean over the contiguous last
-    axis of a stack sums each member's row as a 1-D mean does), the first
-    minimum over symmetries, and a left-to-right sum in member order.
+    `state` is a SceneState or its pose_stack, and `projection`, when given,
+    is its `_project_points` (as `frozen_loss` returns it), which is then
+    not computed again. Returns the frozen targets and the (true) total
+    loss at `state`. With no residual subsampling this is total_loss bit
+    for bit: the same projections, the same per-member means (a mean over
+    the contiguous last axis of a stack sums each member's row as a 1-D
+    mean does), the first minimum over symmetries, and a left-to-right sum
+    in member order.
     """
-    u, pred_px, pred_valid = _project_points(state, images)
+    poses = _as_stack(state, images)
+    if projection is None:
+        projection = _project_points(poses, images)
+    u, pred_px, pred_valid = projection
     member_loss = np.empty(len(images.view_ids))
     px, valid, active = [], [], []
     for st in images.stacks:
@@ -567,6 +593,7 @@ def select_targets(
     targets = Targets(
         images=images,
         state=state,
+        poses=poses,
         cam_points=u,
         pred_px=pred_px,
         px=_flat(px, images.order),
@@ -582,21 +609,26 @@ def _flat(per_stack: list[np.ndarray], order: np.ndarray) -> np.ndarray:
     return np.take(np.concatenate(per_stack), order, axis=0)
 
 
-def frozen_loss(state: SceneState, targets: Targets, truncation: float) -> float:
+def frozen_loss(
+    state, targets: Targets, truncation: float
+) -> tuple[float, Projection]:
     """Truncated loss with the symmetry selection (targets) held fixed.
 
-    At the selection state it equals select_targets' loss bit for bit, so
-    a zero step never passes the strict acceptance test on rounding.
+    `state` is a SceneState or its pose_stack. Returns the loss and the
+    projection it was computed from, which `select_targets` at the same
+    state may reuse. At the selection state the loss equals select_targets'
+    loss bit for bit, so a zero step never passes the strict acceptance
+    test on rounding.
     """
     images = targets.images
-    _, pred_px, pred_valid = _project_points(state, images)
+    projection = _project_points(state, images)
     contrib, _, _ = _truncated_errors(
-        pred_px, pred_valid, targets.px, targets.valid, truncation
+        projection.px, projection.valid, targets.px, targets.valid, truncation
     )
     member_loss = np.empty(len(images.view_ids))
     for st in images.stacks:
         member_loss[st.members] = np.take(contrib, st.rows).mean(axis=1)
-    return float(seq_sum(member_loss))
+    return float(seq_sum(member_loss)), projection
 
 
 def _weighted_residuals(pred_px: np.ndarray, targets: Targets, idx: np.ndarray):
@@ -605,17 +637,17 @@ def _weighted_residuals(pred_px: np.ndarray, targets: Targets, idx: np.ndarray):
     return (diff * sw[:, None]).ravel()
 
 
-def residual_vector(state: SceneState, targets: Targets) -> np.ndarray:
+def residual_vector(state, targets: Targets) -> np.ndarray:
     """Stacked weighted pixel residuals over the active points.
 
     Meaningful near the linearization state: the active set is frozen, so
     points that wander behind the camera keep their placeholder projection.
     """
-    pred_px = _project_points(state, targets.images)[1]
+    pred_px = _project_points(state, targets.images).px
     return _weighted_residuals(pred_px, targets, np.flatnonzero(targets.active))
 
 
-def linearize(state: SceneState, targets: Targets) -> tuple[np.ndarray, np.ndarray]:
+def linearize(state, targets: Targets) -> tuple[np.ndarray, np.ndarray]:
     """Residuals over the active points and their compact Jacobian E.
 
     A residual depends on its camera and object poses only through
@@ -627,8 +659,9 @@ def linearize(state: SceneState, targets: Targets) -> tuple[np.ndarray, np.ndarr
     are [C | -B] (rotation increment first, translation second, matching
     `retract`).
 
-    `state` must be the one `targets` were selected at: the camera-frame
-    points and pixels come from the selection, not from a new projection.
+    `state` must be the one `targets` were selected at (a SceneState or its
+    pose_stack, the same object): the poses, camera-frame points and pixels
+    come from the selection, not from a new projection.
     The active points are gathered once, and each entry of the (2, 6) block
     is computed for all of them as one contiguous (n,) row, from the
     expressions np.cross evaluates (b1 w2 - b2 w1, ...); the weight is
@@ -642,7 +675,8 @@ def linearize(state: SceneState, targets: Targets) -> tuple[np.ndarray, np.ndarr
     counts = targets.active_counts
     r = _weighted_residuals(targets.pred_px, targets, idx)
     x, y, z = np.take(targets.cam_points, idx, axis=1)
-    cams, objs = _pose_stacks(state, images)
+    n_cam = len(images.cameras)
+    cams, objs = targets.poses[:n_cam], targets.poses[n_cam:]
     w0, w1, w2 = apply_matrices_repeated(
         objs[images.object_rows], counts, np.take(images.points, idx, axis=1)
     )
@@ -676,17 +710,27 @@ def normal_equations(
     """J^T J and J^T r from linearize's compact Jacobian, by 6x6 blocks.
 
     With K = E_t^T E_t and k = E_t^T r_t over target t's rows, the target
-    adds [[K, -K], [-K, K]] and [k, -k] at its camera and object offsets;
-    the gauge camera has no columns, so only its object block remains. All
-    blocks are scattered by one np.add.at per array, indexed by 6-block and
-    in member order, so each entry receives its additions in the order of a
-    per-member loop.
+    adds [[K, -K], [-K, K]] and [k, -k] at its camera and object blocks;
+    the gauge camera has no columns, so only its object block remains.
+    `layout` must order the images' cameras and objects, so a member's
+    blocks are its camera and object rows of `pose_stack` less one, read
+    from the images without a search. Blocks are accumulated with += and
+    -= in member order, so each entry receives its additions in the order
+    of a per-member loop.
     """
     images = targets.images
-    blocks, block_at, vecs, vec_at = [], [], [], []
+    if (layout.gauge_view, *layout.camera_ids) != images.cameras or (
+        layout.object_ids != images.objects
+    ):
+        raise ValueError("layout does not order the images' cameras and objects")
+    n_blocks = layout.size // 6
+    h = np.zeros((n_blocks, n_blocks, 6, 6))
+    g = np.zeros((n_blocks, 6))
     row = 0
-    for view_id, object_id, n in zip(
-        images.view_ids, images.object_ids, targets.active_counts.tolist()
+    for c, o, n in zip(
+        (images.camera_rows - 1).tolist(),
+        (images.object_rows + len(layout.camera_ids)).tolist(),
+        targets.active_counts.tolist(),
     ):
         if n == 0:
             continue
@@ -695,24 +739,13 @@ def normal_equations(
         row += 2 * n
         k_mat = e_t.T @ e_t
         k_vec = e_t.T @ r_t
-        o = layout.object_offset(object_id) // 6
-        blocks.append(k_mat)
-        block_at.append((o, o))
-        vecs.append(-k_vec)
-        vec_at.append(o)
-        c = layout.camera_offset(view_id)
-        if c is not None:
-            c //= 6
-            blocks += [k_mat, -k_mat, -k_mat]
-            block_at += [(c, c), (c, o), (o, c)]
-            vecs.append(k_vec)
-            vec_at.append(c)
-    n_blocks = layout.size // 6
-    h = np.zeros((n_blocks, n_blocks, 6, 6))
-    g = np.zeros((n_blocks, 6))
-    if blocks:
-        np.add.at(h, tuple(np.array(block_at).T), np.stack(blocks))
-        np.add.at(g, np.array(vec_at), np.stack(vecs))
+        h[o, o] += k_mat
+        g[o] -= k_vec
+        if c >= 0:
+            h[c, c] += k_mat
+            h[c, o] -= k_mat
+            h[o, c] -= k_mat
+            g[c] += k_vec
     return h.transpose(0, 2, 1, 3).reshape(layout.size, layout.size), g.ravel()
 
 
@@ -740,9 +773,18 @@ def refine(
     rel_tol, an exactly-zero loss, or a fully saturated (gradient-free)
     residual set.
 
+    The poses live in one `pose_stack` for the whole descent: a damping
+    trial is one `retract_matrices` of rows 1: (row 0 is the gauge camera),
+    the next selection reuses the projection `frozen_loss` made of an
+    accepted trial, and a SceneState is built only on return. Every pose
+    and loss equals that of a loop over SceneStates and `apply_delta` bit
+    for bit.
+
     `trace`, when given, collects the true total loss at the start of each
-    outer iteration plus the final value; it is non-increasing. `images`
-    are `candidate_images(objects, obs, db, cfg, groups=groups)`, built here
+    outer iteration plus the final value, unless the descent stopped on a
+    zero loss or a saturated residual set; it is non-increasing, and its
+    last value is select_targets' loss at the returned state. `images` are
+    `candidate_images(objects, obs, db, cfg, groups=groups)`, built here
     when not given; they depend on no pose, so restarts may share them.
     """
     if not objects:
@@ -751,18 +793,20 @@ def refine(
     layout = parameter_layout(state, objects)
     if images is None:
         images = candidate_images(objects, obs, db, cfg, groups=groups)
+    poses = pose_stack(state, images)
+    projection = None  # of poses, kept from an accepted trial
     lam = cfg.damping_init
     eye = np.eye(layout.size)
 
     for _ in range(cfg.max_iterations):
-        targets, loss0 = select_targets(state, images, cfg.truncation)
+        targets, loss0 = select_targets(poses, images, cfg.truncation, projection)
         if trace is not None:
             trace.append(loss0)
         if loss0 <= 1e-12:  # numerically zero; nothing left to gain
-            return state
-        r, e = linearize(state, targets)
+            return _with_poses(state, images, poses)
+        r, e = linearize(poses, targets)
         if r.size == 0:
-            return state
+            return _with_poses(state, images, poses)
         h, g = normal_equations(r, e, targets, layout)
 
         accepted = False
@@ -773,11 +817,12 @@ def refine(
             except np.linalg.LinAlgError:
                 lam *= cfg.damping_factor
                 continue
-            trial = apply_delta(state, layout, delta)
-            trial_loss = frozen_loss(trial, targets, cfg.truncation)
+            trial = poses.copy()
+            trial[1:] = retract_matrices(poses[1:], delta)
+            trial_loss, trial_projection = frozen_loss(trial, targets, cfg.truncation)
             if trial_loss < loss0:
                 rel_decrease = (loss0 - trial_loss) / loss0
-                state = trial
+                poses, projection = trial, trial_projection
                 lam = max(lam / cfg.damping_factor, 1e-15)
                 accepted = True
                 break
@@ -788,9 +833,29 @@ def refine(
             break
 
     if trace is not None:
-        _, final_loss = select_targets(state, images, cfg.truncation)
-        trace.append(final_loss)
-    return state
+        # After a failed ladder the poses are those of the last selection,
+        # whose loss is loss0.
+        if accepted:
+            loss0 = select_targets(poses, images, cfg.truncation, projection)[1]
+        trace.append(loss0)
+    return _with_poses(state, images, poses)
+
+
+def _with_poses(
+    state: SceneState, images: CandidateImages, poses: np.ndarray
+) -> SceneState:
+    """`state` with its member cameras and objects set from a pose stack."""
+    n_cam = len(images.cameras)
+    cameras = dict(state.camera_poses)
+    cameras.update(zip(images.cameras[1:], map(Pose, poses[1:n_cam])))
+    objects = dict(state.object_poses)
+    objects.update(zip(images.objects, map(Pose, poses[n_cam:])))
+    return SceneState(camera_poses=cameras, object_poses=objects)
+
+
+def any_subsampled(objects: list[PhysicalObject], db: ModelDB) -> bool:
+    """Whether some object's residual points are a subsample of its model."""
+    return any(db[o.label].points.shape[0] > MAX_RESIDUAL_POINTS for o in objects)
 
 
 def refine_best_of(
@@ -800,6 +865,8 @@ def refine_best_of(
     db: ModelDB,
     cfg: RefineConfig = RefineConfig(),
     n_starts: int = 4,
+    *,
+    trace: list | None = None,
 ) -> tuple[SceneState, list[PhysicalObject], SceneState]:
     """Initialize, refine, and keep the lowest-loss result of n_starts runs.
 
@@ -811,9 +878,11 @@ def refine_best_of(
     (best refined state, surviving objects, first initialization).
 
     Every start refines against one shared `candidate_images` build. A
-    start is scored by `select_targets`' loss, which is total_loss bit for
-    bit unless some model's residual points are a subsample; total_loss
-    scores the starts then.
+    start is scored by the last value of its `refine` trace, select_targets'
+    loss at the refined state, which is total_loss bit for bit unless some
+    model's residual points are a subsample (`any_subsampled`); total_loss
+    scores the starts then. No refined state is projected again. `trace`,
+    when given, receives the best start's refine trace.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
@@ -823,22 +892,26 @@ def refine_best_of(
         return first_init, kept, first_init
     groups = _groups_for(db, [o.label for o in kept], cfg.symmetry_angles, None)
     images = candidate_images(kept, obs, db, cfg, groups=groups)
-    subsampled = any(
-        residual_points(db[o.label]) is not db[o.label].points for o in kept
-    )
-    best_state = None
+    subsampled = any_subsampled(kept, db)
+    best_state = best_trace = None
     best_loss = np.inf
     state0 = first_init
     for start in range(n_starts):
         if start > 0:
             state0 = initialize_scene(kept, hypotheses, obs, rng)
-        refined = refine(state0, kept, obs, db, cfg, groups=groups, images=images)
+        start_trace = []
+        refined = refine(
+            state0, kept, obs, db, cfg, groups=groups, trace=start_trace,
+            images=images,
+        )
         if subsampled:
             loss = total_loss(refined, kept, obs, db, cfg, groups=groups)
         else:
-            loss = select_targets(refined, images, cfg.truncation)[1]
+            loss = start_trace[-1]
         if best_state is None or loss < best_loss:
-            best_state, best_loss = refined, loss
+            best_state, best_loss, best_trace = refined, loss, start_trace
+    if trace is not None:
+        trace.extend(best_trace)
     return best_state, kept, first_init
 
 

@@ -27,6 +27,7 @@ from .numeric import point_l1, point_norms, seq_sum
 DEFAULT_ANGLES_PER_AXIS = 64
 MAX_GROUP_ELEMENTS = 4096
 _DEDUP_TOL = 1e-9
+_DEDUP_BLOCK = 1 << 18  # entries of one row block of the pairwise table
 
 
 class GroupTooLargeError(ValueError):
@@ -111,19 +112,19 @@ def discretize(
     """
     if angles_per_axis < 1:
         raise ValueError("angles_per_axis must be >= 1")
-    axis_rotations: list[np.ndarray] = []
+    axis_rotations = np.eye(4)[None]
     if spec.continuous_axes:
         angles = [2.0 * np.pi * k / angles_per_axis for k in range(angles_per_axis)]
+        per_axis = []
         for axis, offset in spec.continuous_axes:
             # Rotations about the line through `offset` along `axis`.
-            axes = np.tile(axis, (angles_per_axis, 1))
-            for R in rotations_about_axes(axes, angles):
-                m = np.eye(4)
-                m[:3, :3] = R
-                m[:3, 3] = offset - R @ offset
-                axis_rotations.append(m)
-    else:
-        axis_rotations.append(np.eye(4))
+            rots = rotations_about_axes(np.tile(axis, (angles_per_axis, 1)), angles)
+            m = np.zeros((angles_per_axis, 4, 4))
+            m[:, :3, :3] = rots
+            m[:, :3, 3] = offset - rots @ offset
+            m[:, 3, 3] = 1.0
+            per_axis.append(m)
+        axis_rotations = np.concatenate(per_axis)
 
     total = len(spec.discrete) * len(axis_rotations)
     if total > max_elements:
@@ -131,16 +132,38 @@ def discretize(
             f"discretization yields {total} elements, cap is {max_elements}"
         )
 
-    kept = [np.eye(4)]
-    stack = np.eye(4)[None]
-    for d in spec.discrete:
-        for rot in axis_rotations:
-            m = d.matrix @ rot
-            if np.min(np.max(np.abs(stack - m), axis=(1, 2))) <= _DEDUP_TOL:
-                continue
-            kept.append(m)
-            stack = np.concatenate([stack, m[None]])
+    discrete = np.stack([d.matrix for d in spec.discrete])
+    candidates = np.concatenate(
+        [np.eye(4)[None], (discrete[:, None] @ axis_rotations).reshape(-1, 4, 4)]
+    )
+    kept = candidates[_first_of_duplicates(candidates)]
     return SymmetryGroup(elements=tuple(Pose(m) for m in kept))
+
+
+def _first_of_duplicates(matrices: np.ndarray) -> np.ndarray:
+    """Mask of the matrices kept by a sequential scan that keeps a matrix
+    unless some kept earlier one is within _DEDUP_TOL (max abs entry).
+
+    One table of max-abs differences between each matrix and every earlier
+    one, built in row blocks, decides every pair; only the matrices near an
+    earlier one are then scanned in order against the kept ones. Max-abs is
+    exact and |a - b| == |b - a|, so each decision is the scan's.
+    """
+    n = matrices.shape[0]
+    flat = matrices.reshape(n, 16)
+    near = np.zeros((n, n), dtype=bool)  # near[i, j]: j < i within _DEDUP_TOL
+    rows = max(1, _DEDUP_BLOCK // n)
+    for start in range(0, n, rows):
+        stop = min(n, start + rows)
+        diff = np.zeros((stop - start, stop))
+        for k in range(16):
+            d = np.subtract.outer(flat[start:stop, k], flat[:stop, k])
+            np.maximum(diff, np.abs(d, out=d), out=diff)
+        near[start:stop, :stop] = np.tril(diff <= _DEDUP_TOL, start - 1)
+    keep = ~near.any(axis=1)
+    for i in np.flatnonzero(~keep):  # near[i, j] is False for j >= i
+        keep[i] = not (near[i] & keep).any()
+    return keep
 
 
 def _distances_per_element(

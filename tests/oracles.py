@@ -295,13 +295,46 @@ def hard_rotation_increments(rng, n):
     return axes * angles[:n, None]
 
 
+def discretize_matrices(spec, angles_per_axis):
+    """cosy.symmetry.discretize's elements as written before the pairwise
+    deduplication table: each product d @ rot, in order, is compared with
+    every element kept so far and kept unless one is within _DEDUP_TOL
+    (max abs entry). Returns the kept (4, 4) matrices."""
+    from cosy.geometry import rotations_about_axes
+    from cosy.symmetry import _DEDUP_TOL
+
+    axis_rotations = []
+    if spec.continuous_axes:
+        angles = [2.0 * np.pi * k / angles_per_axis for k in range(angles_per_axis)]
+        for axis, offset in spec.continuous_axes:
+            axes = np.tile(axis, (angles_per_axis, 1))
+            for R in rotations_about_axes(axes, angles):
+                m = np.eye(4)
+                m[:3, :3] = R
+                m[:3, 3] = offset - R @ offset
+                axis_rotations.append(m)
+    else:
+        axis_rotations.append(np.eye(4))
+    kept = [np.eye(4)]
+    stack = np.eye(4)[None]
+    for d in spec.discrete:
+        for rot in axis_rotations:
+            m = d.matrix @ rot
+            if np.min(np.max(np.abs(stack - m), axis=(1, 2))) <= _DEDUP_TOL:
+                continue
+            kept.append(m)
+            stack = np.concatenate([stack, m[None]])
+    return kept
+
+
 # ---------------------------------------------------------------------------
 # Per-member Levenberg-Marquardt inner loop: the loop-over-members version of
 # cosy.refinement's select_targets, frozen_loss, linearize (with np.cross)
 # and normal_equations, kept as written before the flat per-point rewrite.
 # `per_member_view` turns a CandidateImages into the per-member layout these
 # functions read; the library's results must equal theirs bit for bit, and
-# they can stand in for the library's functions inside `refine`.
+# they can stand in for the library's functions inside `refine`, which hands
+# them pose stacks (`as_state` turns one back into a SceneState).
 
 
 def per_member_view(images):
@@ -316,6 +349,8 @@ def per_member_view(images):
     return SimpleNamespace(
         view_ids=images.view_ids,
         object_ids=images.object_ids,
+        cameras=images.cameras,
+        objects=images.objects,
         bounds=images.bounds,
         member=np.repeat(np.arange(n_members), images.counts),
         points=np.ascontiguousarray(images.points.T),
@@ -345,11 +380,27 @@ def project_masked(k, pts, z_min=1e-3):
     return np.stack([u, v], axis=1), valid
 
 
+def as_state(poses, images):
+    """A SceneState, or the SceneState of a pose stack over images.cameras
+    then images.objects."""
+    from cosy.geometry import Pose
+    from cosy.refinement import SceneState
+
+    if isinstance(poses, SceneState):
+        return poses
+    n_cam = len(images.cameras)
+    return SceneState(
+        camera_poses=dict(zip(images.cameras, map(Pose, poses[:n_cam]))),
+        object_poses=dict(zip(images.objects, map(Pose, poses[n_cam:]))),
+    )
+
+
 def member_poses(state, images):
     """cosy.refinement._member_poses as written before CandidateImages kept
     its camera and object rows: one stacked object matrix per member."""
     from cosy.geometry import inverse_matrices
 
+    state = as_state(state, images)
     views = sorted(set(images.view_ids))
     row = {v: k for k, v in enumerate(views)}
     inv = inverse_matrices(np.stack([state.camera_poses[v].matrix for v in views]))
@@ -368,11 +419,12 @@ def project_points(state, images, rows=slice(None)):
     return u, px, valid
 
 
-def select_targets(state, images, truncation):
+def select_targets(state, images, truncation, projection=None):
     """Per-member symmetry selection of a CandidateImages: (targets, loss).
 
     The targets carry the per-member view as `images`; the other three
-    functions read only that.
+    functions read only that. `projection` is ignored: the state is always
+    projected again.
     """
     from types import SimpleNamespace
 
@@ -414,11 +466,12 @@ def frozen_loss(state, targets, truncation):
     total = 0.0
     for s, e in zip(b[:-1], b[1:]):
         total += float(contrib[s:e].mean())
-    return total
+    return total, None
 
 
 def linearize(state, targets):
     images = targets.images
+    state = as_state(state, images)
     act = targets.active
     member = images.member[act]
     u, pred_px, _ = project_points(state, images, act)
@@ -553,3 +606,71 @@ def two_view_ransac(view_a, view_b, obs, db, params):
                 total_distance=total,
             )
     return best
+
+
+# ---------------------------------------------------------------------------
+# cosy.refinement.refine as written before it kept each restart's poses in one
+# stack: a SceneState and an apply_delta per damping trial, a new projection
+# for every selection, and a final selection for the trace. It calls
+# select_targets, linearize, normal_equations and frozen_loss through the
+# cosy.refinement module, so a test may count or replace them.
+
+
+def refine(state, objects, obs, db, cfg, *, trace=None, images=None, stops=None):
+    """The loop-over-SceneStates refine; `stops`, when given, receives why
+    the descent stopped: "zero", "saturated", "ladder", "rel_tol" or
+    "max_iterations"."""
+    import cosy.refinement as lm
+
+    if not objects:
+        return state
+    state.require_views(objects)
+    layout = lm.parameter_layout(state, objects)
+    if images is None:
+        images = lm.candidate_images(objects, obs, db, cfg)
+    lam = cfg.damping_init
+    eye = np.eye(layout.size)
+    stop = "max_iterations"
+
+    for _ in range(cfg.max_iterations):
+        targets, loss0 = lm.select_targets(state, images, cfg.truncation)
+        if trace is not None:
+            trace.append(loss0)
+        if loss0 <= 1e-12:
+            stop = "zero"
+            break
+        r, e = lm.linearize(state, targets)
+        if r.size == 0:
+            stop = "saturated"
+            break
+        h, g = lm.normal_equations(r, e, targets, layout)
+
+        accepted = False
+        rel_decrease = 0.0
+        while lam <= lm._DAMPING_CEILING:
+            try:
+                delta = np.linalg.solve(h + lam * eye, -g)
+            except np.linalg.LinAlgError:
+                lam *= cfg.damping_factor
+                continue
+            trial = lm.apply_delta(state, layout, delta)
+            trial_loss = lm.frozen_loss(trial, targets, cfg.truncation)[0]
+            if trial_loss < loss0:
+                rel_decrease = (loss0 - trial_loss) / loss0
+                state = trial
+                lam = max(lam / cfg.damping_factor, 1e-15)
+                accepted = True
+                break
+            lam *= cfg.damping_factor
+        if not accepted:
+            stop = "ladder"
+            break
+        if rel_decrease < cfg.rel_tol:
+            stop = "rel_tol"
+            break
+
+    if stops is not None:
+        stops.append(stop)
+    if trace is not None and stop not in ("zero", "saturated"):
+        trace.append(lm.select_targets(state, images, cfg.truncation)[1])
+    return state

@@ -182,6 +182,36 @@ def test_solve_config_echo_and_stats(tmp_path):
     assert stats["final_loss"] >= 0.0
 
 
+@pytest.mark.parametrize("n_points", ["48", "520"], ids=["full", "subsampled"])
+def test_solve_final_loss_is_total_loss_of_the_refined_state(
+    tmp_path, monkeypatch, n_points
+):
+    # The best start's last LM trace value stands in for total_loss unless a
+    # model's residual points are a subsample (520 > MAX_RESIDUAL_POINTS).
+    models, obs, _ = simulate(tmp_path, "--n-objects", "4", "--n-views", "3",
+                              "--n-points", n_points)
+    real_best_of, real_total_loss = cli.refine_best_of, cli.total_loss
+    runs, total_loss_calls = [], []
+
+    def recording_best_of(*args, **kwargs):
+        runs.append((args, real_best_of(*args, **kwargs)))
+        return runs[-1][1]
+
+    def counting_total_loss(*args, **kwargs):
+        total_loss_calls.append(1)
+        return real_total_loss(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "refine_best_of", recording_best_of)
+    monkeypatch.setattr(cli, "total_loss", counting_total_loss)
+    out = tmp_path / "estimate.json"
+    assert solve(models, obs, out) == EXIT_OK
+    monkeypatch.undo()
+    ((_, _, scene_obs, db, cfg), (state, kept, _)), = runs
+    assert len(total_loss_calls) == (n_points == "520")
+    final_loss = load_json(out)["stats"]["final_loss"]
+    assert final_loss == real_total_loss(state, kept, scene_obs, db, cfg)
+
+
 def test_solve_min_score_filters_members(tmp_path):
     models, obs, _ = simulate(tmp_path, "--n-objects", "5", "--n-views", "4")
     out = tmp_path / "estimate.json"

@@ -472,7 +472,7 @@ def test_frozen_loss_agrees_with_selection_loss():
     targets, loss = select_targets(noisy, images, cfg.truncation)
     assert loss > 0
     assert loss == total_loss(noisy, objects, obs, db, cfg)
-    assert frozen_loss(noisy, targets, cfg.truncation) == loss
+    assert frozen_loss(noisy, targets, cfg.truncation)[0] == loss
 
 
 # ---------------------------------------- flat inner loop vs per-member oracle
@@ -585,10 +585,10 @@ def test_flat_inner_loop_equals_per_member_oracle(nan_member):
     rng = np.random.default_rng(32)
     moved = apply_delta(state, layout, rng.normal(size=layout.size) * 1e-3)
     for trial in (state, moved):
-        assert same_float(frozen_loss(trial, targets, cfg.truncation),
-                          oracles.frozen_loss(trial, want, cfg.truncation))
+        assert same_float(frozen_loss(trial, targets, cfg.truncation)[0],
+                          oracles.frozen_loss(trial, want, cfg.truncation)[0])
     if not nan_member:
-        assert frozen_loss(state, targets, cfg.truncation) == loss
+        assert frozen_loss(state, targets, cfg.truncation)[0] == loss
 
 
 def test_member_poses_stack_each_pose_once_and_equal_oracle():
@@ -705,6 +705,160 @@ def test_refine_trace_is_monotone_and_deterministic():
                               out2.camera_poses[k].matrix)
     assert all(b <= a + 1e-15 for a, b in zip(t1, t1[1:]))
     assert t1[-1] < t1[0]
+
+
+# ------------------------------------------- stacked descent vs SceneState loop
+
+
+def lm_setup(seed, symmetric=(), n_points=48, n_objects=5, n_views=3):
+    """A noisy scene's kept objects and first initialization."""
+    labels = [f"obj_{i:02d}" for i in range(n_objects)]
+    db = make_models(labels, seed=7, n_points=n_points, symmetric=symmetric)
+    scene = generate_scene(ScenarioConfig(n_objects=n_objects, n_views=n_views,
+                                          model_labels=labels, seed=seed), db)
+    noise = NoiseModel(rot_sigma_deg=5.0, trans_sigma=0.01, depth_sigma_extra=0.08)
+    obs, _ = generate_observations(scene, noise, np.random.default_rng(seed))
+    graph = build_match_graph(obs, db, MatchParams(inlier_threshold=0.2))
+    objs = extract_physical_objects(graph)
+    state0, kept = initialize_scene_with_pruning(objs, graph.hypotheses, obs,
+                                                 np.random.default_rng(seed))
+    assert kept
+    return db, obs, kept, state0
+
+
+# (setup arguments, RefineConfig fields, the oracle's stop reason)
+LM_CASES = {
+    "unique": ((40,), {}, "rel_tol"),
+    "ladder": ((41,), {}, "ladder"),
+    "symmetric": ((40, ("obj_01",)), {}, "ladder"),
+    "subsampled-ladder": ((42, (), MAX_RESIDUAL_POINTS + 20), {}, "ladder"),
+    "subsampled-rel-tol": ((42, ("obj_01",), MAX_RESIDUAL_POINTS + 20), {}, "rel_tol"),
+    "rel-tol": ((43,), {"rel_tol": 0.05}, "rel_tol"),
+    "max-iterations-1": ((44,), {"max_iterations": 1}, "max_iterations"),
+    "max-iterations-2": ((44,), {"max_iterations": 2}, "max_iterations"),
+    "max-iterations-3": ((44, ("obj_01",)), {"max_iterations": 3}, "max_iterations"),
+}
+
+
+def run_both(db, obs, objects, state0, cfg):
+    """(library state, trace), (oracle state, trace, stop reasons)."""
+    got_trace, want_trace, stops = [], [], []
+    got = refine(state0, objects, obs, db, cfg, trace=got_trace)
+    want = oracles.refine(state0, objects, obs, db, cfg, trace=want_trace, stops=stops)
+    return (got, got_trace), (want, want_trace, stops)
+
+
+@pytest.mark.parametrize("case", sorted(LM_CASES))
+def test_stacked_refine_equals_scene_state_loop(case):
+    setup, fields, stop = LM_CASES[case]
+    db, obs, kept, state0 = lm_setup(*setup)
+    if len(setup) > 1:
+        assert {o.label for o in kept} >= set(setup[1])
+    cfg = RefineConfig(**fields)
+    (got, got_trace), (want, want_trace, stops) = run_both(db, obs, kept, state0, cfg)
+    assert stops == [stop]
+    assert got_trace == want_trace
+    assert len(got_trace) >= 2 and got_trace[-1] < got_trace[0]
+    assert_same_state(got, want)
+    images = candidate_images(kept, obs, db, cfg)
+    assert got_trace[-1] == select_targets(got, images, cfg.truncation)[1]
+
+
+def test_stacked_refine_equals_scene_state_loop_on_zero_loss():
+    db, scene, obs, objects, state = consistent_setup(n_objects=3, n_views=2, seed=20)
+    cfg = RefineConfig()
+    (got, got_trace), (want, want_trace, stops) = run_both(db, obs, objects, state, cfg)
+    assert stops == ["zero"]
+    assert got_trace == want_trace and len(got_trace) == 1
+    assert_same_state(got, want)
+    assert_same_state(got, state)
+
+
+def test_stacked_refine_equals_scene_state_loop_when_solve_fails(monkeypatch):
+    db, obs, kept, state0 = lm_setup(41)
+    cfg = RefineConfig()
+    real_solve = np.linalg.solve
+    calls = []
+
+    def failing_solve(a, b):
+        calls.append(1)
+        if len(calls) in (1, 4, 5):  # the first rung, then two in a row
+            raise np.linalg.LinAlgError("singular matrix")
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", failing_solve)
+    got_trace, want_trace, stops = [], [], []
+    got = refine(state0, kept, obs, db, cfg, trace=got_trace)
+    n_calls = len(calls)
+    calls.clear()
+    want = oracles.refine(state0, kept, obs, db, cfg, trace=want_trace, stops=stops)
+    monkeypatch.undo()
+    assert len(calls) == n_calls > 5
+    assert got_trace == want_trace
+    assert_same_state(got, want)
+    clean = refine(state0, kept, obs, db, cfg)
+    assert not all(np.array_equal(got.object_poses[k].matrix,
+                                  clean.object_poses[k].matrix)
+                   for k in got.object_poses)
+
+
+@pytest.mark.parametrize("case", ["ladder", "rel-tol", "max-iterations-2"])
+def test_refine_calls_the_traced_functions_as_often_as_the_loop(monkeypatch, case):
+    # The benchmark's traced run counts LM iterations and trials by wrapping
+    # these module-level names; refine must reach them through the module.
+    setup, fields, _ = LM_CASES[case]
+    db, obs, kept, state0 = lm_setup(*setup)
+    cfg = RefineConfig(**fields)
+    counts = {}
+    linearized = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            out = fn(*args, **kwargs)
+            if name == "linearize":
+                linearized.append(out)
+            return out
+        return wrapper
+
+    for name in ("select_targets", "linearize", "frozen_loss"):
+        monkeypatch.setattr(cosy.refinement, name,
+                            counting(name, getattr(cosy.refinement, name)))
+    refine(state0, kept, obs, db, cfg)
+    got = dict(counts)
+    counts.clear()
+    oracles.refine(state0, kept, obs, db, cfg)
+    assert got == counts
+    assert got["linearize"] >= 1 and got["frozen_loss"] >= got["linearize"]
+    for r, e in linearized:
+        assert isinstance(e, np.ndarray) and e.shape == (r.size, 6)
+
+
+@pytest.mark.parametrize("case", ["ladder", "unique"])
+def test_refine_projects_each_accepted_state_once(monkeypatch, case):
+    # A selection after an accepted step reuses that trial's projection, so
+    # only the first selection and the trials project.
+    setup, fields, _ = LM_CASES[case]
+    db, obs, kept, state0 = lm_setup(*setup)
+    cfg = RefineConfig(**fields)
+    projections, trials = [], []
+    real_project, real_frozen = (cosy.refinement.project_masked_xyz,
+                                 cosy.refinement.frozen_loss)
+
+    def counting_project(*args):
+        projections.append(1)
+        return real_project(*args)
+
+    def counting_frozen(*args):
+        trials.append(1)
+        return real_frozen(*args)
+
+    monkeypatch.setattr(cosy.refinement, "project_masked_xyz", counting_project)
+    monkeypatch.setattr(cosy.refinement, "frozen_loss", counting_frozen)
+    trace = []
+    refine(state0, kept, obs, db, cfg, trace=trace)
+    assert len(trace) >= 3
+    assert len(projections) == len(trials) + 1
 
 
 def object_gt_index(obj, obs, provenance):
@@ -866,6 +1020,48 @@ def test_refine_best_of_shared_images_equal_per_restart_rebuild(monkeypatch, n_p
         images = real_images(kept, obs, db, cfg)
         for got, loss in zip(got_states, want_losses):
             assert select_targets(got, images, cfg.truncation)[1] == loss
+
+
+@pytest.mark.parametrize("n_points", [48, MAX_RESIDUAL_POINTS + 20],
+                         ids=["full", "subsampled"])
+def test_refine_best_of_scores_each_start_by_its_trace(monkeypatch, n_points):
+    db, scene, obs, provenance = noisy_depth_scene(
+        seed=6, n_views=3, n_objects=5, n_points=n_points
+    )
+    graph = build_match_graph(obs, db, MatchParams(inlier_threshold=0.2))
+    objs = extract_physical_objects(graph)
+    cfg = RefineConfig()
+    real_refine, real_select = refine, select_targets
+    starts, selections = [], []
+
+    def recording_refine(*args, **kwargs):
+        before = len(selections)
+        out = real_refine(*args, **kwargs)
+        starts.append((out, list(kwargs["trace"]), len(selections) - before))
+        return out
+
+    def counting_select(*args):
+        selections.append(1)
+        return real_select(*args)
+
+    monkeypatch.setattr(cosy.refinement, "refine", recording_refine)
+    monkeypatch.setattr(cosy.refinement, "select_targets", counting_select)
+    best_trace = []
+    best, kept, _ = refine_best_of(objs, graph.hypotheses, obs, db, cfg,
+                                   n_starts=4, trace=best_trace)
+    monkeypatch.undo()
+    assert len(starts) == 4
+    # Every selection happens inside refine: no refined state is scored anew.
+    assert sum(n for _, _, n in starts) == len(selections)
+    images = candidate_images(kept, obs, db, cfg)
+    for state, trace, _ in starts:
+        assert trace[-1] == select_targets(state, images, cfg.truncation)[1]
+    (chosen,) = [t for s, t, _ in starts if s is best]
+    assert best_trace == chosen
+    losses = [total_loss(s, kept, obs, db, cfg) for s, _, _ in starts]
+    assert total_loss(best, kept, obs, db, cfg) == min(losses)
+    if n_points <= MAX_RESIDUAL_POINTS:
+        assert [t[-1] for _, t, _ in starts] == losses
 
 
 def test_refine_best_of_keeps_first_start_when_every_loss_is_nan(monkeypatch):

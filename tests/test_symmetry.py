@@ -130,6 +130,71 @@ class TestDiscretize:
             moved = e.transform(offset)
             assert np.max(np.abs(moved - offset)) < 1e-12
 
+    @staticmethod
+    def _oracle_specs():
+        flip_x = Pose.from_rt(oracles.rotation_about_axis([1, 0, 0], math.pi), [0, 0, 0])
+        flip_z = Pose.from_rt(oracles.rotation_about_axis([0, 0, 1], math.pi), [0, 0, 0])
+        rng = np.random.default_rng(5)
+        tilted = Pose.from_rt(oracles.random_rotation(rng), [0.01, -0.02, 0.005])
+        z_axis = (([0, 0, 1.0], [0.01, 0.02, 0.0]),)
+
+        def shifted(pose, dx):
+            m = pose.matrix.copy()
+            m[0, 3] += dx
+            return Pose(m)
+
+        return {
+            "identity-only": (sym.SymmetrySpec.none(), 64),
+            "discrete-x-continuous": (
+                sym.SymmetrySpec(discrete=(Pose.identity(), flip_x, flip_z, tilted),
+                                 continuous_axes=z_axis),
+                64,
+            ),
+            # Within _DEDUP_TOL of the identity (0.8e-9, exactly 1e-9) or of a
+            # dropped element only (1.6e-9 is 0.8e-9 from the dropped 0.8e-9
+            # copy but 1.6e-9 from the kept identity, so it stays), and near
+            # copies of a kept element.
+            "near-duplicates": (
+                sym.SymmetrySpec(
+                    discrete=(
+                        Pose.identity(),
+                        shifted(Pose.identity(), 0.8e-9),
+                        shifted(Pose.identity(), 1e-9),
+                        shifted(Pose.identity(), 1.6e-9),
+                        flip_x,
+                        shifted(flip_x, 0.5e-9),
+                        shifted(flip_x, 2e-9),
+                    ),
+                    continuous_axes=z_axis,
+                ),
+                16,
+            ),
+            "two-axes": (
+                sym.SymmetrySpec(
+                    discrete=(Pose.identity(), flip_x),
+                    continuous_axes=(([0, 0, 1.0], [0, 0, 0]), ([1.0, 0, 0], [0, 0.01, 0])),
+                ),
+                12,
+            ),
+        }
+
+    @pytest.mark.parametrize("block", [None, 1, 100])
+    @pytest.mark.parametrize(
+        "case", ["identity-only", "discrete-x-continuous", "near-duplicates", "two-axes"]
+    )
+    def test_equals_sequential_scan_oracle(self, monkeypatch, case, block):
+        if block is not None:  # several row blocks of the pairwise table
+            monkeypatch.setattr(sym, "_DEDUP_BLOCK", block)
+        spec, angles = self._oracle_specs()[case]
+        want = oracles.discretize_matrices(spec, angles)
+        got = sym.discretize(spec, angles_per_axis=angles)
+        assert len(got) == len(want)
+        for e, m in zip(got.elements, want):
+            assert np.array_equal(e.matrix, m)
+        if case == "near-duplicates":
+            # the identity, the 1.6e-9 copy and flip_x with its 2e-9 copy
+            assert len(want) == 4 * angles
+
 
 class TestSymmetricDistance:
     def test_equal_poses_zero(self):
