@@ -33,15 +33,22 @@ from .evaluation import (
     evaluate,
     nms_3d,
 )
-from .matching import MatchParams, build_match_graph, extract_physical_objects
+from .matching import (
+    DEFAULT_SYMMETRY_ANGLES,
+    MatchParams,
+    PhysicalObject,
+    build_match_graph,
+    extract_physical_objects,
+    label_geometry,
+)
 from .refinement import (
     RefineConfig,
     SceneState,
-    any_subsampled,
     express_in_camera_frames,
     refine_best_of,
-    total_loss,
 )
+# perfbench/spans.py traces cosy.cli.total_loss by this name.
+from .refinement import total_loss  # noqa: F401
 from .scene_io import (
     EstimatedCamera,
     EstimatedObject,
@@ -107,6 +114,7 @@ class RunConfig:
     noise: NoiseModel | None = None
     match: MatchParams | None = None
     refine: RefineConfig | None = None
+    symmetry_angles: int = DEFAULT_SYMMETRY_ANGLES
     min_score: float = 0.3
     nms_radius: float = DEFAULT_NMS_RADIUS
     restarts: int = 4
@@ -154,6 +162,46 @@ def _diagnostic_estimate(cfg: RunConfig, stats: dict) -> SceneEstimate:
     return SceneEstimate(cameras=(), objects=(), config=dict(cfg.echo), stats=stats)
 
 
+def _object_records(
+    state: SceneState,
+    objects: list[PhysicalObject],
+    obs: SceneObservations,
+    keep_idx: list[int],
+) -> list[EstimatedObject]:
+    """One record per physical object at its `state` pose; members name the
+    candidates' indices in the unfiltered observations file."""
+    return [
+        EstimatedObject(
+            object_id=f"P{o.id:03d}",
+            label=o.label,
+            pose_world=state.object_poses[o.id],
+            score=sum(obs.candidates[i].score for _, i in o.members),
+            members=tuple((v, keep_idx[i]) for v, i in o.members),
+        )
+        for o in objects
+    ]
+
+
+def _estimate(
+    state: SceneState,
+    objects: list[PhysicalObject],
+    obs: SceneObservations,
+    keep_idx: list[int],
+    cfg: RunConfig,
+    stats: dict,
+) -> SceneEstimate:
+    """Every camera of `state` and the records of `objects` at `state`."""
+    return SceneEstimate(
+        cameras=tuple(
+            EstimatedCamera(view_id=v, pose_world=state.camera_poses[v])
+            for v in sorted(state.camera_poses)
+        ),
+        objects=tuple(_object_records(state, objects, obs, keep_idx)),
+        config=dict(cfg.echo),
+        stats=stats,
+    )
+
+
 def cmd_solve(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     db = load_models(cfg.paths["models"])
@@ -179,7 +227,10 @@ def cmd_solve(cfg: RunConfig) -> int:
     }
 
     t0 = time.perf_counter()
-    graph = build_match_graph(obs, db, cfg.match, threads=cfg.threads)
+    geometry = label_geometry(
+        db, (c.label for c in obs.candidates), cfg.symmetry_angles
+    )
+    graph = build_match_graph(obs, geometry, cfg.match, threads=cfg.threads)
     objects = extract_physical_objects(graph)
     t_match = time.perf_counter() - t0
     stats["n_edges"] = len(graph.edges)
@@ -193,10 +244,9 @@ def cmd_solve(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # unreachable-view pruning is reported below
-        lm_trace = []
-        state, kept, init_state = refine_best_of(
-            objects, graph.hypotheses, obs, db, cfg.refine, n_starts=cfg.restarts,
-            trace=lm_trace,
+        state, kept, init_state, final_loss = refine_best_of(
+            objects, graph.hypotheses, obs, geometry, cfg.refine,
+            n_starts=cfg.restarts,
         )
     t_refine = time.perf_counter() - t0
     stats["n_components"] = len(kept)
@@ -214,12 +264,6 @@ def cmd_solve(cfg: RunConfig) -> int:
             "refine: dropped candidates in views unreachable from the root "
             f"camera: {', '.join(dropped)}"
         )
-    # The best start's last trace value is total_loss at its state bit for
-    # bit unless some model's residual points are a subsample.
-    if any_subsampled(kept, db):
-        final_loss = total_loss(state, kept, obs, db, cfg.refine)
-    else:
-        final_loss = lm_trace[-1]
     stats["final_loss"] = final_loss
     print(
         f"refine: {len(kept)} objects over {len(state.camera_poses)} cameras, "
@@ -228,20 +272,10 @@ def cmd_solve(cfg: RunConfig) -> int:
 
     # 3D non-max suppression on refined world poses, then per-view records.
     t0 = time.perf_counter()
-    by_id = {o.id: o for o in kept}
-    records = [
-        EstimatedObject(
-            object_id=f"P{o.id:03d}",
-            label=o.label,
-            pose_world=state.object_poses[o.id],
-            score=sum(obs.candidates[i].score for _, i in o.members),
-            members=tuple((v, keep_idx[i]) for v, i in o.members),
-        )
-        for o in kept
-    ]
+    records = _object_records(state, kept, obs, keep_idx)
     surviving = nms_3d(records, radius=cfg.nms_radius)
-    surviving_ids = {int(r.object_id[1:]) for r in surviving}
-    final_objects = [by_id[i] for i in sorted(surviving_ids)]
+    surviving_ids = {r.object_id for r in surviving}
+    final_objects = [o for o, r in zip(kept, records) if r.object_id in surviving_ids]
     expressed = express_in_camera_frames(state, final_objects, obs)
     t_out = time.perf_counter() - t0
     stats["n_objects"] = len(surviving)
@@ -251,39 +285,13 @@ def cmd_solve(cfg: RunConfig) -> int:
         f"{len(expressed)} view-object records ({t_out:.3f}s)"
     )
 
-    cameras = tuple(
-        EstimatedCamera(view_id=v, pose_world=state.camera_poses[v])
-        for v in sorted(state.camera_poses)
-    )
-    est = SceneEstimate(
-        cameras=cameras,
-        objects=tuple(surviving),
-        config=dict(cfg.echo),
-        stats=stats,
-    )
+    est = _estimate(state, final_objects, obs, keep_idx, cfg, stats)
     save_estimate(est, cfg.paths["out"])
     print(f"wrote {cfg.paths['out']}")
 
     if cfg.paths.get("init_out"):
-        init_records = tuple(
-            EstimatedObject(
-                object_id=r.object_id,
-                label=r.label,
-                pose_world=init_state.object_poses[int(r.object_id[1:])],
-                score=r.score,
-                members=r.members,
-            )
-            for r in surviving
-        )
-        init_cameras = tuple(
-            EstimatedCamera(view_id=v, pose_world=init_state.camera_poses[v])
-            for v in sorted(init_state.camera_poses)
-        )
-        init_est = SceneEstimate(
-            cameras=init_cameras,
-            objects=init_records,
-            config=dict(cfg.echo),
-            stats={"stage": "initialization"},
+        init_est = _estimate(
+            init_state, final_objects, obs, keep_idx, cfg, {"stage": "initialization"}
         )
         save_estimate(init_est, cfg.paths["init_out"])
         print(f"wrote {cfg.paths['init_out']}")
@@ -607,7 +615,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             max_iterations=args.ransac_max_iters,
             min_inliers=args.min_inliers,
             seed=derive_seed(args.seed, "match"),
-            symmetry_angles=args.symmetry_angles,
         )
         refine_cfg = RefineConfig(
             max_iterations=args.lm_iters,
@@ -616,8 +623,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             damping_factor=args.damping_factor,
             rel_tol=args.rel_tol,
             seed=derive_seed(args.seed, "refine"),
-            symmetry_angles=args.symmetry_angles,
         )
+        if args.symmetry_angles < 1:
+            raise ValueError("symmetry_angles must be >= 1")
         if args.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if args.threads < 1:
@@ -651,6 +659,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             paths=paths,
             match=match,
             refine=refine_cfg,
+            symmetry_angles=args.symmetry_angles,
             min_score=args.min_score,
             nms_radius=args.nms_radius,
             restarts=args.restarts,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .geometry import Pose, apply_matrices, apply_matrix
 from .numeric import _PAIRWISE_CHUNK, point_norms
-from .scene_io import ModelDB, SceneObservations
+from .scene_io import ModelDB, ObjectModel, SceneObservations
 from .symmetry import SymmetryGroup, discretize, symmetric_distance
 
 DEFAULT_INLIER_THRESHOLD = 0.02  # meters
@@ -90,7 +90,6 @@ class MatchParams:
     max_iterations: int = DEFAULT_MAX_ITERATIONS
     min_inliers: int = DEFAULT_MIN_INLIERS
     seed: int = 0
-    symmetry_angles: int = DEFAULT_SYMMETRY_ANGLES
 
     def __post_init__(self):
         if not self.inlier_threshold > 0:
@@ -99,8 +98,6 @@ class MatchParams:
             raise ValueError("max_iterations must be >= 1")
         if self.min_inliers < 3:
             raise ValueError("min_inliers must be >= 3")
-        if self.symmetry_angles < 1:
-            raise ValueError("symmetry_angles must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -134,27 +131,13 @@ class PhysicalObject:
             raise ValueError("at most one member per view")
 
 
-def symmetry_groups(
-    db: ModelDB, labels, angles_per_axis: int = DEFAULT_SYMMETRY_ANGLES
-) -> dict[str, SymmetryGroup]:
-    """Discretize each label's symmetries once; matching reuses them heavily."""
-    return {
-        label: discretize(db[label].symmetries, angles_per_axis)
-        for label in sorted(set(labels))
-    }
-
-
-def _groups_for(obs: SceneObservations, db: ModelDB, angles: int, groups):
-    if groups is not None:
-        return groups
-    return symmetry_groups(db, (c.label for c in obs.candidates), angles)
-
-
 @dataclass(frozen=True, eq=False)
-class LabelCentroid:
-    """One label's symmetry group, its model points' and centroid's images.
+class LabelGeometry:
+    """One label's model, discretized symmetry group and symmetry images.
 
-    For rigid A, B and any group element S, the mean of the norms is at
+    A solve builds one per candidate label (`label_geometry`), and both
+    matching's symmetric distances and refinement's reprojection loss read
+    it. For rigid A, B and any group element S, the mean of the norms is at
     least the norm of the mean:
 
         mean_x ||A S x - B x|| >= ||A S c - B c||,   c = mean_x x
@@ -162,29 +145,32 @@ class LabelCentroid:
     so min_S ||A S c - B c|| is a lower bound on symmetric_distance.
     """
 
+    model: ObjectModel
     group: SymmetryGroup
+    sym_points: np.ndarray  # (G, M, 3): S x, read-only
     centroid: np.ndarray  # (3,)
     images: np.ndarray  # (G, 3): S c for each group element, in group order
-    sym_points: np.ndarray  # (G, M, 3): S x, as symmetric_distance builds it
     distinct: np.ndarray  # (D, 3): images, less those within IMAGE_MERGE_TOL
 
 
-def centroid_table(
-    db: ModelDB, groups: dict[str, SymmetryGroup]
-) -> dict[str, LabelCentroid]:
-    """Per-label centroid data for every label in `groups`; built once per solve."""
-    table = {}
-    for label, group in groups.items():
-        points = db[label].points
-        c = np.mean(points, axis=0)
+def label_geometry(
+    db: ModelDB, labels, angles_per_axis: int = DEFAULT_SYMMETRY_ANGLES
+) -> dict[str, LabelGeometry]:
+    """The LabelGeometry of each distinct label, its symmetries discretized
+    with `angles_per_axis` rotations per continuous axis."""
+    geometry = {}
+    for label in sorted(set(labels)):
+        model = db[label]
+        group = discretize(model.symmetries, angles_per_axis)
+        c = np.mean(model.points, axis=0)
         images = apply_matrices(group.matrices, c).reshape(len(group), 3)
-        sym_points = apply_matrices(group.matrices, points)
+        sym_points = apply_matrices(group.matrices, model.points)
         sym_points.setflags(write=False)
-        table[label] = LabelCentroid(
-            group=group, centroid=c, images=images, sym_points=sym_points,
-            distinct=_distinct_rows(images),
+        geometry[label] = LabelGeometry(
+            model=model, group=group, sym_points=sym_points, centroid=c,
+            images=images, distinct=_distinct_rows(images),
         )
-    return table
+    return geometry
 
 
 def _distinct_rows(points: np.ndarray) -> np.ndarray:
@@ -197,21 +183,11 @@ def _distinct_rows(points: np.ndarray) -> np.ndarray:
     return points[kept]
 
 
-def _table_for(obs, db, angles: int, groups, table):
-    if table is not None:
-        return table
-    return centroid_table(db, _groups_for(obs, db, angles, groups))
-
-
 def relative_pose_from_pairs(
     pair1: CandidatePair,
     pair2: CandidatePair,
     obs: SceneObservations,
-    db: ModelDB,
-    *,
-    angles_per_axis: int = DEFAULT_SYMMETRY_ANGLES,
-    groups: dict[str, SymmetryGroup] | None = None,
-    table: dict[str, LabelCentroid] | None = None,
+    geometry: dict[str, LabelGeometry],
 ) -> Pose:
     """Relative camera pose hypothesized from two candidate pairs.
 
@@ -223,8 +199,7 @@ def relative_pose_from_pairs(
 
     Group elements are visited in ascending order of the centroid lower
     bound on that distance, and the scan stops once the bound exceeds the
-    best distance found; the result equals a full scan's. `table` (from
-    `centroid_table`) takes precedence over `groups`.
+    best distance found; the result equals a full scan's.
     """
     if pair1.a == pair2.a or pair1.b == pair2.b:
         raise DegeneratePairsError(f"pairs {pair1} and {pair2} share a candidate")
@@ -237,9 +212,8 @@ def relative_pose_from_pairs(
     if c_a1.view_id == c_b1.view_id:
         raise ValueError("a pair must connect two distinct views")
 
-    table = _table_for(obs, db, angles_per_axis, groups, table)
-    entry1 = table[c_a1.label]
-    entry2 = table[c_a2.label]
+    entry1 = geometry[c_a1.label]
+    entry2 = geometry[c_a2.label]
     elements = entry1.group.elements
 
     t_b1_inv = c_b1.pose.inverse()
@@ -256,7 +230,7 @@ def relative_pose_from_pairs(
     fixed = apply_matrix(c_a2.pose.matrix, entry2.distinct)
     bounds = np.min(point_norms(moved[:, None, :] - fixed[None, :, :]), axis=1)
 
-    points2 = db[c_a2.label].points
+    points2 = entry2.model.points
     best_k = -1
     best_pose = None
     best_d = np.inf
@@ -290,12 +264,14 @@ class _PairBounds:
     `pairs[k]`, the lexicographic order of `_candidate_pairs`.
     """
 
-    def __init__(self, candidates_a, candidates_b, table: dict[str, LabelCentroid]):
+    def __init__(
+        self, candidates_a, candidates_b, geometry: dict[str, LabelGeometry]
+    ):
         self.pairs = _candidate_pairs(candidates_a, candidates_b)
         self.candidates = dict(candidates_a) | dict(candidates_b)
         # T_bj c per view-b candidate, and the row of each pair's b side.
         self.b_centroids = np.array(
-            [apply_matrix(cb.pose.matrix, table[cb.label].centroid)[0]
+            [apply_matrix(cb.pose.matrix, geometry[cb.label].centroid)[0]
              for _, cb in candidates_b]
         ).reshape(-1, 3)
         row_of = {j: r for r, (j, _) in enumerate(candidates_b)}
@@ -307,7 +283,7 @@ class _PairBounds:
         # T_ai S c for the distinct images S c of each pair's label, pair
         # after pair: rows starts[r]:starts[r + 1] belong to pairs[r].
         a_images = {
-            i: apply_matrix(ca.pose.matrix, table[ca.label].distinct)
+            i: apply_matrix(ca.pose.matrix, geometry[ca.label].distinct)
             for i, ca in candidates_a
         }
         images = [a_images[p.a] for p in self.pairs]
@@ -331,7 +307,7 @@ class _PairBounds:
                           np.count_nonzero(hit @ self.b_incidence, axis=1))
 
     def anchor_bound(
-        self, k: int, table: dict[str, LabelCentroid], threshold: float
+        self, k: int, geometry: dict[str, LabelGeometry], threshold: float
     ) -> int:
         """Max of `inlier_bounds` over the poses T_a S T_b^-1, (a, b) = pairs[k].
 
@@ -342,7 +318,7 @@ class _PairBounds:
         """
         pair = self.pairs[k]
         ca, cb = self.candidates[pair.a], self.candidates[pair.b]
-        group = table[ca.label].group
+        group = geometry[ca.label].group
         mats = ca.pose.matrix @ group.matrices @ cb.pose.inverse().matrix
         most = min(self.a_incidence.shape[1], self.b_incidence.shape[1])
         step = max(1, _PAIRWISE_CHUNK // len(self.a_images))
@@ -361,9 +337,8 @@ class _PairBounds:
 def _inlier_matches(
     t_ab: Pose,
     pair_bounds: _PairBounds,
-    db: ModelDB,
+    geometry: dict[str, LabelGeometry],
     threshold: float,
-    table: dict[str, LabelCentroid],
     need: int = 0,
 ) -> list[tuple[float, CandidatePair]] | None:
     """Greedy one-to-one matching by ascending symmetric distance.
@@ -381,9 +356,9 @@ def _inlier_matches(
         pair = pair_bounds.pairs[k]
         ca = pair_bounds.candidates[pair.a]
         cb = pair_bounds.candidates[pair.b]
-        entry = table[ca.label]
+        entry = geometry[ca.label]
         d = symmetric_distance(
-            db[ca.label].points,
+            entry.model.points,
             entry.group,
             ca.pose,
             t_ab.compose(cb.pose),
@@ -408,11 +383,8 @@ def count_inliers(
     t_ab: Pose,
     candidates_a,
     candidates_b,
-    db: ModelDB,
+    geometry: dict[str, LabelGeometry],
     threshold: float,
-    *,
-    angles_per_axis: int = DEFAULT_SYMMETRY_ANGLES,
-    groups: dict[str, SymmetryGroup] | None = None,
 ) -> list[CandidatePair]:
     """Inlier candidate pairs under a hypothesized view-b -> view-a pose.
 
@@ -422,13 +394,9 @@ def count_inliers(
     """
     if not threshold > 0:
         raise ValueError("threshold must be > 0")
-    if groups is None:
-        labels = [c.label for _, c in candidates_a] + [c.label for _, c in candidates_b]
-        groups = symmetry_groups(db, labels, angles_per_axis)
-    table = centroid_table(db, groups)
-    pair_bounds = _PairBounds(candidates_a, candidates_b, table)
+    pair_bounds = _PairBounds(candidates_a, candidates_b, geometry)
     return [pair for _, pair in _inlier_matches(
-        t_ab, pair_bounds, db, threshold, table)]
+        t_ab, pair_bounds, geometry, threshold)]
 
 
 def _pair_rng(seed: int, view_a: str, view_b: str) -> np.random.Generator:
@@ -515,11 +483,8 @@ def two_view_ransac(
     view_a: str,
     view_b: str,
     obs: SceneObservations,
-    db: ModelDB,
+    geometry: dict[str, LabelGeometry],
     params: MatchParams = MatchParams(),
-    *,
-    groups: dict[str, SymmetryGroup] | None = None,
-    table: dict[str, LabelCentroid] | None = None,
 ) -> TwoViewHypothesis | None:
     """Best-supported relative pose between two views, or None.
 
@@ -529,7 +494,6 @@ def two_view_ransac(
     sampling without replacement from a generator seeded per view pair.
     The winner maximizes inlier count, then minimizes total inlier
     distance, then takes the lexicographically smallest generating pairs.
-    `table` (from `centroid_table`) takes precedence over `groups`.
 
     Three exact skips leave the winner and its bytes unchanged. Let `need`
     be the larger of `min_inliers` and the best inlier count so far.
@@ -550,9 +514,8 @@ def two_view_ransac(
     cands_b = by_view.get(view_b, [])
     if not cands_a or not cands_b:
         return None
-    table = _table_for(obs, db, params.symmetry_angles, groups, table)
 
-    pair_bounds = _PairBounds(cands_a, cands_b, table)
+    pair_bounds = _PairBounds(cands_a, cands_b, geometry)
     pairs = pair_bounds.pairs
     if len(pairs) < 2:
         return None
@@ -570,15 +533,15 @@ def two_view_ransac(
     for k1, k2 in combos:
         need = params.min_inliers if best is None else len(best.inliers)
         if k1 not in anchor_bounds:
-            anchor_bounds[k1] = pair_bounds.anchor_bound(k1, table, threshold)
+            anchor_bounds[k1] = pair_bounds.anchor_bound(k1, geometry, threshold)
         if anchor_bounds[k1] < need:
             continue
         p1, p2 = pairs[k1], pairs[k2]
-        t_ab = relative_pose_from_pairs(p1, p2, obs, db, table=table)
+        t_ab = relative_pose_from_pairs(p1, p2, obs, geometry)
         pose_key = t_ab.matrix.tobytes()
         if pose_key not in scored:
             scored[pose_key] = _inlier_matches(
-                t_ab, pair_bounds, db, threshold, table, need
+                t_ab, pair_bounds, geometry, threshold, need
             )
         matches = scored[pose_key]
         if matches is None or len(matches) < params.min_inliers:
@@ -600,7 +563,7 @@ def two_view_ransac(
 
 def build_match_graph(
     obs: SceneObservations,
-    db: ModelDB,
+    geometry: dict[str, LabelGeometry],
     params: MatchParams = MatchParams(),
     *,
     threads: int = 1,
@@ -609,17 +572,16 @@ def build_match_graph(
 
     View pairs are processed in lexicographic view-id order; per-pair RANSAC
     draws from its own derived generator, so the result is independent of
-    `threads`.
+    `threads`. `geometry` holds every candidate label (`label_geometry`).
     """
     view_ids = sorted(v.view_id for v in obs.views)
     if len(view_ids) < 2:
         raise ValueError("matching needs at least two views")
-    table = centroid_table(db, _groups_for(obs, db, params.symmetry_angles, None))
     view_pairs = list(itertools.combinations(view_ids, 2))
 
     def run(pair):
         va, vb = pair
-        return two_view_ransac(va, vb, obs, db, params, table=table)
+        return two_view_ransac(va, vb, obs, geometry, params)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

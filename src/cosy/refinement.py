@@ -12,7 +12,8 @@ projection induced by the current world state. The symmetry choice is
 re-selected at the start of each outer iteration and frozen inside the
 linearized step, which keeps the inner problem smooth; re-selection can
 only lower the loss, so accepted steps descend monotonically in the true
-objective as well.
+objective as well. Each label's discretized group and symmetry images come
+from the solve's `label_geometry` map, which matching reads too.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numpy as np
 from .geometry import (
     CameraIntrinsics,
     Pose,
-    apply_matrices,
     apply_matrices_repeated,
     apply_matrix,
     inverse_matrices,
@@ -36,10 +36,11 @@ from .geometry import (
     project_masked_xyz,
     retract_matrices,
 )
-from .matching import PhysicalObject, TwoViewHypothesis
+from .matching import LabelGeometry, PhysicalObject, TwoViewHypothesis
 from .numeric import seq_sum
-from .scene_io import Candidate, ModelDB, ObjectModel, SceneObservations
-from .symmetry import SymmetryGroup, discretize
+from .scene_io import Candidate, ObjectModel, SceneObservations
+# perfbench/spans.py traces cosy.refinement.discretize by this name.
+from .symmetry import discretize  # noqa: F401
 
 DEFAULT_TRUNCATION_PX = 25.0
 MAX_RESIDUAL_POINTS = 500
@@ -77,7 +78,6 @@ class RefineConfig:
     damping_factor: float = 10.0
     rel_tol: float = 1e-6
     seed: int = 0
-    symmetry_angles: int = 64
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -85,8 +85,6 @@ class RefineConfig:
         for name in ("truncation", "damping_init", "damping_factor", "rel_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
-        if self.symmetry_angles < 1:
-            raise ValueError("symmetry_angles must be >= 1")
 
 
 def residual_points(model: ObjectModel) -> np.ndarray:
@@ -96,13 +94,18 @@ def residual_points(model: ObjectModel) -> np.ndarray:
     clouds are cut to MAX_RESIDUAL_POINTS, chosen by a label-seeded draw
     (stable across runs and processes).
     """
-    pts = model.points
-    if pts.shape[0] <= MAX_RESIDUAL_POINTS:
-        return pts
+    idx = _residual_index(model)
+    return model.points if idx is None else model.points[idx]
+
+
+def _residual_index(model: ObjectModel) -> np.ndarray | None:
+    """Sorted indices of residual_points' subsample; None when it is every point."""
+    n = model.points.shape[0]
+    if n <= MAX_RESIDUAL_POINTS:
+        return None
     digest = hashlib.blake2b(model.label.encode(), digest_size=8).digest()
     rng = np.random.default_rng(int.from_bytes(digest, "big"))
-    idx = np.sort(rng.choice(pts.shape[0], MAX_RESIDUAL_POINTS, replace=False))
-    return pts[idx]
+    return np.sort(rng.choice(n, MAX_RESIDUAL_POINTS, replace=False))
 
 
 # ------------------------------------------------------------ initialization
@@ -202,26 +205,13 @@ def initialize_scene_with_pruning(
 # ------------------------------------------------------------------- loss
 
 
-def _groups_for(db: ModelDB, labels, angles: int, groups):
-    if groups is not None:
-        return groups
-    return {
-        label: discretize(db[label].symmetries, angles)
-        for label in sorted(set(labels))
-    }
-
-
 def _candidate_image(
-    cand_pose: Pose,
-    pts: np.ndarray,
-    group: SymmetryGroup,
-    intrinsics: CameraIntrinsics,
+    cand_pose: Pose, sym_points: np.ndarray, intrinsics: CameraIntrinsics
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pixels (G, M, 2) and validity (G, M) of T_cand S x for every S."""
-    m = pts.shape[0]
-    sym_pts = apply_matrices(group.matrices, pts)  # (G, M, 3)
-    g = sym_pts.shape[0]
-    cam_pts = apply_matrix(cand_pose.matrix, sym_pts.reshape(g * m, 3))
+    """Pixels (G, M, 2) and validity (G, M) of T_cand S x for every S, from
+    the (G, M, 3) images S x."""
+    g, m, _ = sym_points.shape
+    cam_pts = apply_matrix(cand_pose.matrix, sym_points.reshape(g * m, 3))
     px, valid = project_masked(intrinsics, cam_pts)
     return px.reshape(g, m, 2), valid.reshape(g, m)
 
@@ -243,12 +233,9 @@ def candidate_loss(
     state: SceneState,
     candidate: Candidate,
     physical_object: PhysicalObject,
-    db: ModelDB,
+    geometry: dict[str, LabelGeometry],
     intrinsics: CameraIntrinsics,
     truncation: float = DEFAULT_TRUNCATION_PX,
-    *,
-    angles_per_axis: int = 64,
-    groups: dict[str, SymmetryGroup] | None = None,
 ) -> float:
     """Truncated symmetric reprojection loss of one candidate, in pixels.
 
@@ -259,16 +246,14 @@ def candidate_loss(
         raise ValueError("candidate label does not match the physical object")
     if candidate.view_id not in {v for v, _ in physical_object.members}:
         raise ValueError("candidate's view is not a member of the object")
-    groups = _groups_for(db, [candidate.label], angles_per_axis, groups)
-    pts = db[candidate.label].points
+    entry = geometry[candidate.label]
+    pts = entry.model.points
     cam = state.camera_poses[candidate.view_id]
     state_pose = cam.inverse().compose(state.object_poses[physical_object.id])
     pred_px, pred_valid = project_masked(
         intrinsics, apply_matrix(state_pose.matrix, pts)
     )
-    px, valid = _candidate_image(
-        candidate.pose, pts, groups[candidate.label], intrinsics
-    )
+    px, valid = _candidate_image(candidate.pose, entry.sym_points, intrinsics)
     contrib, _, _ = _truncated_errors(
         pred_px[None], pred_valid[None], px, valid, truncation
     )
@@ -279,14 +264,11 @@ def total_loss(
     state: SceneState,
     objects: list[PhysicalObject],
     obs: SceneObservations,
-    db: ModelDB,
+    geometry: dict[str, LabelGeometry],
     cfg: RefineConfig = RefineConfig(),
-    *,
-    groups: dict[str, SymmetryGroup] | None = None,
 ) -> float:
     """Sum of candidate losses over every physical object's members."""
     state.require_views(objects)
-    groups = _groups_for(db, [o.label for o in objects], cfg.symmetry_angles, groups)
     intr = {v.view_id: v.intrinsics for v in obs.views}
     total = 0.0
     for obj in sorted(objects, key=lambda o: o.id):
@@ -295,10 +277,9 @@ def total_loss(
                 state,
                 obs.candidates[cand_idx],
                 obj,
-                db,
+                geometry,
                 intr[view_id],
                 cfg.truncation,
-                groups=groups,
             )
     return float(total)
 
@@ -446,15 +427,21 @@ class Targets:
 def candidate_images(
     objects: list[PhysicalObject],
     obs: SceneObservations,
-    db: ModelDB,
-    cfg: RefineConfig = RefineConfig(),
-    *,
-    groups: dict[str, SymmetryGroup] | None = None,
+    geometry: dict[str, LabelGeometry],
 ) -> CandidateImages:
-    """Residual points and symmetry images of every member candidate."""
-    groups = _groups_for(db, [o.label for o in objects], cfg.symmetry_angles, groups)
+    """Residual points and symmetry images of every member candidate.
+
+    Each label's residual subsample is drawn once, and its images S x are
+    rows of the label's `sym_points` (apply_matrices works point by point).
+    """
     intr = {v.view_id: v.intrinsics for v in obs.views}
-    pts = {o.label: residual_points(db[o.label]) for o in objects}
+    pts, sym_points = {}, {}
+    for label in {o.label for o in objects}:
+        entry = geometry[label]
+        idx = _residual_index(entry.model)
+        rows = slice(None) if idx is None else idx
+        pts[label] = entry.model.points[rows]
+        sym_points[label] = entry.sym_points[:, rows]
     members = [
         (view_id, obj, cand_idx)
         for obj in sorted(objects, key=lambda o: o.id)
@@ -464,7 +451,8 @@ def candidate_images(
     bounds = np.concatenate([[0], np.cumsum(counts)])
     by_shape: dict[tuple[int, int], list[int]] = {}
     for t, (_, obj, _) in enumerate(members):
-        by_shape.setdefault((int(counts[t]), len(groups[obj.label])), []).append(t)
+        key = (int(counts[t]), len(geometry[obj.label].group))
+        by_shape.setdefault(key, []).append(t)
     stacks = []
     for (m, g), ts in by_shape.items():
         px = np.empty((len(ts), g, m, 2))
@@ -472,8 +460,7 @@ def candidate_images(
         for j, t in enumerate(ts):
             view_id, obj, cand_idx = members[t]
             px[j], valid[j] = _candidate_image(
-                obs.candidates[cand_idx].pose, pts[obj.label], groups[obj.label],
-                intr[view_id],
+                obs.candidates[cand_idx].pose, sym_points[obj.label], intr[view_id]
             )
         ts = np.array(ts)
         stacks.append(
@@ -756,10 +743,9 @@ def refine(
     state: SceneState,
     objects: list[PhysicalObject],
     obs: SceneObservations,
-    db: ModelDB,
+    geometry: dict[str, LabelGeometry],
     cfg: RefineConfig = RefineConfig(),
     *,
-    groups: dict[str, SymmetryGroup] | None = None,
     trace: list | None = None,
     images: CandidateImages | None = None,
 ) -> SceneState:
@@ -784,15 +770,15 @@ def refine(
     outer iteration plus the final value, unless the descent stopped on a
     zero loss or a saturated residual set; it is non-increasing, and its
     last value is select_targets' loss at the returned state. `images` are
-    `candidate_images(objects, obs, db, cfg, groups=groups)`, built here
-    when not given; they depend on no pose, so restarts may share them.
+    `candidate_images(objects, obs, geometry)`, built here when not given;
+    they depend on no pose, so restarts may share them.
     """
     if not objects:
         return state
     state.require_views(objects)
     layout = parameter_layout(state, objects)
     if images is None:
-        images = candidate_images(objects, obs, db, cfg, groups=groups)
+        images = candidate_images(objects, obs, geometry)
     poses = pose_stack(state, images)
     projection = None  # of poses, kept from an accepted trial
     lam = cfg.damping_init
@@ -853,35 +839,42 @@ def _with_poses(
     return SceneState(camera_poses=cameras, object_poses=objects)
 
 
-def any_subsampled(objects: list[PhysicalObject], db: ModelDB) -> bool:
+def any_subsampled(
+    objects: list[PhysicalObject], geometry: dict[str, LabelGeometry]
+) -> bool:
     """Whether some object's residual points are a subsample of its model."""
-    return any(db[o.label].points.shape[0] > MAX_RESIDUAL_POINTS for o in objects)
+    return any(
+        geometry[o.label].model.points.shape[0] > MAX_RESIDUAL_POINTS
+        for o in objects
+    )
 
 
 def refine_best_of(
     objects: list[PhysicalObject],
     hypotheses: dict[tuple[str, str], TwoViewHypothesis],
     obs: SceneObservations,
-    db: ModelDB,
+    geometry: dict[str, LabelGeometry],
     cfg: RefineConfig = RefineConfig(),
     n_starts: int = 4,
     *,
     trace: list | None = None,
-) -> tuple[SceneState, list[PhysicalObject], SceneState]:
+) -> tuple[SceneState, list[PhysicalObject], SceneState, float | None]:
     """Initialize, refine, and keep the lowest-loss result of n_starts runs.
 
     Initialization chains noisy pairwise relative poses, so different
     random roots land in different descent basins. All starts share one
     rng stream seeded from cfg.seed and one pruned object set, keeping the
     whole procedure deterministic; ties keep the earliest start, and so
-    does a run whose every loss is NaN. Returns
-    (best refined state, surviving objects, first initialization).
+    does a run whose every loss is NaN. Returns (best refined state,
+    surviving objects, first initialization, best score); the score is
+    None when no object survives initialization.
 
     Every start refines against one shared `candidate_images` build. A
     start is scored by the last value of its `refine` trace, select_targets'
     loss at the refined state, which is total_loss bit for bit unless some
     model's residual points are a subsample (`any_subsampled`); total_loss
-    scores the starts then. No refined state is projected again. `trace`,
+    scores the starts then, so the best score is always total_loss at the
+    best state. No refined state is projected again. `trace`,
     when given, receives the best start's refine trace.
     """
     if n_starts < 1:
@@ -889,10 +882,9 @@ def refine_best_of(
     rng = np.random.default_rng(cfg.seed)
     first_init, kept = initialize_scene_with_pruning(objects, hypotheses, obs, rng)
     if not kept:
-        return first_init, kept, first_init
-    groups = _groups_for(db, [o.label for o in kept], cfg.symmetry_angles, None)
-    images = candidate_images(kept, obs, db, cfg, groups=groups)
-    subsampled = any_subsampled(kept, db)
+        return first_init, kept, first_init, None
+    images = candidate_images(kept, obs, geometry)
+    subsampled = any_subsampled(kept, geometry)
     best_state = best_trace = None
     best_loss = np.inf
     state0 = first_init
@@ -901,18 +893,17 @@ def refine_best_of(
             state0 = initialize_scene(kept, hypotheses, obs, rng)
         start_trace = []
         refined = refine(
-            state0, kept, obs, db, cfg, groups=groups, trace=start_trace,
-            images=images,
+            state0, kept, obs, geometry, cfg, trace=start_trace, images=images
         )
         if subsampled:
-            loss = total_loss(refined, kept, obs, db, cfg, groups=groups)
+            loss = total_loss(refined, kept, obs, geometry, cfg)
         else:
             loss = start_trace[-1]
         if best_state is None or loss < best_loss:
             best_state, best_loss, best_trace = refined, loss, start_trace
     if trace is not None:
         trace.extend(best_trace)
-    return best_state, kept, first_init
+    return best_state, kept, first_init, best_loss
 
 
 # ------------------------------------------------------------------ output

@@ -172,8 +172,13 @@ def _distances_per_element(
     t1: Pose,
     t2: Pose,
     sym_points: np.ndarray | None = None,
+    norm=point_norms,
 ) -> np.ndarray:
-    """Mean point error for every group element; order matches the group."""
+    """Mean point error for every group element; order matches the group.
+
+    `norm` maps (..., 3) differences to per-point errors: the Euclidean
+    `point_norms`, or `point_l1`.
+    """
     pts = np.asarray(points, dtype=np.float64)
     if pts.size == 0:
         raise ValueError("point set must be non-empty")
@@ -182,7 +187,7 @@ def _distances_per_element(
     g, m, _ = sym_points.shape
     a = apply_matrix(t1.matrix, sym_points.reshape(g * m, 3)).reshape(g, m, 3)
     b = apply_matrix(t2.matrix, pts)  # (M, 3)
-    per_point = point_norms(a - b[None, :, :])  # (G, M)
+    per_point = norm(a - b[None, :, :])  # (G, M)
     return seq_sum(per_point, axis=1) / m
 
 
@@ -214,12 +219,6 @@ def symmetric_distance_l1(points, group: SymmetryGroup, t1: Pose, t2: Pose) -> f
 
     Used as the pose-error term of the single-view training loss.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.size == 0:
-        raise ValueError("point set must be non-empty")
-    sym_pts = apply_matrices(group.matrices, pts)
-    g, m, _ = sym_pts.shape
-    a = apply_matrix(t1.matrix, sym_pts.reshape(g * m, 3)).reshape(g, m, 3)
-    b = apply_matrix(t2.matrix, pts)
-    per_point = point_l1(a - b[None, :, :])
-    return float(np.min(seq_sum(per_point, axis=1) / m))
+    return float(
+        np.min(_distances_per_element(points, group, t1, t2, norm=point_l1))
+    )

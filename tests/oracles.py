@@ -529,7 +529,7 @@ def normal_equations(r, e, targets, layout):
 # winner must equal this one bit for bit.
 
 
-def inlier_matches(t_ab, cands_a, cands_b, db, threshold, groups):
+def inlier_matches(t_ab, cands_a, cands_b, geometry, threshold):
     """(distance, pair) of the greedy one-to-one matching, acceptance order."""
     from cosy.matching import CandidatePair
     from cosy.symmetry import symmetric_distance
@@ -539,8 +539,9 @@ def inlier_matches(t_ab, cands_a, cands_b, db, threshold, groups):
         for j, cb in cands_b:
             if ca.label != cb.label:
                 continue
+            entry = geometry[ca.label]
             d = symmetric_distance(
-                db[ca.label].points, groups[ca.label],
+                entry.model.points, entry.group,
                 ca.pose, t_ab.compose(cb.pose),
             )
             if d < threshold:
@@ -556,14 +557,13 @@ def inlier_matches(t_ab, cands_a, cands_b, db, threshold, groups):
     return out
 
 
-def two_view_ransac(view_a, view_b, obs, db, params):
+def two_view_ransac(view_a, view_b, obs, geometry, params):
     from cosy.matching import (
         TwoViewHypothesis,
         _candidate_pairs,
         _pair_rng,
         hypothesis_combos,
         relative_pose_from_pairs,
-        symmetry_groups,
     )
 
     by_view = obs.by_view()
@@ -571,9 +571,6 @@ def two_view_ransac(view_a, view_b, obs, db, params):
     cands_b = by_view.get(view_b, [])
     if not cands_a or not cands_b:
         return None
-    groups = symmetry_groups(
-        db, [c.label for c in obs.candidates], params.symmetry_angles
-    )
     pairs = _candidate_pairs(cands_a, cands_b)
     if len(pairs) < 2:
         return None
@@ -587,9 +584,9 @@ def two_view_ransac(view_a, view_b, obs, db, params):
     best = None
     for k1, k2 in combos:
         p1, p2 = pairs[k1], pairs[k2]
-        t_ab = relative_pose_from_pairs(p1, p2, obs, db, groups=groups)
+        t_ab = relative_pose_from_pairs(p1, p2, obs, geometry)
         matches = inlier_matches(
-            t_ab, cands_a, cands_b, db, params.inlier_threshold, groups
+            t_ab, cands_a, cands_b, geometry, params.inlier_threshold
         )
         if len(matches) < params.min_inliers:
             continue
@@ -616,7 +613,7 @@ def two_view_ransac(view_a, view_b, obs, db, params):
 # cosy.refinement module, so a test may count or replace them.
 
 
-def refine(state, objects, obs, db, cfg, *, trace=None, images=None, stops=None):
+def refine(state, objects, obs, geometry, cfg, *, trace=None, images=None, stops=None):
     """The loop-over-SceneStates refine; `stops`, when given, receives why
     the descent stopped: "zero", "saturated", "ladder", "rel_tol" or
     "max_iterations"."""
@@ -627,7 +624,7 @@ def refine(state, objects, obs, db, cfg, *, trace=None, images=None, stops=None)
     state.require_views(objects)
     layout = lm.parameter_layout(state, objects)
     if images is None:
-        images = lm.candidate_images(objects, obs, db, cfg)
+        images = lm.candidate_images(objects, obs, geometry)
     lam = cfg.damping_init
     eye = np.eye(layout.size)
     stop = "max_iterations"

@@ -29,6 +29,7 @@ from cosy.matching import (
     build_match_graph,
     extract_physical_objects,
     hypothesis_combos,
+    label_geometry,
 )
 from cosy.refinement import (
     RefineConfig,
@@ -223,11 +224,12 @@ def test_criterion_4_zero_noise_recovery():
         obs, _ = generate_observations(
             scene, NoiseModel.none(), np.random.default_rng(seed)
         )
-        graph = build_match_graph(obs, db)
+        geo = label_geometry(db, db.models)
+        graph = build_match_graph(obs, geo)
         objs = extract_physical_objects(graph)
         structure_ok = structure_ok and len(objs) == n_objects
-        state, kept, _ = refine_best_of(
-            objs, graph.hypotheses, obs, db, RefineConfig(), n_starts=1
+        state, kept, _, _ = refine_best_of(
+            objs, graph.hypotheses, obs, geo, RefineConfig(), n_starts=1
         )
 
         ids = [v.view_id for v in scene.views]
@@ -294,7 +296,7 @@ def test_criterion_5_outlier_rejection_and_pair_recall():
             rot_sigma_deg=5.0, trans_sigma=0.005, miss_prob=0.2, outlier_prob=0.3
         )
         obs, prov = generate_observations(scene, noise, np.random.default_rng(seed))
-        graph = build_match_graph(obs, db, params)
+        graph = build_match_graph(obs, label_geometry(db, db.models), params)
 
         edge_set = {(min(e.a, e.b), max(e.a, e.b)) for e in graph.edges}
         touched = {i for e in graph.edges for i in (e.a, e.b)}
@@ -340,10 +342,11 @@ def test_criterion_6_refinement_improves_accuracy():
     red_cand, red_init = [], []
     for seed in range(50):
         db, scene, obs, prov = noisy_depth_scene(seed=seed, n_views=4 + seed % 5)
-        graph = build_match_graph(obs, db, MatchParams(inlier_threshold=0.2))
+        geo = label_geometry(db, db.models)
+        graph = build_match_graph(obs, geo, MatchParams(inlier_threshold=0.2))
         objs = extract_physical_objects(graph)
-        state, kept, init = refine_best_of(
-            objs, graph.hypotheses, obs, db, RefineConfig(), n_starts=6
+        state, kept, init, _ = refine_best_of(
+            objs, graph.hypotheses, obs, geo, RefineConfig(), n_starts=6
         )
         after = mean_member_adds(state, kept, obs, db, scene, prov)
         before_init = mean_member_adds(init, kept, obs, db, scene, prov)
@@ -394,7 +397,7 @@ def test_criterion_7_optimizer_correctness():
             n_objects=n_obj, n_views=n_views, seed=700 + si, symmetric=sym
         )
         rng = np.random.default_rng(700 + si)
-        images = candidate_images(objects, obs, db, cfg)
+        images = candidate_images(objects, obs, label_geometry(db, db.models))
         for _ in range(4):
             noisy = perturbed_state(state, rng, rot=0.01, trans=0.005)
             targets, _ = select_targets(noisy, images, cfg.truncation)
@@ -418,7 +421,8 @@ def test_criterion_7_optimizer_correctness():
         n_objects=3, n_views=3, seed=77, symmetric=("obj_01",)
     )
     noisy = perturbed_state(state, np.random.default_rng(77))
-    loss0 = total_loss(noisy, objects, obs, db, cfg)
+    geo = label_geometry(db, db.models)
+    loss0 = total_loss(noisy, objects, obs, geo, cfg)
     rng = np.random.default_rng(78)
     worst_gauge = 0.0
     for _ in range(100):
@@ -427,20 +431,21 @@ def test_criterion_7_optimizer_correctness():
             camera_poses={k: g.compose(v) for k, v in noisy.camera_poses.items()},
             object_poses={k: g.compose(v) for k, v in noisy.object_poses.items()},
         )
-        loss_g = total_loss(moved, objects, obs, db, cfg)
+        loss_g = total_loss(moved, objects, obs, geo, cfg)
         worst_gauge = max(worst_gauge, abs(loss_g - loss0) / max(loss0, 1e-12))
 
     # (c) accepted-step loss traces are monotone non-increasing
     monotone = True
     for seed in (0, 5, 9):
         db, scene, obs, prov = noisy_depth_scene(seed=seed)
-        graph = build_match_graph(obs, db, MatchParams(inlier_threshold=0.2))
+        geo = label_geometry(db, db.models)
+        graph = build_match_graph(obs, geo, MatchParams(inlier_threshold=0.2))
         objs = extract_physical_objects(graph)
         state0 = initialize_scene(
             objs, graph.hypotheses, obs, np.random.default_rng(seed)
         )
         trace = []
-        refine(state0, objs, obs, db, cfg, trace=trace)
+        refine(state0, objs, obs, geo, cfg, trace=trace)
         monotone = monotone and all(
             b <= a + 1e-12 for a, b in zip(trace, trace[1:])
         )

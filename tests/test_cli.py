@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import cosy.matching
+import cosy.refinement
 import oracles
 from cosy import cli
 from cosy import evaluation as ev
@@ -186,8 +188,9 @@ def test_solve_config_echo_and_stats(tmp_path):
 def test_solve_final_loss_is_total_loss_of_the_refined_state(
     tmp_path, monkeypatch, n_points
 ):
-    # The best start's last LM trace value stands in for total_loss unless a
-    # model's residual points are a subsample (520 > MAX_RESIDUAL_POINTS).
+    # The written loss is refine_best_of's score of the best start; cmd_solve
+    # scores nothing again, also when a model's residual points are a
+    # subsample (520 > MAX_RESIDUAL_POINTS).
     models, obs, _ = simulate(tmp_path, "--n-objects", "4", "--n-views", "3",
                               "--n-points", n_points)
     real_best_of, real_total_loss = cli.refine_best_of, cli.total_loss
@@ -206,10 +209,78 @@ def test_solve_final_loss_is_total_loss_of_the_refined_state(
     out = tmp_path / "estimate.json"
     assert solve(models, obs, out) == EXIT_OK
     monkeypatch.undo()
-    ((_, _, scene_obs, db, cfg), (state, kept, _)), = runs
-    assert len(total_loss_calls) == (n_points == "520")
+    ((_, _, scene_obs, geo, cfg), (state, kept, _, _)), = runs
+    assert len(total_loss_calls) == 0
     final_loss = load_json(out)["stats"]["final_loss"]
-    assert final_loss == real_total_loss(state, kept, scene_obs, db, cfg)
+    assert final_loss == real_total_loss(state, kept, scene_obs, geo, cfg)
+
+
+def test_solve_init_out_is_the_first_initialization(tmp_path, monkeypatch):
+    models, obs, _ = simulate(tmp_path, "--n-objects", "5", "--n-views", "3",
+                              "--rot-sigma-deg", "3", "--trans-sigma", "0.005",
+                              "--symmetric-labels", "obj_01")
+    real_best_of = cli.refine_best_of
+    runs = []
+
+    def recording_best_of(*args, **kwargs):
+        runs.append(real_best_of(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "refine_best_of", recording_best_of)
+    out, init_out = tmp_path / "estimate.json", tmp_path / "init.json"
+    assert solve(models, obs, out, "--init-out", str(init_out)) == EXIT_OK
+    (result,) = runs
+    first_init = result[2]
+    est, init = load_estimate(out), load_estimate(init_out)
+    assert len(init.objects) == 5
+    assert [(o.object_id, o.label, o.members, o.score) for o in init.objects] == [
+        (o.object_id, o.label, o.members, o.score) for o in est.objects
+    ]
+    for o in init.objects:
+        want = first_init.object_poses[int(o.object_id[1:])]
+        assert np.array_equal(o.pose_world.matrix, want.matrix)
+    assert [c.view_id for c in init.cameras] == sorted(first_init.camera_poses)
+    for c in init.cameras:
+        want = first_init.camera_poses[c.view_id]
+        assert np.array_equal(c.pose_world.matrix, want.matrix)
+    init_doc = load_json(init_out)
+    assert init_doc["stats"] == {"stage": "initialization"}
+    assert init_doc["config"] == load_json(out)["config"]
+
+
+def test_solve_discretizes_each_candidate_label_once(tmp_path, monkeypatch):
+    models, obs, _ = simulate(tmp_path, "--n-objects", "6", "--n-views", "4",
+                              "--rot-sigma-deg", "3", "--trans-sigma", "0.005",
+                              "--outlier-prob", "0.2", "--symmetric-labels", "obj_01")
+    counts = {"matching": 0, "refinement": 0}
+
+    def counting(module):
+        real = module.discretize
+
+        def wrapper(*args, **kwargs):
+            counts[module.__name__.rsplit(".", 1)[-1]] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for module in (cosy.matching, cosy.refinement):
+        monkeypatch.setattr(module, "discretize", counting(module))
+    assert solve(models, obs, tmp_path / "estimate.json") == EXIT_OK
+    labels = {
+        c["label"] for c in load_json(obs)["candidates"] if c["score"] > 0.3
+    }
+    assert counts == {"matching": len(labels), "refinement": 0}
+
+
+def test_solve_rejects_symmetry_angles_below_one(tmp_path, capsys):
+    models, obs, _ = simulate(tmp_path, "--n-objects", "4", "--n-views", "3")
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    assert solve(models, obs, out, "--symmetry-angles", "0") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "symmetry_angles must be >= 1" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_solve_min_score_filters_members(tmp_path):

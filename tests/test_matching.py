@@ -24,12 +24,11 @@ from cosy.matching import (
     _pair_rng,
     _valid_combo_count,
     build_match_graph,
-    centroid_table,
     count_inliers,
     extract_physical_objects,
     hypothesis_combos,
+    label_geometry,
     relative_pose_from_pairs,
-    symmetry_groups,
     two_view_ransac,
 )
 from cosy.scene_io import Candidate, ModelDB, ObjectModel, SceneObservations, View
@@ -41,7 +40,7 @@ from cosy.simulation import (
     generate_scene,
     make_models,
 )
-from cosy.symmetry import SymmetrySpec, discretize, symmetric_distance
+from cosy.symmetry import SymmetrySpec, symmetric_distance
 
 
 def manual_observations(scene, scores=None):
@@ -97,8 +96,6 @@ def test_match_params_defaults_and_validation():
         MatchParams(min_inliers=2)
     with pytest.raises(ValueError):
         MatchParams(max_iterations=0)
-    with pytest.raises(ValueError):
-        MatchParams(symmetry_angles=0)
 
 
 def test_candidate_pair_is_ordered():
@@ -141,7 +138,7 @@ def test_identical_views_give_identity():
             )
     obs = SceneObservations(views=views, candidates=tuple(cands))
     t = relative_pose_from_pairs(
-        CandidatePair(0, 3), CandidatePair(1, 4), obs, db
+        CandidatePair(0, 3), CandidatePair(1, 4), obs, label_geometry(db, db.models)
     )
     assert pose_close(t, Pose.identity(), tol=1e-12)
 
@@ -149,7 +146,8 @@ def test_identical_views_give_identity():
 def test_trivial_group_is_direct_product():
     db, scene = small_scene(3, 2, seed=7)
     obs = manual_observations(scene)
-    t = relative_pose_from_pairs(CandidatePair(0, 3), CandidatePair(1, 4), obs, db)
+    geo = label_geometry(db, db.models)
+    t = relative_pose_from_pairs(CandidatePair(0, 3), CandidatePair(1, 4), obs, geo)
     expected = obs.candidates[0].pose.compose(obs.candidates[3].pose.inverse())
     # identity-only group: S* = I is forced and multiplies away exactly
     assert np.array_equal(t.matrix, expected.matrix)
@@ -159,7 +157,8 @@ def test_symmetric_first_pair_recovers_ground_truth():
     db, scene = small_scene(4, 2, seed=11, symmetric=("obj_00",))
     obs = manual_observations(scene)
     # pair1 is the symmetric object; pair2 pins down the rotation about its axis
-    t = relative_pose_from_pairs(CandidatePair(0, 4), CandidatePair(1, 5), obs, db)
+    geo = label_geometry(db, db.models)
+    t = relative_pose_from_pairs(CandidatePair(0, 4), CandidatePair(1, 5), obs, geo)
     assert pose_close(t, true_relative_pose(scene, 0, 1), tol=1e-9)
 
 
@@ -167,12 +166,12 @@ def test_symmetric_choice_matches_bruteforce_scan():
     db, scene = small_scene(4, 2, seed=13, symmetric=("obj_00", "obj_02"))
     obs = manual_observations(scene)
     pair1, pair2 = CandidatePair(0, 4), CandidatePair(2, 6)
-    t = relative_pose_from_pairs(pair1, pair2, obs, db)
+    geo = label_geometry(db, [c.label for c in obs.candidates])
+    t = relative_pose_from_pairs(pair1, pair2, obs, geo)
 
-    groups = symmetry_groups(db, [c.label for c in obs.candidates])
-    g1 = groups["obj_00"]
+    g1 = geo["obj_00"].group
     model2 = db["obj_02"]
-    mats2 = [e.matrix for e in groups["obj_02"].elements]
+    mats2 = [e.matrix for e in geo["obj_02"].group.elements]
     t_a1, t_b1 = obs.candidates[0].pose, obs.candidates[4].pose
     t_a2, t_b2 = obs.candidates[2].pose, obs.candidates[6].pose
     best_d, best_m = np.inf, None
@@ -189,13 +188,14 @@ def test_symmetric_choice_matches_bruteforce_scan():
 def test_degenerate_and_inconsistent_pairs_rejected():
     db, scene = small_scene(3, 2, seed=3)
     obs = manual_observations(scene)
+    geo = label_geometry(db, db.models)
     with pytest.raises(DegeneratePairsError):
-        relative_pose_from_pairs(CandidatePair(0, 3), CandidatePair(0, 4), obs, db)
+        relative_pose_from_pairs(CandidatePair(0, 3), CandidatePair(0, 4), obs, geo)
     with pytest.raises(DegeneratePairsError):
-        relative_pose_from_pairs(CandidatePair(0, 3), CandidatePair(1, 3), obs, db)
+        relative_pose_from_pairs(CandidatePair(0, 3), CandidatePair(1, 3), obs, geo)
     with pytest.raises(ValueError):
         # labels differ inside the first pair
-        relative_pose_from_pairs(CandidatePair(0, 4), CandidatePair(1, 5), obs, db)
+        relative_pose_from_pairs(CandidatePair(0, 4), CandidatePair(1, 5), obs, geo)
 
 
 # ------------------------------------------------------------ count_inliers
@@ -206,9 +206,8 @@ def test_zero_noise_all_objects_are_inliers():
     obs = manual_observations(scene)
     by_view = obs.by_view()
     t_ab = true_relative_pose(scene, 0, 1)
-    inliers = count_inliers(
-        t_ab, by_view["view_000"], by_view["view_001"], db, 0.02
-    )
+    geo = label_geometry(db, db.models)
+    inliers = count_inliers(t_ab, by_view["view_000"], by_view["view_001"], geo, 0.02)
     assert sorted(inliers) == [CandidatePair(i, i + 5) for i in range(5)]
 
 
@@ -225,8 +224,9 @@ def test_displaced_candidate_excluded_at_threshold():
     by_view = obs2.by_view()
     t_ab = true_relative_pose(scene, 0, 1)
 
-    tight = count_inliers(t_ab, by_view["view_000"], by_view["view_001"], db, 0.02)
-    loose = count_inliers(t_ab, by_view["view_000"], by_view["view_001"], db, 0.05)
+    geo = label_geometry(db, db.models)
+    tight = count_inliers(t_ab, by_view["view_000"], by_view["view_001"], geo, 0.02)
+    loose = count_inliers(t_ab, by_view["view_000"], by_view["view_001"], geo, 0.05)
     assert CandidatePair(2, 6) not in tight
     assert len(tight) == 3
     assert CandidatePair(2, 6) in loose
@@ -248,9 +248,8 @@ def test_collision_keeps_closer_candidate():
         ),
     )
     by_view = obs.by_view()
-    inliers = count_inliers(
-        Pose.identity(), by_view["va"], by_view["vb"], db, 0.02
-    )
+    geo = label_geometry(db, ["cup"])
+    inliers = count_inliers(Pose.identity(), by_view["va"], by_view["vb"], geo, 0.02)
     assert inliers == [CandidatePair(0, 2)]
 
 
@@ -268,12 +267,12 @@ def test_greedy_matching_equals_scalar_oracle():
     obs = SceneObservations(views=views, candidates=tuple(cands))
     by_view = obs.by_view()
     threshold = 0.05
+    geo = label_geometry(db, ["box"])
     got = count_inliers(
-        Pose.identity(), by_view["va"], by_view["vb"], db, threshold
+        Pose.identity(), by_view["va"], by_view["vb"], geo, threshold
     )
 
-    groups = symmetry_groups(db, ["box"])
-    mats = [e.matrix for e in groups["box"].elements]
+    mats = [e.matrix for e in geo["box"].group.elements]
     scored = []
     for i in range(4):
         for j in range(4, 8):
@@ -349,7 +348,8 @@ def test_pruned_kernel_equals_unpruned_scan(seed):
     obs, _ = generate_observations(scene, noise, np.random.default_rng(seed))
     by_view = obs.by_view()
     cands_a, cands_b = by_view["view_000"], by_view["view_001"]
-    groups = symmetry_groups(db, [c.label for c in obs.candidates])
+    geo = label_geometry(db, [c.label for c in obs.candidates])
+    groups = {label: entry.group for label, entry in geo.items()}
     pairs = [
         CandidatePair(i, j)
         for i, ca in cands_a
@@ -360,12 +360,12 @@ def test_pruned_kernel_equals_unpruned_scan(seed):
     for p1, p2 in itertools.permutations(pairs, 2):
         if p1.a == p2.a or p1.b == p2.b:
             continue
-        got = relative_pose_from_pairs(p1, p2, obs, db, groups=groups)
+        got = relative_pose_from_pairs(p1, p2, obs, geo)
         want = unpruned_relative_pose(p1, p2, obs, db, groups)
         assert np.array_equal(got.matrix, want.matrix)
         for threshold in (0.02, 0.1):
             assert count_inliers(
-                got, cands_a, cands_b, db, threshold, groups=groups
+                got, cands_a, cands_b, geo, threshold
             ) == unpruned_inliers(got, cands_a, cands_b, db, threshold, groups)
         labels = (obs.candidates[p1.a].label, obs.candidates[p2.a].label)
         both_symmetric += all(len(groups[label]) > 1 for label in labels)
@@ -382,12 +382,13 @@ def test_pruning_skips_exact_evaluations(monkeypatch):
         return symmetric_distance(*args, **kwargs)
 
     monkeypatch.setattr(cosy.matching, "symmetric_distance", counting)
-    t = relative_pose_from_pairs(CandidatePair(0, 4), CandidatePair(1, 5), obs, db)
+    geo = label_geometry(db, db.models)
+    t = relative_pose_from_pairs(CandidatePair(0, 4), CandidatePair(1, 5), obs, geo)
     assert pose_close(t, true_relative_pose(scene, 0, 1))
     assert 0 < len(calls) < 64
     calls.clear()
     by_view = obs.by_view()
-    inliers = count_inliers(t, by_view["view_000"], by_view["view_001"], db, 0.02)
+    inliers = count_inliers(t, by_view["view_000"], by_view["view_001"], geo, 0.02)
     assert len(inliers) == 4
     assert len(calls) == 4
 
@@ -395,7 +396,7 @@ def test_pruning_skips_exact_evaluations(monkeypatch):
 @pytest.mark.parametrize("symmetric", [False, True], ids=["G1", "G64"])
 def test_symmetric_distance_with_label_stack_is_identical(symmetric):
     db, scene = small_scene(3, 2, seed=43, symmetric=("obj_01",) if symmetric else ())
-    entry = centroid_table(db, symmetry_groups(db, db.models))["obj_01"]
+    entry = label_geometry(db, db.models)["obj_01"]
     assert len(entry.group) == (64 if symmetric else 1)
     points = db["obj_01"].points
     assert np.array_equal(
@@ -422,7 +423,7 @@ def test_matching_passes_each_label_stack(monkeypatch):
         return symmetric_distance(points, group, t1, t2, sym_points=sym_points)
 
     monkeypatch.setattr(cosy.matching, "symmetric_distance", recording)
-    build_match_graph(obs, db, MatchParams())
+    build_match_graph(obs, label_geometry(db, db.models), MatchParams())
     assert any(len(group) == 64 for _, group, _ in seen)
     for points, group, sym_points in seen:
         assert sym_points.shape == (len(group), len(points), 3)
@@ -446,13 +447,14 @@ def test_tight_bound_at_threshold(symmetric, offset):
     by_view = obs.by_view()
     cands_a, cands_b = by_view["view_000"], by_view["view_001"]
     t_ab = true_relative_pose(scene, 0, 1)
-    groups = symmetry_groups(db, [c.label for c in obs.candidates])
+    geo = label_geometry(db, [c.label for c in obs.candidates])
+    groups = {label: entry.group for label, entry in geo.items()}
 
     d = symmetric_distance(
         db["obj_02"].points, groups["obj_02"],
         obs.candidates[2].pose, t_ab.compose(obs.candidates[6].pose),
     )
-    bounds = _PairBounds(cands_a, cands_b, centroid_table(db, groups))
+    bounds = _PairBounds(cands_a, cands_b, geo)
     bound = bounds.bounds(t_ab)[bounds.pairs.index(CandidatePair(2, 6))]
     assert abs(d - 0.02) < 1e-12
     assert abs(bound - d) < 1e-12
@@ -460,7 +462,7 @@ def test_tight_bound_at_threshold(symmetric, offset):
     # ||delta|| just below (offset > 0), exactly at, and just above the
     # threshold; the last offset puts the bound past the margin.
     threshold = d + offset
-    got = count_inliers(t_ab, cands_a, cands_b, db, threshold, groups=groups)
+    got = count_inliers(t_ab, cands_a, cands_b, geo, threshold)
     assert got == unpruned_inliers(t_ab, cands_a, cands_b, db, threshold, groups)
     assert (CandidatePair(2, 6) in got) == (offset > 0)
     assert len(got) == (4 if offset > 0 else 3)
@@ -476,14 +478,15 @@ def test_nan_candidate_pose_gives_pose_or_value_error(symmetric):
     m[0, 1] = np.nan
     moved[0] = Candidate(c.view_id, c.label, c.score, Pose(m))
     obs = SceneObservations(views=obs.views, candidates=tuple(moved))
+    geo = label_geometry(db, db.models)
     for p1, p2 in [(CandidatePair(0, 4), CandidatePair(1, 5)),
                    (CandidatePair(1, 5), CandidatePair(0, 4))]:
         try:
-            t = relative_pose_from_pairs(p1, p2, obs, db)
+            t = relative_pose_from_pairs(p1, p2, obs, geo)
         except ValueError:
             continue
         assert isinstance(t, Pose)
-    build_match_graph(obs, db)
+    build_match_graph(obs, geo)
 
 
 _unit = st.floats(-1.0, 1.0)
@@ -513,10 +516,10 @@ def test_centroid_bound_never_exceeds_symmetric_distance(
         discrete.append(Pose.from_rt(np.diag([1.0, -1.0, -1.0]), np.zeros(3)))
     spec = SymmetrySpec(discrete=tuple(discrete),
                         continuous_axes=((axis / norm, offset),))
-    group = discretize(spec, angles)
     spread = float(np.max(np.linalg.norm(points[:, None] - points[None], axis=2)))
     model = ObjectModel("m", points, max(0.01, spread * 1.01), spec)
-    db = ModelDB({"m": model})
+    geo = label_geometry(ModelDB({"m": model}), ["m"], angles)
+    group = geo["m"].group
     poses = []
     for rot, trans in zip(rotations, translations):
         poses.append(Pose.from_rt(rotation_exp(rot), trans + [0.0, 0.0, 1.0]))
@@ -524,7 +527,7 @@ def test_centroid_bound_never_exceeds_symmetric_distance(
     view_a = [(0, Candidate("va", "m", 0.9, cand_a))]
     view_b = [(1, Candidate("vb", "m", 0.9, cand_b))]
 
-    bound = _PairBounds(view_a, view_b, centroid_table(db, {"m": group})).bounds(t_ab)[0]
+    bound = _PairBounds(view_a, view_b, geo).bounds(t_ab)[0]
     d = symmetric_distance(model.points, group, cand_a, t_ab.compose(cand_b))
     assert bound <= d + BOUND_MARGIN
 
@@ -543,7 +546,7 @@ def test_six_unique_labels_yield_fifteen_hypotheses():
     assert len(combos) == 15
     assert combos == list(itertools.combinations(range(6), 2))
 
-    hyp = two_view_ransac("view_000", "view_001", obs, db)
+    hyp = two_view_ransac("view_000", "view_001", obs, label_geometry(db, db.models))
     assert hyp is not None
     assert len(hyp.inliers) == 6
 
@@ -551,24 +554,25 @@ def test_six_unique_labels_yield_fifteen_hypotheses():
 def test_two_shared_objects_return_none():
     db, scene = small_scene(2, 2, seed=32)
     obs = manual_observations(scene)
-    assert two_view_ransac("view_000", "view_001", obs, db) is None
+    geo = label_geometry(db, db.models)
+    assert two_view_ransac("view_000", "view_001", obs, geo) is None
 
 
 def test_clean_scene_recovers_relative_pose():
     db, scene = small_scene(4, 2, seed=33, symmetric=("obj_01",))
     obs = manual_observations(scene)
     params = MatchParams()
-    hyp = two_view_ransac("view_000", "view_001", obs, db, params)
+    geo = label_geometry(db, [c.label for c in obs.candidates])
+    hyp = two_view_ransac("view_000", "view_001", obs, geo, params)
     assert hyp is not None
     assert len(hyp.inliers) == 4
     assert pose_close(hyp.relative_pose, true_relative_pose(scene, 0, 1), 1e-9)
     # soundness is re-checkable after the fact
-    groups = symmetry_groups(db, [c.label for c in obs.candidates])
     for pair in hyp.inliers:
         ca, cb = obs.candidates[pair.a], obs.candidates[pair.b]
         d = symmetric_distance(
             db[ca.label].points,
-            groups[ca.label],
+            geo[ca.label].group,
             ca.pose,
             hyp.relative_pose.compose(cb.pose),
         )
@@ -583,7 +587,8 @@ def test_exhaustive_branch_matches_bruteforce_selection():
     if len({c.view_id for c in obs.candidates}) < 2:
         pytest.skip("noise draw left fewer than two populated views")
     params = MatchParams()
-    got = two_view_ransac("view_000", "view_001", obs, db, params)
+    geo = label_geometry(db, [c.label for c in obs.candidates])
+    got = two_view_ransac("view_000", "view_001", obs, geo, params)
 
     by_view = obs.by_view()
     cands_a, cands_b = by_view["view_000"], by_view["view_001"]
@@ -593,13 +598,13 @@ def test_exhaustive_branch_matches_bruteforce_selection():
         for j, cb in cands_b
         if ca.label == cb.label
     ]
-    groups = symmetry_groups(db, [c.label for c in obs.candidates])
+    groups = {label: entry.group for label, entry in geo.items()}
     best_key, best = None, None
     for k1, k2 in itertools.combinations(range(len(pairs)), 2):
         p1, p2 = pairs[k1], pairs[k2]
         if p1.a == p2.a or p1.b == p2.b:
             continue
-        t_ab = relative_pose_from_pairs(p1, p2, obs, db, groups=groups)
+        t_ab = relative_pose_from_pairs(p1, p2, obs, geo)
         scored = []
         for i, ca in cands_a:
             for j, cb in cands_b:
@@ -663,8 +668,9 @@ def test_sampling_branch_is_deterministic_and_valid():
     assert combos != other
 
     params = MatchParams(max_iterations=50)
-    h1 = two_view_ransac("va", "vb", obs, db, params)
-    h2 = two_view_ransac("va", "vb", obs, db, params)
+    geo = label_geometry(db, ["bolt"])
+    h1 = two_view_ransac("va", "vb", obs, geo, params)
+    h2 = two_view_ransac("va", "vb", obs, geo, params)
     if h1 is None:
         assert h2 is None
     else:
@@ -725,9 +731,10 @@ def test_pruned_ransac_equals_unpruned_oracle(max_iterations, angles, min_inlier
         assert len({p.a for p in symmetric}) > 1 and len({p.b for p in symmetric}) > 1
         assert (_valid_combo_count(pairs) > max_iterations) == (max_iterations == 12)
         params = MatchParams(min_inliers=min_inliers, max_iterations=max_iterations,
-                             seed=seed, symmetry_angles=angles)
-        want = oracles.two_view_ransac("view_000", "view_001", obs, db, params)
-        got = two_view_ransac("view_000", "view_001", obs, db, params)
+                             seed=seed)
+        geo = label_geometry(db, [c.label for c in obs.candidates], angles)
+        want = oracles.two_view_ransac("view_000", "view_001", obs, geo, params)
+        got = two_view_ransac("view_000", "view_001", obs, geo, params)
         assert_same_hypothesis(got, want)
         accepted += want is not None
     assert accepted > 0
@@ -747,8 +754,9 @@ def test_later_hypothesis_tying_the_count_wins_on_distance():
     moved[3] = Candidate(c.view_id, c.label, c.score, c.pose.compose(shift))
     obs = SceneObservations(views=obs.views, candidates=tuple(moved))
     params = MatchParams()
-    want = oracles.two_view_ransac("view_000", "view_001", obs, db, params)
-    got = two_view_ransac("view_000", "view_001", obs, db, params)
+    geo = label_geometry(db, db.models)
+    want = oracles.two_view_ransac("view_000", "view_001", obs, geo, params)
+    got = two_view_ransac("view_000", "view_001", obs, geo, params)
     assert_same_hypothesis(got, want)
     assert len(got.inliers) == 3
     assert got.generating_pairs[0] != CandidatePair(0, 3)
@@ -757,9 +765,9 @@ def test_later_hypothesis_tying_the_count_wins_on_distance():
 
 def test_distinct_images_drop_only_near_duplicates():
     db, _ = small_scene(2, 2, seed=43, symmetric=("obj_01",))
-    table = centroid_table(db, symmetry_groups(db, db.models))
-    assert len(table["obj_00"].distinct) == 1
-    on_axis = table["obj_01"]
+    geo = label_geometry(db, db.models)
+    assert len(geo["obj_00"].distinct) == 1
+    on_axis = geo["obj_01"]
     # The z axis passes through the centroid: its 64 images differ in
     # rounding only.
     assert len(on_axis.group) == 64 and len(on_axis.distinct) == 1
@@ -769,7 +777,7 @@ def test_distinct_images_drop_only_near_duplicates():
     spec = SymmetrySpec(continuous_axes=((np.array([0.0, 0.0, 1.0]),
                                           np.array([0.01, 0.0, 0.0])),))
     model = ObjectModel("m", points, db["obj_01"].diameter, spec)
-    off_axis = centroid_table(ModelDB({"m": model}), {"m": discretize(spec, 64)})["m"]
+    off_axis = label_geometry(ModelDB({"m": model}), ["m"])["m"]
     assert np.array_equal(off_axis.distinct, off_axis.images)
 
 
@@ -789,23 +797,22 @@ def test_anchor_bound_covers_inliers_at_a_tight_threshold(symmetric):
     obs = SceneObservations(views=obs.views, candidates=tuple(moved))
     by_view = obs.by_view()
     cands_a, cands_b = by_view["view_000"], by_view["view_001"]
-    groups = symmetry_groups(db, [c.label for c in obs.candidates])
-    table = centroid_table(db, groups)
-    bounds = _PairBounds(cands_a, cands_b, table)
+    geo = label_geometry(db, [c.label for c in obs.candidates])
+    bounds = _PairBounds(cands_a, cands_b, geo)
     for k, p1 in enumerate(bounds.pairs):
         if p1.a == 2:
             continue
         p2 = next(p for p in bounds.pairs if p.a not in (p1.a, 2) and p.b != p1.b)
-        t_ab = relative_pose_from_pairs(p1, p2, obs, db, table=table)
+        t_ab = relative_pose_from_pairs(p1, p2, obs, geo)
         threshold = symmetric_distance(
-            db["obj_02"].points, groups["obj_02"],
+            db["obj_02"].points, geo["obj_02"].group,
             obs.candidates[2].pose, t_ab.compose(obs.candidates[6].pose),
         )
         for _ in range(6):
             threshold = np.nextafter(threshold, np.inf)
-            inliers = count_inliers(t_ab, cands_a, cands_b, db, threshold, groups=groups)
+            inliers = count_inliers(t_ab, cands_a, cands_b, geo, threshold)
             assert len(inliers) == 4
-            assert bounds.anchor_bound(k, table, threshold) == 4
+            assert bounds.anchor_bound(k, geo, threshold) == 4
 
 
 def test_each_distinct_pose_is_scored_once_per_view_pair(monkeypatch):
@@ -829,7 +836,8 @@ def test_each_distinct_pose_is_scored_once_per_view_pair(monkeypatch):
         db, obs = shared_label_observations(seed)
         poses.clear()
         scored.clear()
-        two_view_ransac("view_000", "view_001", obs, db, MatchParams(seed=seed))
+        geo = label_geometry(db, [c.label for c in obs.candidates])
+        two_view_ransac("view_000", "view_001", obs, geo, MatchParams(seed=seed))
         assert len(set(scored)) == len(scored)
         assert set(scored) == set(poses)
         repeated += len(poses) - len(set(poses))
@@ -842,7 +850,7 @@ def test_each_distinct_pose_is_scored_once_per_view_pair(monkeypatch):
 def test_three_views_make_triangles():
     db, scene = small_scene(4, 3, seed=61)
     obs = manual_observations(scene)
-    graph = build_match_graph(obs, db)
+    graph = build_match_graph(obs, label_geometry(db, db.models))
     assert sorted(graph.hypotheses) == [
         ("view_000", "view_001"),
         ("view_000", "view_002"),
@@ -860,7 +868,7 @@ def test_graph_requires_two_views():
     db, scene = small_scene(3, 1, seed=62)
     obs = manual_observations(scene)
     with pytest.raises(ValueError):
-        build_match_graph(obs, db)
+        build_match_graph(obs, label_geometry(db, db.models))
 
 
 def test_no_label_overlap_gives_empty_graph():
@@ -871,7 +879,7 @@ def test_no_label_overlap_gives_empty_graph():
     cands = [Candidate("va", labels[i], 0.9, pose) for i in range(3)]
     cands += [Candidate("vb", labels[i], 0.9, pose) for i in range(3, 6)]
     obs = SceneObservations(views=views, candidates=tuple(cands))
-    graph = build_match_graph(obs, db)
+    graph = build_match_graph(obs, label_geometry(db, labels))
     assert graph.edges == ()
     assert graph.hypotheses == {}
     assert extract_physical_objects(graph) == []
@@ -881,8 +889,9 @@ def test_threads_do_not_change_the_graph():
     db, scene = small_scene(5, 4, seed=63, symmetric=("obj_02",))
     noise = NoiseModel(rot_sigma_deg=2.0, trans_sigma=0.003)
     obs, _ = generate_observations(scene, noise, np.random.default_rng(63))
-    g1 = build_match_graph(obs, db, threads=1)
-    g8 = build_match_graph(obs, db, threads=8)
+    geo = label_geometry(db, db.models)
+    g1 = build_match_graph(obs, geo, threads=1)
+    g8 = build_match_graph(obs, geo, threads=8)
     assert g1.edges == g8.edges
     assert sorted(g1.hypotheses) == sorted(g8.hypotheses)
     for key in g1.hypotheses:
@@ -992,7 +1001,7 @@ def test_noisy_scene_isolates_outliers_smoke():
     obs, provenance = generate_observations(
         scene, noise, np.random.default_rng(70)
     )
-    graph = build_match_graph(obs, db)
+    graph = build_match_graph(obs, label_geometry(db, labels))
     objs = extract_physical_objects(graph)
 
     matched = {idx for o in objs for _, idx in o.members}

@@ -10,7 +10,7 @@ import oracles
 from cosy.evaluation import pose_error
 from cosy.geometry import DEFAULT_Z_MIN, Pose
 from cosy.matching import MatchParams, PhysicalObject, build_match_graph, \
-    extract_physical_objects
+    extract_physical_objects, label_geometry
 from cosy.refinement import (
     MAX_RESIDUAL_POINTS,
     DisconnectedViews,
@@ -121,18 +121,20 @@ def test_initialize_empty_objects():
 
 def test_initialize_two_views_zero_noise_is_zero_loss():
     db, scene, obs, objects, _ = consistent_setup(n_objects=4, n_views=2, seed=5)
-    graph = build_match_graph(obs, db)
+    geo = label_geometry(db, db.models)
+    graph = build_match_graph(obs, geo)
     state = initialize_scene(
         extract_physical_objects(graph), graph.hypotheses, obs,
         np.random.default_rng(0),
     )
     objs = extract_physical_objects(graph)
-    assert total_loss(state, objs, obs, db) < 1e-6
+    assert total_loss(state, objs, obs, geo) < 1e-6
 
 
 def test_initialize_chains_relative_poses():
     db, scene, obs, objects, _ = consistent_setup(n_objects=4, n_views=3, seed=9)
-    graph = build_match_graph(obs, db)
+    geo = label_geometry(db, db.models)
+    graph = build_match_graph(obs, geo)
     objs = extract_physical_objects(graph)
     # force a known chain: keep only A-B and B-C hypotheses
     keys = sorted(graph.hypotheses)
@@ -161,7 +163,8 @@ def test_initialize_chains_relative_poses():
 
 def test_initialize_object_from_member_candidate():
     db, scene, obs, objects, _ = consistent_setup(n_objects=3, n_views=2, seed=2)
-    graph = build_match_graph(obs, db)
+    geo = label_geometry(db, db.models)
+    graph = build_match_graph(obs, geo)
     objs = extract_physical_objects(graph)
     state = initialize_scene(objs, graph.hypotheses, obs, np.random.default_rng(1))
     for obj in objs:
@@ -175,7 +178,8 @@ def test_initialize_object_from_member_candidate():
 
 def test_disconnected_views_raise_and_prune():
     db, scene, obs, objects, _ = consistent_setup(n_objects=3, n_views=3, seed=4)
-    graph = build_match_graph(obs, db)
+    geo = label_geometry(db, db.models)
+    graph = build_match_graph(obs, geo)
     objs = extract_physical_objects(graph)
     only = {("view_000", "view_001"): graph.hypotheses[("view_000", "view_001")]}
     # seed 1 draws its root inside the connected {000, 001} component
@@ -198,7 +202,8 @@ def test_disconnected_views_raise_and_prune():
 
 def test_initialize_with_pruning_recovers():
     db, scene, obs, objects, _ = consistent_setup(n_objects=3, n_views=3, seed=4)
-    graph = build_match_graph(obs, db)
+    geo = label_geometry(db, db.models)
+    graph = build_match_graph(obs, geo)
     objs = extract_physical_objects(graph)
     only = {("view_000", "view_001"): graph.hypotheses[("view_000", "view_001")]}
     with pytest.warns(UserWarning):
@@ -215,11 +220,12 @@ def test_initialize_with_pruning_recovers():
 
 def test_candidate_loss_zero_when_consistent():
     db, scene, obs, objects, state = consistent_setup(seed=11)
+    geo = label_geometry(db, db.models)
     intr = {v.view_id: v.intrinsics for v in obs.views}
     for obj in objects:
         for view_id, idx in obj.members:
             loss = candidate_loss(
-                state, obs.candidates[idx], obj, db, intr[view_id]
+                state, obs.candidates[idx], obj, geo, intr[view_id]
             )
             assert loss < 1e-9
 
@@ -228,6 +234,7 @@ def test_candidate_loss_absorbs_symmetry():
     db, scene, obs, objects, state = consistent_setup(
         n_objects=3, n_views=2, seed=12, symmetric=("obj_01",)
     )
+    geo = label_geometry(db, db.models)
     intr = {v.view_id: v.intrinsics for v in obs.views}
     group = discretize(db["obj_01"].symmetries)
     obj = objects[1]
@@ -237,12 +244,13 @@ def test_candidate_loss_absorbs_symmetry():
         twisted = Candidate(
             base.view_id, base.label, base.score, base.pose.compose(s)
         )
-        loss = candidate_loss(state, twisted, obj, db, intr[view_id])
+        loss = candidate_loss(state, twisted, obj, geo, intr[view_id])
         assert loss < 1e-9
 
 
 def test_candidate_loss_saturates_off_image():
     db, scene, obs, objects, state = consistent_setup(n_objects=2, n_views=2, seed=13)
+    geo = label_geometry(db, db.models)
     intr = {v.view_id: v.intrinsics for v in obs.views}
     moved = dict(state.object_poses)
     m = moved[0].matrix.copy()
@@ -252,26 +260,28 @@ def test_candidate_loss_saturates_off_image():
     obj = objects[0]
     view_id, idx = obj.members[0]
     loss = candidate_loss(
-        state2, obs.candidates[idx], obj, db, intr[view_id], truncation=25.0
+        state2, obs.candidates[idx], obj, geo, intr[view_id], truncation=25.0
     )
     assert loss == 25.0
 
 
 def test_candidate_loss_validates_membership():
     db, scene, obs, objects, state = consistent_setup(n_objects=2, n_views=2, seed=14)
+    geo = label_geometry(db, db.models)
     intr = obs.views[0].intrinsics
     wrong_label = Candidate("view_000", objects[1].label, 0.9, obs.candidates[0].pose)
     with pytest.raises(ValueError):
-        candidate_loss(state, wrong_label, objects[0], db, intr)
+        candidate_loss(state, wrong_label, objects[0], geo, intr)
     stranger = Candidate("view_999", objects[0].label, 0.9, obs.candidates[0].pose)
     with pytest.raises(ValueError):
-        candidate_loss(state, stranger, objects[0], db, intr)
+        candidate_loss(state, stranger, objects[0], geo, intr)
 
 
 def test_total_loss_matches_naive_resummation():
     db, scene, obs, objects, state = consistent_setup(
         n_objects=3, n_views=3, seed=15, symmetric=("obj_00",)
     )
+    geo = label_geometry(db, db.models)
     rng = np.random.default_rng(15)
     # perturb the state so the loss is nonzero
     cams = {
@@ -284,7 +294,7 @@ def test_total_loss_matches_naive_resummation():
     }
     noisy = SceneState(camera_poses=cams, object_poses=objs_p)
     cfg = RefineConfig()
-    got = total_loss(noisy, objects, obs, db, cfg)
+    got = total_loss(noisy, objects, obs, geo, cfg)
 
     intr = {v.view_id: v.intrinsics for v in obs.views}
     groups = {
@@ -328,13 +338,14 @@ def test_total_loss_is_gauge_invariant():
     db, scene, obs, objects, state = consistent_setup(
         n_objects=3, n_views=2, seed=16, symmetric=("obj_02",)
     )
+    geo = label_geometry(db, db.models)
     rng = np.random.default_rng(16)
     cams = {
         k: Pose.from_matrix(oracles.random_pose_nudge(v.matrix, rng, 0.05, 0.03))
         for k, v in state.camera_poses.items()
     }
     noisy = SceneState(camera_poses=cams, object_poses=state.object_poses)
-    base = total_loss(noisy, objects, obs, db)
+    base = total_loss(noisy, objects, obs, geo)
     assert base > 0
     for _ in range(5):
         g = Pose.from_matrix(oracles.random_pose_matrix(rng))
@@ -342,7 +353,7 @@ def test_total_loss_is_gauge_invariant():
             camera_poses={k: g.compose(v) for k, v in noisy.camera_poses.items()},
             object_poses={k: g.compose(v) for k, v in noisy.object_poses.items()},
         )
-        assert abs(total_loss(moved, objects, obs, db) - base) < 1e-9 * base
+        assert abs(total_loss(moved, objects, obs, geo) - base) < 1e-9 * base
 
 
 # ------------------------------------------------------------ linearization
@@ -403,8 +414,9 @@ def test_jacobian_matches_central_differences():
     db, scene, obs, objects, state = consistent_setup(
         n_objects=3, n_views=3, seed=18, symmetric=("obj_01",)
     )
+    geo = label_geometry(db, db.models)
     cfg = RefineConfig()
-    images = candidate_images(objects, obs, db, cfg)
+    images = candidate_images(objects, obs, geo)
     rng = np.random.default_rng(18)
     for trial in range(3):
         noisy = perturbed_state(state, rng, rot=0.01, trans=0.005)
@@ -431,6 +443,7 @@ def test_normal_equations_match_dense_oracle():
     db, scene, obs, objects, state = consistent_setup(
         n_objects=3, n_views=3, seed=26, symmetric=("obj_01",)
     )
+    geo = label_geometry(db, db.models)
     # Move one candidate far off-image: its target saturates completely.
     cands = list(obs.candidates)
     view_id, idx = objects[2].members[1]
@@ -441,7 +454,7 @@ def test_normal_equations_match_dense_oracle():
     obs = SceneObservations(views=obs.views, candidates=tuple(cands))
     cfg = RefineConfig()
     noisy = perturbed_state(state, np.random.default_rng(26))
-    images = candidate_images(objects, obs, db, cfg)
+    images = candidate_images(objects, obs, geo)
     targets, _ = select_targets(noisy, images, cfg.truncation)
     layout = parameter_layout(noisy, objects)
     per_member = [
@@ -464,14 +477,15 @@ def test_frozen_loss_agrees_with_selection_loss():
     db, scene, obs, objects, state = consistent_setup(
         n_objects=3, n_views=2, seed=19, symmetric=("obj_01",)
     )
+    geo = label_geometry(db, db.models)
     assert all(db[o.label].points.shape[0] <= MAX_RESIDUAL_POINTS for o in objects)
     rng = np.random.default_rng(19)
     noisy = perturbed_state(state, rng)
     cfg = RefineConfig()
-    images = candidate_images(objects, obs, db, cfg)
+    images = candidate_images(objects, obs, geo)
     targets, loss = select_targets(noisy, images, cfg.truncation)
     assert loss > 0
-    assert loss == total_loss(noisy, objects, obs, db, cfg)
+    assert loss == total_loss(noisy, objects, obs, geo, cfg)
     assert frozen_loss(noisy, targets, cfg.truncation)[0] == loss
 
 
@@ -535,7 +549,8 @@ def mixed_setup(nan_member=False):
     cams["view_000"] = Pose.identity()
     obj_poses = {k: to_cam0.compose(v) for k, v in noisy.object_poses.items()}
     obj_poses[1] = Pose.from_rt(np.eye(3), [0.0, 0.0, DEFAULT_Z_MIN])
-    return db, obs, objects, SceneState(camera_poses=cams, object_poses=obj_poses)
+    geo = label_geometry(db, db.models)
+    return geo, obs, objects, SceneState(camera_poses=cams, object_poses=obj_poses)
 
 
 def same_float(a, b):
@@ -544,9 +559,9 @@ def same_float(a, b):
 
 @pytest.mark.parametrize("nan_member", [False, True], ids=["finite", "nan-member"])
 def test_flat_inner_loop_equals_per_member_oracle(nan_member):
-    db, obs, objects, state = mixed_setup(nan_member)
+    geo, obs, objects, state = mixed_setup(nan_member)
     cfg = RefineConfig()
-    images = candidate_images(objects, obs, db, cfg)
+    images = candidate_images(objects, obs, geo)
     shapes = sorted((st.px.shape[1], st.px.shape[2], len(st.members))
                     for st in images.stacks)
     assert shapes == [(1, 40, 6), (1, 250, 3), (1, 500, 3), (64, 48, 6)]
@@ -592,8 +607,8 @@ def test_flat_inner_loop_equals_per_member_oracle(nan_member):
 
 
 def test_member_poses_stack_each_pose_once_and_equal_oracle():
-    db, obs, objects, state = mixed_setup()
-    images = candidate_images(objects, obs, db, RefineConfig())
+    geo, obs, objects, state = mixed_setup()
+    images = candidate_images(objects, obs, geo)
     assert images.cameras == tuple(sorted(set(images.view_ids)))
     assert images.objects == tuple(sorted(set(images.object_ids)))
     assert len(images.cameras) == 3 and len(images.objects) == 6
@@ -605,9 +620,9 @@ def test_member_poses_stack_each_pose_once_and_equal_oracle():
 
 
 def test_linearize_projects_nothing(monkeypatch):
-    db, obs, objects, state = mixed_setup()
+    geo, obs, objects, state = mixed_setup()
     cfg = RefineConfig()
-    images = candidate_images(objects, obs, db, cfg)
+    images = candidate_images(objects, obs, geo)
     projections = []
     real = cosy.refinement.project_masked_xyz
 
@@ -630,27 +645,28 @@ def test_linearize_projects_nothing(monkeypatch):
 
 def test_refine_best_of_equals_per_member_oracle_loop(monkeypatch):
     db = mixed_db()
+    geo = label_geometry(db, db.models)
     labels = ("sym", "u040", "u250", "u520")
     scene = generate_scene(ScenarioConfig(n_objects=6, n_views=3, seed=33,
                                           model_labels=labels), db)
     noise = NoiseModel(rot_sigma_deg=3.0, trans_sigma=0.01, depth_sigma_extra=0.05)
     obs, _ = generate_observations(scene, noise, np.random.default_rng(33))
-    graph = build_match_graph(obs, db, MatchParams(inlier_threshold=0.2))
+    graph = build_match_graph(obs, geo, MatchParams(inlier_threshold=0.2))
     objs = extract_physical_objects(graph)
     assert {o.label for o in objs} == set(labels)
     cfg = RefineConfig()
-    got, kept, _ = refine_best_of(objs, graph.hypotheses, obs, db, cfg, n_starts=3)
+    got, kept, _, _ = refine_best_of(objs, graph.hypotheses, obs, geo, cfg, n_starts=3)
     for name in ("select_targets", "linearize", "frozen_loss", "normal_equations"):
         monkeypatch.setattr(cosy.refinement, name, getattr(oracles, name))
-    want, want_kept, _ = refine_best_of(objs, graph.hypotheses, obs, db, cfg,
-                                        n_starts=3)
+    want, want_kept, _, _ = refine_best_of(objs, graph.hypotheses, obs, geo, cfg,
+                                           n_starts=3)
     monkeypatch.undo()
     assert kept == want_kept
     assert_same_state(got, want)
-    images = candidate_images(kept, obs, db, cfg)
+    images = candidate_images(kept, obs, geo)
     loss = select_targets(got, images, cfg.truncation)[1]
     assert loss == oracles.select_targets(want, images, cfg.truncation)[1]
-    assert total_loss(got, kept, obs, db, cfg) == total_loss(want, kept, obs, db, cfg)
+    assert total_loss(got, kept, obs, geo, cfg) == total_loss(want, kept, obs, geo, cfg)
 
 
 # ----------------------------------------------------------------- refine
@@ -658,8 +674,9 @@ def test_refine_best_of_equals_per_member_oracle_loop(monkeypatch):
 
 def test_zero_loss_input_returned_unchanged():
     db, scene, obs, objects, state = consistent_setup(n_objects=3, n_views=2, seed=20)
+    geo = label_geometry(db, db.models)
     trace = []
-    out = refine(state, objects, obs, db, RefineConfig(), trace=trace)
+    out = refine(state, objects, obs, geo, RefineConfig(), trace=trace)
     for k in state.camera_poses:
         assert np.max(np.abs(out.camera_poses[k].matrix
                              - state.camera_poses[k].matrix)) < 1e-12
@@ -671,13 +688,14 @@ def test_zero_loss_input_returned_unchanged():
 
 def test_translation_offset_converges_fast():
     db, scene, obs, objects, state = consistent_setup(n_objects=2, n_views=2, seed=21)
+    geo = label_geometry(db, db.models)
     moved = dict(state.object_poses)
     m = moved[0].matrix.copy()
     m[:3, 3] += np.array([0.02, -0.01, 0.015])
     moved[0] = Pose.from_matrix(m)
     start = SceneState(camera_poses=state.camera_poses, object_poses=moved)
     trace = []
-    out = refine(start, objects, obs, db, RefineConfig(), trace=trace)
+    out = refine(start, objects, obs, geo, RefineConfig(), trace=trace)
     assert trace[-1] < 1e-6
     # near-linear residual: zero loss within three accepted steps
     assert trace[3] < 1e-6
@@ -688,17 +706,18 @@ def test_translation_offset_converges_fast():
 
 def test_refine_trace_is_monotone_and_deterministic():
     db, scene = small_scene(5, 4, seed=22, symmetric=("obj_02",))
+    geo = label_geometry(db, db.models)
     noise = NoiseModel(rot_sigma_deg=3.0, trans_sigma=0.01)
     obs, _ = generate_observations(scene, noise, np.random.default_rng(22))
     params = MatchParams(inlier_threshold=0.04)
-    graph = build_match_graph(obs, db, params)
+    graph = build_match_graph(obs, geo, params)
     objs = extract_physical_objects(graph)
     assert objs, "matching should recover objects on this seed"
     state0 = initialize_scene(objs, graph.hypotheses, obs, np.random.default_rng(1))
 
     t1, t2 = [], []
-    out1 = refine(state0, objs, obs, db, RefineConfig(), trace=t1)
-    out2 = refine(state0, objs, obs, db, RefineConfig(), trace=t2)
+    out1 = refine(state0, objs, obs, geo, RefineConfig(), trace=t1)
+    out2 = refine(state0, objs, obs, geo, RefineConfig(), trace=t2)
     assert t1 == t2
     for k in out1.camera_poses:
         assert np.array_equal(out1.camera_poses[k].matrix,
@@ -711,19 +730,20 @@ def test_refine_trace_is_monotone_and_deterministic():
 
 
 def lm_setup(seed, symmetric=(), n_points=48, n_objects=5, n_views=3):
-    """A noisy scene's kept objects and first initialization."""
+    """A noisy scene's label geometry, kept objects and first initialization."""
     labels = [f"obj_{i:02d}" for i in range(n_objects)]
     db = make_models(labels, seed=7, n_points=n_points, symmetric=symmetric)
     scene = generate_scene(ScenarioConfig(n_objects=n_objects, n_views=n_views,
                                           model_labels=labels, seed=seed), db)
     noise = NoiseModel(rot_sigma_deg=5.0, trans_sigma=0.01, depth_sigma_extra=0.08)
     obs, _ = generate_observations(scene, noise, np.random.default_rng(seed))
-    graph = build_match_graph(obs, db, MatchParams(inlier_threshold=0.2))
+    geo = label_geometry(db, db.models)
+    graph = build_match_graph(obs, geo, MatchParams(inlier_threshold=0.2))
     objs = extract_physical_objects(graph)
     state0, kept = initialize_scene_with_pruning(objs, graph.hypotheses, obs,
                                                  np.random.default_rng(seed))
     assert kept
-    return db, obs, kept, state0
+    return geo, obs, kept, state0
 
 
 # (setup arguments, RefineConfig fields, the oracle's stop reason)
@@ -740,34 +760,35 @@ LM_CASES = {
 }
 
 
-def run_both(db, obs, objects, state0, cfg):
+def run_both(geo, obs, objects, state0, cfg):
     """(library state, trace), (oracle state, trace, stop reasons)."""
     got_trace, want_trace, stops = [], [], []
-    got = refine(state0, objects, obs, db, cfg, trace=got_trace)
-    want = oracles.refine(state0, objects, obs, db, cfg, trace=want_trace, stops=stops)
+    got = refine(state0, objects, obs, geo, cfg, trace=got_trace)
+    want = oracles.refine(state0, objects, obs, geo, cfg, trace=want_trace, stops=stops)
     return (got, got_trace), (want, want_trace, stops)
 
 
 @pytest.mark.parametrize("case", sorted(LM_CASES))
 def test_stacked_refine_equals_scene_state_loop(case):
     setup, fields, stop = LM_CASES[case]
-    db, obs, kept, state0 = lm_setup(*setup)
+    geo, obs, kept, state0 = lm_setup(*setup)
     if len(setup) > 1:
         assert {o.label for o in kept} >= set(setup[1])
     cfg = RefineConfig(**fields)
-    (got, got_trace), (want, want_trace, stops) = run_both(db, obs, kept, state0, cfg)
+    (got, got_trace), (want, want_trace, stops) = run_both(geo, obs, kept, state0, cfg)
     assert stops == [stop]
     assert got_trace == want_trace
     assert len(got_trace) >= 2 and got_trace[-1] < got_trace[0]
     assert_same_state(got, want)
-    images = candidate_images(kept, obs, db, cfg)
+    images = candidate_images(kept, obs, geo)
     assert got_trace[-1] == select_targets(got, images, cfg.truncation)[1]
 
 
 def test_stacked_refine_equals_scene_state_loop_on_zero_loss():
     db, scene, obs, objects, state = consistent_setup(n_objects=3, n_views=2, seed=20)
+    geo = label_geometry(db, db.models)
     cfg = RefineConfig()
-    (got, got_trace), (want, want_trace, stops) = run_both(db, obs, objects, state, cfg)
+    (got, got_trace), (want, want_trace, stops) = run_both(geo, obs, objects, state, cfg)
     assert stops == ["zero"]
     assert got_trace == want_trace and len(got_trace) == 1
     assert_same_state(got, want)
@@ -775,7 +796,7 @@ def test_stacked_refine_equals_scene_state_loop_on_zero_loss():
 
 
 def test_stacked_refine_equals_scene_state_loop_when_solve_fails(monkeypatch):
-    db, obs, kept, state0 = lm_setup(41)
+    geo, obs, kept, state0 = lm_setup(41)
     cfg = RefineConfig()
     real_solve = np.linalg.solve
     calls = []
@@ -788,15 +809,15 @@ def test_stacked_refine_equals_scene_state_loop_when_solve_fails(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", failing_solve)
     got_trace, want_trace, stops = [], [], []
-    got = refine(state0, kept, obs, db, cfg, trace=got_trace)
+    got = refine(state0, kept, obs, geo, cfg, trace=got_trace)
     n_calls = len(calls)
     calls.clear()
-    want = oracles.refine(state0, kept, obs, db, cfg, trace=want_trace, stops=stops)
+    want = oracles.refine(state0, kept, obs, geo, cfg, trace=want_trace, stops=stops)
     monkeypatch.undo()
     assert len(calls) == n_calls > 5
     assert got_trace == want_trace
     assert_same_state(got, want)
-    clean = refine(state0, kept, obs, db, cfg)
+    clean = refine(state0, kept, obs, geo, cfg)
     assert not all(np.array_equal(got.object_poses[k].matrix,
                                   clean.object_poses[k].matrix)
                    for k in got.object_poses)
@@ -807,7 +828,7 @@ def test_refine_calls_the_traced_functions_as_often_as_the_loop(monkeypatch, cas
     # The benchmark's traced run counts LM iterations and trials by wrapping
     # these module-level names; refine must reach them through the module.
     setup, fields, _ = LM_CASES[case]
-    db, obs, kept, state0 = lm_setup(*setup)
+    geo, obs, kept, state0 = lm_setup(*setup)
     cfg = RefineConfig(**fields)
     counts = {}
     linearized = []
@@ -824,10 +845,10 @@ def test_refine_calls_the_traced_functions_as_often_as_the_loop(monkeypatch, cas
     for name in ("select_targets", "linearize", "frozen_loss"):
         monkeypatch.setattr(cosy.refinement, name,
                             counting(name, getattr(cosy.refinement, name)))
-    refine(state0, kept, obs, db, cfg)
+    refine(state0, kept, obs, geo, cfg)
     got = dict(counts)
     counts.clear()
-    oracles.refine(state0, kept, obs, db, cfg)
+    oracles.refine(state0, kept, obs, geo, cfg)
     assert got == counts
     assert got["linearize"] >= 1 and got["frozen_loss"] >= got["linearize"]
     for r, e in linearized:
@@ -839,7 +860,7 @@ def test_refine_projects_each_accepted_state_once(monkeypatch, case):
     # A selection after an accepted step reuses that trial's projection, so
     # only the first selection and the trials project.
     setup, fields, _ = LM_CASES[case]
-    db, obs, kept, state0 = lm_setup(*setup)
+    geo, obs, kept, state0 = lm_setup(*setup)
     cfg = RefineConfig(**fields)
     projections, trials = [], []
     real_project, real_frozen = (cosy.refinement.project_masked_xyz,
@@ -856,7 +877,7 @@ def test_refine_projects_each_accepted_state_once(monkeypatch, case):
     monkeypatch.setattr(cosy.refinement, "project_masked_xyz", counting_project)
     monkeypatch.setattr(cosy.refinement, "frozen_loss", counting_frozen)
     trace = []
-    refine(state0, kept, obs, db, cfg, trace=trace)
+    refine(state0, kept, obs, geo, cfg, trace=trace)
     assert len(trace) >= 3
     assert len(projections) == len(trials) + 1
 
@@ -911,11 +932,12 @@ def test_refinement_reduces_adds_on_noisy_scene():
     # Candidate depth errors dwarf lateral ones; cross-view consensus
     # recovers depth from other views' lateral information.
     db, scene, obs, provenance = noisy_depth_scene(seed=0)
-    graph = build_match_graph(obs, db, MatchParams(inlier_threshold=0.2))
+    geo = label_geometry(db, db.models)
+    graph = build_match_graph(obs, geo, MatchParams(inlier_threshold=0.2))
     objs = extract_physical_objects(graph)
     assert objs
     state0 = initialize_scene(objs, graph.hypotheses, obs, np.random.default_rng(0))
-    state1 = refine(state0, objs, obs, db, RefineConfig())
+    state1 = refine(state0, objs, obs, geo, RefineConfig())
     init = mean_member_adds(state0, objs, obs, db, scene, provenance)
     after = mean_member_adds(state1, objs, obs, db, scene, provenance)
     cand = mean_candidate_adds(objs, obs, db, scene, provenance)
@@ -925,14 +947,15 @@ def test_refinement_reduces_adds_on_noisy_scene():
 
 def test_refine_best_of_validates_and_is_deterministic():
     db, scene, obs, provenance = noisy_depth_scene(seed=2)
-    graph = build_match_graph(obs, db, MatchParams(inlier_threshold=0.2))
+    geo = label_geometry(db, db.models)
+    graph = build_match_graph(obs, geo, MatchParams(inlier_threshold=0.2))
     objs = extract_physical_objects(graph)
     with pytest.raises(ValueError):
-        refine_best_of(objs, graph.hypotheses, obs, db, RefineConfig(), n_starts=0)
-    a, kept_a, init_a = refine_best_of(objs, graph.hypotheses, obs, db,
-                                       RefineConfig(), n_starts=3)
-    b, kept_b, init_b = refine_best_of(objs, graph.hypotheses, obs, db,
-                                       RefineConfig(), n_starts=3)
+        refine_best_of(objs, graph.hypotheses, obs, geo, RefineConfig(), n_starts=0)
+    a, kept_a, init_a, _ = refine_best_of(objs, graph.hypotheses, obs, geo,
+                                          RefineConfig(), n_starts=3)
+    b, kept_b, init_b, _ = refine_best_of(objs, graph.hypotheses, obs, geo,
+                                          RefineConfig(), n_starts=3)
     assert kept_a == kept_b
     for k in a.camera_poses:
         assert np.array_equal(a.camera_poses[k].matrix, b.camera_poses[k].matrix)
@@ -944,14 +967,17 @@ def test_refine_best_of_validates_and_is_deterministic():
 
 def test_refine_best_of_never_worse_than_single_start():
     db, scene, obs, provenance = noisy_depth_scene(seed=5)
-    graph = build_match_graph(obs, db, MatchParams(inlier_threshold=0.2))
+    geo = label_geometry(db, db.models)
+    graph = build_match_graph(obs, geo, MatchParams(inlier_threshold=0.2))
     objs = extract_physical_objects(graph)
     cfg = RefineConfig()
-    single, kept, _ = refine_best_of(objs, graph.hypotheses, obs, db, cfg, n_starts=1)
-    multi, kept_m, _ = refine_best_of(objs, graph.hypotheses, obs, db, cfg, n_starts=4)
+    single, kept, _, _ = refine_best_of(objs, graph.hypotheses, obs, geo, cfg,
+                                        n_starts=1)
+    multi, kept_m, _, _ = refine_best_of(objs, graph.hypotheses, obs, geo, cfg,
+                                         n_starts=4)
     assert kept == kept_m
-    loss_single = total_loss(single, kept, obs, db, cfg)
-    loss_multi = total_loss(multi, kept_m, obs, db, cfg)
+    loss_single = total_loss(single, kept, obs, geo, cfg)
+    loss_multi = total_loss(multi, kept_m, obs, geo, cfg)
     assert loss_multi <= loss_single + 1e-12
 
 
@@ -970,7 +996,8 @@ def test_refine_best_of_shared_images_equal_per_restart_rebuild(monkeypatch, n_p
     db, scene, obs, provenance = noisy_depth_scene(
         seed=6, n_views=3, n_objects=5, n_points=n_points
     )
-    graph = build_match_graph(obs, db, MatchParams(inlier_threshold=0.2))
+    geo = label_geometry(db, db.models)
+    graph = build_match_graph(obs, geo, MatchParams(inlier_threshold=0.2))
     objs = extract_physical_objects(graph)
     cfg = RefineConfig()
     n_starts = 3
@@ -983,8 +1010,8 @@ def test_refine_best_of_shared_images_equal_per_restart_rebuild(monkeypatch, n_p
     for start in range(n_starts):
         if start > 0:
             state0 = initialize_scene(kept, graph.hypotheses, obs, rng)
-        want_states.append(refine(state0, kept, obs, db, cfg))
-        want_losses.append(total_loss(want_states[-1], kept, obs, db, cfg))
+        want_states.append(refine(state0, kept, obs, geo, cfg))
+        want_losses.append(total_loss(want_states[-1], kept, obs, geo, cfg))
 
     real_images, real_refine = candidate_images, refine
     builds, got_states, total_loss_calls = [], [], []
@@ -1004,8 +1031,8 @@ def test_refine_best_of_shared_images_equal_per_restart_rebuild(monkeypatch, n_p
     monkeypatch.setattr(cosy.refinement, "candidate_images", counting_images)
     monkeypatch.setattr(cosy.refinement, "refine", recording_refine)
     monkeypatch.setattr(cosy.refinement, "total_loss", recording_total_loss)
-    best, got_kept, _ = refine_best_of(
-        objs, graph.hypotheses, obs, db, cfg, n_starts=n_starts
+    best, got_kept, _, _ = refine_best_of(
+        objs, graph.hypotheses, obs, geo, cfg, n_starts=n_starts
     )
     assert got_kept == kept
     assert len(builds) == 1
@@ -1017,7 +1044,7 @@ def test_refine_best_of_shared_images_equal_per_restart_rebuild(monkeypatch, n_p
         assert total_loss_calls == want_losses
     else:
         assert total_loss_calls == []
-        images = real_images(kept, obs, db, cfg)
+        images = real_images(kept, obs, geo)
         for got, loss in zip(got_states, want_losses):
             assert select_targets(got, images, cfg.truncation)[1] == loss
 
@@ -1028,7 +1055,8 @@ def test_refine_best_of_scores_each_start_by_its_trace(monkeypatch, n_points):
     db, scene, obs, provenance = noisy_depth_scene(
         seed=6, n_views=3, n_objects=5, n_points=n_points
     )
-    graph = build_match_graph(obs, db, MatchParams(inlier_threshold=0.2))
+    geo = label_geometry(db, db.models)
+    graph = build_match_graph(obs, geo, MatchParams(inlier_threshold=0.2))
     objs = extract_physical_objects(graph)
     cfg = RefineConfig()
     real_refine, real_select = refine, select_targets
@@ -1047,33 +1075,34 @@ def test_refine_best_of_scores_each_start_by_its_trace(monkeypatch, n_points):
     monkeypatch.setattr(cosy.refinement, "refine", recording_refine)
     monkeypatch.setattr(cosy.refinement, "select_targets", counting_select)
     best_trace = []
-    best, kept, _ = refine_best_of(objs, graph.hypotheses, obs, db, cfg,
-                                   n_starts=4, trace=best_trace)
+    best, kept, _, score = refine_best_of(objs, graph.hypotheses, obs, geo, cfg,
+                                          n_starts=4, trace=best_trace)
     monkeypatch.undo()
     assert len(starts) == 4
     # Every selection happens inside refine: no refined state is scored anew.
     assert sum(n for _, _, n in starts) == len(selections)
-    images = candidate_images(kept, obs, db, cfg)
+    images = candidate_images(kept, obs, geo)
     for state, trace, _ in starts:
         assert trace[-1] == select_targets(state, images, cfg.truncation)[1]
     (chosen,) = [t for s, t, _ in starts if s is best]
     assert best_trace == chosen
-    losses = [total_loss(s, kept, obs, db, cfg) for s, _, _ in starts]
-    assert total_loss(best, kept, obs, db, cfg) == min(losses)
+    losses = [total_loss(s, kept, obs, geo, cfg) for s, _, _ in starts]
+    assert total_loss(best, kept, obs, geo, cfg) == min(losses) == score
     if n_points <= MAX_RESIDUAL_POINTS:
         assert [t[-1] for _, t, _ in starts] == losses
 
 
 def test_refine_best_of_keeps_first_start_when_every_loss_is_nan(monkeypatch):
     db, scene, obs, provenance = noisy_depth_scene(seed=2, n_views=3, n_objects=4)
-    graph = build_match_graph(obs, db, MatchParams(inlier_threshold=0.2))
+    geo = label_geometry(db, db.models)
+    graph = build_match_graph(obs, geo, MatchParams(inlier_threshold=0.2))
     objs = extract_physical_objects(graph)
     real_select = select_targets
     monkeypatch.setattr(cosy.refinement, "select_targets",
                         lambda *args: (real_select(*args)[0], math.nan))
     monkeypatch.setattr(cosy.refinement, "total_loss", lambda *a, **k: math.nan)
-    state, kept, init = refine_best_of(objs, graph.hypotheses, obs, db,
-                                       RefineConfig(), n_starts=2)
+    state, kept, init, _ = refine_best_of(objs, graph.hypotheses, obs, geo,
+                                          RefineConfig(), n_starts=2)
     assert kept
     # A NaN loss accepts no step, so the first start comes back unchanged.
     assert_same_state(state, init)
@@ -1081,8 +1110,9 @@ def test_refine_best_of_keeps_first_start_when_every_loss_is_nan(monkeypatch):
 
 def test_refine_best_of_empty_objects():
     db, scene, obs, provenance = noisy_depth_scene(seed=3)
-    state, kept, init = refine_best_of([], {}, obs, db, RefineConfig())
-    assert kept == []
+    geo = label_geometry(db, db.models)
+    state, kept, init, score = refine_best_of([], {}, obs, geo, RefineConfig())
+    assert kept == [] and score is None
     assert state.camera_poses == {} and state.object_poses == {}
 
 
