@@ -186,11 +186,6 @@ def apply_matrices_repeated(matrices: np.ndarray, counts, pts_t) -> np.ndarray:
     return ((x * m[:, 0] + y * m[:, 1]) + z * m[:, 2]) + m[:, 3]
 
 
-def transform_points(t: Pose, pts) -> np.ndarray:
-    """Transform each point by R @ x + translation, preserving order."""
-    return apply_matrix(t.matrix, pts)
-
-
 def project(k: CameraIntrinsics, pts_camera_frame, z_min: float = DEFAULT_Z_MIN) -> np.ndarray:
     """Project camera-frame points to pixel coordinates.
 

@@ -24,14 +24,6 @@ def seq_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.take(np.cumsum(a, axis=axis), -1, axis=axis)
 
 
-def seq_mean(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Sequential sum divided by the axis length, matching `total / n` loops."""
-    n = np.asarray(a).shape[axis]
-    if n == 0:
-        raise ValueError("mean over empty axis")
-    return seq_sum(a, axis=axis) / n
-
-
 def point_norms(diffs: np.ndarray) -> np.ndarray:
     """Euclidean norms over the last axis of (..., 3) difference vectors.
 

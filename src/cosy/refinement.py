@@ -87,19 +87,13 @@ class RefineConfig:
                 raise ValueError(f"{name} must be > 0")
 
 
-def residual_points(model: ObjectModel) -> np.ndarray:
-    """Model points used in residuals: a deterministic subsample when large.
+def _residual_index(model: ObjectModel) -> np.ndarray | None:
+    """Sorted indices of the model points used in residuals; None for all.
 
     Residual count scales with points x symmetries x candidates, so big
     clouds are cut to MAX_RESIDUAL_POINTS, chosen by a label-seeded draw
     (stable across runs and processes).
     """
-    idx = _residual_index(model)
-    return model.points if idx is None else model.points[idx]
-
-
-def _residual_index(model: ObjectModel) -> np.ndarray | None:
-    """Sorted indices of residual_points' subsample; None when it is every point."""
     n = model.points.shape[0]
     if n <= MAX_RESIDUAL_POINTS:
         return None
@@ -287,61 +281,6 @@ def total_loss(
 # ------------------------------------------------------------ linearization
 
 
-@dataclass(frozen=True)
-class ParamLayout:
-    """Order of the 6-dof blocks in the parameter vector.
-
-    The gauge view's camera is held fixed (a free global rigid transform
-    would otherwise make the normal equations singular).
-    """
-
-    gauge_view: str
-    camera_ids: tuple[str, ...]
-    object_ids: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return 6 * (len(self.camera_ids) + len(self.object_ids))
-
-    def camera_offset(self, view_id: str) -> int | None:
-        if view_id == self.gauge_view:
-            return None
-        return 6 * self.camera_ids.index(view_id)
-
-    def object_offset(self, object_id: int) -> int:
-        return 6 * (len(self.camera_ids) + self.object_ids.index(object_id))
-
-
-def parameter_layout(state: SceneState, objects) -> ParamLayout:
-    member_views = sorted({v for o in objects for v, _ in o.members})
-    if not member_views:
-        raise ValueError("no member views to parameterize")
-    gauge = member_views[0]
-    return ParamLayout(
-        gauge_view=gauge,
-        camera_ids=tuple(v for v in member_views if v != gauge),
-        object_ids=tuple(sorted(o.id for o in objects)),
-    )
-
-
-def apply_delta(state: SceneState, layout: ParamLayout, delta) -> SceneState:
-    """Left-multiplicative 6-dof update of every parameterized pose.
-
-    All poses are retracted together (`retract_matrices`); each equals
-    `retract` of that pose and its 6-block of `delta` bit for bit.
-    """
-    delta = np.asarray(delta, dtype=np.float64).reshape(layout.size)
-    poses = [state.camera_poses[v] for v in layout.camera_ids]
-    poses += [state.object_poses[o] for o in layout.object_ids]
-    moved = retract_matrices(np.stack([p.matrix for p in poses]), delta)
-    n_cam = len(layout.camera_ids)
-    cameras = dict(state.camera_poses)
-    cameras.update(zip(layout.camera_ids, map(Pose, moved[:n_cam])))
-    obj_poses = dict(state.object_poses)
-    obj_poses.update(zip(layout.object_ids, map(Pose, moved[n_cam:])))
-    return SceneState(camera_poses=cameras, object_poses=obj_poses)
-
-
 class PointIntrinsics(NamedTuple):
     """Pinhole parameters per point, (N,) each; see `project_masked`."""
 
@@ -366,6 +305,12 @@ class ImageStack:
 class CandidateImages:
     """What refinement needs of its member candidates, built once per solve.
 
+    `cameras` (the sorted member views) then `objects` are the rows of a
+    `pose_stack`. The first member view is the gauge: it has no parameters,
+    since a free global rigid transform would otherwise make the normal
+    equations singular. The other rows, in stack order, are the 6-dof
+    blocks of the parameter vector.
+
     Member t is one (view, candidate) of a physical object, in object-id
     then member order. Its counts[t] residual points fill indices
     bounds[t]:bounds[t+1] of the flat per-point arrays, so a per-member
@@ -375,7 +320,7 @@ class CandidateImages:
     Per-point values computed stack by stack, concatenated in stack order,
     return to the flat order by np.take(..., order, axis=0).
 
-    The layout changes no arithmetic: elementwise steps see the same operand
+    The flat layout changes no arithmetic: elementwise steps see the same
     values per point as a per-member loop, each member's mean is taken over
     one contiguous row, and totals are summed left to right in member order,
     so every loss, residual and Jacobian entry keeps its bits.
@@ -409,14 +354,13 @@ class Projection(NamedTuple):
 class Targets:
     """One outer iteration's symmetry selection, per point like its images.
 
-    It keeps the pose stack and the projection of the selection `state`, so
-    `linearize` at that state projects nothing.
+    It keeps the selection's pose stack and its projection, so `linearize`
+    at those poses projects nothing.
     """
 
     images: CandidateImages
-    state: SceneState | np.ndarray  # as given to select_targets
-    poses: np.ndarray  # (C + O, 4, 4), pose_stack of state
-    cam_points: np.ndarray  # (3, N), camera-frame points at state
+    poses: np.ndarray  # (C + O, 4, 4), as given to select_targets
+    cam_points: np.ndarray  # (3, N), camera-frame points at poses
     pred_px: np.ndarray  # (N, 2), their pixels
     px: np.ndarray  # (N, 2), each member's image under its selected S
     valid: np.ndarray  # (N,)
@@ -510,8 +454,8 @@ def _rows_in(keys: list, values: list) -> np.ndarray:
 def pose_stack(state: SceneState, images: CandidateImages) -> np.ndarray:
     """(C + O, 4, 4) matrices of images.cameras, then of images.objects.
 
-    Row 0 is the gauge camera (`parameter_layout`'s first member view), and
-    rows 1: follow the 6-blocks of the layout's parameter vector.
+    Row 0 is the gauge camera, and rows 1: are the 6-blocks of the
+    parameter vector, in order.
     """
     return np.stack(
         [state.camera_poses[v].matrix for v in images.cameras]
@@ -519,25 +463,19 @@ def pose_stack(state: SceneState, images: CandidateImages) -> np.ndarray:
     )
 
 
-def _as_stack(poses, images: CandidateImages) -> np.ndarray:
-    return pose_stack(poses, images) if isinstance(poses, SceneState) else poses
+def _member_poses(poses: np.ndarray, images: CandidateImages) -> np.ndarray:
+    """(T, 4, 4) camera-from-object matrix of each member of a pose stack.
 
-
-def _member_poses(poses, images: CandidateImages) -> np.ndarray:
-    """(T, 4, 4) camera-from-object matrix of each member.
-
-    `poses` is a SceneState or its pose_stack. One stacked inverse of every
-    camera and one stacked product; each member's matrix equals
-    cam.inverse().compose(obj).matrix bit for bit.
+    One stacked inverse of every camera and one stacked product; each
+    member's matrix equals cam.inverse().compose(obj).matrix bit for bit.
     """
-    poses = _as_stack(poses, images)
     n_cam = len(images.cameras)
     cams = inverse_matrices(poses[:n_cam])
     return cams[images.camera_rows] @ poses[n_cam:][images.object_rows]
 
 
-def _project_points(poses, images: CandidateImages) -> Projection:
-    """The residual points at `poses`, a SceneState or its pose_stack."""
+def _project_points(poses: np.ndarray, images: CandidateImages) -> Projection:
+    """The residual points at a pose stack."""
     u = apply_matrices_repeated(
         _member_poses(poses, images), images.counts, images.points
     )
@@ -545,20 +483,19 @@ def _project_points(poses, images: CandidateImages) -> Projection:
 
 
 def select_targets(
-    state, images: CandidateImages, truncation: float, projection=None
+    poses: np.ndarray, images: CandidateImages, truncation: float, projection=None
 ) -> tuple[Targets, float]:
     """Pick the best symmetry per member; freeze its projected points.
 
-    `state` is a SceneState or its pose_stack, and `projection`, when given,
-    is its `_project_points` (as `frozen_loss` returns it), which is then
-    not computed again. Returns the frozen targets and the (true) total
-    loss at `state`. With no residual subsampling this is total_loss bit
-    for bit: the same projections, the same per-member means (a mean over
-    the contiguous last axis of a stack sums each member's row as a 1-D
-    mean does), the first minimum over symmetries, and a left-to-right sum
-    in member order.
+    `poses` is a `pose_stack`, and `projection`, when given, is its
+    `_project_points` (as `frozen_loss` returns it), which is then not
+    computed again. Returns the frozen targets and the (true) total loss at
+    `poses`. With no residual subsampling this is total_loss bit for bit:
+    the same projections, the same per-member means (a mean over the
+    contiguous last axis of a stack sums each member's row as a 1-D mean
+    does), the first minimum over symmetries, and a left-to-right sum in
+    member order.
     """
-    poses = _as_stack(state, images)
     if projection is None:
         projection = _project_points(poses, images)
     u, pred_px, pred_valid = projection
@@ -579,7 +516,6 @@ def select_targets(
     active = _flat(active, images.order)
     targets = Targets(
         images=images,
-        state=state,
         poses=poses,
         cam_points=u,
         pred_px=pred_px,
@@ -597,18 +533,18 @@ def _flat(per_stack: list[np.ndarray], order: np.ndarray) -> np.ndarray:
 
 
 def frozen_loss(
-    state, targets: Targets, truncation: float
+    poses: np.ndarray, targets: Targets, truncation: float
 ) -> tuple[float, Projection]:
-    """Truncated loss with the symmetry selection (targets) held fixed.
+    """Truncated loss at a pose stack with the symmetry selection (targets)
+    held fixed.
 
-    `state` is a SceneState or its pose_stack. Returns the loss and the
-    projection it was computed from, which `select_targets` at the same
-    state may reuse. At the selection state the loss equals select_targets'
-    loss bit for bit, so a zero step never passes the strict acceptance
-    test on rounding.
+    Returns the loss and the projection it was computed from, which
+    `select_targets` at the same poses may reuse. At the selection poses the
+    loss equals select_targets' loss bit for bit, so a zero step never
+    passes the strict acceptance test on rounding.
     """
     images = targets.images
-    projection = _project_points(state, images)
+    projection = _project_points(poses, images)
     contrib, _, _ = _truncated_errors(
         projection.px, projection.valid, targets.px, targets.valid, truncation
     )
@@ -618,23 +554,7 @@ def frozen_loss(
     return float(seq_sum(member_loss)), projection
 
 
-def _weighted_residuals(pred_px: np.ndarray, targets: Targets, idx: np.ndarray):
-    sw = targets.images.sqrt_weight[idx]
-    diff = np.take(pred_px, idx, axis=0) - np.take(targets.px, idx, axis=0)
-    return (diff * sw[:, None]).ravel()
-
-
-def residual_vector(state, targets: Targets) -> np.ndarray:
-    """Stacked weighted pixel residuals over the active points.
-
-    Meaningful near the linearization state: the active set is frozen, so
-    points that wander behind the camera keep their placeholder projection.
-    """
-    pred_px = _project_points(state, targets.images).px
-    return _weighted_residuals(pred_px, targets, np.flatnonzero(targets.active))
-
-
-def linearize(state, targets: Targets) -> tuple[np.ndarray, np.ndarray]:
+def linearize(poses: np.ndarray, targets: Targets) -> tuple[np.ndarray, np.ndarray]:
     """Residuals over the active points and their compact Jacobian E.
 
     A residual depends on its camera and object poses only through
@@ -646,30 +566,31 @@ def linearize(state, targets: Targets) -> tuple[np.ndarray, np.ndarray]:
     are [C | -B] (rotation increment first, translation second, matching
     `retract`).
 
-    `state` must be the one `targets` were selected at (a SceneState or its
-    pose_stack, the same object): the poses, camera-frame points and pixels
-    come from the selection, not from a new projection.
+    `poses` must be the stack `targets` were selected at (the same object):
+    the camera-frame points and pixels come from the selection, not from a
+    new projection.
     The active points are gathered once, and each entry of the (2, 6) block
     is computed for all of them as one contiguous (n,) row, from the
     expressions np.cross evaluates (b1 w2 - b2 w1, ...); the weight is
     applied last, as the row is written into its column of E. Each entry
     equals the per-point evaluation bit for bit.
     """
-    if state is not targets.state:
-        raise ValueError("linearize needs the state its targets were selected at")
+    if poses is not targets.poses:
+        raise ValueError("linearize needs the poses its targets were selected at")
     images = targets.images
     idx = np.flatnonzero(targets.active)
     counts = targets.active_counts
-    r = _weighted_residuals(targets.pred_px, targets, idx)
+    sw = images.sqrt_weight[idx]
+    diff = np.take(targets.pred_px, idx, axis=0) - np.take(targets.px, idx, axis=0)
+    r = (diff * sw[:, None]).ravel()
     x, y, z = np.take(targets.cam_points, idx, axis=1)
     n_cam = len(images.cameras)
-    cams, objs = targets.poses[:n_cam], targets.poses[n_cam:]
+    cams, objs = poses[:n_cam], poses[n_cam:]
     w0, w1, w2 = apply_matrices_repeated(
         objs[images.object_rows], counts, np.take(images.points, idx, axis=1)
     )
     cam_rots = cams[images.camera_rows, :3, :3]
     rot = np.repeat(cam_rots.reshape(-1, 9).T, counts, axis=1)  # row 3j+k: R[j, k]
-    sw = images.sqrt_weight[idx]
     e = np.empty((idx.shape[0], 2, 6))
     for i, (f, c) in enumerate(
         ((images.intrinsics.fx[idx], x), (images.intrinsics.fy[idx], y))
@@ -692,31 +613,26 @@ def linearize(state, targets: Targets) -> tuple[np.ndarray, np.ndarray]:
 
 
 def normal_equations(
-    r: np.ndarray, e: np.ndarray, targets: Targets, layout: ParamLayout
+    r: np.ndarray, e: np.ndarray, targets: Targets
 ) -> tuple[np.ndarray, np.ndarray]:
     """J^T J and J^T r from linearize's compact Jacobian, by 6x6 blocks.
 
     With K = E_t^T E_t and k = E_t^T r_t over target t's rows, the target
     adds [[K, -K], [-K, K]] and [k, -k] at its camera and object blocks;
-    the gauge camera has no columns, so only its object block remains.
-    `layout` must order the images' cameras and objects, so a member's
-    blocks are its camera and object rows of `pose_stack` less one, read
-    from the images without a search. Blocks are accumulated with += and
-    -= in member order, so each entry receives its additions in the order
-    of a per-member loop.
+    the gauge camera has no columns, so only its object block remains. A
+    member's blocks are its camera and object rows of `pose_stack` less
+    one. Blocks are accumulated with += and -= in member order, so each
+    entry receives its additions in the order of a per-member loop.
     """
     images = targets.images
-    if (layout.gauge_view, *layout.camera_ids) != images.cameras or (
-        layout.object_ids != images.objects
-    ):
-        raise ValueError("layout does not order the images' cameras and objects")
-    n_blocks = layout.size // 6
+    n_cam = len(images.cameras)
+    n_blocks = n_cam - 1 + len(images.objects)
     h = np.zeros((n_blocks, n_blocks, 6, 6))
     g = np.zeros((n_blocks, 6))
     row = 0
     for c, o, n in zip(
         (images.camera_rows - 1).tolist(),
-        (images.object_rows + len(layout.camera_ids)).tolist(),
+        (images.object_rows + n_cam - 1).tolist(),
         targets.active_counts.tolist(),
     ):
         if n == 0:
@@ -733,7 +649,8 @@ def normal_equations(
             h[c, o] -= k_mat
             h[o, c] -= k_mat
             g[c] += k_vec
-    return h.transpose(0, 2, 1, 3).reshape(layout.size, layout.size), g.ravel()
+    size = 6 * n_blocks
+    return h.transpose(0, 2, 1, 3).reshape(size, size), g.ravel()
 
 
 # --------------------------------------------------------------------- LM
@@ -763,8 +680,8 @@ def refine(
     trial is one `retract_matrices` of rows 1: (row 0 is the gauge camera),
     the next selection reuses the projection `frozen_loss` made of an
     accepted trial, and a SceneState is built only on return. Every pose
-    and loss equals that of a loop over SceneStates and `apply_delta` bit
-    for bit.
+    and loss equals that of a loop over SceneStates (`oracles.refine` in
+    the tests) bit for bit.
 
     `trace`, when given, collects the true total loss at the start of each
     outer iteration plus the final value, unless the descent stopped on a
@@ -776,13 +693,12 @@ def refine(
     if not objects:
         return state
     state.require_views(objects)
-    layout = parameter_layout(state, objects)
     if images is None:
         images = candidate_images(objects, obs, geometry)
     poses = pose_stack(state, images)
     projection = None  # of poses, kept from an accepted trial
     lam = cfg.damping_init
-    eye = np.eye(layout.size)
+    eye = np.eye(6 * (len(poses) - 1))
 
     for _ in range(cfg.max_iterations):
         targets, loss0 = select_targets(poses, images, cfg.truncation, projection)
@@ -793,7 +709,7 @@ def refine(
         r, e = linearize(poses, targets)
         if r.size == 0:
             return _with_poses(state, images, poses)
-        h, g = normal_equations(r, e, targets, layout)
+        h, g = normal_equations(r, e, targets)
 
         accepted = False
         rel_decrease = 0.0
@@ -856,8 +772,6 @@ def refine_best_of(
     geometry: dict[str, LabelGeometry],
     cfg: RefineConfig = RefineConfig(),
     n_starts: int = 4,
-    *,
-    trace: list | None = None,
 ) -> tuple[SceneState, list[PhysicalObject], SceneState, float | None]:
     """Initialize, refine, and keep the lowest-loss result of n_starts runs.
 
@@ -874,8 +788,7 @@ def refine_best_of(
     loss at the refined state, which is total_loss bit for bit unless some
     model's residual points are a subsample (`any_subsampled`); total_loss
     scores the starts then, so the best score is always total_loss at the
-    best state. No refined state is projected again. `trace`,
-    when given, receives the best start's refine trace.
+    best state. No refined state is projected again.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
@@ -885,7 +798,7 @@ def refine_best_of(
         return first_init, kept, first_init, None
     images = candidate_images(kept, obs, geometry)
     subsampled = any_subsampled(kept, geometry)
-    best_state = best_trace = None
+    best_state = None
     best_loss = np.inf
     state0 = first_init
     for start in range(n_starts):
@@ -900,9 +813,7 @@ def refine_best_of(
         else:
             loss = start_trace[-1]
         if best_state is None or loss < best_loss:
-            best_state, best_loss, best_trace = refined, loss, start_trace
-    if trace is not None:
-        trace.extend(best_trace)
+            best_state, best_loss = refined, loss
     return best_state, kept, first_init, best_loss
 
 

@@ -209,7 +209,20 @@ def random_pose_nudge(matrix, rng, rot_scale, trans_scale):
     return m @ np.asarray(matrix, dtype=np.float64)
 
 
-def dense_jacobian(e, targets, layout):
+def block_offsets(images):
+    """(camera offsets, object offsets, parameter count) of a CandidateImages.
+
+    The 6-dof blocks follow pose_stack's rows: images.cameras, whose first
+    view is the gauge and has no block (offset None), then images.objects.
+    """
+    gauge, *cameras = images.cameras
+    cam = {gauge: None}
+    cam.update((v, 6 * k) for k, v in enumerate(cameras))
+    obj = {o: 6 * (len(cameras) + k) for k, o in enumerate(images.objects)}
+    return cam, obj, 6 * (len(cameras) + len(images.objects))
+
+
+def dense_jacobian(e, targets):
     """Dense (2N, P) Jacobian from linearize's compact (2N, 6) block.
 
     Target t owns the next 2 * (its active points) rows, in member order.
@@ -217,15 +230,16 @@ def dense_jacobian(e, targets, layout):
     their negation to its object's columns.
     """
     images = targets.images
-    d = np.zeros((e.shape[0], layout.size))
+    cam_offset, obj_offset, size = block_offsets(images)
+    d = np.zeros((e.shape[0], size))
     row = 0
     for t in range(len(images.view_ids)):
         n_active = 0
         for i in range(images.bounds[t], images.bounds[t + 1]):
             if targets.active[i]:
                 n_active += 1
-        cam = layout.camera_offset(images.view_ids[t])
-        obj = layout.object_offset(images.object_ids[t])
+        cam = cam_offset[images.view_ids[t]]
+        obj = obj_offset[images.object_ids[t]]
         for i in range(row, row + 2 * n_active):
             for j in range(6):
                 if cam is not None:
@@ -333,8 +347,8 @@ def discretize_matrices(spec, angles_per_axis):
 # and normal_equations, kept as written before the flat per-point rewrite.
 # `per_member_view` turns a CandidateImages into the per-member layout these
 # functions read; the library's results must equal theirs bit for bit, and
-# they can stand in for the library's functions inside `refine`, which hands
-# them pose stacks (`as_state` turns one back into a SceneState).
+# they can stand in for the library's functions inside `refine`. Like those,
+# they take pose stacks (`as_state` turns one back into a SceneState).
 
 
 def per_member_view(images):
@@ -381,13 +395,10 @@ def project_masked(k, pts, z_min=1e-3):
 
 
 def as_state(poses, images):
-    """A SceneState, or the SceneState of a pose stack over images.cameras
-    then images.objects."""
+    """The SceneState of a pose stack over images.cameras then images.objects."""
     from cosy.geometry import Pose
     from cosy.refinement import SceneState
 
-    if isinstance(poses, SceneState):
-        return poses
     n_cam = len(images.cameras)
     return SceneState(
         camera_poses=dict(zip(images.cameras, map(Pose, poses[:n_cam]))),
@@ -395,12 +406,12 @@ def as_state(poses, images):
     )
 
 
-def member_poses(state, images):
+def member_poses(poses, images):
     """cosy.refinement._member_poses as written before CandidateImages kept
     its camera and object rows: one stacked object matrix per member."""
     from cosy.geometry import inverse_matrices
 
-    state = as_state(state, images)
+    state = as_state(poses, images)
     views = sorted(set(images.view_ids))
     row = {v: k for k, v in enumerate(views)}
     inv = inverse_matrices(np.stack([state.camera_poses[v].matrix for v in views]))
@@ -408,18 +419,18 @@ def member_poses(state, images):
     return inv[[row[v] for v in images.view_ids]] @ objs
 
 
-def project_points(state, images, rows=slice(None)):
+def project_points(poses, images, rows=slice(None)):
     from cosy.refinement import PointIntrinsics
 
     u = apply_matrices_indexed(
-        member_poses(state, images), images.member[rows], images.points[rows]
+        member_poses(poses, images), images.member[rows], images.points[rows]
     )
     intr = PointIntrinsics(*(a[rows] for a in images.intrinsics))
     px, valid = project_masked(intr, u)
     return u, px, valid
 
 
-def select_targets(state, images, truncation, projection=None):
+def select_targets(poses, images, truncation, projection=None):
     """Per-member symmetry selection of a CandidateImages: (targets, loss).
 
     The targets carry the per-member view as `images`; the other three
@@ -431,7 +442,7 @@ def select_targets(state, images, truncation, projection=None):
     from cosy.refinement import _truncated_errors
 
     images = per_member_view(images)
-    _, pred_px, pred_valid = project_points(state, images)
+    _, pred_px, pred_valid = project_points(poses, images)
     b = images.bounds
     px, valid, active = [], [], []
     loss = 0.0
@@ -455,10 +466,10 @@ def select_targets(state, images, truncation, projection=None):
     return targets, float(loss)
 
 
-def frozen_loss(state, targets, truncation):
+def frozen_loss(poses, targets, truncation):
     from cosy.refinement import _truncated_errors
 
-    _, pred_px, pred_valid = project_points(state, targets.images)
+    _, pred_px, pred_valid = project_points(poses, targets.images)
     contrib, _, _ = _truncated_errors(
         pred_px, pred_valid, targets.px, targets.valid, truncation
     )
@@ -469,12 +480,12 @@ def frozen_loss(state, targets, truncation):
     return total, None
 
 
-def linearize(state, targets):
+def linearize(poses, targets):
     images = targets.images
-    state = as_state(state, images)
+    state = as_state(poses, images)
     act = targets.active
     member = images.member[act]
-    u, pred_px, _ = project_points(state, images, act)
+    u, pred_px, _ = project_points(poses, images, act)
     sw = images.sqrt_weight[act]
     r = ((pred_px - targets.px[act]) * sw[:, None]).ravel()
     obj_mats = np.stack([state.object_poses[o].matrix for o in images.object_ids])
@@ -494,10 +505,11 @@ def linearize(state, targets):
     return r, e.reshape(-1, 6)
 
 
-def normal_equations(r, e, targets, layout):
+def normal_equations(r, e, targets):
     images = targets.images
-    h = np.zeros((layout.size, layout.size))
-    g = np.zeros(layout.size)
+    cam_offset, obj_offset, size = block_offsets(images)
+    h = np.zeros((size, size))
+    g = np.zeros(size)
     counts = np.bincount(
         images.member[targets.active], minlength=len(images.view_ids)
     ).tolist()
@@ -510,10 +522,10 @@ def normal_equations(r, e, targets, layout):
         row += 2 * n
         k_mat = e_t.T @ e_t
         k_vec = e_t.T @ r_t
-        o = layout.object_offset(object_id)
+        o = obj_offset[object_id]
         h[o : o + 6, o : o + 6] += k_mat
         g[o : o + 6] -= k_vec
-        c = layout.camera_offset(view_id)
+        c = cam_offset[view_id]
         if c is not None:
             h[c : c + 6, c : c + 6] += k_mat
             h[c : c + 6, o : o + 6] -= k_mat
@@ -610,7 +622,45 @@ def two_view_ransac(view_a, view_b, obs, geometry, params):
 # stack: a SceneState and an apply_delta per damping trial, a new projection
 # for every selection, and a final selection for the trace. It calls
 # select_targets, linearize, normal_equations and frozen_loss through the
-# cosy.refinement module, so a test may count or replace them.
+# cosy.refinement module, so a test may count or replace them, and hands them
+# the pose_stack of each SceneState.
+
+
+def apply_delta(state, images, delta):
+    """Left-multiplicative 6-dof update of every parameterized pose.
+
+    All poses are retracted together (`retract_matrices`), in block order
+    (`block_offsets`); the gauge camera keeps its Pose.
+    """
+    from cosy.geometry import Pose, retract_matrices
+    from cosy.refinement import SceneState
+
+    _, _, size = block_offsets(images)
+    cam_ids = images.cameras[1:]
+    delta = np.asarray(delta, dtype=np.float64).reshape(size)
+    poses = [state.camera_poses[v] for v in cam_ids]
+    poses += [state.object_poses[o] for o in images.objects]
+    moved = retract_matrices(np.stack([p.matrix for p in poses]), delta)
+    n_cam = len(cam_ids)
+    cameras = dict(state.camera_poses)
+    cameras.update(zip(cam_ids, map(Pose, moved[:n_cam])))
+    obj_poses = dict(state.object_poses)
+    obj_poses.update(zip(images.objects, map(Pose, moved[n_cam:])))
+    return SceneState(camera_poses=cameras, object_poses=obj_poses)
+
+
+def residual_vector(poses, targets):
+    """Weighted pixel residuals of the active points at a pose stack.
+
+    Meaningful near the selection poses: the active set is frozen, so
+    points that wander behind the camera keep their placeholder projection.
+    """
+    import cosy.refinement as lm
+
+    act = targets.active
+    px = lm._project_points(poses, targets.images).px
+    sw = targets.images.sqrt_weight[act]
+    return ((px[act] - targets.px[act]) * sw[:, None]).ravel()
 
 
 def refine(state, objects, obs, geometry, cfg, *, trace=None, images=None, stops=None):
@@ -622,25 +672,25 @@ def refine(state, objects, obs, geometry, cfg, *, trace=None, images=None, stops
     if not objects:
         return state
     state.require_views(objects)
-    layout = lm.parameter_layout(state, objects)
     if images is None:
         images = lm.candidate_images(objects, obs, geometry)
     lam = cfg.damping_init
-    eye = np.eye(layout.size)
+    eye = np.eye(block_offsets(images)[2])
     stop = "max_iterations"
 
     for _ in range(cfg.max_iterations):
-        targets, loss0 = lm.select_targets(state, images, cfg.truncation)
+        poses = lm.pose_stack(state, images)
+        targets, loss0 = lm.select_targets(poses, images, cfg.truncation)
         if trace is not None:
             trace.append(loss0)
         if loss0 <= 1e-12:
             stop = "zero"
             break
-        r, e = lm.linearize(state, targets)
+        r, e = lm.linearize(poses, targets)
         if r.size == 0:
             stop = "saturated"
             break
-        h, g = lm.normal_equations(r, e, targets, layout)
+        h, g = lm.normal_equations(r, e, targets)
 
         accepted = False
         rel_decrease = 0.0
@@ -650,8 +700,10 @@ def refine(state, objects, obs, geometry, cfg, *, trace=None, images=None, stops
             except np.linalg.LinAlgError:
                 lam *= cfg.damping_factor
                 continue
-            trial = lm.apply_delta(state, layout, delta)
-            trial_loss = lm.frozen_loss(trial, targets, cfg.truncation)[0]
+            trial = apply_delta(state, images, delta)
+            trial_loss = lm.frozen_loss(
+                lm.pose_stack(trial, images), targets, cfg.truncation
+            )[0]
             if trial_loss < loss0:
                 rel_decrease = (loss0 - trial_loss) / loss0
                 state = trial
@@ -669,5 +721,6 @@ def refine(state, objects, obs, geometry, cfg, *, trace=None, images=None, stops
     if stops is not None:
         stops.append(stop)
     if trace is not None and stop not in ("zero", "saturated"):
-        trace.append(lm.select_targets(state, images, cfg.truncation)[1])
+        poses = lm.pose_stack(state, images)
+        trace.append(lm.select_targets(poses, images, cfg.truncation)[1])
     return state

@@ -8,7 +8,7 @@ import pytest
 import cosy.refinement
 import oracles
 from cosy.evaluation import pose_error
-from cosy.geometry import DEFAULT_Z_MIN, Pose
+from cosy.geometry import DEFAULT_Z_MIN, Pose, retract_matrices
 from cosy.matching import MatchParams, PhysicalObject, build_match_graph, \
     extract_physical_objects, label_geometry
 from cosy.refinement import (
@@ -16,7 +16,7 @@ from cosy.refinement import (
     DisconnectedViews,
     RefineConfig,
     SceneState,
-    apply_delta,
+    _residual_index,
     candidate_images,
     candidate_loss,
     express_in_camera_frames,
@@ -25,12 +25,10 @@ from cosy.refinement import (
     initialize_scene_with_pruning,
     linearize,
     normal_equations,
-    parameter_layout,
+    pose_stack,
     prune_unreachable_members,
     refine,
     refine_best_of,
-    residual_points,
-    residual_vector,
     select_targets,
     total_loss,
 )
@@ -94,21 +92,21 @@ def test_state_requires_member_views():
         partial.require_views(objects)
 
 
-def test_residual_points_subsample_is_deterministic():
+def test_residual_index_subsample_is_deterministic():
     rng = np.random.default_rng(0)
     pts = rng.normal(0, 0.05, (800, 3))
     model = ObjectModel(
         label="big", points=pts, diameter=1.0, symmetries=SymmetrySpec.none()
     )
-    sub1 = residual_points(model)
-    sub2 = residual_points(model)
-    assert sub1.shape == (500, 3)
+    sub1 = _residual_index(model)
+    sub2 = _residual_index(model)
+    assert sub1.shape == (500,)
     assert np.array_equal(sub1, sub2)
     small = ObjectModel(
         label="small", points=pts[:40], diameter=1.0,
         symmetries=SymmetrySpec.none(),
     )
-    assert residual_points(small) is small.points
+    assert _residual_index(small) is None
 
 
 # ------------------------------------------------------------ initialization
@@ -359,12 +357,22 @@ def test_total_loss_is_gauge_invariant():
 # ------------------------------------------------------------ linearization
 
 
-def test_apply_delta_zero_is_identity():
+def step(poses, delta):
+    """refine's damping trial: rows 1: retracted, the gauge row kept."""
+    trial = poses.copy()
+    trial[1:] = retract_matrices(poses[1:], delta)
+    return trial
+
+
+def test_zero_step_is_identity():
     db, scene, obs, objects, state = consistent_setup(n_objects=2, n_views=2, seed=17)
-    layout = parameter_layout(state, objects)
-    assert layout.size == 6 * (1 + 2)  # one camera is the gauge
-    assert layout.camera_offset(layout.gauge_view) is None
-    same = apply_delta(state, layout, np.zeros(layout.size))
+    images = candidate_images(objects, obs, label_geometry(db, db.models))
+    poses = pose_stack(state, images)
+    size = 6 * (len(poses) - 1)
+    assert size == 6 * (1 + 2)  # one camera is the gauge
+    trial = step(poses, np.zeros(size))
+    assert np.array_equal(trial[0], poses[0])
+    same = cosy.refinement._with_poses(state, images, trial)
     for k in state.camera_poses:
         assert np.array_equal(same.camera_poses[k].matrix,
                               state.camera_poses[k].matrix)
@@ -373,27 +381,30 @@ def test_apply_delta_zero_is_identity():
                               state.object_poses[k].matrix)
 
 
-def test_apply_delta_matches_per_pose_retract_oracle():
+def test_stack_step_matches_per_pose_retract_oracle():
     db, scene, obs, objects, state = consistent_setup(n_objects=4, n_views=3, seed=27)
-    layout = parameter_layout(state, objects)
-    n_blocks = layout.size // 6
-    n_cams = len(layout.camera_ids)
+    images = candidate_images(objects, obs, label_geometry(db, db.models))
+    poses = pose_stack(state, images)
+    gauge, *camera_ids = images.cameras
+    n_blocks = len(poses) - 1
+    n_cams = len(camera_ids)
     rng = np.random.default_rng(27)
     # Zero, sub-1e-12, near-pi and beyond-2pi increments land in every block.
     rots = oracles.hard_rotation_increments(rng, 12 * n_blocks)
     rots = rots[rng.permutation(len(rots))]
     for rows in np.split(rots, 12):
         blocks = np.concatenate([rows, rng.normal(size=rows.shape) * 0.1], axis=1)
-        moved = apply_delta(state, layout, blocks.ravel())
-        for k, vid in enumerate(layout.camera_ids):
+        trial = step(poses, blocks.ravel())
+        assert np.array_equal(trial[0], poses[0])
+        moved = cosy.refinement._with_poses(state, images, trial)
+        for k, vid in enumerate(camera_ids):
             want = oracles.retract_matrix(state.camera_poses[vid].matrix, blocks[k])
             assert np.array_equal(moved.camera_poses[vid].matrix, want)
-        for k, oid in enumerate(layout.object_ids):
+        for k, oid in enumerate(images.objects):
             want = oracles.retract_matrix(
                 state.object_poses[oid].matrix, blocks[n_cams + k]
             )
             assert np.array_equal(moved.object_poses[oid].matrix, want)
-        gauge = layout.gauge_view
         assert moved.camera_poses[gauge] is state.camera_poses[gauge]
 
 
@@ -419,21 +430,20 @@ def test_jacobian_matches_central_differences():
     images = candidate_images(objects, obs, geo)
     rng = np.random.default_rng(18)
     for trial in range(3):
-        noisy = perturbed_state(state, rng, rot=0.01, trans=0.005)
+        noisy = pose_stack(perturbed_state(state, rng, rot=0.01, trans=0.005), images)
         targets, _ = select_targets(noisy, images, cfg.truncation)
         assert targets.active.all()  # nothing truncated
-        layout = parameter_layout(noisy, objects)
         r0, block = linearize(noisy, targets)
-        jac = oracles.dense_jacobian(block, targets, layout)
-        assert np.max(np.abs(r0 - residual_vector(noisy, targets))) < 1e-9
+        jac = oracles.dense_jacobian(block, targets)
+        assert np.max(np.abs(r0 - oracles.residual_vector(noisy, targets))) < 1e-9
 
         h = 1e-6
         fd = np.zeros_like(jac)
-        for k in range(layout.size):
-            e = np.zeros(layout.size)
+        for k in range(jac.shape[1]):
+            e = np.zeros(jac.shape[1])
             e[k] = h
-            rp = residual_vector(apply_delta(noisy, layout, e), targets)
-            rm = residual_vector(apply_delta(noisy, layout, -e), targets)
+            rp = oracles.residual_vector(step(noisy, e), targets)
+            rm = oracles.residual_vector(step(noisy, -e), targets)
             fd[:, k] = (rp - rm) / (2 * h)
         rel = np.max(np.abs(fd - jac)) / max(1.0, np.max(np.abs(jac)))
         assert rel < 1e-4
@@ -453,21 +463,20 @@ def test_normal_equations_match_dense_oracle():
                            Pose.from_matrix(m))
     obs = SceneObservations(views=obs.views, candidates=tuple(cands))
     cfg = RefineConfig()
-    noisy = perturbed_state(state, np.random.default_rng(26))
     images = candidate_images(objects, obs, geo)
+    noisy = pose_stack(perturbed_state(state, np.random.default_rng(26)), images)
     targets, _ = select_targets(noisy, images, cfg.truncation)
-    layout = parameter_layout(noisy, objects)
     per_member = [
         targets.active[s:e].sum()
         for s, e in zip(images.bounds[:-1], images.bounds[1:])
     ]
     assert per_member.count(0) == 1  # the moved candidate only
-    assert layout.gauge_view in images.view_ids
+    assert images.cameras[0] in images.view_ids
     assert len(discretize(db["obj_01"].symmetries)) > 1
 
     r, block = linearize(noisy, targets)
-    h, g = normal_equations(r, block, targets, layout)
-    d = oracles.dense_jacobian(block, targets, layout)
+    h, g = normal_equations(r, block, targets)
+    d = oracles.dense_jacobian(block, targets)
     ad = np.abs(d)
     assert np.all(np.abs(h - d.T @ d) <= 1e-9 * (ad.T @ ad))
     assert np.all(np.abs(g - d.T @ r) <= 1e-9 * (ad.T @ np.abs(r)))
@@ -483,10 +492,11 @@ def test_frozen_loss_agrees_with_selection_loss():
     noisy = perturbed_state(state, rng)
     cfg = RefineConfig()
     images = candidate_images(objects, obs, geo)
-    targets, loss = select_targets(noisy, images, cfg.truncation)
+    poses = pose_stack(noisy, images)
+    targets, loss = select_targets(poses, images, cfg.truncation)
     assert loss > 0
     assert loss == total_loss(noisy, objects, obs, geo, cfg)
-    assert frozen_loss(noisy, targets, cfg.truncation)[0] == loss
+    assert frozen_loss(poses, targets, cfg.truncation)[0] == loss
 
 
 # ---------------------------------------- flat inner loop vs per-member oracle
@@ -566,14 +576,15 @@ def test_flat_inner_loop_equals_per_member_oracle(nan_member):
                     for st in images.stacks)
     assert shapes == [(1, 40, 6), (1, 250, 3), (1, 500, 3), (64, 48, 6)]
 
+    poses = pose_stack(state, images)
     u, pred_px, pred_valid = oracles.project_points(
-        state, oracles.per_member_view(images))
-    got = cosy.refinement._project_points(state, images)
+        poses, oracles.per_member_view(images))
+    got = cosy.refinement._project_points(poses, images)
     assert np.array_equal(got[0], u.T) and np.array_equal(got[1], pred_px)
     assert np.array_equal(got[2], pred_valid)
 
-    targets, loss = select_targets(state, images, cfg.truncation)
-    want, want_loss = oracles.select_targets(state, images, cfg.truncation)
+    targets, loss = select_targets(poses, images, cfg.truncation)
+    want, want_loss = oracles.select_targets(poses, images, cfg.truncation)
     assert np.array_equal(targets.cam_points, u.T)
     assert np.array_equal(targets.pred_px, pred_px)
     assert same_float(loss, want_loss)
@@ -588,22 +599,21 @@ def test_flat_inner_loop_equals_per_member_oracle(nan_member):
     # off-image member, and the NaN member carry no active point.
     assert (targets.active_counts == 0).sum() == 4 + nan_member
 
-    layout = parameter_layout(state, objects)
-    r, e = linearize(state, targets)
-    want_r, want_e = oracles.linearize(state, want)
+    r, e = linearize(poses, targets)
+    want_r, want_e = oracles.linearize(poses, want)
     assert np.array_equal(r, want_r) and np.array_equal(e, want_e)
     assert e.flags.c_contiguous and e.shape == (r.size, 6)
-    h, g = normal_equations(r, e, targets, layout)
-    want_h, want_g = oracles.normal_equations(want_r, want_e, want, layout)
+    h, g = normal_equations(r, e, targets)
+    want_h, want_g = oracles.normal_equations(want_r, want_e, want)
     assert np.array_equal(h, want_h) and np.array_equal(g, want_g)
 
     rng = np.random.default_rng(32)
-    moved = apply_delta(state, layout, rng.normal(size=layout.size) * 1e-3)
-    for trial in (state, moved):
+    moved = step(poses, rng.normal(size=6 * (len(poses) - 1)) * 1e-3)
+    for trial in (poses, moved):
         assert same_float(frozen_loss(trial, targets, cfg.truncation)[0],
                           oracles.frozen_loss(trial, want, cfg.truncation)[0])
     if not nan_member:
-        assert frozen_loss(state, targets, cfg.truncation)[0] == loss
+        assert frozen_loss(poses, targets, cfg.truncation)[0] == loss
 
 
 def test_member_poses_stack_each_pose_once_and_equal_oracle():
@@ -615,8 +625,9 @@ def test_member_poses_stack_each_pose_once_and_equal_oracle():
     assert len(images.view_ids) == 18
     assert [images.cameras[r] for r in images.camera_rows] == list(images.view_ids)
     assert [images.objects[r] for r in images.object_rows] == list(images.object_ids)
-    got = cosy.refinement._member_poses(state, images)
-    assert np.array_equal(got, oracles.member_poses(state, images))
+    poses = pose_stack(state, images)
+    got = cosy.refinement._member_poses(poses, images)
+    assert np.array_equal(got, oracles.member_poses(poses, images))
 
 
 def test_linearize_projects_nothing(monkeypatch):
@@ -630,15 +641,15 @@ def test_linearize_projects_nothing(monkeypatch):
         projections.append(1)
         return real(*args, **kwargs)
 
+    poses = pose_stack(state, images)
     monkeypatch.setattr(cosy.refinement, "project_masked_xyz", counting)
-    targets, _ = select_targets(state, images, cfg.truncation)
+    targets, _ = select_targets(poses, images, cfg.truncation)
     assert len(projections) == 1
-    r, _ = linearize(state, targets)
+    r, _ = linearize(poses, targets)
     assert len(projections) == 1
-    assert np.array_equal(residual_vector(state, targets), r)
+    assert np.array_equal(oracles.residual_vector(poses, targets), r)
     assert len(projections) == 2
-    moved = apply_delta(state, parameter_layout(state, objects),
-                        np.zeros(parameter_layout(state, objects).size))
+    moved = step(poses, np.zeros(6 * (len(poses) - 1)))
     with pytest.raises(ValueError):
         linearize(moved, targets)
 
@@ -664,8 +675,9 @@ def test_refine_best_of_equals_per_member_oracle_loop(monkeypatch):
     assert kept == want_kept
     assert_same_state(got, want)
     images = candidate_images(kept, obs, geo)
-    loss = select_targets(got, images, cfg.truncation)[1]
-    assert loss == oracles.select_targets(want, images, cfg.truncation)[1]
+    loss = select_targets(pose_stack(got, images), images, cfg.truncation)[1]
+    want_poses = pose_stack(want, images)
+    assert loss == oracles.select_targets(want_poses, images, cfg.truncation)[1]
     assert total_loss(got, kept, obs, geo, cfg) == total_loss(want, kept, obs, geo, cfg)
 
 
@@ -781,7 +793,8 @@ def test_stacked_refine_equals_scene_state_loop(case):
     assert len(got_trace) >= 2 and got_trace[-1] < got_trace[0]
     assert_same_state(got, want)
     images = candidate_images(kept, obs, geo)
-    assert got_trace[-1] == select_targets(got, images, cfg.truncation)[1]
+    assert got_trace[-1] == select_targets(pose_stack(got, images), images,
+                                           cfg.truncation)[1]
 
 
 def test_stacked_refine_equals_scene_state_loop_on_zero_loss():
@@ -1046,7 +1059,8 @@ def test_refine_best_of_shared_images_equal_per_restart_rebuild(monkeypatch, n_p
         assert total_loss_calls == []
         images = real_images(kept, obs, geo)
         for got, loss in zip(got_states, want_losses):
-            assert select_targets(got, images, cfg.truncation)[1] == loss
+            poses = pose_stack(got, images)
+            assert select_targets(poses, images, cfg.truncation)[1] == loss
 
 
 @pytest.mark.parametrize("n_points", [48, MAX_RESIDUAL_POINTS + 20],
@@ -1074,18 +1088,17 @@ def test_refine_best_of_scores_each_start_by_its_trace(monkeypatch, n_points):
 
     monkeypatch.setattr(cosy.refinement, "refine", recording_refine)
     monkeypatch.setattr(cosy.refinement, "select_targets", counting_select)
-    best_trace = []
     best, kept, _, score = refine_best_of(objs, graph.hypotheses, obs, geo, cfg,
-                                          n_starts=4, trace=best_trace)
+                                          n_starts=4)
     monkeypatch.undo()
     assert len(starts) == 4
     # Every selection happens inside refine: no refined state is scored anew.
     assert sum(n for _, _, n in starts) == len(selections)
     images = candidate_images(kept, obs, geo)
     for state, trace, _ in starts:
-        assert trace[-1] == select_targets(state, images, cfg.truncation)[1]
-    (chosen,) = [t for s, t, _ in starts if s is best]
-    assert best_trace == chosen
+        poses = pose_stack(state, images)
+        assert trace[-1] == select_targets(poses, images, cfg.truncation)[1]
+    assert sum(s is best for s, _, _ in starts) == 1
     losses = [total_loss(s, kept, obs, geo, cfg) for s, _, _ in starts]
     assert total_loss(best, kept, obs, geo, cfg) == min(losses) == score
     if n_points <= MAX_RESIDUAL_POINTS:
