@@ -10,6 +10,9 @@ All randomness flows from --seed: subsystem generators are seeded by
 stable hashes of it, so reruns are byte-identical and --threads never
 changes results. Timing is printed to stdout and kept out of output
 files for the same reason.
+
+Each command reads the parsed arguments directly. The `config` block that
+solve and eval write echoes every flag except file paths and --threads.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import fields
 
 import numpy as np
 
@@ -98,49 +101,61 @@ def derive_seed(seed: int, stream: str) -> int:
     return int.from_bytes(digest, "big") >> 1
 
 
-@dataclass
-class RunConfig:
-    """One subcommand invocation's full configuration.
+# Dests left out of the written `config`: file paths say where a run reads
+# and writes, not how it computes, and --threads is result-neutral by
+# construction, so neither belongs in byte-compared output files.
+_NOT_ECHOED = frozenset(
+    {"models", "observations", "out", "init_out", "estimate", "ground_truth",
+     "before", "threads"}
+)
 
-    `echo` is the flat flag dictionary written into output files for
-    provenance; it holds everything that can influence the result (so
-    not --threads, which is result-neutral by construction).
-    """
 
-    command: str
-    seed: int | None = None
-    paths: dict[str, str] = field(default_factory=dict)
-    scenario: ScenarioConfig | None = None
-    noise: NoiseModel | None = None
-    match: MatchParams | None = None
-    refine: RefineConfig | None = None
-    symmetry_angles: int = DEFAULT_SYMMETRY_ANGLES
-    min_score: float = 0.3
-    nms_radius: float = DEFAULT_NMS_RADIUS
-    restarts: int = 4
-    threads: int = 1
-    diameter_fraction: float = DEFAULT_DIAMETER_FRACTION
-    auc_max: float = DEFAULT_AUC_MAX
-    compare_fraction: float = 0.5
-    echo: dict = field(default_factory=dict)
+def _config(args: argparse.Namespace) -> dict:
+    """The flag echo written into an output file for provenance."""
+    return {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
 
 
 # ----------------------------------------------------------------- simulate
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    rng_obs = np.random.default_rng(derive_seed(cfg.seed, "observations"))
-    db = make_models(
-        cfg.scenario.model_labels,
-        seed=derive_seed(cfg.seed, "models"),
-        n_points=cfg.echo["n_points"],
-        symmetric=tuple(cfg.echo["symmetric_labels"]),
-        radius_range=tuple(cfg.echo["radius_range"]),
+def cmd_simulate(args: argparse.Namespace) -> int:
+    n_labels = args.n_labels if args.n_labels is not None else args.n_objects
+    if n_labels < 1:
+        raise ValueError("n_labels must be >= 1")
+    labels = tuple(f"obj_{i:02d}" for i in range(n_labels))
+    symmetric = tuple(s for s in args.symmetric_labels.split(",") if s)
+    for s in symmetric:
+        if s not in labels:
+            raise ValueError(f"symmetric label {s!r} not among {labels}")
+    scenario = ScenarioConfig(
+        n_objects=args.n_objects,
+        n_views=args.n_views,
+        model_labels=labels,
+        box_size=args.box_size,
+        camera_distance_range=tuple(args.camera_distance),
+        seed=derive_seed(args.seed, "scene"),
     )
-    scene = generate_scene(cfg.scenario, db)
-    obs, provenance = generate_observations(scene, cfg.noise, rng_obs)
+    noise = NoiseModel(
+        rot_sigma_deg=args.rot_sigma_deg,
+        trans_sigma=args.trans_sigma,
+        depth_sigma_extra=args.depth_sigma_extra,
+        miss_prob=args.miss_prob,
+        outlier_prob=args.outlier_prob,
+        label_confusion_prob=args.label_confusion_prob,
+    )
 
-    out = cfg.paths["out_dir"]
+    rng_obs = np.random.default_rng(derive_seed(args.seed, "observations"))
+    db = make_models(
+        labels,
+        seed=derive_seed(args.seed, "models"),
+        n_points=args.n_points,
+        symmetric=symmetric,
+        radius_range=tuple(args.radius_range),
+    )
+    scene = generate_scene(scenario, db)
+    obs, provenance = generate_observations(scene, noise, rng_obs)
+
+    out = args.out_dir
     os.makedirs(out, exist_ok=True)
     save_models(db, f"{out}/models.json")
     save_observations(obs, f"{out}/observations.json")
@@ -148,7 +163,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
     n_outliers = sum(1 for p in provenance if p < 0)
     print(
-        f"scene: {cfg.scenario.n_views} views, {cfg.scenario.n_objects} objects, "
+        f"scene: {scenario.n_views} views, {scenario.n_objects} objects, "
         f"{len(obs.candidates)} candidates ({n_outliers} outliers)"
     )
     print(f"wrote {out}/models.json, {out}/observations.json, {out}/ground_truth.json")
@@ -156,10 +171,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 # -------------------------------------------------------------------- solve
-
-
-def _diagnostic_estimate(cfg: RunConfig, stats: dict) -> SceneEstimate:
-    return SceneEstimate(cameras=(), objects=(), config=dict(cfg.echo), stats=stats)
 
 
 def _object_records(
@@ -183,37 +194,58 @@ def _object_records(
 
 
 def _estimate(
-    state: SceneState,
-    objects: list[PhysicalObject],
-    obs: SceneObservations,
-    keep_idx: list[int],
-    cfg: RunConfig,
-    stats: dict,
+    state: SceneState, records: list[EstimatedObject], config: dict, stats: dict
 ) -> SceneEstimate:
-    """Every camera of `state` and the records of `objects` at `state`."""
+    """Every camera of `state` and the object `records`."""
     return SceneEstimate(
         cameras=tuple(
             EstimatedCamera(view_id=v, pose_world=state.camera_poses[v])
             for v in sorted(state.camera_poses)
         ),
-        objects=tuple(_object_records(state, objects, obs, keep_idx)),
-        config=dict(cfg.echo),
+        objects=tuple(records),
+        config=config,
         stats=stats,
     )
 
 
-def cmd_solve(cfg: RunConfig) -> int:
+def cmd_solve(args: argparse.Namespace) -> int:
+    if not np.isfinite(args.min_score):
+        raise ValueError(f"min_score must be finite, got {args.min_score}")
+    match = MatchParams(
+        inlier_threshold=args.inlier_threshold,
+        max_iterations=args.ransac_max_iters,
+        min_inliers=args.min_inliers,
+        seed=derive_seed(args.seed, "match"),
+    )
+    refine_cfg = RefineConfig(
+        max_iterations=args.lm_iters,
+        truncation=args.truncation_px,
+        damping_init=args.damping_init,
+        damping_factor=args.damping_factor,
+        rel_tol=args.rel_tol,
+        seed=derive_seed(args.seed, "refine"),
+    )
+    if args.symmetry_angles < 1:
+        raise ValueError("symmetry_angles must be >= 1")
+    if args.restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    if args.threads < 1:
+        raise ValueError("threads must be >= 1")
+    if not args.nms_radius > 0:
+        raise ValueError("nms_radius must be > 0")
+    config = _config(args)
+
     t0 = time.perf_counter()
-    db = load_models(cfg.paths["models"])
-    raw = load_observations(cfg.paths["observations"], db)
-    keep_idx = [i for i, c in enumerate(raw.candidates) if c.score > cfg.min_score]
+    db = load_models(args.models)
+    raw = load_observations(args.observations, db)
+    keep_idx = [i for i, c in enumerate(raw.candidates) if c.score > args.min_score]
     obs = SceneObservations(
         views=raw.views, candidates=tuple(raw.candidates[i] for i in keep_idx)
     )
     t_load = time.perf_counter() - t0
     print(
         f"load: {len(raw.candidates)} candidates, {len(obs.candidates)} above "
-        f"score {cfg.min_score} ({t_load:.3f}s)"
+        f"score {args.min_score} ({t_load:.3f}s)"
     )
 
     stats = {
@@ -228,16 +260,16 @@ def cmd_solve(cfg: RunConfig) -> int:
 
     t0 = time.perf_counter()
     geometry = label_geometry(
-        db, (c.label for c in obs.candidates), cfg.symmetry_angles
+        db, (c.label for c in obs.candidates), args.symmetry_angles
     )
-    graph = build_match_graph(obs, geometry, cfg.match, threads=cfg.threads)
+    graph = build_match_graph(obs, geometry, match, threads=args.threads)
     objects = extract_physical_objects(graph)
     t_match = time.perf_counter() - t0
     stats["n_edges"] = len(graph.edges)
     stats["n_components"] = len(objects)
     print(f"match: {len(graph.edges)} edges, {len(objects)} components ({t_match:.3f}s)")
     if not objects:
-        save_estimate(_diagnostic_estimate(cfg, stats), cfg.paths["out"])
+        save_estimate(SceneEstimate((), (), config, stats), args.out)
         print("no physical objects recovered; wrote diagnostic estimate")
         return EXIT_NO_SCENE
 
@@ -245,14 +277,14 @@ def cmd_solve(cfg: RunConfig) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # unreachable-view pruning is reported below
         state, kept, init_state, final_loss = refine_best_of(
-            objects, graph.hypotheses, obs, geometry, cfg.refine,
-            n_starts=cfg.restarts,
+            objects, graph.hypotheses, obs, geometry, refine_cfg,
+            n_starts=args.restarts,
         )
     t_refine = time.perf_counter() - t0
     stats["n_components"] = len(kept)
     stats["n_inlier_members"] = sum(len(o.members) for o in kept)
     if not kept:
-        save_estimate(_diagnostic_estimate(cfg, stats), cfg.paths["out"])
+        save_estimate(SceneEstimate((), (), config, stats), args.out)
         print("all components lost to disconnected views; wrote diagnostic estimate")
         return EXIT_NO_SCENE
     # Placement reaches every view connected to the root, member or not,
@@ -273,7 +305,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     # 3D non-max suppression on refined world poses, then per-view records.
     t0 = time.perf_counter()
     records = _object_records(state, kept, obs, keep_idx)
-    surviving = nms_3d(records, radius=cfg.nms_radius)
+    surviving = nms_3d(records, radius=args.nms_radius)
     surviving_ids = {r.object_id for r in surviving}
     final_objects = [o for o, r in zip(kept, records) if r.object_id in surviving_ids]
     expressed = express_in_camera_frames(state, final_objects, obs)
@@ -285,16 +317,16 @@ def cmd_solve(cfg: RunConfig) -> int:
         f"{len(expressed)} view-object records ({t_out:.3f}s)"
     )
 
-    est = _estimate(state, final_objects, obs, keep_idx, cfg, stats)
-    save_estimate(est, cfg.paths["out"])
-    print(f"wrote {cfg.paths['out']}")
+    save_estimate(_estimate(state, surviving, config, stats), args.out)
+    print(f"wrote {args.out}")
 
-    if cfg.paths.get("init_out"):
+    if args.init_out:
+        init_records = _object_records(init_state, final_objects, obs, keep_idx)
         init_est = _estimate(
-            init_state, final_objects, obs, keep_idx, cfg, {"stage": "initialization"}
+            init_state, init_records, config, {"stage": "initialization"}
         )
-        save_estimate(init_est, cfg.paths["init_out"])
-        print(f"wrote {cfg.paths['init_out']}")
+        save_estimate(init_est, args.init_out)
+        print(f"wrote {args.init_out}")
     return EXIT_OK
 
 
@@ -318,81 +350,65 @@ def _predictions_from_estimate(est: SceneEstimate) -> list[PosePrediction]:
     return preds
 
 
-def _ground_truth_records(scene, db) -> list[PosePrediction]:
-    gts = []
-    for vi, view in enumerate(scene.views):
-        for oi in range(len(scene.object_labels)):
-            gts.append(
-                PosePrediction(
-                    view_id=view.view_id,
-                    label=scene.object_labels[oi],
-                    score=1.0,
-                    pose=scene.camera_frame_pose(vi, oi),
-                )
-            )
-    return gts
+def _ground_truth_records(scene) -> list[PosePrediction]:
+    return [
+        PosePrediction(
+            view_id=view.view_id,
+            label=label,
+            score=1.0,
+            pose=scene.camera_frame_pose(vi, oi),
+        )
+        for vi, view in enumerate(scene.views)
+        for oi, label in enumerate(scene.object_labels)
+    ]
 
 
-def _metrics_doc(report) -> dict:
-    doc = {
-        "add": report.add,
-        "adds": report.adds,
-        "auc_adds": report.auc_adds,
-        "recall_0p1d": report.recall_0p1d,
-        "map_adds": report.map_adds,
-        "n_gt": report.n_gt,
-        "n_matched": report.n_matched,
-        "n_predictions": report.n_predictions,
+def _metrics_doc(metrics) -> dict:
+    """A MetricReport's or LabelMetrics' values by field name; `per_label`
+    and `label` are the document's structure, not metrics."""
+    return {
+        f.name: getattr(metrics, f.name)
+        for f in fields(metrics)
+        if f.name not in ("per_label", "label")
     }
-    return doc
 
 
-def cmd_eval(cfg: RunConfig) -> int:
-    db = load_models(cfg.paths["models"])
-    est = load_estimate(cfg.paths["estimate"])
-    scene, _provenance = load_ground_truth(cfg.paths["ground_truth"], db)
+def cmd_eval(args: argparse.Namespace) -> int:
+    db = load_models(args.models)
+    est = load_estimate(args.estimate)
+    scene, _provenance = load_ground_truth(args.ground_truth, db)
 
-    gts = _ground_truth_records(scene, db)
+    gts = _ground_truth_records(scene)
     preds = _predictions_from_estimate(est)
     # The comparison report scores the same pairs at another fraction.
     errors = PairErrors(preds, gts, db)
     report = evaluate(
-        preds, gts, db, fraction=cfg.diameter_fraction, auc_max=cfg.auc_max,
+        preds, gts, db, fraction=args.diameter_fraction, auc_max=args.auc_max,
         errors=errors,
     )
 
     doc = {
         "aggregate": _metrics_doc(report),
         "per_label": {
-            label: {
-                "add": m.add,
-                "adds": m.adds,
-                "auc_adds": m.auc_adds,
-                "recall_0p1d": m.recall_0p1d,
-                "ap_adds": m.ap_adds,
-                "n_gt": m.n_gt,
-                "n_matched": m.n_matched,
-                "n_predictions": m.n_predictions,
-            }
-            for label, m in sorted(report.per_label.items())
+            label: _metrics_doc(m) for label, m in sorted(report.per_label.items())
         },
-        "config": dict(cfg.echo),
+        "config": _config(args),
     }
 
-    if cfg.paths.get("before"):
+    if args.before:
         # Stage comparison gates at a generous fraction of the diameter so
         # pre-refinement states (which rarely clear the strict recall gate)
         # still produce a number; wildly wrong poses count as misses.
-        before_est = load_estimate(cfg.paths["before"])
+        before_est = load_estimate(args.before)
         before_report = evaluate(
             _predictions_from_estimate(before_est),
             gts,
             db,
-            fraction=cfg.compare_fraction,
-            auc_max=cfg.auc_max,
+            fraction=args.compare_fraction,
+            auc_max=args.auc_max,
         )
         after_report = evaluate(
-            preds, gts, db, fraction=cfg.compare_fraction, auc_max=cfg.auc_max,
+            preds, gts, db, fraction=args.compare_fraction, auc_max=args.auc_max,
             errors=errors,
         )
         before_mm = None if before_report.adds is None else before_report.adds * 1000.0
@@ -405,17 +421,17 @@ def cmd_eval(cfg: RunConfig) -> int:
             "after_adds_mm": after_mm,
             "before_matched": before_report.n_matched,
             "after_matched": after_report.n_matched,
-            "gate_fraction": cfg.compare_fraction,
+            "gate_fraction": args.compare_fraction,
             "reduction_percent": reduction,
         }
 
-    dump_json(doc, cfg.paths["out"])
+    dump_json(doc, args.out)
     adds_mm = "n/a" if report.adds is None else f"{report.adds * 1000.0:.2f} mm"
     print(
         f"eval: ADD-S {adds_mm}, AUC {report.auc_adds:.4f}, "
         f"recall@0.1d {report.recall_0p1d:.4f}, mAP {report.map_adds:.4f}"
     )
-    print(f"wrote {cfg.paths['out']}")
+    print(f"wrote {args.out}")
     return EXIT_OK
 
 
@@ -426,11 +442,11 @@ def _fmt(value, spec=".4f") -> str:
     return "n/a" if value is None else format(value, spec)
 
 
-def cmd_report(cfg: RunConfig) -> int:
-    doc = load_json(cfg.paths["input"])
+def cmd_report(args: argparse.Namespace) -> int:
+    doc = load_json(args.input)
     for key in ("aggregate", "per_label"):
         if key not in doc:
-            raise SchemaError(f"{cfg.paths['input']}: missing '{key}'")
+            raise SchemaError(f"{args.input}: missing '{key}'")
     agg = doc["aggregate"]
     lines = [
         "aggregate metrics",
@@ -463,10 +479,10 @@ def cmd_report(cfg: RunConfig) -> int:
         ]
     text = "\n".join(lines) + "\n"
     print(text, end="")
-    if cfg.paths.get("out"):
-        with open(cfg.paths["out"], "w", encoding="utf-8") as f:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as f:
             f.write(text)
-        print(f"wrote {cfg.paths['out']}")
+        print(f"wrote {args.out}")
     return EXIT_OK
 
 
@@ -514,7 +530,7 @@ def _add_solve(sub) -> None:
     p.add_argument("--damping-init", type=float, default=1e-4)
     p.add_argument("--damping-factor", type=float, default=10.0)
     p.add_argument("--rel-tol", type=float, default=1e-6)
-    p.add_argument("--symmetry-angles", type=int, default=64)
+    p.add_argument("--symmetry-angles", type=int, default=DEFAULT_SYMMETRY_ANGLES)
     p.add_argument("--nms-radius", type=float, default=DEFAULT_NMS_RADIUS)
     p.add_argument("--restarts", type=int, default=4)
     p.add_argument("--threads", type=int, default=1)
@@ -555,147 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.command == "simulate":
-        n_labels = args.n_labels if args.n_labels is not None else args.n_objects
-        if n_labels < 1:
-            raise ValueError("n_labels must be >= 1")
-        labels = tuple(f"obj_{i:02d}" for i in range(n_labels))
-        symmetric = tuple(s for s in args.symmetric_labels.split(",") if s)
-        for s in symmetric:
-            if s not in labels:
-                raise ValueError(f"symmetric label {s!r} not among {labels}")
-        scenario = ScenarioConfig(
-            n_objects=args.n_objects,
-            n_views=args.n_views,
-            model_labels=labels,
-            box_size=args.box_size,
-            camera_distance_range=tuple(args.camera_distance),
-            seed=derive_seed(args.seed, "scene"),
-        )
-        noise = NoiseModel(
-            rot_sigma_deg=args.rot_sigma_deg,
-            trans_sigma=args.trans_sigma,
-            depth_sigma_extra=args.depth_sigma_extra,
-            miss_prob=args.miss_prob,
-            outlier_prob=args.outlier_prob,
-            label_confusion_prob=args.label_confusion_prob,
-        )
-        echo = {
-            "command": "simulate",
-            "seed": args.seed,
-            "n_objects": args.n_objects,
-            "n_views": args.n_views,
-            "n_labels": n_labels,
-            "box_size": args.box_size,
-            "camera_distance": list(args.camera_distance),
-            "n_points": args.n_points,
-            "radius_range": list(args.radius_range),
-            "symmetric_labels": list(symmetric),
-            "rot_sigma_deg": args.rot_sigma_deg,
-            "trans_sigma": args.trans_sigma,
-            "depth_sigma_extra": args.depth_sigma_extra,
-            "miss_prob": args.miss_prob,
-            "outlier_prob": args.outlier_prob,
-            "label_confusion_prob": args.label_confusion_prob,
-        }
-        return RunConfig(
-            command="simulate",
-            seed=args.seed,
-            paths={"out_dir": args.out_dir},
-            scenario=scenario,
-            noise=noise,
-            echo=echo,
-        )
-    if args.command == "solve":
-        if not np.isfinite(args.min_score):
-            raise ValueError(f"min_score must be finite, got {args.min_score}")
-        match = MatchParams(
-            inlier_threshold=args.inlier_threshold,
-            max_iterations=args.ransac_max_iters,
-            min_inliers=args.min_inliers,
-            seed=derive_seed(args.seed, "match"),
-        )
-        refine_cfg = RefineConfig(
-            max_iterations=args.lm_iters,
-            truncation=args.truncation_px,
-            damping_init=args.damping_init,
-            damping_factor=args.damping_factor,
-            rel_tol=args.rel_tol,
-            seed=derive_seed(args.seed, "refine"),
-        )
-        if args.symmetry_angles < 1:
-            raise ValueError("symmetry_angles must be >= 1")
-        if args.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if args.threads < 1:
-            raise ValueError("threads must be >= 1")
-        echo = {
-            "command": "solve",
-            "seed": args.seed,
-            "min_score": args.min_score,
-            "inlier_threshold": args.inlier_threshold,
-            "ransac_max_iters": args.ransac_max_iters,
-            "min_inliers": args.min_inliers,
-            "lm_iters": args.lm_iters,
-            "truncation_px": args.truncation_px,
-            "damping_init": args.damping_init,
-            "damping_factor": args.damping_factor,
-            "rel_tol": args.rel_tol,
-            "symmetry_angles": args.symmetry_angles,
-            "nms_radius": args.nms_radius,
-            "restarts": args.restarts,
-        }
-        paths = {
-            "models": args.models,
-            "observations": args.observations,
-            "out": args.out,
-        }
-        if args.init_out:
-            paths["init_out"] = args.init_out
-        return RunConfig(
-            command="solve",
-            seed=args.seed,
-            paths=paths,
-            match=match,
-            refine=refine_cfg,
-            symmetry_angles=args.symmetry_angles,
-            min_score=args.min_score,
-            nms_radius=args.nms_radius,
-            restarts=args.restarts,
-            threads=args.threads,
-            echo=echo,
-        )
-    if args.command == "eval":
-        echo = {
-            "command": "eval",
-            "diameter_fraction": args.diameter_fraction,
-            "auc_max": args.auc_max,
-            "compare_fraction": args.compare_fraction,
-        }
-        paths = {
-            "models": args.models,
-            "estimate": args.estimate,
-            "ground_truth": args.ground_truth,
-            "out": args.out,
-        }
-        if args.before:
-            paths["before"] = args.before
-        return RunConfig(
-            command="eval",
-            paths=paths,
-            diameter_fraction=args.diameter_fraction,
-            auc_max=args.auc_max,
-            compare_fraction=args.compare_fraction,
-            echo=echo,
-        )
-    # report
-    paths = {"input": args.input}
-    if args.out:
-        paths["out"] = args.out
-    return RunConfig(command="report", paths=paths)
-
-
 _COMMANDS = {
     "simulate": cmd_simulate,
     "solve": cmd_solve,
@@ -712,8 +587,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad flags, 0 on --help; keep those codes
         return int(exc.code or 0)
     try:
-        cfg = _config_from_args(args)
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

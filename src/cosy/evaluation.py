@@ -360,23 +360,6 @@ def evaluate(
     )
 
 
-def gated_mean_error(errors, diameters, gate_fraction: float = 0.5):
-    """Mean error over records whose error is below gate_fraction*diameter.
-
-    Used when comparing a pipeline stage against a baseline: wildly wrong
-    poses (beyond the gate) would dominate a plain mean, so they are
-    excluded and reported separately as a miss count.
-    """
-    e = np.asarray(list(errors), dtype=np.float64)
-    d = np.asarray(list(diameters), dtype=np.float64)
-    if e.shape != d.shape:
-        raise ValueError("length mismatch")
-    keep = e < gate_fraction * d
-    if not np.any(keep):
-        return None, int(e.size)
-    return float(np.mean(e[keep])), int(np.count_nonzero(~keep))
-
-
 def nms_3d(objects, radius: float = DEFAULT_NMS_RADIUS):
     """Suppress all but the highest-scoring object in any crowded spot.
 

@@ -132,15 +132,6 @@ class CameraIntrinsics:
             raise ValueError("intrinsics fx, fy, cx, cy must be finite")
 
 
-def compose(a: Pose, b: Pose) -> Pose:
-    """Homogeneous-matrix product a * b."""
-    return a.compose(b)
-
-
-def inverse(t: Pose) -> Pose:
-    return t.inverse()
-
-
 def apply_matrix(matrix: np.ndarray, pts) -> np.ndarray:
     """Apply the rigid transform in `matrix` to an (N, 3) point array.
 

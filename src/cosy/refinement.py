@@ -82,9 +82,12 @@ class RefineConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        for name in ("truncation", "damping_init", "damping_factor", "rel_tol"):
+        for name in ("truncation", "damping_init", "rel_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
+        # A damping ladder ends only once lambda grows past _DAMPING_CEILING.
+        if not self.damping_factor > 1:
+            raise ValueError("damping_factor must be > 1")
 
 
 def _residual_index(model: ObjectModel) -> np.ndarray | None:

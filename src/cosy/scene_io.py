@@ -442,14 +442,6 @@ def load_observations(path, db: ModelDB | None = None) -> SceneObservations:
     return SceneObservations(views=tuple(views), candidates=tuple(candidates))
 
 
-def filter_by_score(obs: SceneObservations, min_score: float = 0.3) -> SceneObservations:
-    """Drop candidates with score <= min_score (strictly greater survives)."""
-    return SceneObservations(
-        views=obs.views,
-        candidates=tuple(c for c in obs.candidates if c.score > min_score),
-    )
-
-
 # ---------------------------------------------------------------------------
 # estimate.json
 

@@ -177,7 +177,12 @@ def test_solve_config_echo_and_stats(tmp_path):
     assert doc["config"]["inlier_threshold"] == 0.04
     assert doc["config"]["restarts"] == 2
     assert doc["config"]["seed"] == 11
-    assert "threads" not in doc["config"]  # result-neutral, stdout only
+    # Every flag but the file paths and --threads (result-neutral, stdout only).
+    assert set(doc["config"]) == {
+        "command", "seed", "min_score", "inlier_threshold", "ransac_max_iters",
+        "min_inliers", "lm_iters", "truncation_px", "damping_init",
+        "damping_factor", "rel_tol", "symmetry_angles", "nms_radius", "restarts",
+    }
     stats = doc["stats"]
     assert stats["n_candidates"] == 15
     assert stats["n_components"] == 5
@@ -274,11 +279,37 @@ def test_solve_discretizes_each_candidate_label_once(tmp_path, monkeypatch):
 
 def test_solve_rejects_symmetry_angles_below_one(tmp_path, capsys):
     models, obs, _ = simulate(tmp_path, "--n-objects", "4", "--n-views", "3")
+    out = tmp_path / "out.json"
+    # Each bad value is rejected before any file is read (no "load:" line).
+    for flag, value, message in [
+        ("--symmetry-angles", "0", "symmetry_angles must be >= 1"),
+        ("--nms-radius", "0", "nms_radius must be > 0"),
+    ]:
+        capsys.readouterr()
+        assert solve(models, obs, out, flag, value) == EXIT_CONFIG
+        shown = capsys.readouterr()
+        assert message in shown.err
+        assert "Traceback" not in shown.err
+        assert shown.out == ""
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("factor", ["1", "0.5"])
+def test_solve_rejects_damping_factor_not_above_one(tmp_path, capsys, monkeypatch,
+                                                     factor):
+    # A factor <= 1 never lifts the damping past its ceiling, so a ladder
+    # would not end; the solve must stop before refining anything.
+    models, obs, _ = simulate(tmp_path, "--n-objects", "4", "--n-views", "3")
+
+    def refine_never_runs(*args, **kwargs):
+        raise AssertionError("refinement ran with a bad damping factor")
+
+    monkeypatch.setattr(cli, "refine_best_of", refine_never_runs)
     capsys.readouterr()
     out = tmp_path / "out.json"
-    assert solve(models, obs, out, "--symmetry-angles", "0") == EXIT_CONFIG
+    assert solve(models, obs, out, "--damping-factor", factor) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "symmetry_angles must be >= 1" in err
+    assert "damping_factor must be > 1" in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -286,15 +317,20 @@ def test_solve_rejects_symmetry_angles_below_one(tmp_path, capsys):
 def test_solve_min_score_filters_members(tmp_path):
     models, obs, _ = simulate(tmp_path, "--n-objects", "5", "--n-views", "4")
     out = tmp_path / "estimate.json"
-    # true-candidate scores are drawn from [0.6, 1.0]; a 0.8 floor may or
-    # may not leave enough members, but survivors must all clear it
-    rc = solve(models, obs, out, "--min-score", "0.8")
-    assert rc in (EXIT_OK, EXIT_NO_SCENE)
+    assert solve(models, obs, out) == EXIT_OK
+    scores = [c["score"] for c in load_json(obs)["candidates"]]
+    members = [m["candidate_index"] for o in load_json(out)["objects"]
+               for m in o["members"]]
+    # The floor is strict: set at the weakest member's exact score, it drops
+    # that member, and every survivor clears it.
+    weakest = min(members, key=scores.__getitem__)
+    floor = scores[weakest]
+    assert solve(models, obs, out, "--min-score", repr(floor)) == EXIT_OK
     doc = load_json(out)
-    obs_doc = load_json(obs)
-    for obj in doc.get("objects", []):
-        for m in obj["members"]:
-            assert obs_doc["candidates"][m["candidate_index"]]["score"] > 0.8
+    assert doc["config"]["min_score"] == floor
+    members = [m["candidate_index"] for o in doc["objects"] for m in o["members"]]
+    assert members and weakest not in members
+    assert all(scores[i] > floor for i in members)
 
 
 def test_solve_reports_views_dropped_as_unreachable(tmp_path, capsys):
@@ -469,10 +505,18 @@ def test_eval_before_after_table(tmp_path):
     out = tmp_path / "report.json"
     assert run_eval(models, out_est, gt_path, out,
                     "--before", str(init_est)) == EXIT_OK
-    comp = load_json(out)["comparison"]
+    doc = load_json(out)
+    comp = doc["comparison"]
     assert comp["before_adds_mm"] is not None
     assert comp["after_adds_mm"] < comp["before_adds_mm"]
     assert comp["reduction_percent"] > 0
+    # Every flag but the file paths.
+    assert doc["config"] == {
+        "command": "eval",
+        "diameter_fraction": ev.DEFAULT_DIAMETER_FRACTION,
+        "auc_max": ev.DEFAULT_AUC_MAX,
+        "compare_fraction": 0.5,
+    }
 
 
 def test_eval_schema_mismatch_is_config_error(tmp_path):
@@ -511,7 +555,10 @@ def test_eval_poses_each_record_and_scores_each_pair_once(tmp_path, monkeypatch)
 
     db = load_models(models)
     scene, _ = load_ground_truth(gt_path, db)
-    gts = cli._ground_truth_records(scene, db)
+    gts = cli._ground_truth_records(scene)
+    compare_fraction = cli.build_parser().parse_args(
+        ["eval", "--models", "m", "--estimate", "e", "--ground-truth", "g", "--out", "o"]
+    ).compare_fraction
 
     def examined(preds, fraction):
         pairs = set()
@@ -528,8 +575,8 @@ def test_eval_poses_each_record_and_scores_each_pair_once(tmp_path, monkeypatch)
     preds = cli._predictions_from_estimate(load_estimate(out_est))
     before_preds = cli._predictions_from_estimate(load_estimate(init_est))
     after = examined(preds, ev.DEFAULT_DIAMETER_FRACTION)
-    after |= examined(preds, cli.RunConfig.compare_fraction)
-    before = examined(before_preds, cli.RunConfig.compare_fraction)
+    after |= examined(preds, compare_fraction)
+    before = examined(before_preds, compare_fraction)
     assert after and before
     # Each record of a ground-truth label is posed once per record set.
     gt_labels = {g.label for g in gts}

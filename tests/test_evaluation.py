@@ -320,19 +320,6 @@ class TestEvaluateAddsOnce:
         assert len(calls) == n_examined
 
 
-class TestGatedMean:
-    def test_gate_excludes_large_errors(self):
-        errors = [0.01, 0.02, 0.4]
-        diams = [0.2, 0.2, 0.2]  # gate at 0.1
-        mean, misses = ev.gated_mean_error(errors, diams)
-        assert misses == 1
-        assert mean == pytest.approx(0.015)
-
-    def test_all_missed(self):
-        mean, misses = ev.gated_mean_error([0.5], [0.2])
-        assert mean is None and misses == 1
-
-
 class _Obj:
     def __init__(self, xyz, score):
         self.pose_world = Pose.from_rt(np.eye(3), xyz)

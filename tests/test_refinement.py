@@ -78,6 +78,8 @@ def test_refine_config_validation():
         RefineConfig(truncation=0.0)
     with pytest.raises(ValueError):
         RefineConfig(damping_factor=-1.0)
+    with pytest.raises(ValueError, match="damping_factor must be > 1"):
+        RefineConfig(damping_factor=1.0)
     with pytest.raises(ValueError):
         RefineConfig(rel_tol=0.0)
 

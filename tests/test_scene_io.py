@@ -387,37 +387,6 @@ class TestPoseFromList:
             sio.load_estimate(est)
 
 
-class TestFilterByScore:
-    def test_strict_inequality(self):
-        views = (sio.View(view_id="v0", intrinsics=_intrinsics()),)
-        cands = tuple(
-            _candidate(score=s, seed=i) for i, s in enumerate([0.2, 0.3, 0.31])
-        )
-        obs = sio.SceneObservations(views=views, candidates=cands)
-        kept = sio.filter_by_score(obs, 0.3)
-        assert [c.score for c in kept.candidates] == [0.31]
-
-    def test_zero_threshold_keeps_all(self):
-        obs = _observations(2, 3)
-        assert len(sio.filter_by_score(obs, 0.0).candidates) == 6
-
-    def test_empty(self):
-        obs = sio.SceneObservations(
-            views=(sio.View(view_id="v0", intrinsics=_intrinsics()),), candidates=()
-        )
-        assert sio.filter_by_score(obs).candidates == ()
-
-    def test_idempotent_and_monotone(self):
-        obs = _observations(3, 5)
-        once = sio.filter_by_score(obs, 0.52)
-        twice = sio.filter_by_score(once, 0.52)
-        assert [c.score for c in once.candidates] == [c.score for c in twice.candidates]
-        higher = sio.filter_by_score(obs, 0.53)
-        assert set(c.score for c in higher.candidates) <= set(
-            c.score for c in once.candidates
-        )
-
-
 class TestEstimateFile:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(44)
