@@ -374,6 +374,12 @@ def _metrics_doc(metrics) -> dict:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    # Checked before any file is read: 0 or nan would score every pair a
+    # miss, and a negative gate would be written into the comparison.
+    for flag in ("--diameter-fraction", "--compare-fraction", "--auc-max"):
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{flag} must be finite and > 0, got {value}")
     db = load_models(args.models)
     est = load_estimate(args.estimate)
     scene, _provenance = load_ground_truth(args.ground_truth, db)

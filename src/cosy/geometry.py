@@ -164,17 +164,20 @@ def apply_matrices(matrices: np.ndarray, pts) -> np.ndarray:
     ) + t[:, None, :]
 
 
-def apply_matrices_repeated(matrices: np.ndarray, counts, pts_t) -> np.ndarray:
-    """Apply matrices[t] to the next counts[t] points: (T, 4, 4), (T,), (3, N).
+def apply_point_matrices(m: np.ndarray, pts_t) -> np.ndarray:
+    """Apply one transform per point: (3, 4, N) entries m, (3, N) points.
 
-    Points and result are coordinate-major (3, N). Each matrix entry is
-    repeated over its run of points, so every term below is a contiguous
-    row, and the accumulation order is apply_matrix's: each point matches
-    apply_matrix with its own matrix bit for bit.
+    m[:, :, i] is the top three rows [R | t] of point i's matrix. Points
+    and result are coordinate-major (3, N), so every term below is a
+    contiguous row, and the sums, taken in place, follow apply_matrix's
+    order: each point matches apply_matrix with its own matrix bit for bit.
     """
-    m = np.repeat(matrices[:, :3, :].transpose(1, 2, 0), counts, axis=2)
     x, y, z = pts_t
-    return ((x * m[:, 0] + y * m[:, 1]) + z * m[:, 2]) + m[:, 3]
+    out = x * m[:, 0]
+    out += y * m[:, 1]
+    out += z * m[:, 2]
+    out += m[:, 3]
+    return out
 
 
 def project(k: CameraIntrinsics, pts_camera_frame, z_min: float = DEFAULT_Z_MIN) -> np.ndarray:

@@ -29,8 +29,8 @@ import numpy as np
 from .geometry import (
     CameraIntrinsics,
     Pose,
-    apply_matrices_repeated,
     apply_matrix,
+    apply_point_matrices,
     inverse_matrices,
     project_masked,
     project_masked_xyz,
@@ -344,6 +344,39 @@ class CandidateImages:
     order: np.ndarray  # (N,), each point's position in all stacks' rows in turn
 
 
+class Workspace:
+    """Scratch buffers of one solve's LM loop, sized for the N residual
+    points of a `CandidateImages`.
+
+    Each iteration writes its per-point matrix entries and its Jacobian
+    rows into these buffers instead of allocating them. An array of 12 N
+    floats is larger than glibc's mmap threshold once N is in the
+    thousands: allocated per call, it goes back to the OS when freed and
+    its pages fault in afresh on the next call. Restarts over the same
+    images may share one workspace; concurrent solves may not.
+    """
+
+    def __init__(self, images: CandidateImages):
+        n = images.points.shape[1]
+        # (12, N) per-point matrix entries, or (N, 2, 6) rows of every point
+        self.entries = np.empty(12 * n)
+        self.jacobian = np.empty(12 * n)  # (n, 2, 6) rows of E, n active points
+        # Each member's [R | t] entries, and views repeating a member's
+        # column over its points: concatenated in member order, the views
+        # are np.repeat(self._member, counts, axis=1).
+        self._member = np.empty((12, len(images.counts)))
+        self._runs = [
+            np.broadcast_to(self._member[:, t, None], (12, count))
+            for t, count in enumerate(images.counts.tolist())
+        ]
+
+    def point_entries(self, matrices: np.ndarray) -> np.ndarray:
+        """(12, N) view of the entries buffer whose row 4j+k is M[j, k] of
+        each point's member matrix M, from the (T, 4, 4) member matrices."""
+        self._member[...] = matrices[:, :3, :].reshape(-1, 12).T
+        return np.concatenate(self._runs, axis=1, out=self.entries.reshape(12, -1))
+
+
 class Projection(NamedTuple):
     """The residual points at one pose stack: camera-frame points (3, N),
     pixels (N, 2) and validity (N,)."""
@@ -362,6 +395,7 @@ class Targets:
     """
 
     images: CandidateImages
+    workspace: Workspace  # linearize's and frozen_loss's scratch
     poses: np.ndarray  # (C + O, 4, 4), as given to select_targets
     cam_points: np.ndarray  # (3, N), camera-frame points at poses
     pred_px: np.ndarray  # (N, 2), their pixels
@@ -477,30 +511,41 @@ def _member_poses(poses: np.ndarray, images: CandidateImages) -> np.ndarray:
     return cams[images.camera_rows] @ poses[n_cam:][images.object_rows]
 
 
-def _project_points(poses: np.ndarray, images: CandidateImages) -> Projection:
-    """The residual points at a pose stack."""
-    u = apply_matrices_repeated(
-        _member_poses(poses, images), images.counts, images.points
-    )
+def _project_points(
+    poses: np.ndarray, images: CandidateImages, workspace: Workspace | None = None
+) -> Projection:
+    """The residual points at a pose stack; each point's member matrix is
+    written into the workspace's entries buffer."""
+    if workspace is None:
+        workspace = Workspace(images)
+    entries = workspace.point_entries(_member_poses(poses, images))
+    u = apply_point_matrices(entries.reshape(3, 4, -1), images.points)
     return Projection(u, *project_masked_xyz(images.intrinsics, *u))
 
 
 def select_targets(
-    poses: np.ndarray, images: CandidateImages, truncation: float, projection=None
+    poses: np.ndarray,
+    images: CandidateImages,
+    truncation: float,
+    projection=None,
+    workspace: Workspace | None = None,
 ) -> tuple[Targets, float]:
     """Pick the best symmetry per member; freeze its projected points.
 
     `poses` is a `pose_stack`, and `projection`, when given, is its
     `_project_points` (as `frozen_loss` returns it), which is then not
-    computed again. Returns the frozen targets and the (true) total loss at
-    `poses`. With no residual subsampling this is total_loss bit for bit:
-    the same projections, the same per-member means (a mean over the
-    contiguous last axis of a stack sums each member's row as a 1-D mean
-    does), the first minimum over symmetries, and a left-to-right sum in
-    member order.
+    computed again. The targets carry `workspace` (a new one when not
+    given) to the calls that read them. Returns the frozen targets and the
+    (true) total loss at `poses`. With no residual subsampling this is
+    total_loss bit for bit: the same projections, the same per-member means
+    (a mean over the contiguous last axis of a stack sums each member's row
+    as a 1-D mean does), the first minimum over symmetries, and a
+    left-to-right sum in member order.
     """
+    if workspace is None:
+        workspace = Workspace(images)
     if projection is None:
-        projection = _project_points(poses, images)
+        projection = _project_points(poses, images, workspace)
     u, pred_px, pred_valid = projection
     member_loss = np.empty(len(images.view_ids))
     px, valid, active = [], [], []
@@ -519,6 +564,7 @@ def select_targets(
     active = _flat(active, images.order)
     targets = Targets(
         images=images,
+        workspace=workspace,
         poses=poses,
         cam_points=u,
         pred_px=pred_px,
@@ -547,7 +593,7 @@ def frozen_loss(
     passes the strict acceptance test on rounding.
     """
     images = targets.images
-    projection = _project_points(poses, images)
+    projection = _project_points(poses, images, targets.workspace)
     contrib, _, _ = _truncated_errors(
         projection.px, projection.valid, targets.px, targets.valid, truncation
     )
@@ -563,56 +609,77 @@ def linearize(poses: np.ndarray, targets: Targets) -> tuple[np.ndarray, np.ndarr
     A residual depends on its camera and object poses only through
     cam^-1 * obj, so equal left increments of both cancel: a target's
     camera columns are exactly E and its object columns exactly -E.
-    `normal_equations` places them. E is (2N, 6), rows (u, v) per point
-    with the weight applied: for world point w and camera rotation R, with
-    A = d(pixel)/d(camera point), B = A R^T and C = B [w]x, a point's rows
-    are [C | -B] (rotation increment first, translation second, matching
-    `retract`).
+    `normal_equations` places them. E is (2n, 6), rows (u, v) per active
+    point with the weight applied: for world point w and camera rotation
+    R, with A = d(pixel)/d(camera point), B = A R^T and C = B [w]x, a
+    point's rows are [C | -B] (rotation increment first, translation
+    second, matching `retract`).
 
     `poses` must be the stack `targets` were selected at (the same object):
     the camera-frame points and pixels come from the selection, not from a
-    new projection.
-    The active points are gathered once, and each entry of the (2, 6) block
-    is computed for all of them as one contiguous (n,) row, from the
-    expressions np.cross evaluates (b1 w2 - b2 w1, ...); the weight is
-    applied last, as the row is written into its column of E. Each entry
-    equals the per-point evaluation bit for bit.
+    new projection. Each entry of the (2, 6) block is computed for every
+    residual point as one contiguous (N,) row, from the expressions
+    np.cross evaluates (b1 w2 - b2 w1, ...); the weight is applied last, as
+    the row is written into its column. When some point is inactive, the
+    rows and residuals of the n active points are then copied out in
+    order; almost every iteration has all N points active and copies
+    nothing. Each entry equals the per-point evaluation bit for bit; the
+    values computed for inactive points, which may lie behind the camera,
+    are dropped.
+
+    E is a view of the first 2n rows of `targets.workspace`'s Jacobian
+    buffer: it stays valid until the next linearize on the same workspace,
+    which overwrites it. Each point's object and camera matrix entries (and
+    every point's rows, when some are dropped) go into the workspace's
+    entries buffer, so an iteration allocates no array of 12 N floats.
     """
     if poses is not targets.poses:
         raise ValueError("linearize needs the poses its targets were selected at")
     images = targets.images
+    ws = targets.workspace
     idx = np.flatnonzero(targets.active)
-    counts = targets.active_counts
-    sw = images.sqrt_weight[idx]
-    diff = np.take(targets.pred_px, idx, axis=0) - np.take(targets.px, idx, axis=0)
-    r = (diff * sw[:, None]).ravel()
-    x, y, z = np.take(targets.cam_points, idx, axis=1)
+    n = idx.shape[0]
+    compact = n < targets.active.shape[0]
+    sw = images.sqrt_weight
     n_cam = len(images.cameras)
     cams, objs = poses[:n_cam], poses[n_cam:]
-    w0, w1, w2 = apply_matrices_repeated(
-        objs[images.object_rows], counts, np.take(images.points, idx, axis=1)
+    w = apply_point_matrices(
+        ws.point_entries(objs[images.object_rows]).reshape(3, 4, -1), images.points
     )
-    cam_rots = cams[images.camera_rows, :3, :3]
-    rot = np.repeat(cam_rots.reshape(-1, 9).T, counts, axis=1)  # row 3j+k: R[j, k]
-    e = np.empty((idx.shape[0], 2, 6))
-    for i, (f, c) in enumerate(
-        ((images.intrinsics.fx[idx], x), (images.intrinsics.fy[idx], y))
-    ):
-        # B = A R^T: B_j = f/z R[j, i] - (f/z) c/z R[j, 2], A having two nonzeros
-        f_z = f / z
-        fc_z = f_z * c / z
-        b0, b1, b2 = (f_z * rot[3 * j + i] - fc_z * rot[3 * j + 2] for j in range(3))
-        terms = (
-            b1 * w2 - b2 * w1,  # B [w]x == B x w
-            b2 * w0 - b0 * w2,
-            b0 * w1 - b1 * w0,
-            -b0,
-            -b1,
-            -b2,
+    # w is computed, so the entries buffer takes the camera matrices.
+    rot = ws.point_entries(cams[images.camera_rows])  # row 4j+k: R[j, k]
+    x, y, z = targets.cam_points
+    fx, fy = images.intrinsics.fx, images.intrinsics.fy
+    # Inactive points may sit at z <= 0; their values are dropped below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = targets.pred_px - targets.px
+        r *= sw[:, None]
+        b = []
+        for i, (f, c) in enumerate(((fx, x), (fy, y))):
+            # B = A R^T: B_j = f/z R[j, i] - (f/z) c/z R[j, 2], A having two
+            # nonzeros per row
+            f_z = f / z
+            fc_z = f_z * c / z
+            b.append([f_z * rot[4 * j + i] - fc_z * rot[4 * j + 2]
+                      for j in range(3)])
+        # rot is spent, so the entries buffer may take every point's rows
+        # when only the active ones go into the Jacobian buffer.
+        rows = (ws.entries if compact else ws.jacobian).reshape(-1, 2, 6)
+        for i, b_i in enumerate(b):
+            # B [w]x == B x w: entry j is b[p] w[q] - b[q] w[p]
+            for j, (p, q) in enumerate(((1, 2), (2, 0), (0, 1))):
+                np.multiply(b_i[p] * w[q] - b_i[q] * w[p], sw, out=rows[:, i, j])
+            for j in range(3):
+                np.multiply(-b_i[j], sw, out=rows[:, i, 3 + j])
+    if compact:
+        # mode="clip" (the indices are valid) keeps np.take from staging
+        # `out` in a temporary copy.
+        r = np.take(r, idx, axis=0)
+        rows = np.take(
+            rows.reshape(-1, 12), idx, axis=0,
+            out=ws.jacobian[: 12 * n].reshape(n, 12), mode="clip",
         )
-        for j, term in enumerate(terms):
-            np.multiply(term, sw, out=e[:, i, j])
-    return r, e.reshape(-1, 6)
+    return r.ravel(), rows.reshape(-1, 6)
 
 
 def normal_equations(
@@ -624,34 +691,35 @@ def normal_equations(
     adds [[K, -K], [-K, K]] and [k, -k] at its camera and object blocks;
     the gauge camera has no columns, so only its object block remains. A
     member's blocks are its camera and object rows of `pose_stack` less
-    one. Blocks are accumulated with += and -= in member order, so each
-    entry receives its additions in the order of a per-member loop.
+    one. K and k are BLAS products per member; np.add.at and
+    np.subtract.at apply them in member order, and the four kinds of block
+    (object-object, camera-camera, camera-object, object-camera) never
+    share an entry, so each entry receives its additions in the order of a
+    per-member loop of += and -=.
     """
     images = targets.images
     n_cam = len(images.cameras)
     n_blocks = n_cam - 1 + len(images.objects)
+    live = np.flatnonzero(targets.active_counts)
+    ends = (2 * np.cumsum(targets.active_counts[live])).tolist()
+    k_mat = np.empty((live.shape[0], 6, 6))
+    k_vec = np.empty((live.shape[0], 6))
+    for t, (start, end) in enumerate(zip([0] + ends, ends)):
+        e_t = e[start:end]
+        k_mat[t] = e_t.T @ e_t
+        k_vec[t] = e_t.T @ r[start:end]
+    c = images.camera_rows[live] - 1
+    o = images.object_rows[live] + n_cam - 1
     h = np.zeros((n_blocks, n_blocks, 6, 6))
     g = np.zeros((n_blocks, 6))
-    row = 0
-    for c, o, n in zip(
-        (images.camera_rows - 1).tolist(),
-        (images.object_rows + n_cam - 1).tolist(),
-        targets.active_counts.tolist(),
-    ):
-        if n == 0:
-            continue
-        e_t = e[row : row + 2 * n]
-        r_t = r[row : row + 2 * n]
-        row += 2 * n
-        k_mat = e_t.T @ e_t
-        k_vec = e_t.T @ r_t
-        h[o, o] += k_mat
-        g[o] -= k_vec
-        if c >= 0:
-            h[c, c] += k_mat
-            h[c, o] -= k_mat
-            h[o, c] -= k_mat
-            g[c] += k_vec
+    np.add.at(h, (o, o), k_mat)
+    np.subtract.at(g, o, k_vec)
+    free = c >= 0  # members outside the gauge camera
+    c, o, k_mat, k_vec = c[free], o[free], k_mat[free], k_vec[free]
+    np.add.at(h, (c, c), k_mat)
+    np.subtract.at(h, (c, o), k_mat)
+    np.subtract.at(h, (o, c), k_mat)
+    np.add.at(g, c, k_vec)
     size = 6 * n_blocks
     return h.transpose(0, 2, 1, 3).reshape(size, size), g.ravel()
 
@@ -668,6 +736,7 @@ def refine(
     *,
     trace: list | None = None,
     images: CandidateImages | None = None,
+    workspace: Workspace | None = None,
 ) -> SceneState:
     """Levenberg-Marquardt descent on the truncated symmetric loss.
 
@@ -691,20 +760,27 @@ def refine(
     zero loss or a saturated residual set; it is non-increasing, and its
     last value is select_targets' loss at the returned state. `images` are
     `candidate_images(objects, obs, geometry)`, built here when not given;
-    they depend on no pose, so restarts may share them.
+    they depend on no pose, so restarts may share them. `workspace` is a
+    `Workspace(images)`, made here when not given, that every iteration's
+    projections and `linearize` write into; restarts may share it too. Each
+    iteration's E is valid until the next iteration's `linearize`.
     """
     if not objects:
         return state
     state.require_views(objects)
     if images is None:
         images = candidate_images(objects, obs, geometry)
+    if workspace is None:
+        workspace = Workspace(images)
     poses = pose_stack(state, images)
     projection = None  # of poses, kept from an accepted trial
     lam = cfg.damping_init
     eye = np.eye(6 * (len(poses) - 1))
 
     for _ in range(cfg.max_iterations):
-        targets, loss0 = select_targets(poses, images, cfg.truncation, projection)
+        targets, loss0 = select_targets(
+            poses, images, cfg.truncation, projection, workspace
+        )
         if trace is not None:
             trace.append(loss0)
         if loss0 <= 1e-12:  # numerically zero; nothing left to gain
@@ -741,7 +817,9 @@ def refine(
         # After a failed ladder the poses are those of the last selection,
         # whose loss is loss0.
         if accepted:
-            loss0 = select_targets(poses, images, cfg.truncation, projection)[1]
+            loss0 = select_targets(
+                poses, images, cfg.truncation, projection, workspace
+            )[1]
         trace.append(loss0)
     return _with_poses(state, images, poses)
 
@@ -786,12 +864,14 @@ def refine_best_of(
     surviving objects, first initialization, best score); the score is
     None when no object survives initialization.
 
-    Every start refines against one shared `candidate_images` build. A
-    start is scored by the last value of its `refine` trace, select_targets'
-    loss at the refined state, which is total_loss bit for bit unless some
-    model's residual points are a subsample (`any_subsampled`); total_loss
-    scores the starts then, so the best score is always total_loss at the
-    best state. No refined state is projected again.
+    Every start refines against one shared `candidate_images` build and
+    one shared `Workspace`, so the whole solve allocates its Jacobian and
+    per-point matrix entries once. A start is scored by the last value of
+    its `refine` trace, select_targets' loss at the refined state, which is
+    total_loss bit for bit unless some model's residual points are a
+    subsample (`any_subsampled`); total_loss scores the starts then, so the
+    best score is always total_loss at the best state. No refined state is
+    projected again.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
@@ -800,6 +880,7 @@ def refine_best_of(
     if not kept:
         return first_init, kept, first_init, None
     images = candidate_images(kept, obs, geometry)
+    workspace = Workspace(images)
     subsampled = any_subsampled(kept, geometry)
     best_state = None
     best_loss = np.inf
@@ -809,7 +890,8 @@ def refine_best_of(
             state0 = initialize_scene(kept, hypotheses, obs, rng)
         start_trace = []
         refined = refine(
-            state0, kept, obs, geometry, cfg, trace=start_trace, images=images
+            state0, kept, obs, geometry, cfg,
+            trace=start_trace, images=images, workspace=workspace,
         )
         if subsampled:
             loss = total_loss(refined, kept, obs, geometry, cfg)

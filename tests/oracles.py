@@ -430,12 +430,12 @@ def project_points(poses, images, rows=slice(None)):
     return u, px, valid
 
 
-def select_targets(poses, images, truncation, projection=None):
+def select_targets(poses, images, truncation, projection=None, workspace=None):
     """Per-member symmetry selection of a CandidateImages: (targets, loss).
 
     The targets carry the per-member view as `images`; the other three
-    functions read only that. `projection` is ignored: the state is always
-    projected again.
+    functions read only that. `projection` and `workspace` are ignored: the
+    state is always projected again, into new arrays.
     """
     from types import SimpleNamespace
 

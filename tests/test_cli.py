@@ -519,6 +519,37 @@ def test_eval_before_after_table(tmp_path):
     }
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--diameter-fraction", "0"),
+    ("--diameter-fraction", "nan"),
+    ("--diameter-fraction", "-1"),
+    ("--compare-fraction", "0"),
+    ("--compare-fraction", "nan"),
+    ("--compare-fraction", "-1"),
+    ("--auc-max", "0"),
+    ("--auc-max", "nan"),
+    ("--auc-max", "-1"),
+    ("--auc-max", "inf"),
+])
+def test_eval_rejects_fraction_not_finite_and_positive(tmp_path, capsys, monkeypatch,
+                                                        flag, value):
+    # Each bad value is rejected before any file is read: the input paths
+    # do not exist, and loading models would fail the test.
+    def never_loaded(*args, **kwargs):
+        raise AssertionError("eval read a file before checking its flags")
+
+    monkeypatch.setattr(cli, "load_models", never_loaded)
+    missing = tmp_path / "missing.json"
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    assert run_eval(missing, missing, missing, out, flag, value) == EXIT_CONFIG
+    shown = capsys.readouterr()
+    assert f"{flag} must be finite and > 0" in shown.err
+    assert "Traceback" not in shown.err
+    assert shown.out == ""
+    assert not out.exists()
+
+
 def test_eval_schema_mismatch_is_config_error(tmp_path):
     models, obs, gt_path = simulate(tmp_path, "--n-objects", "3",
                                     "--n-views", "2")

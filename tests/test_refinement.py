@@ -656,7 +656,9 @@ def test_linearize_projects_nothing(monkeypatch):
         linearize(moved, targets)
 
 
-def test_refine_best_of_equals_per_member_oracle_loop(monkeypatch):
+def mixed_match():
+    """Label geometry, observations, match graph and objects of a noisy
+    scene over mixed_db's four labels, each of which is matched."""
     db = mixed_db()
     geo = label_geometry(db, db.models)
     labels = ("sym", "u040", "u250", "u520")
@@ -667,6 +669,11 @@ def test_refine_best_of_equals_per_member_oracle_loop(monkeypatch):
     graph = build_match_graph(obs, geo, MatchParams(inlier_threshold=0.2))
     objs = extract_physical_objects(graph)
     assert {o.label for o in objs} == set(labels)
+    return geo, obs, graph, objs
+
+
+def test_refine_best_of_equals_per_member_oracle_loop(monkeypatch):
+    geo, obs, graph, objs = mixed_match()
     cfg = RefineConfig()
     got, kept, _, _ = refine_best_of(objs, graph.hypotheses, obs, geo, cfg, n_starts=3)
     for name in ("select_targets", "linearize", "frozen_loss", "normal_equations"):
@@ -681,6 +688,38 @@ def test_refine_best_of_equals_per_member_oracle_loop(monkeypatch):
     want_poses = pose_stack(want, images)
     assert loss == oracles.select_targets(want_poses, images, cfg.truncation)[1]
     assert total_loss(got, kept, obs, geo, cfg) == total_loss(want, kept, obs, geo, cfg)
+
+
+def test_refine_best_of_linearizes_into_one_workspace(monkeypatch):
+    # Every iteration of every restart writes E into the one Workspace of
+    # the solve, as exactly the rows of its active points: a Jacobian
+    # allocated per iteration would show up here.
+    geo, obs, graph, objs = mixed_match()
+    real_refine, real_linearize = refine, linearize
+    starts, calls = [], []
+
+    def recording_refine(*args, **kwargs):
+        starts.append(len(calls))
+        return real_refine(*args, **kwargs)
+
+    def recording_linearize(poses, targets):
+        r, e = real_linearize(poses, targets)
+        calls.append((targets.workspace, int(targets.active.sum()), r, e))
+        return r, e
+
+    monkeypatch.setattr(cosy.refinement, "refine", recording_refine)
+    monkeypatch.setattr(cosy.refinement, "linearize", recording_linearize)
+    refine_best_of(objs, graph.hypotheses, obs, geo, RefineConfig(), n_starts=3)
+    assert len(starts) == 3
+    assert all(a < b for a, b in zip(starts, starts[1:] + [len(calls)]))
+    workspace = calls[0][0]
+    n_points = workspace.jacobian.size // 12
+    for ws, n_active, r, e in calls:
+        assert ws is workspace
+        assert np.shares_memory(e, workspace.jacobian)
+        assert e.shape == (2 * n_active, 6) and r.shape == (2 * n_active,)
+    # Both of linearize's paths ran: all points active, and some dropped.
+    assert {n == n_points for _, n, _, _ in calls} == {True, False}
 
 
 # ----------------------------------------------------------------- refine
@@ -760,7 +799,16 @@ def lm_setup(seed, symmetric=(), n_points=48, n_objects=5, n_views=3):
     return geo, obs, kept, state0
 
 
-# (setup arguments, RefineConfig fields, the oracle's stop reason)
+def case_setup(setup):
+    """An LM_CASES setup: lm_setup's arguments, or (a function returning
+    the same four values,)."""
+    return setup[0]() if callable(setup[0]) else lm_setup(*setup)
+
+
+# (setup, RefineConfig fields, the oracle's stop reason). "mixed-stacks"
+# descends on image stacks of (M, G) = (40, 1), (250, 1), (500, 1) and
+# (48, 64), with members that carry no active point, so one workspace
+# serves stacks of every shape across iterations.
 LM_CASES = {
     "unique": ((40,), {}, "rel_tol"),
     "ladder": ((41,), {}, "ladder"),
@@ -771,6 +819,7 @@ LM_CASES = {
     "max-iterations-1": ((44,), {"max_iterations": 1}, "max_iterations"),
     "max-iterations-2": ((44,), {"max_iterations": 2}, "max_iterations"),
     "max-iterations-3": ((44, ("obj_01",)), {"max_iterations": 3}, "max_iterations"),
+    "mixed-stacks": ((mixed_setup,), {}, "rel_tol"),
 }
 
 
@@ -785,7 +834,7 @@ def run_both(geo, obs, objects, state0, cfg):
 @pytest.mark.parametrize("case", sorted(LM_CASES))
 def test_stacked_refine_equals_scene_state_loop(case):
     setup, fields, stop = LM_CASES[case]
-    geo, obs, kept, state0 = lm_setup(*setup)
+    geo, obs, kept, state0 = case_setup(setup)
     if len(setup) > 1:
         assert {o.label for o in kept} >= set(setup[1])
     cfg = RefineConfig(**fields)
@@ -843,7 +892,7 @@ def test_refine_calls_the_traced_functions_as_often_as_the_loop(monkeypatch, cas
     # The benchmark's traced run counts LM iterations and trials by wrapping
     # these module-level names; refine must reach them through the module.
     setup, fields, _ = LM_CASES[case]
-    geo, obs, kept, state0 = lm_setup(*setup)
+    geo, obs, kept, state0 = case_setup(setup)
     cfg = RefineConfig(**fields)
     counts = {}
     linearized = []
@@ -875,7 +924,7 @@ def test_refine_projects_each_accepted_state_once(monkeypatch, case):
     # A selection after an accepted step reuses that trial's projection, so
     # only the first selection and the trials project.
     setup, fields, _ = LM_CASES[case]
-    geo, obs, kept, state0 = lm_setup(*setup)
+    geo, obs, kept, state0 = case_setup(setup)
     cfg = RefineConfig(**fields)
     projections, trials = [], []
     real_project, real_frozen = (cosy.refinement.project_masked_xyz,
