@@ -7,9 +7,10 @@ Subcommands
     report    render an eval output file as readable text
 
 All randomness flows from --seed: subsystem generators are seeded by
-stable hashes of it, so reruns are byte-identical and --threads never
-changes results. Timing is printed to stdout and kept out of output
-files for the same reason.
+stable hashes of it, so reruns are byte-identical. Timing is printed to
+stdout and kept out of output files for the same reason. The solve runs
+its view pairs in one thread, because that work is GIL-bound; --threads
+is accepted for compatibility and changes nothing.
 
 Each command reads the parsed arguments directly. The `config` block that
 solve and eval write echoes every flag except file paths and --threads.
@@ -102,8 +103,9 @@ def derive_seed(seed: int, stream: str) -> int:
 
 
 # Dests left out of the written `config`: file paths say where a run reads
-# and writes, not how it computes, and --threads is result-neutral by
-# construction, so neither belongs in byte-compared output files.
+# and writes, not how it computes, and --threads is accepted for
+# compatibility only (the solve runs in one thread), so neither belongs in
+# byte-compared output files.
 _NOT_ECHOED = frozenset(
     {"models", "observations", "out", "init_out", "estimate", "ground_truth",
      "before", "threads"}
@@ -242,6 +244,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     obs = SceneObservations(
         views=raw.views, candidates=tuple(raw.candidates[i] for i in keep_idx)
     )
+    for label in sorted({c.label for c in obs.candidates}):
+        db[label].require_matchable()
     t_load = time.perf_counter() - t0
     print(
         f"load: {len(raw.candidates)} candidates, {len(obs.candidates)} above "
@@ -262,7 +266,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     geometry = label_geometry(
         db, (c.label for c in obs.candidates), args.symmetry_angles
     )
-    graph = build_match_graph(obs, geometry, match, threads=args.threads)
+    graph = build_match_graph(obs, geometry, match)
     objects = extract_physical_objects(graph)
     t_match = time.perf_counter() - t0
     stats["n_edges"] = len(graph.edges)
@@ -539,7 +543,9 @@ def _add_solve(sub) -> None:
     p.add_argument("--symmetry-angles", type=int, default=DEFAULT_SYMMETRY_ANGLES)
     p.add_argument("--nms-radius", type=float, default=DEFAULT_NMS_RADIUS)
     p.add_argument("--restarts", type=int, default=4)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility: the solve runs its view "
+                        "pairs in one thread, because the work is GIL-bound")
 
 
 def _add_eval(sub) -> None:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -402,7 +401,8 @@ def count_inliers(
 def _pair_rng(seed: int, view_a: str, view_b: str) -> np.random.Generator:
     """Generator derived from (seed, view pair); stable across processes.
 
-    Independent per-pair streams keep serial and threaded runs bit-identical.
+    Independent per-pair streams make each pair's result independent of the
+    pairs solved before it.
     The view ids are length-prefixed, so ids containing ':' cannot make two
     pairs share a key.
     """
@@ -565,33 +565,23 @@ def build_match_graph(
     obs: SceneObservations,
     geometry: dict[str, LabelGeometry],
     params: MatchParams = MatchParams(),
-    *,
-    threads: int = 1,
 ) -> MatchGraph:
     """Run two-view RANSAC on every unordered view pair and union the inliers.
 
-    View pairs are processed in lexicographic view-id order; per-pair RANSAC
-    draws from its own derived generator, so the result is independent of
-    `threads`. `geometry` holds every candidate label (`label_geometry`).
+    View pairs are processed in lexicographic view-id order, in the calling
+    thread: each pair is a few ms of small numpy calls that hold the GIL, so
+    a thread pool only adds overhead. Per-pair RANSAC draws from its own
+    derived generator. `geometry` holds every candidate label
+    (`label_geometry`).
     """
     view_ids = sorted(v.view_id for v in obs.views)
     if len(view_ids) < 2:
         raise ValueError("matching needs at least two views")
-    view_pairs = list(itertools.combinations(view_ids, 2))
-
-    def run(pair):
-        va, vb = pair
-        return two_view_ransac(va, vb, obs, geometry, params)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, view_pairs))
-    else:
-        results = [run(p) for p in view_pairs]
-
-    hypotheses = {
-        vp: hyp for vp, hyp in zip(view_pairs, results) if hyp is not None
-    }
+    hypotheses = {}
+    for va, vb in itertools.combinations(view_ids, 2):
+        hyp = two_view_ransac(va, vb, obs, geometry, params)
+        if hyp is not None:
+            hypotheses[(va, vb)] = hyp
     edges = tuple(
         pair for vp in sorted(hypotheses) for pair in hypotheses[vp].inliers
     )

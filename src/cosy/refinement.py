@@ -37,7 +37,7 @@ from .geometry import (
     retract_matrices,
 )
 from .matching import LabelGeometry, PhysicalObject, TwoViewHypothesis
-from .numeric import seq_sum
+from .numeric import _PAIRWISE_CHUNK, seq_sum
 from .scene_io import Candidate, ObjectModel, SceneObservations
 # perfbench/spans.py traces cosy.refinement.discretize by this name.
 from .symmetry import discretize  # noqa: F401
@@ -85,9 +85,12 @@ class RefineConfig:
         for name in ("truncation", "damping_init", "rel_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
-        # A damping ladder ends only once lambda grows past _DAMPING_CEILING.
+        # A damping ladder ends only once lambda grows past _DAMPING_CEILING,
+        # and one that starts above it never runs.
         if not self.damping_factor > 1:
             raise ValueError("damping_factor must be > 1")
+        if not self.damping_init <= _DAMPING_CEILING:
+            raise ValueError(f"damping_init must be <= {_DAMPING_CEILING:g}")
 
 
 def _residual_index(model: ObjectModel) -> np.ndarray | None:
@@ -550,17 +553,25 @@ def select_targets(
     member_loss = np.empty(len(images.view_ids))
     px, valid, active = [], [], []
     for st in images.stacks:
-        contrib, err, both = _truncated_errors(
-            np.take(pred_px, st.rows, axis=0)[:, None],
-            np.take(pred_valid, st.rows)[:, None],
-            st.px, st.valid, truncation,
-        )
-        losses = contrib.mean(axis=2)  # (k, G)
-        pick = (np.arange(len(st.members)), losses.argmin(axis=1))
-        member_loss[st.members] = losses[pick]
-        px.append(st.px[pick].reshape(-1, 2))
-        valid.append(st.valid[pick].ravel())
-        active.append((both[pick] & (err[pick] < truncation)).ravel())
+        # Members are scored in chunks whose (chunk, G, M, 2) pixel
+        # differences hold at most _PAIRWISE_CHUNK entries, so a symmetric
+        # stack's temporaries are recycled from the heap (see numeric.py).
+        _, g, m = st.valid.shape
+        step = max(1, _PAIRWISE_CHUNK // (2 * g * m))
+        for lo in range(0, len(st.members), step):
+            chunk = slice(lo, lo + step)
+            rows, img_px, img_valid = st.rows[chunk], st.px[chunk], st.valid[chunk]
+            contrib, err, both = _truncated_errors(
+                np.take(pred_px, rows, axis=0)[:, None],
+                np.take(pred_valid, rows)[:, None],
+                img_px, img_valid, truncation,
+            )
+            losses = contrib.mean(axis=2)  # (chunk, G)
+            pick = (np.arange(len(rows)), losses.argmin(axis=1))
+            member_loss[st.members[chunk]] = losses[pick]
+            px.append(img_px[pick].reshape(-1, 2))
+            valid.append(img_valid[pick].ravel())
+            active.append((both[pick] & (err[pick] < truncation)).ravel())
     active = _flat(active, images.order)
     targets = Targets(
         images=images,

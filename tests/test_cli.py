@@ -1,6 +1,8 @@
 """End-to-end tests for the command-line pipeline."""
 
+import dataclasses
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -284,6 +286,11 @@ def test_solve_rejects_symmetry_angles_below_one(tmp_path, capsys):
     for flag, value, message in [
         ("--symmetry-angles", "0", "symmetry_angles must be >= 1"),
         ("--nms-radius", "0", "nms_radius must be > 0"),
+        ("--threads", "0", "threads must be >= 1"),
+        # A damping ladder that starts above its ceiling never runs, so the
+        # solve would report the initialization's loss as refined.
+        ("--damping-init", "1e13", "damping_init must be <= 1e+12"),
+        ("--damping-init", "inf", "damping_init must be <= 1e+12"),
     ]:
         capsys.readouterr()
         assert solve(models, obs, out, flag, value) == EXIT_CONFIG
@@ -311,6 +318,39 @@ def test_solve_rejects_damping_factor_not_above_one(tmp_path, capsys, monkeypatc
     err = capsys.readouterr().err
     assert "damping_factor must be > 1" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_solve_starts_no_thread(tmp_path, monkeypatch):
+    # View pairs are GIL-bound numpy work, so the solve runs them in the
+    # calling thread whatever --threads says.
+    models, obs, _ = simulate(tmp_path, "--n-objects", "5", "--n-views", "4")
+
+    def no_thread(self):
+        raise AssertionError(f"the solve started thread {self.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    out = tmp_path / "out.json"
+    assert solve(models, obs, out, "--threads", "2") == EXIT_OK
+    assert load_estimate(out).objects
+
+
+def test_solve_rejects_coplanar_model(tmp_path, capsys):
+    # Matching needs non-coplanar points to pin down a pose; a flat model
+    # must fail loudly rather than solve.
+    models, obs, _ = simulate(tmp_path, "--n-objects", "4", "--n-views", "3")
+    db = load_models(models)
+    flat = db["obj_01"]
+    points = flat.points.copy()
+    points[:, 2] = 0.0
+    db.models["obj_01"] = dataclasses.replace(flat, points=points)
+    save_models(db, models)
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    assert solve(models, obs, out) == EXIT_CONFIG
+    shown = capsys.readouterr()
+    assert "model 'obj_01': points are coplanar" in shown.err
+    assert "Traceback" not in shown.err
     assert not out.exists()
 
 

@@ -885,23 +885,6 @@ def test_no_label_overlap_gives_empty_graph():
     assert extract_physical_objects(graph) == []
 
 
-def test_threads_do_not_change_the_graph():
-    db, scene = small_scene(5, 4, seed=63, symmetric=("obj_02",))
-    noise = NoiseModel(rot_sigma_deg=2.0, trans_sigma=0.003)
-    obs, _ = generate_observations(scene, noise, np.random.default_rng(63))
-    geo = label_geometry(db, db.models)
-    g1 = build_match_graph(obs, geo, threads=1)
-    g8 = build_match_graph(obs, geo, threads=8)
-    assert g1.edges == g8.edges
-    assert sorted(g1.hypotheses) == sorted(g8.hypotheses)
-    for key in g1.hypotheses:
-        assert np.array_equal(
-            g1.hypotheses[key].relative_pose.matrix,
-            g8.hypotheses[key].relative_pose.matrix,
-        )
-        assert g1.hypotheses[key].inliers == g8.hypotheses[key].inliers
-
-
 # ------------------------------------------------- extract_physical_objects
 
 

@@ -80,6 +80,11 @@ def test_refine_config_validation():
         RefineConfig(damping_factor=-1.0)
     with pytest.raises(ValueError, match="damping_factor must be > 1"):
         RefineConfig(damping_factor=1.0)
+    # A ladder that starts above its ceiling would never run.
+    RefineConfig(damping_init=1e12)
+    for damping in (1e13, float("inf")):
+        with pytest.raises(ValueError, match="damping_init must be <="):
+            RefineConfig(damping_init=damping)
     with pytest.raises(ValueError):
         RefineConfig(rel_tol=0.0)
 
@@ -616,6 +621,23 @@ def test_flat_inner_loop_equals_per_member_oracle(nan_member):
                           oracles.frozen_loss(trial, want, cfg.truncation)[0])
     if not nan_member:
         assert frozen_loss(poses, targets, cfg.truncation)[0] == loss
+
+
+@pytest.mark.parametrize("chunk", [1, 10 ** 9], ids=["member-each", "whole-stack"])
+def test_select_targets_member_chunks_equal_oracle(monkeypatch, chunk):
+    # Stacks are scored in member chunks (two members of the G = 64 stack at
+    # the default size); the chunk size changes no bit of the selection.
+    geo, obs, objects, state = mixed_setup()
+    monkeypatch.setattr(cosy.refinement, "_PAIRWISE_CHUNK", chunk)
+    cfg = RefineConfig()
+    images = candidate_images(objects, obs, geo)
+    poses = pose_stack(state, images)
+    targets, loss = select_targets(poses, images, cfg.truncation)
+    want, want_loss = oracles.select_targets(poses, images, cfg.truncation)
+    assert loss == want_loss
+    assert np.array_equal(targets.px, want.px)
+    assert np.array_equal(targets.valid, want.valid)
+    assert np.array_equal(targets.active, want.active)
 
 
 def test_member_poses_stack_each_pose_once_and_equal_oracle():
