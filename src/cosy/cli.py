@@ -23,7 +23,6 @@ import hashlib
 import os
 import sys
 import time
-import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -278,12 +277,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return EXIT_NO_SCENE
 
     t0 = time.perf_counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # unreachable-view pruning is reported below
-        state, kept, init_state, final_loss = refine_best_of(
-            objects, graph.hypotheses, obs, geometry, refine_cfg,
-            n_starts=args.restarts,
-        )
+    state, kept, init_state, final_loss = refine_best_of(
+        objects, graph.hypotheses, obs, geometry, refine_cfg, n_starts=args.restarts
+    )
     t_refine = time.perf_counter() - t0
     stats["n_components"] = len(kept)
     stats["n_inlier_members"] = sum(len(o.members) for o in kept)

@@ -227,15 +227,6 @@ def _pixels(k: CameraIntrinsics, x, y, z) -> np.ndarray:
     return np.stack([u, v], axis=1)
 
 
-def unproject(k: CameraIntrinsics, pixels, depths) -> np.ndarray:
-    """Back-project pixels at known depths into camera-frame points."""
-    px = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
-    z = np.asarray(depths, dtype=np.float64).reshape(-1)
-    x = (px[:, 0] - k.cx) / k.fx * z
-    y = (px[:, 1] - k.cy) / k.fy * z
-    return np.stack([x, y, z], axis=1)
-
-
 def rotation_from_6d(e1, e2, eps: float = 1e-9) -> np.ndarray:
     """Orthogonalize two 3-vectors into a rotation matrix.
 

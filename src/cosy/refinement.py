@@ -19,7 +19,6 @@ from the solve's `label_geometry` map, which matching reads too.
 from __future__ import annotations
 
 import hashlib
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -45,14 +44,6 @@ from .symmetry import discretize  # noqa: F401
 DEFAULT_TRUNCATION_PX = 25.0
 MAX_RESIDUAL_POINTS = 500
 _DAMPING_CEILING = 1e12
-
-
-class DisconnectedViews(RuntimeError):
-    """Some member-hosting views cannot be reached from the root camera."""
-
-    def __init__(self, views):
-        self.views = tuple(views)
-        super().__init__(f"views unreachable from the root camera: {self.views}")
 
 
 @dataclass(frozen=True)
@@ -116,40 +107,48 @@ def initialize_scene(
     hypotheses: dict[tuple[str, str], TwoViewHypothesis],
     obs: SceneObservations,
     rng: np.random.Generator,
-) -> SceneState:
+) -> tuple[SceneState, list[PhysicalObject]]:
     """World-frame initialization from the match stage's relative poses.
 
     A random member-hosting view becomes the root (world frame = that
-    camera). Remaining cameras are placed by breadth-first chaining of the
-    accepted two-view poses; each object is placed from one randomly drawn
-    member candidate: T_world_object = T_camera * T_camera_object.
-    Raises DisconnectedViews if some member-hosting view cannot be reached;
-    callers may prune those members and retry.
+    camera). Remaining cameras are placed breadth-first, in view-id order,
+    by chaining the accepted two-view poses. Members hosted in views the
+    root cannot reach are dropped, objects left with fewer than two members
+    go with them, and a new root is drawn from the remaining member views,
+    until every member view is placed. Each object is then placed from one
+    randomly drawn member candidate: T_world_object = T_camera *
+    T_camera_object. Returns the state and the objects it covers.
     """
-    member_views = sorted({v for o in objects for v, _ in o.members})
-    if not member_views:
-        return SceneState(camera_poses={}, object_poses={})
-    root = member_views[int(rng.integers(len(member_views)))]
-
     neighbors: dict[str, list[tuple[str, Pose]]] = {}
     for (va, vb), hyp in sorted(hypotheses.items()):
         # relative_pose maps view-b camera coordinates into view-a's
         neighbors.setdefault(va, []).append((vb, hyp.relative_pose))
         neighbors.setdefault(vb, []).append((va, hyp.relative_pose.inverse()))
 
-    cameras: dict[str, Pose] = {root: Pose.identity()}
-    queue = deque([root])
-    while queue:
-        cur = queue.popleft()
-        for nxt, rel in sorted(neighbors.get(cur, []), key=lambda p: p[0]):
-            if nxt in cameras:
-                continue
-            cameras[nxt] = cameras[cur].compose(rel)
-            queue.append(nxt)
-
-    unreachable = [v for v in member_views if v not in cameras]
-    if unreachable:
-        raise DisconnectedViews(unreachable)
+    while True:
+        member_views = sorted({v for o in objects for v, _ in o.members})
+        if not member_views:
+            return SceneState(camera_poses={}, object_poses={}), objects
+        root = member_views[int(rng.integers(len(member_views)))]
+        cameras: dict[str, Pose] = {root: Pose.identity()}
+        queue = deque([root])
+        while queue:
+            cur = queue.popleft()
+            for nxt, rel in sorted(neighbors.get(cur, []), key=lambda p: p[0]):
+                if nxt in cameras:
+                    continue
+                cameras[nxt] = cameras[cur].compose(rel)
+                queue.append(nxt)
+        if all(v in cameras for v in member_views):
+            break
+        pruned = []
+        for obj in objects:
+            members = tuple(m for m in obj.members if m[0] in cameras)
+            if len(members) >= 2:
+                pruned.append(
+                    PhysicalObject(id=obj.id, label=obj.label, members=members)
+                )
+        objects = pruned
 
     object_poses: dict[int, Pose] = {}
     for obj in sorted(objects, key=lambda o: o.id):
@@ -157,49 +156,7 @@ def initialize_scene(
         object_poses[obj.id] = cameras[view_id].compose(
             obs.candidates[cand_idx].pose
         )
-    return SceneState(camera_poses=cameras, object_poses=object_poses)
-
-
-def prune_unreachable_members(
-    objects: list[PhysicalObject], unreachable_views
-) -> list[PhysicalObject]:
-    """Drop members hosted in unreachable views; drop objects left with < 2."""
-    bad = set(unreachable_views)
-    kept = []
-    for obj in objects:
-        members = tuple(m for m in obj.members if m[0] not in bad)
-        if len(members) >= 2:
-            kept.append(
-                PhysicalObject(id=obj.id, label=obj.label, members=members)
-            )
-    return kept
-
-
-def initialize_scene_with_pruning(
-    objects: list[PhysicalObject],
-    hypotheses: dict[tuple[str, str], TwoViewHypothesis],
-    obs: SceneObservations,
-    rng: np.random.Generator,
-) -> tuple[SceneState, list[PhysicalObject]]:
-    """initialize_scene, dropping candidates in unreachable views on demand.
-
-    Views outside the root camera's connected component cannot be placed;
-    their member candidates are warned about and removed, and objects
-    falling below two members disappear with them. Returns the state and
-    the (possibly pruned) object list actually covered by it.
-    """
-    while True:
-        try:
-            return initialize_scene(objects, hypotheses, obs, rng), objects
-        except DisconnectedViews as exc:
-            warnings.warn(
-                "dropping candidates in views unreachable from the root "
-                f"camera: {exc.views}",
-                stacklevel=2,
-            )
-            objects = prune_unreachable_members(objects, exc.views)
-            if not objects:
-                return SceneState(camera_poses={}, object_poses={}), []
+    return SceneState(camera_poses=cameras, object_poses=object_poses), objects
 
 
 # ------------------------------------------------------------------- loss
@@ -345,32 +302,35 @@ class CandidateImages:
     sqrt_weight: np.ndarray  # (N,), 1 / sqrt(M) of the point's member
     stacks: tuple[ImageStack, ...]
     order: np.ndarray  # (N,), each point's position in all stacks' rows in turn
+    workspace: Workspace  # the LM loop's scratch buffers
 
 
 class Workspace:
-    """Scratch buffers of one solve's LM loop, sized for the N residual
-    points of a `CandidateImages`.
+    """Scratch buffers of one solve's LM loop, for members with `counts`
+    residual points each (N in all); a field of the solve's
+    `CandidateImages`.
 
     Each iteration writes its per-point matrix entries and its Jacobian
     rows into these buffers instead of allocating them. An array of 12 N
     floats is larger than glibc's mmap threshold once N is in the
     thousands: allocated per call, it goes back to the OS when freed and
-    its pages fault in afresh on the next call. Restarts over the same
-    images may share one workspace; concurrent solves may not.
+    its pages fault in afresh on the next call. Every restart of a solve
+    refines against the same images, so all of them write into one
+    workspace.
     """
 
-    def __init__(self, images: CandidateImages):
-        n = images.points.shape[1]
+    def __init__(self, counts: np.ndarray):
+        n = int(counts.sum())
         # (12, N) per-point matrix entries, or (N, 2, 6) rows of every point
         self.entries = np.empty(12 * n)
         self.jacobian = np.empty(12 * n)  # (n, 2, 6) rows of E, n active points
         # Each member's [R | t] entries, and views repeating a member's
         # column over its points: concatenated in member order, the views
         # are np.repeat(self._member, counts, axis=1).
-        self._member = np.empty((12, len(images.counts)))
+        self._member = np.empty((12, len(counts)))
         self._runs = [
             np.broadcast_to(self._member[:, t, None], (12, count))
-            for t, count in enumerate(images.counts.tolist())
+            for t, count in enumerate(counts.tolist())
         ]
 
     def point_entries(self, matrices: np.ndarray) -> np.ndarray:
@@ -398,7 +358,6 @@ class Targets:
     """
 
     images: CandidateImages
-    workspace: Workspace  # linearize's and frozen_loss's scratch
     poses: np.ndarray  # (C + O, 4, 4), as given to select_targets
     cam_points: np.ndarray  # (3, N), camera-frame points at poses
     pred_px: np.ndarray  # (N, 2), their pixels
@@ -482,6 +441,7 @@ def candidate_images(
         sqrt_weight=np.repeat(np.sqrt(1.0 / counts), counts),
         stacks=tuple(stacks),
         order=order,
+        workspace=Workspace(counts),
     )
 
 
@@ -514,14 +474,10 @@ def _member_poses(poses: np.ndarray, images: CandidateImages) -> np.ndarray:
     return cams[images.camera_rows] @ poses[n_cam:][images.object_rows]
 
 
-def _project_points(
-    poses: np.ndarray, images: CandidateImages, workspace: Workspace | None = None
-) -> Projection:
+def _project_points(poses: np.ndarray, images: CandidateImages) -> Projection:
     """The residual points at a pose stack; each point's member matrix is
-    written into the workspace's entries buffer."""
-    if workspace is None:
-        workspace = Workspace(images)
-    entries = workspace.point_entries(_member_poses(poses, images))
+    written into the images' workspace entries buffer."""
+    entries = images.workspace.point_entries(_member_poses(poses, images))
     u = apply_point_matrices(entries.reshape(3, 4, -1), images.points)
     return Projection(u, *project_masked_xyz(images.intrinsics, *u))
 
@@ -531,24 +487,20 @@ def select_targets(
     images: CandidateImages,
     truncation: float,
     projection=None,
-    workspace: Workspace | None = None,
 ) -> tuple[Targets, float]:
     """Pick the best symmetry per member; freeze its projected points.
 
     `poses` is a `pose_stack`, and `projection`, when given, is its
     `_project_points` (as `frozen_loss` returns it), which is then not
-    computed again. The targets carry `workspace` (a new one when not
-    given) to the calls that read them. Returns the frozen targets and the
-    (true) total loss at `poses`. With no residual subsampling this is
-    total_loss bit for bit: the same projections, the same per-member means
-    (a mean over the contiguous last axis of a stack sums each member's row
-    as a 1-D mean does), the first minimum over symmetries, and a
-    left-to-right sum in member order.
+    computed again. Returns the frozen targets and the (true) total loss at
+    `poses`. With no residual subsampling this is total_loss bit for bit:
+    the same projections, the same per-member means (a mean over the
+    contiguous last axis of a stack sums each member's row as a 1-D mean
+    does), the first minimum over symmetries, and a left-to-right sum in
+    member order.
     """
-    if workspace is None:
-        workspace = Workspace(images)
     if projection is None:
-        projection = _project_points(poses, images, workspace)
+        projection = _project_points(poses, images)
     u, pred_px, pred_valid = projection
     member_loss = np.empty(len(images.view_ids))
     px, valid, active = [], [], []
@@ -575,7 +527,6 @@ def select_targets(
     active = _flat(active, images.order)
     targets = Targets(
         images=images,
-        workspace=workspace,
         poses=poses,
         cam_points=u,
         pred_px=pred_px,
@@ -604,7 +555,7 @@ def frozen_loss(
     passes the strict acceptance test on rounding.
     """
     images = targets.images
-    projection = _project_points(poses, images, targets.workspace)
+    projection = _project_points(poses, images)
     contrib, _, _ = _truncated_errors(
         projection.px, projection.valid, targets.px, targets.valid, truncation
     )
@@ -638,8 +589,8 @@ def linearize(poses: np.ndarray, targets: Targets) -> tuple[np.ndarray, np.ndarr
     values computed for inactive points, which may lie behind the camera,
     are dropped.
 
-    E is a view of the first 2n rows of `targets.workspace`'s Jacobian
-    buffer: it stays valid until the next linearize on the same workspace,
+    E is a view of the first 2n rows of the images' workspace Jacobian
+    buffer: it stays valid until the next linearize on the same images,
     which overwrites it. Each point's object and camera matrix entries (and
     every point's rows, when some are dropped) go into the workspace's
     entries buffer, so an iteration allocates no array of 12 N floats.
@@ -647,7 +598,7 @@ def linearize(poses: np.ndarray, targets: Targets) -> tuple[np.ndarray, np.ndarr
     if poses is not targets.poses:
         raise ValueError("linearize needs the poses its targets were selected at")
     images = targets.images
-    ws = targets.workspace
+    ws = images.workspace
     idx = np.flatnonzero(targets.active)
     n = idx.shape[0]
     compact = n < targets.active.shape[0]
@@ -747,7 +698,6 @@ def refine(
     *,
     trace: list | None = None,
     images: CandidateImages | None = None,
-    workspace: Workspace | None = None,
 ) -> SceneState:
     """Levenberg-Marquardt descent on the truncated symmetric loss.
 
@@ -771,9 +721,8 @@ def refine(
     zero loss or a saturated residual set; it is non-increasing, and its
     last value is select_targets' loss at the returned state. `images` are
     `candidate_images(objects, obs, geometry)`, built here when not given;
-    they depend on no pose, so restarts may share them. `workspace` is a
-    `Workspace(images)`, made here when not given, that every iteration's
-    projections and `linearize` write into; restarts may share it too. Each
+    they depend on no pose, so restarts may share them. Every iteration's
+    projections and `linearize` write into their `workspace`, so each
     iteration's E is valid until the next iteration's `linearize`.
     """
     if not objects:
@@ -781,8 +730,6 @@ def refine(
     state.require_views(objects)
     if images is None:
         images = candidate_images(objects, obs, geometry)
-    if workspace is None:
-        workspace = Workspace(images)
     poses = pose_stack(state, images)
     projection = None  # of poses, kept from an accepted trial
     lam = cfg.damping_init
@@ -790,7 +737,7 @@ def refine(
 
     for _ in range(cfg.max_iterations):
         targets, loss0 = select_targets(
-            poses, images, cfg.truncation, projection, workspace
+            poses, images, cfg.truncation, projection
         )
         if trace is not None:
             trace.append(loss0)
@@ -828,9 +775,7 @@ def refine(
         # After a failed ladder the poses are those of the last selection,
         # whose loss is loss0.
         if accepted:
-            loss0 = select_targets(
-                poses, images, cfg.truncation, projection, workspace
-            )[1]
+            loss0 = select_targets(poses, images, cfg.truncation, projection)[1]
         trace.append(loss0)
     return _with_poses(state, images, poses)
 
@@ -875,9 +820,9 @@ def refine_best_of(
     surviving objects, first initialization, best score); the score is
     None when no object survives initialization.
 
-    Every start refines against one shared `candidate_images` build and
-    one shared `Workspace`, so the whole solve allocates its Jacobian and
-    per-point matrix entries once. A start is scored by the last value of
+    Every start refines against one shared `candidate_images` build, whose
+    `Workspace` holds the Jacobian and per-point matrix entries, so the
+    whole solve allocates them once. A start is scored by the last value of
     its `refine` trace, select_targets' loss at the refined state, which is
     total_loss bit for bit unless some model's residual points are a
     subsample (`any_subsampled`); total_loss scores the starts then, so the
@@ -887,22 +832,20 @@ def refine_best_of(
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
     rng = np.random.default_rng(cfg.seed)
-    first_init, kept = initialize_scene_with_pruning(objects, hypotheses, obs, rng)
+    first_init, kept = initialize_scene(objects, hypotheses, obs, rng)
     if not kept:
         return first_init, kept, first_init, None
     images = candidate_images(kept, obs, geometry)
-    workspace = Workspace(images)
     subsampled = any_subsampled(kept, geometry)
     best_state = None
     best_loss = np.inf
     state0 = first_init
     for start in range(n_starts):
         if start > 0:
-            state0 = initialize_scene(kept, hypotheses, obs, rng)
+            state0, _ = initialize_scene(kept, hypotheses, obs, rng)
         start_trace = []
         refined = refine(
-            state0, kept, obs, geometry, cfg,
-            trace=start_trace, images=images, workspace=workspace,
+            state0, kept, obs, geometry, cfg, trace=start_trace, images=images
         )
         if subsampled:
             loss = total_loss(refined, kept, obs, geometry, cfg)

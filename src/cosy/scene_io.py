@@ -173,12 +173,6 @@ class SceneObservations:
             if c.view_id not in known:
                 raise UnknownViewError(c.view_id)
 
-    def view(self, view_id: str) -> View:
-        for v in self.views:
-            if v.view_id == view_id:
-                return v
-        raise UnknownViewError(view_id)
-
     def by_view(self) -> dict[str, list[tuple[int, Candidate]]]:
         """Candidates grouped by view, keeping their global index."""
         out: dict[str, list[tuple[int, Candidate]]] = {v.view_id: [] for v in self.views}

@@ -34,6 +34,7 @@ from .scene_io import (
     View,
     _integer,
     _list,
+    _max_pairwise_distance,
     _number,
     _require,
     _string,
@@ -91,8 +92,9 @@ class NoiseModel:
 
     def __post_init__(self):
         for name in ("rot_sigma_deg", "trans_sigma", "depth_sigma_extra"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            v = getattr(self, name)
+            if not (np.isfinite(v) and v >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
         for name in ("miss_prob", "outlier_prob", "label_confusion_prob"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -304,6 +306,8 @@ def make_models(
     Labels listed in `symmetric` get a continuous z-axis symmetry
     annotation and a matching 8-fold replicated point cloud.
     """
+    if n_points < 1:
+        raise ValueError(f"n_points must be >= 1, got {n_points}")
     rng = np.random.default_rng(seed)
     models: dict[str, ObjectModel] = {}
     for label in labels:
@@ -321,8 +325,7 @@ def make_models(
         else:
             pts = rng.uniform(-radius, radius, size=(n_points, 3))
             spec = SymmetrySpec.none()
-        diff = pts[:, None, :] - pts[None, :, :]
-        diameter = float(np.sqrt((diff ** 2).sum(-1)).max()) * (1.0 + 1e-9)
+        diameter = _max_pairwise_distance(pts) * (1.0 + 1e-9)
         models[label] = ObjectModel(
             label=label, points=pts, diameter=diameter, symmetries=spec
         )

@@ -208,12 +208,6 @@ def symmetric_distance(
     return float(np.min(_distances_per_element(points, group, t1, t2, sym_points)))
 
 
-def best_symmetry(points, group: SymmetryGroup, t1: Pose, t2: Pose) -> Pose:
-    """Group element attaining symmetric_distance; ties go to the lowest index."""
-    d = _distances_per_element(points, group, t1, t2)
-    return group.elements[int(np.argmin(d))]
-
-
 def symmetric_distance_l1(points, group: SymmetryGroup, t1: Pose, t2: Pose) -> float:
     """L1-norm variant: min over S of mean_x | t1 S x - t2 x |_1.
 

@@ -430,12 +430,12 @@ def project_points(poses, images, rows=slice(None)):
     return u, px, valid
 
 
-def select_targets(poses, images, truncation, projection=None, workspace=None):
+def select_targets(poses, images, truncation, projection=None):
     """Per-member symmetry selection of a CandidateImages: (targets, loss).
 
     The targets carry the per-member view as `images`; the other three
-    functions read only that. `projection` and `workspace` are ignored: the
-    state is always projected again, into new arrays.
+    functions read only that. `projection` is ignored: the state is always
+    projected again, into new arrays.
     """
     from types import SimpleNamespace
 
@@ -724,3 +724,87 @@ def refine(state, objects, obs, geometry, cfg, *, trace=None, images=None, stops
         poses = lm.pose_stack(state, images)
         trace.append(lm.select_targets(poses, images, cfg.truncation)[1])
     return state
+
+
+# ---------------------------------------------------------------------------
+# cosy.refinement's initialization as written before its pruning moved inside
+# initialize_scene: an initialization that raises when some member view is
+# unreachable from the root camera, a helper that drops those members, and a
+# wrapper that retries with a new root draw. The library's UserWarning on
+# each retry is left out.
+
+
+class DisconnectedViews(RuntimeError):
+    """Some member-hosting views cannot be reached from the root camera."""
+
+    def __init__(self, views):
+        self.views = tuple(views)
+        super().__init__(f"views unreachable from the root camera: {self.views}")
+
+
+def initialize_scene_raising(objects, hypotheses, obs, rng):
+    """One root draw and breadth-first placement; raises DisconnectedViews."""
+    from collections import deque
+
+    from cosy.geometry import Pose
+    from cosy.refinement import SceneState
+
+    member_views = sorted({v for o in objects for v, _ in o.members})
+    if not member_views:
+        return SceneState(camera_poses={}, object_poses={})
+    root = member_views[int(rng.integers(len(member_views)))]
+
+    neighbors = {}
+    for (va, vb), hyp in sorted(hypotheses.items()):
+        neighbors.setdefault(va, []).append((vb, hyp.relative_pose))
+        neighbors.setdefault(vb, []).append((va, hyp.relative_pose.inverse()))
+
+    cameras = {root: Pose.identity()}
+    queue = deque([root])
+    while queue:
+        cur = queue.popleft()
+        for nxt, rel in sorted(neighbors.get(cur, []), key=lambda p: p[0]):
+            if nxt in cameras:
+                continue
+            cameras[nxt] = cameras[cur].compose(rel)
+            queue.append(nxt)
+
+    unreachable = [v for v in member_views if v not in cameras]
+    if unreachable:
+        raise DisconnectedViews(unreachable)
+
+    object_poses = {}
+    for obj in sorted(objects, key=lambda o: o.id):
+        view_id, cand_idx = obj.members[int(rng.integers(len(obj.members)))]
+        object_poses[obj.id] = cameras[view_id].compose(
+            obs.candidates[cand_idx].pose
+        )
+    return SceneState(camera_poses=cameras, object_poses=object_poses)
+
+
+def prune_unreachable_members(objects, unreachable_views):
+    """Drop members hosted in unreachable views; drop objects left with < 2."""
+    from cosy.matching import PhysicalObject
+
+    bad = set(unreachable_views)
+    kept = []
+    for obj in objects:
+        members = tuple(m for m in obj.members if m[0] not in bad)
+        if len(members) >= 2:
+            kept.append(
+                PhysicalObject(id=obj.id, label=obj.label, members=members)
+            )
+    return kept
+
+
+def initialize_scene_with_pruning(objects, hypotheses, obs, rng):
+    """(state, kept objects): retry with a new root after each pruning."""
+    from cosy.refinement import SceneState
+
+    while True:
+        try:
+            return initialize_scene_raising(objects, hypotheses, obs, rng), objects
+        except DisconnectedViews as exc:
+            objects = prune_unreachable_members(objects, exc.views)
+            if not objects:
+                return SceneState(camera_poses={}, object_poses={}), []

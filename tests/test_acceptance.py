@@ -441,7 +441,7 @@ def test_criterion_7_optimizer_correctness():
         geo = label_geometry(db, db.models)
         graph = build_match_graph(obs, geo, MatchParams(inlier_threshold=0.2))
         objs = extract_physical_objects(graph)
-        state0 = initialize_scene(
+        state0, _ = initialize_scene(
             objs, graph.hypotheses, obs, np.random.default_rng(seed)
         )
         trace = []

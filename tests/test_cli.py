@@ -88,6 +88,27 @@ def test_simulate_rejects_bad_config(tmp_path):
                  "--symmetric-labels", "nope"]) == EXIT_CONFIG
 
 
+def test_simulate_rejects_non_finite_noise_and_no_points(tmp_path, capsys):
+    # Each bad value is rejected before any file is written, naming its flag.
+    out_dir = tmp_path / "scene"
+    for flag, value, message in [
+        ("--rot-sigma-deg", "nan", "rot_sigma_deg must be finite and >= 0"),
+        ("--rot-sigma-deg", "inf", "rot_sigma_deg must be finite and >= 0"),
+        ("--trans-sigma", "nan", "trans_sigma must be finite and >= 0"),
+        ("--trans-sigma", "inf", "trans_sigma must be finite and >= 0"),
+        ("--depth-sigma-extra", "-inf", "depth_sigma_extra must be finite"),
+        ("--n-points", "0", "n_points must be >= 1"),
+    ]:
+        capsys.readouterr()
+        assert main(["simulate", "--out-dir", str(out_dir), "--seed", "0",
+                     f"{flag}={value}"]) == EXIT_CONFIG
+        shown = capsys.readouterr()
+        assert message in shown.err
+        assert "Traceback" not in shown.err
+        assert shown.out == ""
+        assert not out_dir.exists()
+
+
 def test_simulate_candidate_count_bound(tmp_path):
     # 4 views x 6 objects, no outliers: at most one candidate per pair.
     _, obs_path, gt_path = simulate(tmp_path, "--n-objects", "6",
@@ -389,7 +410,10 @@ def test_solve_reports_views_dropped_as_unreachable(tmp_path, capsys):
     out = tmp_path / "estimate.json"
     capsys.readouterr()
     assert solve(models, observations, out) == EXIT_OK
-    stdout = capsys.readouterr().out
+    shown = capsys.readouterr()
+    stdout = shown.out
+    # The drop is reported on stdout only: no warning reaches stderr.
+    assert shown.err == ""
     groups = (("view_000", "view_001"), ("view_002", "view_003"))
     named = [
         g for g in groups

@@ -131,20 +131,6 @@ class TestProjection:
         assert valid.tolist() == [True, False]
         assert np.all(np.isfinite(px))
 
-    def test_unproject_round_trip(self):
-        rng = _rng(6)
-        pts = np.stack(
-            [
-                rng.uniform(-0.5, 0.5, 40),
-                rng.uniform(-0.5, 0.5, 40),
-                rng.uniform(0.3, 3.0, 40),
-            ],
-            axis=1,
-        )
-        px = geo.project(self.K, pts)
-        back = geo.unproject(self.K, px, pts[:, 2])
-        assert np.max(np.abs(back - pts)) < 1e-12
-
     def test_rejects_bad_intrinsics(self):
         with pytest.raises(ValueError):
             geo.CameraIntrinsics(fx=-1.0, fy=600.0, cx=0, cy=0, width=10, height=10)

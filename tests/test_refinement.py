@@ -13,7 +13,6 @@ from cosy.matching import MatchParams, PhysicalObject, build_match_graph, \
     extract_physical_objects, label_geometry
 from cosy.refinement import (
     MAX_RESIDUAL_POINTS,
-    DisconnectedViews,
     RefineConfig,
     SceneState,
     _residual_index,
@@ -22,11 +21,9 @@ from cosy.refinement import (
     express_in_camera_frames,
     frozen_loss,
     initialize_scene,
-    initialize_scene_with_pruning,
     linearize,
     normal_equations,
     pose_stack,
-    prune_unreachable_members,
     refine,
     refine_best_of,
     select_targets,
@@ -120,15 +117,16 @@ def test_residual_index_subsample_is_deterministic():
 
 
 def test_initialize_empty_objects():
-    state = initialize_scene([], {}, None, np.random.default_rng(0))
+    state, kept = initialize_scene([], {}, None, np.random.default_rng(0))
     assert state.camera_poses == {} and state.object_poses == {}
+    assert kept == []
 
 
 def test_initialize_two_views_zero_noise_is_zero_loss():
     db, scene, obs, objects, _ = consistent_setup(n_objects=4, n_views=2, seed=5)
     geo = label_geometry(db, db.models)
     graph = build_match_graph(obs, geo)
-    state = initialize_scene(
+    state, _ = initialize_scene(
         extract_physical_objects(graph), graph.hypotheses, obs,
         np.random.default_rng(0),
     )
@@ -147,7 +145,7 @@ def test_initialize_chains_relative_poses():
     assert [k for k in sorted(chain)] == [
         ("view_000", "view_001"), ("view_001", "view_002")
     ]
-    state = initialize_scene(objs, chain, obs, np.random.default_rng(3))
+    state, _ = initialize_scene(objs, chain, obs, np.random.default_rng(3))
     # gauge-free check: relative camera poses must match ground truth
     for vi, vj in [(0, 1), (0, 2), (1, 2)]:
         got = (
@@ -171,7 +169,7 @@ def test_initialize_object_from_member_candidate():
     geo = label_geometry(db, db.models)
     graph = build_match_graph(obs, geo)
     objs = extract_physical_objects(graph)
-    state = initialize_scene(objs, graph.hypotheses, obs, np.random.default_rng(1))
+    state, _ = initialize_scene(objs, graph.hypotheses, obs, np.random.default_rng(1))
     for obj in objs:
         t_world = state.object_poses[obj.id]
         lifts = [
@@ -181,43 +179,43 @@ def test_initialize_object_from_member_candidate():
         assert any(np.max(np.abs(t_world.matrix - m)) < 1e-9 for m in lifts)
 
 
-def test_disconnected_views_raise_and_prune():
+def test_initialize_prunes_unreachable_views_like_raise_and_retry():
+    # Only view_000-view_001 is matched, so a root drawn there drops every
+    # member in view_002, and one drawn at view_002 leaves each object one
+    # member: the scene prunes to empty. The pruning loop must match the
+    # raise/prune/retry oracle draw for draw, on both branches.
     db, scene, obs, objects, _ = consistent_setup(n_objects=3, n_views=3, seed=4)
     geo = label_geometry(db, db.models)
     graph = build_match_graph(obs, geo)
     objs = extract_physical_objects(graph)
     only = {("view_000", "view_001"): graph.hypotheses[("view_000", "view_001")]}
-    # seed 1 draws its root inside the connected {000, 001} component
-    with pytest.raises(DisconnectedViews) as exc:
-        initialize_scene(objs, only, obs, np.random.default_rng(1))
-    assert exc.value.views == ("view_002",)
-    # seed 0 draws view_002 itself: the other two views become unreachable
-    with pytest.raises(DisconnectedViews) as exc2:
-        initialize_scene(objs, only, obs, np.random.default_rng(0))
-    assert exc2.value.views == ("view_000", "view_001")
-
-    pruned = prune_unreachable_members(objs, exc.value.views)
-    assert all(
-        all(v != "view_002" for v, _ in o.members) and len(o.members) >= 2
-        for o in pruned
-    )
-    state = initialize_scene(pruned, only, obs, np.random.default_rng(1))
-    assert "view_002" not in state.camera_poses
-
-
-def test_initialize_with_pruning_recovers():
-    db, scene, obs, objects, _ = consistent_setup(n_objects=3, n_views=3, seed=4)
-    geo = label_geometry(db, db.models)
-    graph = build_match_graph(obs, geo)
-    objs = extract_physical_objects(graph)
-    only = {("view_000", "view_001"): graph.hypotheses[("view_000", "view_001")]}
-    with pytest.warns(UserWarning):
-        state, kept = initialize_scene_with_pruning(
-            objs, only, obs, np.random.default_rng(1)
-        )
-    assert set(state.camera_poses) == {"view_000", "view_001"}
-    assert kept and all(len(o.members) == 2 for o in kept)
-    state.require_views(kept)
+    kept_sizes = []
+    for hypotheses in (only, graph.hypotheses):
+        for seed in range(8):
+            rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            state, kept = initialize_scene(objs, hypotheses, obs, rng)
+            want, want_kept = oracles.initialize_scene_with_pruning(
+                objs, hypotheses, obs, want_rng
+            )
+            assert kept == want_kept
+            assert rng.bit_generator.state == want_rng.bit_generator.state
+            for got_poses, want_poses in (
+                (state.camera_poses, want.camera_poses),
+                (state.object_poses, want.object_poses),
+            ):
+                assert list(got_poses) == list(want_poses)
+                for k, pose in got_poses.items():
+                    assert np.array_equal(pose.matrix, want_poses[k].matrix)
+            state.require_views(kept)
+            if hypotheses is graph.hypotheses:
+                assert kept == objs
+                continue
+            kept_sizes.append(len(kept))
+            if kept:
+                assert set(state.camera_poses) == {"view_000", "view_001"}
+                assert all(len(o.members) == 2 for o in kept)
+    # seed 0 draws view_002 and prunes to empty; seed 1 keeps every object
+    assert kept_sizes[:2] == [0, len(objs)]
 
 
 # --------------------------------------------------------------------- loss
@@ -726,7 +724,7 @@ def test_refine_best_of_linearizes_into_one_workspace(monkeypatch):
 
     def recording_linearize(poses, targets):
         r, e = real_linearize(poses, targets)
-        calls.append((targets.workspace, int(targets.active.sum()), r, e))
+        calls.append((targets.images.workspace, int(targets.active.sum()), r, e))
         return r, e
 
     monkeypatch.setattr(cosy.refinement, "refine", recording_refine)
@@ -788,7 +786,7 @@ def test_refine_trace_is_monotone_and_deterministic():
     graph = build_match_graph(obs, geo, params)
     objs = extract_physical_objects(graph)
     assert objs, "matching should recover objects on this seed"
-    state0 = initialize_scene(objs, graph.hypotheses, obs, np.random.default_rng(1))
+    state0, _ = initialize_scene(objs, graph.hypotheses, obs, np.random.default_rng(1))
 
     t1, t2 = [], []
     out1 = refine(state0, objs, obs, geo, RefineConfig(), trace=t1)
@@ -815,8 +813,8 @@ def lm_setup(seed, symmetric=(), n_points=48, n_objects=5, n_views=3):
     geo = label_geometry(db, db.models)
     graph = build_match_graph(obs, geo, MatchParams(inlier_threshold=0.2))
     objs = extract_physical_objects(graph)
-    state0, kept = initialize_scene_with_pruning(objs, graph.hypotheses, obs,
-                                                 np.random.default_rng(seed))
+    state0, kept = initialize_scene(objs, graph.hypotheses, obs,
+                                    np.random.default_rng(seed))
     assert kept
     return geo, obs, kept, state0
 
@@ -1022,7 +1020,7 @@ def test_refinement_reduces_adds_on_noisy_scene():
     graph = build_match_graph(obs, geo, MatchParams(inlier_threshold=0.2))
     objs = extract_physical_objects(graph)
     assert objs
-    state0 = initialize_scene(objs, graph.hypotheses, obs, np.random.default_rng(0))
+    state0, _ = initialize_scene(objs, graph.hypotheses, obs, np.random.default_rng(0))
     state1 = refine(state0, objs, obs, geo, RefineConfig())
     init = mean_member_adds(state0, objs, obs, db, scene, provenance)
     after = mean_member_adds(state1, objs, obs, db, scene, provenance)
@@ -1090,12 +1088,12 @@ def test_refine_best_of_shared_images_equal_per_restart_rebuild(monkeypatch, n_p
 
     # Reference: every restart's refine builds its own images, total_loss scores.
     rng = np.random.default_rng(cfg.seed)
-    state0, kept = initialize_scene_with_pruning(objs, graph.hypotheses, obs, rng)
+    state0, kept = initialize_scene(objs, graph.hypotheses, obs, rng)
     assert any(o.label == "obj_03" for o in kept)
     want_states, want_losses = [], []
     for start in range(n_starts):
         if start > 0:
-            state0 = initialize_scene(kept, graph.hypotheses, obs, rng)
+            state0, _ = initialize_scene(kept, graph.hypotheses, obs, rng)
         want_states.append(refine(state0, kept, obs, geo, cfg))
         want_losses.append(total_loss(want_states[-1], kept, obs, geo, cfg))
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -41,6 +42,10 @@ class TestConfig:
             sim.NoiseModel(miss_prob=1.5)
         with pytest.raises(ValueError):
             sim.NoiseModel(rot_sigma_deg=-1)
+        for name in ("rot_sigma_deg", "trans_sigma", "depth_sigma_extra"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    sim.NoiseModel(**{name: value})
 
 
 class TestMakeModels:

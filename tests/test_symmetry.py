@@ -295,55 +295,3 @@ class TestSymmetricDistance:
         g = sym.SymmetryGroup.identity_only()
         with pytest.raises(ValueError):
             sym.symmetric_distance(np.zeros((0, 3)), g, Pose.identity(), Pose.identity())
-
-
-class TestBestSymmetry:
-    def test_identity_on_tie(self):
-        spec = sym.SymmetrySpec(continuous_axes=(([0, 0, 1.0], [0, 0, 0]),))
-        g = sym.discretize(spec, angles_per_axis=4)
-        # Points on the symmetry axis: every element ties at zero.
-        pts = np.array([[0.0, 0.0, 0.1], [0.0, 0.0, -0.1], [0.0, 0.0, 0.05]])
-        t = Pose.from_rt(np.eye(3), [0, 0, 1.0])
-        s = sym.best_symmetry(pts, g, t, t)
-        assert np.array_equal(s.matrix, np.eye(4))
-
-    def test_recovers_quarter_turn(self):
-        spec = sym.SymmetrySpec(
-            discrete=tuple(
-                _pose_rz(k * math.pi / 2) if k else Pose.identity() for k in range(4)
-            )
-        )
-        g = sym.discretize(spec)
-        assert len(g) == 4
-        t1 = Pose.from_rt(np.eye(3), [0, 0, 1.0])
-        t2 = t1.compose(_pose_rz(math.pi / 2))
-        s = sym.best_symmetry(_square_points(), g, t1, t2)
-        want = oracles.rotation_about_axis([0, 0, 1], math.pi / 2)
-        assert np.max(np.abs(s.rotation - want)) < 1e-9
-
-    def test_noisy_half_turn_brute_force(self):
-        rng = np.random.default_rng(31)
-        spec = sym.SymmetrySpec(
-            discrete=tuple(
-                _pose_rz(k * math.pi / 2) if k else Pose.identity() for k in range(4)
-            )
-        )
-        g = sym.discretize(spec)
-        pts = _points(n=20, seed=32)
-        t1 = Pose(oracles.random_pose_matrix(rng))
-        jitter = Pose.from_rt(
-            oracles.rotation_about_axis(rng.normal(size=3), 0.02),
-            rng.normal(size=3) * 0.002,
-        )
-        t2 = t1.compose(_pose_rz(math.pi)).compose(jitter)
-        s = sym.best_symmetry(pts, g, t1, t2)
-        # Brute-force scan agrees.
-        dists = [
-            oracles.mean_pairwise_distance(
-                t1.compose(e).matrix, t2.matrix, pts
-            )
-            for e in g.elements
-        ]
-        assert np.max(np.abs(s.matrix - g.elements[int(np.argmin(dists))].matrix)) == 0.0
-        want = oracles.rotation_about_axis([0, 0, 1], math.pi)
-        assert np.max(np.abs(s.rotation - want)) < 1e-9
