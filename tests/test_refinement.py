@@ -179,6 +179,47 @@ def test_initialize_object_from_member_candidate():
         assert any(np.max(np.abs(t_world.matrix - m)) < 1e-9 for m in lifts)
 
 
+def test_disconnected_views_raise_and_prune():
+    # Only view_000-view_001 is matched. The views the raising oracle reports
+    # unreachable from a root draw are the ones initialize_scene prunes.
+    db, scene, obs, objects, _ = consistent_setup(n_objects=3, n_views=3, seed=4)
+    geo = label_geometry(db, db.models)
+    graph = build_match_graph(obs, geo)
+    objs = extract_physical_objects(graph)
+    only = {("view_000", "view_001"): graph.hypotheses[("view_000", "view_001")]}
+    # seed 1 draws its root inside the connected {000, 001} component
+    with pytest.raises(oracles.DisconnectedViews) as exc:
+        oracles.initialize_scene_raising(objs, only, obs, np.random.default_rng(1))
+    assert exc.value.views == ("view_002",)
+    state, kept = initialize_scene(objs, only, obs, np.random.default_rng(1))
+    assert "view_002" not in state.camera_poses
+    assert kept and all(
+        all(v != "view_002" for v, _ in o.members) and len(o.members) >= 2
+        for o in kept
+    )
+    # seed 0 draws view_002 itself: the other two views become unreachable,
+    # every object keeps one member, and the scene prunes to empty
+    with pytest.raises(oracles.DisconnectedViews) as exc2:
+        oracles.initialize_scene_raising(objs, only, obs, np.random.default_rng(0))
+    assert exc2.value.views == ("view_000", "view_001")
+    state, kept = initialize_scene(objs, only, obs, np.random.default_rng(0))
+    assert kept == []
+    assert state.camera_poses == {} and state.object_poses == {}
+
+
+def test_initialize_with_pruning_recovers():
+    db, scene, obs, objects, _ = consistent_setup(n_objects=3, n_views=3, seed=4)
+    geo = label_geometry(db, db.models)
+    graph = build_match_graph(obs, geo)
+    objs = extract_physical_objects(graph)
+    only = {("view_000", "view_001"): graph.hypotheses[("view_000", "view_001")]}
+    state, kept = initialize_scene(objs, only, obs, np.random.default_rng(1))
+    assert set(state.camera_poses) == {"view_000", "view_001"}
+    assert kept and all(len(o.members) == 2 for o in kept)
+    assert set(state.object_poses) == {o.id for o in kept}
+    state.require_views(kept)
+
+
 def test_initialize_prunes_unreachable_views_like_raise_and_retry():
     # Only view_000-view_001 is matched, so a root drawn there drops every
     # member in view_002, and one drawn at view_002 leaves each object one
