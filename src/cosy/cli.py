@@ -63,10 +63,12 @@ from .scene_io import (
     UnknownLabelError,
     dump_json,
     load_estimate,
+    load_ground_truth,
     load_json,
     load_models,
     load_observations,
     save_estimate,
+    save_ground_truth,
     save_models,
     save_observations,
 )
@@ -75,9 +77,7 @@ from .simulation import (
     ScenarioConfig,
     generate_observations,
     generate_scene,
-    load_ground_truth,
     make_models,
-    save_ground_truth,
 )
 
 EXIT_OK = 0
@@ -232,8 +232,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         raise ValueError("restarts must be >= 1")
     if args.threads < 1:
         raise ValueError("threads must be >= 1")
-    if not args.nms_radius > 0:
-        raise ValueError("nms_radius must be > 0")
+    if not (np.isfinite(args.nms_radius) and args.nms_radius > 0):
+        raise ValueError(f"nms_radius must be > 0 and finite, got {args.nms_radius}")
     config = _config(args)
 
     t0 = time.perf_counter()
@@ -333,34 +333,27 @@ def cmd_solve(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------- eval
 
 
-def _predictions_from_estimate(est: SceneEstimate) -> list[PosePrediction]:
-    """Per-view pose records: every estimated object in every camera."""
-    preds = []
-    for cam in est.cameras:
-        inv = cam.pose_world.inverse()
-        for obj in est.objects:
-            preds.append(
-                PosePrediction(
-                    view_id=cam.view_id,
-                    label=obj.label,
-                    score=obj.score,
-                    pose=inv.compose(obj.pose_world),
-                )
-            )
-    return preds
+def _per_view_records(cameras, objects) -> list[PosePrediction]:
+    """Every object in every camera's frame, cameras in the given order.
+
+    `cameras` holds (view_id, camera-to-world pose) pairs and `objects`
+    (label, score, object-to-world pose) triples.
+    """
+    records = []
+    for view_id, camera_pose in cameras:
+        inv = camera_pose.inverse()
+        records += [
+            PosePrediction(view_id, label, score, inv.compose(pose))
+            for label, score, pose in objects
+        ]
+    return records
 
 
-def _ground_truth_records(scene) -> list[PosePrediction]:
-    return [
-        PosePrediction(
-            view_id=view.view_id,
-            label=label,
-            score=1.0,
-            pose=scene.camera_frame_pose(vi, oi),
-        )
-        for vi, view in enumerate(scene.views)
-        for oi, label in enumerate(scene.object_labels)
-    ]
+def _estimate_records(est: SceneEstimate) -> list[PosePrediction]:
+    return _per_view_records(
+        [(c.view_id, c.pose_world) for c in est.cameras],
+        [(o.label, o.score, o.pose_world) for o in est.objects],
+    )
 
 
 def _metrics_doc(metrics) -> dict:
@@ -384,8 +377,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     est = load_estimate(args.estimate)
     scene, _provenance = load_ground_truth(args.ground_truth, db)
 
-    gts = _ground_truth_records(scene)
-    preds = _predictions_from_estimate(est)
+    gts = _per_view_records(
+        [(v.view_id, p) for v, p in zip(scene.views, scene.camera_poses)],
+        [(label, 1.0, p) for label, p in zip(scene.object_labels, scene.object_poses)],
+    )
+    preds = _estimate_records(est)
     # The comparison report scores the same pairs at another fraction.
     errors = PairErrors(preds, gts, db)
     report = evaluate(
@@ -407,7 +403,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         # still produce a number; wildly wrong poses count as misses.
         before_est = load_estimate(args.before)
         before_report = evaluate(
-            _predictions_from_estimate(before_est),
+            _estimate_records(before_est),
             gts,
             db,
             fraction=args.compare_fraction,

@@ -272,16 +272,7 @@ def map_adds(
     fraction: float = DEFAULT_DIAMETER_FRACTION,
 ) -> float:
     """Mean over GT labels of detection-style AP at ADD-S < fraction*d."""
-    errors = PairErrors(preds, gts, db)
-    labels = sorted({g.label for g in errors.gts})
-    if not labels:
-        raise ValueError("no ground-truth objects")
-    aps = []
-    for label in labels:
-        pairs = errors.label(label)
-        flags, _ = _greedy_match(pairs, fraction * db[label].diameter)
-        aps.append(average_precision(flags, len(pairs.gts)))
-    return float(np.mean(aps))
+    return evaluate(preds, gts, db, fraction).map_adds
 
 
 def evaluate(

@@ -91,8 +91,10 @@ class MatchParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.inlier_threshold > 0:
-            raise ValueError("inlier_threshold must be > 0")
+        if not (np.isfinite(self.inlier_threshold) and self.inlier_threshold > 0):
+            raise ValueError(
+                f"inlier_threshold must be > 0 and finite, got {self.inlier_threshold}"
+            )
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.min_inliers < 3:

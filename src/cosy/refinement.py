@@ -73,13 +73,18 @@ class RefineConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        for name in ("truncation", "damping_init", "rel_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
+        for name in ("truncation", "rel_tol"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be > 0 and finite, got {value}")
+        if not self.damping_init > 0:
+            raise ValueError("damping_init must be > 0")
         # A damping ladder ends only once lambda grows past _DAMPING_CEILING,
         # and one that starts above it never runs.
-        if not self.damping_factor > 1:
-            raise ValueError("damping_factor must be > 1")
+        if not (np.isfinite(self.damping_factor) and self.damping_factor > 1):
+            raise ValueError(
+                f"damping_factor must be > 1 and finite, got {self.damping_factor}"
+            )
         if not self.damping_init <= _DAMPING_CEILING:
             raise ValueError(f"damping_init must be <= {_DAMPING_CEILING:g}")
 

@@ -1,6 +1,6 @@
 """Data model and JSON (de)serialization for the pipeline.
 
-Three document kinds flow through the tool:
+Four document kinds flow through the tool:
   - models.json: the object database. Each entry carries a label, model
     points (flat xyz array, meters, model frame), a diameter, and a
     symmetry annotation {discrete: [16-float row-major matrices],
@@ -11,6 +11,10 @@ Three document kinds flow through the tool:
   - estimate.json: solver output. World camera poses (camera-to-world) and
     physical objects (label, world pose, aggregate score, member
     candidates referenced by view_id + index into that view's candidates).
+  - ground_truth.json: a simulated scene. The views as in observations,
+    world camera poses listed in the views' order, world object poses
+    with labels, the scene box size and per-candidate provenance (index
+    of the generating object, -1 for injected outliers).
 
 All units are meters and pixels. Serialization uses Python's repr-based
 float formatting, so save followed by load reproduces every value bit for
@@ -83,7 +87,7 @@ class ObjectModel:
                 f"[{DIAMETER_MIN}, {DIAMETER_MAX}] (inputs must be in meters)"
             )
         if pts.shape[0] >= 2:
-            spread = _max_pairwise_distance(pts)
+            spread = max_pairwise_distance(pts)
             if d < spread * (1.0 - 1e-6):
                 raise InvariantError(
                     f"model '{self.label}': diameter {d} smaller than point "
@@ -103,7 +107,8 @@ class ObjectModel:
             raise InvariantError(f"model '{self.label}': points are coplanar")
 
 
-def _max_pairwise_distance(pts: np.ndarray) -> float:
+def max_pairwise_distance(pts: np.ndarray) -> float:
+    """Largest distance between two rows of an (N, 3) point array."""
     return float(np.sqrt(pairwise_sq_reduce(pts, pts, np.maximum).max()))
 
 
@@ -202,6 +207,34 @@ class SceneEstimate:
     objects: tuple[EstimatedObject, ...]
     config: dict = field(default_factory=dict)
     stats: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True, eq=False)
+class GroundTruthScene:
+    """A simulated scene: the true world poses that `cosy eval` scores against."""
+
+    db: ModelDB
+    views: tuple[View, ...]
+    camera_poses: tuple[Pose, ...]  # camera-to-world, aligned with views
+    object_labels: tuple[str, ...]
+    object_poses: tuple[Pose, ...]  # object-to-world
+    box_size: float
+
+    def __post_init__(self):
+        if len(self.views) != len(self.camera_poses):
+            raise ValueError("views and camera_poses must align")
+        if len(self.object_labels) != len(self.object_poses):
+            raise ValueError("object_labels and object_poses must align")
+        half = self.box_size / 2 + 1e-9
+        for i, t in enumerate(self.object_poses):
+            if np.any(np.abs(t.translation) > half):
+                raise InvariantError(f"object {i} outside the scene box")
+
+    def camera_frame_pose(self, view_index: int, object_index: int) -> Pose:
+        """Ground-truth pose of an object in one camera's frame."""
+        return self.camera_poses[view_index].inverse().compose(
+            self.object_poses[object_index]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -368,20 +401,7 @@ def load_models(path) -> ModelDB:
 
 def save_observations(obs: SceneObservations, path) -> None:
     doc = {
-        "views": [
-            {
-                "view_id": v.view_id,
-                "intrinsics": {
-                    "fx": v.intrinsics.fx,
-                    "fy": v.intrinsics.fy,
-                    "cx": v.intrinsics.cx,
-                    "cy": v.intrinsics.cy,
-                    "width": v.intrinsics.width,
-                    "height": v.intrinsics.height,
-                },
-            }
-            for v in obs.views
-        ],
+        "views": [view_to_json(v) for v in obs.views],
         "candidates": [
             {
                 "view_id": c.view_id,
@@ -393,6 +413,18 @@ def save_observations(obs: SceneObservations, path) -> None:
         ],
     }
     dump_json(doc, path)
+
+
+def view_to_json(v: View) -> dict:
+    """One {view_id, intrinsics} entry of observations or ground truth."""
+    k = v.intrinsics
+    return {
+        "view_id": v.view_id,
+        "intrinsics": {
+            "fx": k.fx, "fy": k.fy, "cx": k.cx, "cy": k.cy,
+            "width": k.width, "height": k.height,
+        },
+    }
 
 
 def view_from_json(v, where: str) -> View:
@@ -440,13 +472,30 @@ def load_observations(path, db: ModelDB | None = None) -> SceneObservations:
 # estimate.json
 
 
+def _cameras_from_json(doc: dict, path, view_ids=None) -> tuple[EstimatedCamera, ...]:
+    """The `cameras` list of an estimate or ground truth; with `view_ids`,
+    the cameras must name exactly those views in that order."""
+    entries = _list(_require(doc, "cameras", str(path)), f"{path}: cameras")
+    cameras = []
+    for i, c in enumerate(entries):
+        where = f"{path}: cameras[{i}]"
+        cameras.append(
+            EstimatedCamera(
+                view_id=_string(_require(c, "view_id", where), f"{where}.view_id"),
+                pose_world=pose_from_list(_require(c, "pose_world", where), where),
+            )
+        )
+    listed = [c.view_id for c in cameras]
+    if view_ids is not None and listed != view_ids:
+        raise SchemaError(
+            f"{path}: cameras must list the views' view_ids {view_ids} in order, "
+            f"got {listed}"
+        )
+    return tuple(cameras)
+
+
 def save_estimate(est: SceneEstimate, path) -> None:
-    doc = estimate_to_json(est)
-    dump_json(doc, path)
-
-
-def estimate_to_json(est: SceneEstimate) -> dict:
-    return {
+    doc = {
         "cameras": [
             {"view_id": c.view_id, "pose_world": pose_to_list(c.pose_world)}
             for c in est.cameras
@@ -467,19 +516,12 @@ def estimate_to_json(est: SceneEstimate) -> dict:
         "config": est.config,
         "stats": est.stats,
     }
+    dump_json(doc, path)
 
 
 def load_estimate(path) -> SceneEstimate:
     doc = load_json(path)
-    cameras = []
-    for i, c in enumerate(_list(_require(doc, "cameras", str(path)), f"{path}: cameras")):
-        where = f"{path}: cameras[{i}]"
-        cameras.append(
-            EstimatedCamera(
-                view_id=_string(_require(c, "view_id", where), f"{where}.view_id"),
-                pose_world=pose_from_list(_require(c, "pose_world", where), where),
-            )
-        )
+    cameras = _cameras_from_json(doc, path)
     objects = []
     for i, o in enumerate(_list(_require(doc, "objects", str(path)), f"{path}: objects")):
         where = f"{path}: objects[{i}]"
@@ -503,8 +545,56 @@ def load_estimate(path) -> SceneEstimate:
             )
         )
     return SceneEstimate(
-        cameras=tuple(cameras),
+        cameras=cameras,
         objects=tuple(objects),
         config=doc.get("config", {}),
         stats=doc.get("stats", {}),
     )
+
+
+# ---------------------------------------------------------------------------
+# ground_truth.json
+
+
+def save_ground_truth(scene: GroundTruthScene, provenance, path) -> None:
+    doc = {
+        "box_size": scene.box_size,
+        "cameras": [
+            {"view_id": v.view_id, "pose_world": pose_to_list(p)}
+            for v, p in zip(scene.views, scene.camera_poses)
+        ],
+        "objects": [
+            {"label": label, "pose_world": pose_to_list(p)}
+            for label, p in zip(scene.object_labels, scene.object_poses)
+        ],
+        "views": [view_to_json(v) for v in scene.views],
+        "provenance": [int(p) for p in provenance],
+    }
+    dump_json(doc, path)
+
+
+def load_ground_truth(path, db: ModelDB) -> tuple[GroundTruthScene, tuple[int, ...]]:
+    doc = load_json(path)
+    views = tuple(
+        view_from_json(v, f"{path}: views[{i}]")
+        for i, v in enumerate(_list(_require(doc, "views", str(path)), f"{path}: views"))
+    )
+    cameras = _cameras_from_json(doc, path, [v.view_id for v in views])
+    object_labels, object_poses = [], []
+    for i, o in enumerate(_list(_require(doc, "objects", str(path)), f"{path}: objects")):
+        where = f"{path}: objects[{i}]"
+        object_labels.append(_string(_require(o, "label", where), f"{where}.label"))
+        object_poses.append(pose_from_list(_require(o, "pose_world", where), where))
+    provenance = tuple(
+        _integer(p, f"{path}: provenance[{i}]")
+        for i, p in enumerate(_list(doc.get("provenance", []), f"{path}: provenance"))
+    )
+    scene = GroundTruthScene(
+        db=db,
+        views=views,
+        camera_poses=tuple(c.pose_world for c in cameras),
+        object_labels=tuple(object_labels),
+        object_poses=tuple(object_poses),
+        box_size=_number(_require(doc, "box_size", str(path)), f"{path}: box_size"),
+    )
+    return scene, provenance

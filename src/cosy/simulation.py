@@ -15,7 +15,8 @@ candidate carries provenance: the index of the ground-truth object it came
 from, or -1 for outliers.
 
 All randomness flows through an explicitly seeded numpy Generator
-(PCG64), so identical configs reproduce identical scenes byte for byte.
+(PCG64), so identical configs reproduce identical scenes bit for bit.
+The scenes are values in memory; scene_io reads and writes their files.
 """
 
 from __future__ import annotations
@@ -27,22 +28,12 @@ import numpy as np
 from .geometry import CameraIntrinsics, Pose, project_masked, rotation_about_axis
 from .scene_io import (
     Candidate,
-    InvariantError,
+    GroundTruthScene,
     ModelDB,
     ObjectModel,
     SceneObservations,
     View,
-    _integer,
-    _list,
-    _max_pairwise_distance,
-    _number,
-    _require,
-    _string,
-    dump_json,
-    load_json,
-    pose_from_list,
-    pose_to_list,
-    view_from_json,
+    max_pairwise_distance,
 )
 from .symmetry import SymmetrySpec
 
@@ -51,6 +42,15 @@ OUTLIER = -1
 DEFAULT_INTRINSICS = CameraIntrinsics(
     fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480
 )
+
+
+def _require_range(name: str, bounds: tuple[float, float]) -> None:
+    """A (min, max) range to draw uniformly from: finite, 0 < min <= max."""
+    lo, hi = bounds
+    if not (np.isfinite(lo) and np.isfinite(hi) and 0 < lo <= hi):
+        raise ValueError(
+            f"{name} must be finite with 0 < min <= max, got ({lo}, {hi})"
+        )
 
 
 @dataclass(frozen=True)
@@ -66,13 +66,11 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.n_objects < 1 or self.n_views < 1:
             raise ValueError("n_objects and n_views must be >= 1")
-        if not self.box_size > 0:
-            raise ValueError("box_size must be > 0")
+        if not (np.isfinite(self.box_size) and self.box_size > 0):
+            raise ValueError(f"box_size must be finite and > 0, got {self.box_size}")
         if not self.model_labels:
             raise ValueError("model_labels must be non-empty")
-        lo, hi = self.camera_distance_range
-        if not (0 < lo <= hi):
-            raise ValueError(f"bad camera_distance_range {self.camera_distance_range}")
+        _require_range("camera_distance_range", self.camera_distance_range)
         object.__setattr__(self, "model_labels", tuple(self.model_labels))
 
 
@@ -103,32 +101,6 @@ class NoiseModel:
     @staticmethod
     def none() -> "NoiseModel":
         return NoiseModel()
-
-
-@dataclass(frozen=True, eq=False)
-class GroundTruthScene:
-    db: ModelDB
-    views: tuple[View, ...]
-    camera_poses: tuple[Pose, ...]  # camera-to-world, aligned with views
-    object_labels: tuple[str, ...]
-    object_poses: tuple[Pose, ...]  # object-to-world
-    box_size: float
-
-    def __post_init__(self):
-        if len(self.views) != len(self.camera_poses):
-            raise ValueError("views and camera_poses must align")
-        if len(self.object_labels) != len(self.object_poses):
-            raise ValueError("object_labels and object_poses must align")
-        half = self.box_size / 2 + 1e-9
-        for i, t in enumerate(self.object_poses):
-            if np.any(np.abs(t.translation) > half):
-                raise InvariantError(f"object {i} outside the scene box")
-
-    def camera_frame_pose(self, view_index: int, object_index: int) -> Pose:
-        """Ground-truth pose of an object in one camera's frame."""
-        return self.camera_poses[view_index].inverse().compose(
-            self.object_poses[object_index]
-        )
 
 
 def uniform_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -173,12 +145,9 @@ def look_at_rotation(position, target, roll: float) -> np.ndarray:
     return R @ rotation_about_axis([0.0, 0.0, 1.0], roll)
 
 
-def generate_scene(
-    cfg: ScenarioConfig, db: ModelDB, rng: np.random.Generator | None = None
-) -> GroundTruthScene:
+def generate_scene(cfg: ScenarioConfig, db: ModelDB) -> GroundTruthScene:
     """Sample a ground-truth scene; deterministic given cfg.seed."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     for label in cfg.model_labels:
         db[label]  # raises UnknownLabelError
     labels = tuple(
@@ -308,6 +277,7 @@ def make_models(
     """
     if n_points < 1:
         raise ValueError(f"n_points must be >= 1, got {n_points}")
+    _require_range("radius_range", radius_range)
     rng = np.random.default_rng(seed)
     models: dict[str, ObjectModel] = {}
     for label in labels:
@@ -325,72 +295,8 @@ def make_models(
         else:
             pts = rng.uniform(-radius, radius, size=(n_points, 3))
             spec = SymmetrySpec.none()
-        diameter = _max_pairwise_distance(pts) * (1.0 + 1e-9)
+        diameter = max_pairwise_distance(pts) * (1.0 + 1e-9)
         models[label] = ObjectModel(
             label=label, points=pts, diameter=diameter, symmetries=spec
         )
     return ModelDB(models=models)
-
-
-# ---------------------------------------------------------------------------
-# ground-truth file
-
-
-def save_ground_truth(scene: GroundTruthScene, provenance, path) -> None:
-    doc = {
-        "box_size": scene.box_size,
-        "cameras": [
-            {"view_id": v.view_id, "pose_world": pose_to_list(p)}
-            for v, p in zip(scene.views, scene.camera_poses)
-        ],
-        "objects": [
-            {"label": label, "pose_world": pose_to_list(p)}
-            for label, p in zip(scene.object_labels, scene.object_poses)
-        ],
-        "views": [
-            {
-                "view_id": v.view_id,
-                "intrinsics": {
-                    "fx": v.intrinsics.fx,
-                    "fy": v.intrinsics.fy,
-                    "cx": v.intrinsics.cx,
-                    "cy": v.intrinsics.cy,
-                    "width": v.intrinsics.width,
-                    "height": v.intrinsics.height,
-                },
-            }
-            for v in scene.views
-        ],
-        "provenance": [int(p) for p in provenance],
-    }
-    dump_json(doc, path)
-
-
-def load_ground_truth(path, db: ModelDB) -> tuple[GroundTruthScene, tuple[int, ...]]:
-    doc = load_json(path)
-    views = tuple(
-        view_from_json(v, f"{path}: views[{i}]")
-        for i, v in enumerate(_list(_require(doc, "views", str(path)), f"{path}: views"))
-    )
-    camera_poses = []
-    for i, c in enumerate(_list(_require(doc, "cameras", str(path)), f"{path}: cameras")):
-        where = f"{path}: cameras[{i}]"
-        camera_poses.append(pose_from_list(_require(c, "pose_world", where), where))
-    object_labels, object_poses = [], []
-    for i, o in enumerate(_list(_require(doc, "objects", str(path)), f"{path}: objects")):
-        where = f"{path}: objects[{i}]"
-        object_labels.append(_string(_require(o, "label", where), f"{where}.label"))
-        object_poses.append(pose_from_list(_require(o, "pose_world", where), where))
-    provenance = tuple(
-        _integer(p, f"{path}: provenance[{i}]")
-        for i, p in enumerate(_list(doc.get("provenance", []), f"{path}: provenance"))
-    )
-    scene = GroundTruthScene(
-        db=db,
-        views=views,
-        camera_poses=tuple(camera_poses),
-        object_labels=tuple(object_labels),
-        object_poses=tuple(object_poses),
-        box_size=_number(_require(doc, "box_size", str(path)), f"{path}: box_size"),
-    )
-    return scene, provenance

@@ -21,13 +21,13 @@ from cosy.scene_io import (
     SceneEstimate,
     SceneObservations,
     load_estimate,
+    load_ground_truth,
     load_json,
     load_models,
     save_estimate,
     save_models,
     save_observations,
 )
-from cosy.simulation import load_ground_truth
 
 from test_matching import manual_observations, small_scene
 
@@ -107,6 +107,29 @@ def test_simulate_rejects_non_finite_noise_and_no_points(tmp_path, capsys):
         assert "Traceback" not in shown.err
         assert shown.out == ""
         assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("flag, values, message", [
+    ("--radius-range", ("nan", "nan"), "radius_range must be finite"),
+    ("--radius-range", ("inf", "inf"), "radius_range must be finite"),
+    ("--radius-range", ("0.07", "0.03"),
+     "radius_range must be finite with 0 < min <= max"),
+    ("--camera-distance", ("inf", "inf"), "camera_distance_range must be finite"),
+    ("--camera-distance", ("1", "inf"), "camera_distance_range must be finite"),
+    ("--box-size", ("inf",), "box_size must be finite and > 0"),
+])
+def test_simulate_rejects_non_finite_or_reversed_ranges(tmp_path, capsys, flag,
+                                                         values, message):
+    # Each bad range is rejected naming its field, before any file is written.
+    out_dir = tmp_path / "scene"
+    capsys.readouterr()
+    assert main(["simulate", "--out-dir", str(out_dir), "--seed", "0",
+                 flag, *values]) == EXIT_CONFIG
+    shown = capsys.readouterr()
+    assert message in shown.err
+    assert "Traceback" not in shown.err
+    assert shown.out == ""
+    assert not out_dir.exists()
 
 
 def test_simulate_candidate_count_bound(tmp_path):
@@ -312,6 +335,13 @@ def test_solve_rejects_symmetry_angles_below_one(tmp_path, capsys):
         # solve would report the initialization's loss as refined.
         ("--damping-init", "1e13", "damping_init must be <= 1e+12"),
         ("--damping-init", "inf", "damping_init must be <= 1e+12"),
+        # Non-finite values would be written into the config block as the
+        # non-JSON token Infinity.
+        ("--truncation-px", "inf", "truncation must be > 0 and finite"),
+        ("--damping-factor", "inf", "damping_factor must be > 1 and finite"),
+        ("--inlier-threshold", "inf", "inlier_threshold must be > 0 and finite"),
+        ("--rel-tol", "inf", "rel_tol must be > 0 and finite"),
+        ("--nms-radius", "inf", "nms_radius must be > 0 and finite"),
     ]:
         capsys.readouterr()
         assert solve(models, obs, out, flag, value) == EXIT_CONFIG
@@ -650,7 +680,10 @@ def test_eval_poses_each_record_and_scores_each_pair_once(tmp_path, monkeypatch)
 
     db = load_models(models)
     scene, _ = load_ground_truth(gt_path, db)
-    gts = cli._ground_truth_records(scene)
+    gts = cli._per_view_records(
+        [(v.view_id, p) for v, p in zip(scene.views, scene.camera_poses)],
+        [(label, 1.0, p) for label, p in zip(scene.object_labels, scene.object_poses)],
+    )
     compare_fraction = cli.build_parser().parse_args(
         ["eval", "--models", "m", "--estimate", "e", "--ground-truth", "g", "--out", "o"]
     ).compare_fraction
@@ -667,8 +700,8 @@ def test_eval_poses_each_record_and_scores_each_pair_once(tmp_path, monkeypatch)
             pairs |= {(lp[a], lg[b]) for a, b in scored}
         return pairs
 
-    preds = cli._predictions_from_estimate(load_estimate(out_est))
-    before_preds = cli._predictions_from_estimate(load_estimate(init_est))
+    preds = cli._estimate_records(load_estimate(out_est))
+    before_preds = cli._estimate_records(load_estimate(init_est))
     after = examined(preds, ev.DEFAULT_DIAMETER_FRACTION)
     after |= examined(preds, compare_fraction)
     before = examined(before_preds, compare_fraction)
@@ -710,12 +743,18 @@ def _drop_box_size(doc):
     del doc["box_size"]
 
 
+def _reorder_ground_truth_cameras(doc):
+    doc["cameras"].reverse()
+
+
 @pytest.mark.parametrize("name, break_doc, message", [
     ("estimate.json", _break_estimate_member,
      "objects[0].members[0]: must be an object, got int"),
     ("ground_truth.json", _break_ground_truth_intrinsics,
      "views[1].intrinsics: must be an object, got int"),
     ("ground_truth.json", _drop_box_size, "missing field 'box_size'"),
+    ("ground_truth.json", _reorder_ground_truth_cameras,
+     "ground_truth.json: cameras must list the views' view_ids"),
 ])
 def test_eval_malformed_input_exits_2_naming_the_field(
         tmp_path, capsys, name, break_doc, message):

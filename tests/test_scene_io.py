@@ -102,7 +102,7 @@ def _clouds():
 class TestMaxPairwiseDistance:
     def test_equals_row_loop(self):
         for pts in _clouds():
-            assert sio._max_pairwise_distance(pts) == oracles.max_pairwise_distance(pts)
+            assert sio.max_pairwise_distance(pts) == oracles.max_pairwise_distance(pts)
 
     @pytest.mark.parametrize("chunk", [1, 17, 3 * 17 + 2, 17 * 17 - 1])
     def test_equals_row_loop_across_chunk_boundaries(self, monkeypatch, chunk):
@@ -112,7 +112,7 @@ class TestMaxPairwiseDistance:
         rng = np.random.default_rng(23)
         for _ in range(5):
             pts = rng.normal(size=(17, 3)) * 0.05
-            assert sio._max_pairwise_distance(pts) == oracles.max_pairwise_distance(pts)
+            assert sio.max_pairwise_distance(pts) == oracles.max_pairwise_distance(pts)
 
     def test_diameter_acceptance_at_the_tolerance(self):
         # The check rejects d < spread * (1 - 1e-6), spread from the row loop:

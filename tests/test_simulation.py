@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cosy import scene_io as sio
 from cosy import simulation as sim
 from cosy import evaluation as ev
 from cosy.geometry import Pose
@@ -36,6 +37,22 @@ class TestConfig:
     def test_box_size_validated(self):
         with pytest.raises(ValueError):
             sim.ScenarioConfig(n_objects=1, n_views=1, model_labels=("a",), box_size=0)
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="box_size must be finite and > 0"):
+                sim.ScenarioConfig(
+                    n_objects=1, n_views=1, model_labels=("a",), box_size=value
+                )
+
+    @pytest.mark.parametrize("bounds", [
+        (0.0, 1.0), (1.5, 1.0), (math.nan, math.nan), (math.inf, math.inf),
+        (1.0, math.inf), (-math.inf, 1.0),
+    ])
+    def test_camera_distance_range_validated(self, bounds):
+        with pytest.raises(
+            ValueError, match=r"camera_distance_range must be finite with 0 < min <= max"
+        ):
+            sim.ScenarioConfig(n_objects=1, n_views=1, model_labels=("a",),
+                               camera_distance_range=bounds)
 
     def test_noise_rates_validated(self):
         with pytest.raises(ValueError):
@@ -54,6 +71,16 @@ class TestMakeModels:
         assert sorted(db.models) == ["obj_0", "obj_1", "obj_2"]
         for m in db.models.values():
             m.require_matchable()
+
+    @pytest.mark.parametrize("bounds", [
+        (0.07, 0.03), (0.0, 0.05), (math.nan, math.nan), (math.inf, math.inf),
+        (0.03, math.inf),
+    ])
+    def test_radius_range_validated(self, bounds):
+        with pytest.raises(
+            ValueError, match=r"radius_range must be finite with 0 < min <= max"
+        ):
+            sim.make_models(["obj_0"], radius_range=bounds)
 
     def test_symmetric_annotation(self):
         db = _db(symmetric=True)
@@ -224,8 +251,8 @@ class TestGroundTruthFile:
             np.random.default_rng(18),
         )
         path = tmp_path / "gt.json"
-        sim.save_ground_truth(scene, prov, path)
-        back, prov2 = sim.load_ground_truth(path, db)
+        sio.save_ground_truth(scene, prov, path)
+        back, prov2 = sio.load_ground_truth(path, db)
         assert prov2 == prov
         assert back.box_size == scene.box_size
         assert back.object_labels == scene.object_labels
@@ -237,14 +264,36 @@ class TestGroundTruthFile:
             assert a.view_id == b.view_id
             assert a.intrinsics == b.intrinsics
 
+    @pytest.mark.parametrize("edit", ["swap", "drop", "rename"])
+    def test_cameras_must_follow_the_views(self, tmp_path, edit):
+        # Camera poses are matched to views by position, so the cameras
+        # must name the views' ids in the views' order.
+        db = _db()
+        scene = sim.generate_scene(_cfg(3, 4, seed=17), db)
+        path = tmp_path / "gt.json"
+        sio.save_ground_truth(scene, (), path)
+        doc = json.loads(path.read_text())
+        cams = doc["cameras"]
+        if edit == "swap":
+            cams[0], cams[2] = cams[2], cams[0]
+        elif edit == "drop":
+            del cams[-1]
+        else:
+            cams[1]["view_id"] = "view_999"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(
+            SchemaError, match=r"gt\.json: cameras must list the views' view_ids"
+        ):
+            sio.load_ground_truth(path, db)
+
     @pytest.mark.parametrize("key", ["cameras", "objects"])
     def test_non_rigid_pose_rejected(self, tmp_path, key):
         db = _db()
         scene = sim.generate_scene(_cfg(3, 4, seed=17), db)
         path = tmp_path / "gt.json"
-        sim.save_ground_truth(scene, (), path)
+        sio.save_ground_truth(scene, (), path)
         doc = json.loads(path.read_text())
         doc[key][1]["pose_world"][0] *= 1.5
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match=rf"{key}\[1\]: pose rotation"):
-            sim.load_ground_truth(path, db)
+            sio.load_ground_truth(path, db)
