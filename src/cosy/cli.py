@@ -128,6 +128,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for s in symmetric:
         if s not in labels:
             raise ValueError(f"symmetric label {s!r} not among {labels}")
+    # A one-point model has diameter 0; a symmetric label's model is an
+    # orbit of at least 16 points whatever --n-points is.
+    if args.n_points == 1 and set(labels) - set(symmetric):
+        raise ValueError("--n-points must be >= 2 for labels without symmetry, got 1")
     scenario = ScenarioConfig(
         n_objects=args.n_objects,
         n_views=args.n_views,

@@ -164,24 +164,46 @@ def label_geometry(
         model = db[label]
         group = discretize(model.symmetries, angles_per_axis)
         c = np.mean(model.points, axis=0)
-        images = apply_matrices(group.matrices, c).reshape(len(group), 3)
-        sym_points = apply_matrices(group.matrices, model.points)
+        if len(group) == 1:
+            # discretize's one element is exactly the identity, whose
+            # apply_matrices adds zeros: for finite points that only turns
+            # -0.0 into 0.0, as adding 0.0 does.
+            images = c[None] + 0.0
+            sym_points = model.points[None] + 0.0
+            distinct = images
+        else:
+            images = apply_matrices(group.matrices, c).reshape(len(group), 3)
+            sym_points = apply_matrices(group.matrices, model.points)
+            distinct = _distinct_rows(images)
         sym_points.setflags(write=False)
         geometry[label] = LabelGeometry(
             model=model, group=group, sym_points=sym_points, centroid=c,
-            images=images, distinct=_distinct_rows(images),
+            images=images, distinct=distinct,
         )
     return geometry
 
 
 def _distinct_rows(points: np.ndarray) -> np.ndarray:
     """Rows of (G, 3) `points`, less each within IMAGE_MERGE_TOL of an
-    earlier kept row."""
-    kept = [0]
-    for k in range(1, len(points)):
-        if np.min(point_norms(points[kept] - points[k])) > IMAGE_MERGE_TOL:
-            kept.append(k)
-    return points[kept]
+    earlier kept row.
+
+    As in symmetry._first_of_duplicates, one table of the distances between
+    each row and every earlier one, built in row blocks, decides every
+    pair; only the rows near an earlier one are then scanned in order
+    against the kept ones. point_norms of p_j - p_k and of p_k - p_j agree
+    bit for bit, so each decision is the sequential scan's.
+    """
+    n = len(points)
+    near = np.zeros((n, n), dtype=bool)  # near[i, j]: j < i within the tolerance
+    rows = max(1, _PAIRWISE_CHUNK // n)
+    for start in range(0, n, rows):
+        stop = min(n, start + rows)
+        d = point_norms(points[start:stop, None] - points[None, :stop])
+        near[start:stop, :stop] = np.tril(~(d > IMAGE_MERGE_TOL), start - 1)
+    keep = ~near.any(axis=1)
+    for i in np.flatnonzero(~keep):  # near[i, j] is False for j >= i
+        keep[i] = not (near[i] & keep).any()
+    return points[keep]
 
 
 def relative_pose_from_pairs(

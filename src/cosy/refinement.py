@@ -12,8 +12,10 @@ projection induced by the current world state. The symmetry choice is
 re-selected at the start of each outer iteration and frozen inside the
 linearized step, which keeps the inner problem smooth; re-selection can
 only lower the loss, so accepted steps descend monotonically in the true
-objective as well. Each label's discretized group and symmetry images come
-from the solve's `label_geometry` map, which matching reads too.
+objective as well. A member's choice is re-scored over its symmetries only
+when a bound says it could have changed (see `select_targets`). Each
+label's discretized group and symmetry images come from the solve's
+`label_geometry` map, which matching reads too.
 """
 
 from __future__ import annotations
@@ -44,6 +46,10 @@ from .symmetry import discretize  # noqa: F401
 DEFAULT_TRUNCATION_PX = 25.0
 MAX_RESIDUAL_POINTS = 500
 _DAMPING_CEILING = 1e12
+# Rounding allowance of select_targets' re-scoring bound, as a fraction of
+# the truncation: far above the rounding of a mean of contributions that are
+# each at most the truncation.
+_CHOICE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -292,6 +298,11 @@ class CandidateImages:
     values per point as a per-member loop, each member's mean is taken over
     one contiguous row, and totals are summed left to right in member order,
     so every loss, residual and Jacobian entry keeps its bits.
+
+    `fixed_px` and `fixed_valid` hold, in the flat order, each member's
+    image under its label's first symmetry element (the identity). They are
+    the targets of every G = 1 member for the whole solve, and the start of
+    every selection.
     """
 
     view_ids: tuple[str, ...]
@@ -307,6 +318,8 @@ class CandidateImages:
     sqrt_weight: np.ndarray  # (N,), 1 / sqrt(M) of the point's member
     stacks: tuple[ImageStack, ...]
     order: np.ndarray  # (N,), each point's position in all stacks' rows in turn
+    fixed_px: np.ndarray  # (N, 2), read-only
+    fixed_valid: np.ndarray  # (N,), read-only
     workspace: Workspace  # the LM loop's scratch buffers
 
 
@@ -354,12 +367,26 @@ class Projection(NamedTuple):
     valid: np.ndarray
 
 
+class Scoring(NamedTuple):
+    """The last full scoring of each member of a symmetric image stack: its
+    per-element losses, its chosen element, and the predicted pixels and
+    validity those losses were computed from."""
+
+    losses: np.ndarray  # (k, G)
+    pick: np.ndarray  # (k,)
+    pred_px: np.ndarray  # (k, M, 2)
+    pred_valid: np.ndarray  # (k, M)
+
+
 @dataclass(frozen=True)
 class Targets:
     """One outer iteration's symmetry selection, per point like its images.
 
     It keeps the selection's pose stack and its projection, so `linearize`
-    at those poses projects nothing.
+    at those poses projects nothing. `scorings` follow `images.stacks`,
+    None for a G = 1 stack; `px` and `valid` are `images.fixed_px` and
+    `fixed_valid` while every member keeps its first element, and are never
+    written once built.
     """
 
     images: CandidateImages
@@ -370,6 +397,20 @@ class Targets:
     valid: np.ndarray  # (N,)
     active: np.ndarray  # (N,), points that carry gradient at selection
     active_counts: np.ndarray  # (T,), active points of each member
+    scorings: tuple[Scoring | None, ...]
+
+
+class FrozenEvaluation(NamedTuple):
+    """What `frozen_loss` computed at a pose stack: the projection, each
+    member's loss, and each point's pixel error and joint validity against
+    `targets`. `select_targets` at the same poses starts from it."""
+
+    poses: np.ndarray
+    targets: Targets
+    projection: Projection
+    member_loss: np.ndarray  # (T,)
+    err: np.ndarray  # (N,)
+    both: np.ndarray  # (N,)
 
 
 def candidate_images(
@@ -416,9 +457,14 @@ def candidate_images(
         )
     cams = [intr[v] for v, _, _ in members]
     order = np.empty(int(bounds[-1]), dtype=np.intp)
+    fixed_px, fixed_valid = np.zeros((0, 2)), np.zeros(0, dtype=bool)
     if stacks:
         stacked_rows = np.concatenate([st.rows.ravel() for st in stacks])
         order[stacked_rows] = np.arange(order.size)
+        fixed_px = _flat([st.px[:, 0].reshape(-1, 2) for st in stacks], order)
+        fixed_valid = _flat([st.valid[:, 0].ravel() for st in stacks], order)
+    fixed_px.setflags(write=False)
+    fixed_valid.setflags(write=False)
     view_ids = [v for v, _, _ in members]
     object_ids = [o.id for _, o, _ in members]
     cameras = sorted(set(view_ids))
@@ -446,6 +492,8 @@ def candidate_images(
         sqrt_weight=np.repeat(np.sqrt(1.0 / counts), counts),
         stacks=tuple(stacks),
         order=order,
+        fixed_px=fixed_px,
+        fixed_valid=fixed_valid,
         workspace=Workspace(counts),
     )
 
@@ -491,56 +539,144 @@ def select_targets(
     poses: np.ndarray,
     images: CandidateImages,
     truncation: float,
-    projection=None,
+    evaluation: FrozenEvaluation | None = None,
 ) -> tuple[Targets, float]:
     """Pick the best symmetry per member; freeze its projected points.
 
-    `poses` is a `pose_stack`, and `projection`, when given, is its
-    `_project_points` (as `frozen_loss` returns it), which is then not
-    computed again. Returns the frozen targets and the (true) total loss at
-    `poses`. With no residual subsampling this is total_loss bit for bit:
-    the same projections, the same per-member means (a mean over the
-    contiguous last axis of a stack sums each member's row as a 1-D mean
-    does), the first minimum over symmetries, and a left-to-right sum in
-    member order.
+    `poses` is a `pose_stack`. Returns the frozen targets and the (true)
+    total loss at `poses`. With no residual subsampling this is total_loss
+    bit for bit: the same projections, the same per-member means (a mean
+    over the contiguous last axis of a stack sums each member's row as a
+    1-D mean does), the first minimum over symmetries, and a left-to-right
+    sum in member order.
+
+    Without `evaluation`, `poses` are projected, every member is scored
+    against its first element's image, and every member of a symmetric
+    stack is then scored over all its G elements. `evaluation`, when given,
+    is `frozen_loss` of the previous targets at these same poses (an
+    accepted trial's): its projection is not computed again, and its
+    per-member losses and active points stand for every member whose
+    choice cannot have changed, since they were computed against that
+    choice. A G = 1 member's choice never changes. A symmetric member's
+    element S* stands when no predicted point has changed validity since
+    its last full scoring, and
+
+        L[S*] + D < L[S] - D - slack   for every other element S,
+
+    with L its per-element losses from that scoring and D the mean
+    displacement of its valid predicted pixels since then. The truncated
+    per-point error is 1-Lipschitz in the predicted pixel, so each L[S]
+    has moved by at most D, and S* is still the first minimum; `slack`
+    (_CHOICE_SLACK of the truncation) covers rounding. Every other member
+    is scored over all its elements again, so the targets and the loss
+    are those of a full scoring, bit for bit.
     """
-    if projection is None:
+    if evaluation is None:
         projection = _project_points(poses, images)
+        px, valid = images.fixed_px, images.fixed_valid
+        member_loss, err, both = _frozen_terms(projection, px, valid, images, truncation)
+        scorings = (None,) * len(images.stacks)
+    else:
+        if evaluation.poses is not poses:
+            raise ValueError("the evaluation was not made at these poses")
+        projection, previous = evaluation.projection, evaluation.targets
+        px, valid, scorings = previous.px, previous.valid, previous.scorings
+        member_loss = evaluation.member_loss.copy()
+        err, both = evaluation.err, evaluation.both
     u, pred_px, pred_valid = projection
-    member_loss = np.empty(len(images.view_ids))
-    px, valid, active = [], [], []
-    for st in images.stacks:
+    active = both & (err < truncation)
+    slack = _CHOICE_SLACK * truncation
+    fresh = False  # whether px and valid are this selection's own copies
+    new_scorings = []
+    for st, old in zip(images.stacks, scorings):
+        k, g, m = st.valid.shape
+        if g == 1:
+            new_scorings.append(None)
+            continue
+        if old is None:
+            stale = np.arange(k)
+            old_pick = np.zeros(k, dtype=np.intp)
+        else:
+            stale = np.flatnonzero(~_choices_stand(old, st.rows, projection, slack))
+            old_pick = old.pick
+        if stale.size == 0:
+            new_scorings.append(old)
+            continue
+        losses = np.empty((stale.size, g))
+        pick = np.empty(stale.size, dtype=np.intp)
         # Members are scored in chunks whose (chunk, G, M, 2) pixel
         # differences hold at most _PAIRWISE_CHUNK entries, so a symmetric
         # stack's temporaries are recycled from the heap (see numeric.py).
-        _, g, m = st.valid.shape
         step = max(1, _PAIRWISE_CHUNK // (2 * g * m))
-        for lo in range(0, len(st.members), step):
-            chunk = slice(lo, lo + step)
-            rows, img_px, img_valid = st.rows[chunk], st.px[chunk], st.valid[chunk]
-            contrib, err, both = _truncated_errors(
+        for lo in range(0, stale.size, step):
+            # Slices, not index arrays, when every member is scored: the
+            # images are then read in place, not copied.
+            sel = slice(lo, lo + step) if old is None else stale[lo : lo + step]
+            rows, img_px, img_valid = st.rows[sel], st.px[sel], st.valid[sel]
+            contrib, e, b = _truncated_errors(
                 np.take(pred_px, rows, axis=0)[:, None],
                 np.take(pred_valid, rows)[:, None],
                 img_px, img_valid, truncation,
             )
-            losses = contrib.mean(axis=2)  # (chunk, G)
-            pick = (np.arange(len(rows)), losses.argmin(axis=1))
-            member_loss[st.members[chunk]] = losses[pick]
-            px.append(img_px[pick].reshape(-1, 2))
-            valid.append(img_valid[pick].ravel())
-            active.append((both[pick] & (err[pick] < truncation)).ravel())
-    active = _flat(active, images.order)
+            chunk = slice(lo, lo + len(rows))
+            losses[chunk] = contrib.mean(axis=2)  # (chunk, G)
+            pick[chunk] = losses[chunk].argmin(axis=1)
+            at = (np.arange(len(rows)), pick[chunk])
+            member_loss[st.members[sel]] = losses[chunk][at]
+            active[rows] = b[at] & (e[at] < truncation)
+            moved = pick[chunk] != old_pick[sel]
+            if moved.any():
+                if not fresh:
+                    px, valid, fresh = px.copy(), valid.copy(), True
+                px[rows[moved]] = img_px[at][moved]
+                valid[rows[moved]] = img_valid[at][moved]
+        rows = st.rows[stale]
+        scored = (losses, pick, np.take(pred_px, rows, axis=0), np.take(pred_valid, rows))
+        if old is None:
+            scoring = Scoring(*scored)
+        else:
+            scoring = Scoring(*(a.copy() for a in old))
+            for a, rescored in zip(scoring, scored):
+                a[stale] = rescored
+        new_scorings.append(scoring)
     targets = Targets(
         images=images,
         poses=poses,
         cam_points=u,
         pred_px=pred_px,
-        px=_flat(px, images.order),
-        valid=_flat(valid, images.order),
+        px=px,
+        valid=valid,
         active=active,
         active_counts=np.add.reduceat(active, images.bounds[:-1], dtype=np.intp),
+        scorings=tuple(new_scorings),
     )
     return targets, float(seq_sum(member_loss))
+
+
+def _choices_stand(
+    scoring: Scoring, rows: np.ndarray, projection: Projection, slack: float
+) -> np.ndarray:
+    """Whether each member of a symmetric stack (point indices `rows`)
+    keeps its chosen element at `projection`, by select_targets' bound."""
+    pred_valid = np.take(projection.valid, rows)
+    d = np.take(projection.px, rows, axis=0) - scoring.pred_px
+    shift = np.where(pred_valid, np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2), 0.0)
+    same_validity = (pred_valid == scoring.pred_valid).all(axis=1)
+    return same_validity & _margin_holds(
+        scoring.losses, scoring.pick, shift.mean(axis=1), slack
+    )
+
+
+def _margin_holds(
+    losses: np.ndarray, pick: np.ndarray, shift: np.ndarray, slack: float
+) -> np.ndarray:
+    """Whether losses[t, pick[t]] + shift[t] < losses[t, S] - shift[t] - slack
+    for every other element S of each row t of the (k, G) losses; always
+    for G = 1, never when a row holds a NaN."""
+    at = (np.arange(len(pick)), pick)
+    rivals = losses.copy()
+    rivals[at] = np.inf
+    return losses[at] + shift < rivals.min(axis=1) - shift - slack
 
 
 def _flat(per_stack: list[np.ndarray], order: np.ndarray) -> np.ndarray:
@@ -548,26 +684,41 @@ def _flat(per_stack: list[np.ndarray], order: np.ndarray) -> np.ndarray:
     return np.take(np.concatenate(per_stack), order, axis=0)
 
 
-def frozen_loss(
-    poses: np.ndarray, targets: Targets, truncation: float
-) -> tuple[float, Projection]:
-    """Truncated loss at a pose stack with the symmetry selection (targets)
-    held fixed.
-
-    Returns the loss and the projection it was computed from, which
-    `select_targets` at the same poses may reuse. At the selection poses the
-    loss equals select_targets' loss bit for bit, so a zero step never
-    passes the strict acceptance test on rounding.
-    """
-    images = targets.images
-    projection = _project_points(poses, images)
-    contrib, _, _ = _truncated_errors(
-        projection.px, projection.valid, targets.px, targets.valid, truncation
+def _frozen_terms(
+    projection: Projection,
+    px: np.ndarray,
+    valid: np.ndarray,
+    images: CandidateImages,
+    truncation: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each member's truncated loss against fixed per-point targets, and
+    each point's pixel error and joint validity."""
+    contrib, err, both = _truncated_errors(
+        projection.px, projection.valid, px, valid, truncation
     )
     member_loss = np.empty(len(images.view_ids))
     for st in images.stacks:
         member_loss[st.members] = np.take(contrib, st.rows).mean(axis=1)
-    return float(seq_sum(member_loss)), projection
+    return member_loss, err, both
+
+
+def frozen_loss(
+    poses: np.ndarray, targets: Targets, truncation: float
+) -> tuple[float, FrozenEvaluation]:
+    """Truncated loss at a pose stack with the symmetry selection (targets)
+    held fixed.
+
+    Returns the loss and the evaluation it was computed from, which
+    `select_targets` at the same poses starts from. At the selection poses
+    the loss equals select_targets' loss bit for bit, so a zero step never
+    passes the strict acceptance test on rounding.
+    """
+    projection = _project_points(poses, targets.images)
+    member_loss, err, both = _frozen_terms(
+        projection, targets.px, targets.valid, targets.images, truncation
+    )
+    evaluation = FrozenEvaluation(poses, targets, projection, member_loss, err, both)
+    return float(seq_sum(member_loss)), evaluation
 
 
 def linearize(poses: np.ndarray, targets: Targets) -> tuple[np.ndarray, np.ndarray]:
@@ -658,7 +809,9 @@ def normal_equations(
     adds [[K, -K], [-K, K]] and [k, -k] at its camera and object blocks;
     the gauge camera has no columns, so only its object block remains. A
     member's blocks are its camera and object rows of `pose_stack` less
-    one. K and k are BLAS products per member; np.add.at and
+    one. K and k are BLAS products per member, taken by one stacked
+    matmul when every member has the same number of active points and by a
+    loop of 2-D products otherwise (the same bits either way); np.add.at and
     np.subtract.at apply them in member order, and the four kinds of block
     (object-object, camera-camera, camera-object, object-camera) never
     share an entry, so each entry receives its additions in the order of a
@@ -668,13 +821,22 @@ def normal_equations(
     n_cam = len(images.cameras)
     n_blocks = n_cam - 1 + len(images.objects)
     live = np.flatnonzero(targets.active_counts)
-    ends = (2 * np.cumsum(targets.active_counts[live])).tolist()
-    k_mat = np.empty((live.shape[0], 6, 6))
-    k_vec = np.empty((live.shape[0], 6))
-    for t, (start, end) in enumerate(zip([0] + ends, ends)):
-        e_t = e[start:end]
-        k_mat[t] = e_t.T @ e_t
-        k_vec[t] = e_t.T @ r[start:end]
+    counts = targets.active_counts[live]
+    if live.size and (counts == counts[0]).all():
+        # Every member has the same rows: one stacked matmul per product,
+        # each member's equal to its 2-D product bit for bit.
+        e_3 = e.reshape(live.size, -1, 6)
+        e_3t = e_3.transpose(0, 2, 1)
+        k_mat = e_3t @ e_3
+        k_vec = (e_3t @ r.reshape(live.size, -1, 1))[:, :, 0]
+    else:
+        ends = (2 * np.cumsum(counts)).tolist()
+        k_mat = np.empty((live.size, 6, 6))
+        k_vec = np.empty((live.size, 6))
+        for t, (start, end) in enumerate(zip([0] + ends, ends)):
+            e_t = e[start:end]
+            k_mat[t] = e_t.T @ e_t
+            k_vec[t] = e_t.T @ r[start:end]
     c = images.camera_rows[live] - 1
     o = images.object_rows[live] + n_cam - 1
     h = np.zeros((n_blocks, n_blocks, 6, 6))
@@ -716,8 +878,10 @@ def refine(
 
     The poses live in one `pose_stack` for the whole descent: a damping
     trial is one `retract_matrices` of rows 1: (row 0 is the gauge camera),
-    the next selection reuses the projection `frozen_loss` made of an
-    accepted trial, and a SceneState is built only on return. Every pose
+    the next selection starts from the `frozen_loss` evaluation of an
+    accepted trial (its projection, and the losses of every member whose
+    symmetry choice cannot have changed), and a SceneState is built only on
+    return. Every pose
     and loss equals that of a loop over SceneStates (`oracles.refine` in
     the tests) bit for bit.
 
@@ -736,14 +900,14 @@ def refine(
     if images is None:
         images = candidate_images(objects, obs, geometry)
     poses = pose_stack(state, images)
-    projection = None  # of poses, kept from an accepted trial
+    evaluation = None  # frozen_loss at poses, kept from an accepted trial
     lam = cfg.damping_init
     eye = np.eye(6 * (len(poses) - 1))
 
     for _ in range(cfg.max_iterations):
-        targets, loss0 = select_targets(
-            poses, images, cfg.truncation, projection
-        )
+        targets, loss0 = select_targets(poses, images, cfg.truncation, evaluation)
+        # The evaluation holds the previous targets: free them.
+        evaluation = trial_evaluation = None
         if trace is not None:
             trace.append(loss0)
         if loss0 <= 1e-12:  # numerically zero; nothing left to gain
@@ -763,10 +927,10 @@ def refine(
                 continue
             trial = poses.copy()
             trial[1:] = retract_matrices(poses[1:], delta)
-            trial_loss, trial_projection = frozen_loss(trial, targets, cfg.truncation)
+            trial_loss, trial_evaluation = frozen_loss(trial, targets, cfg.truncation)
             if trial_loss < loss0:
                 rel_decrease = (loss0 - trial_loss) / loss0
-                poses, projection = trial, trial_projection
+                poses, evaluation = trial, trial_evaluation
                 lam = max(lam / cfg.damping_factor, 1e-15)
                 accepted = True
                 break
@@ -780,7 +944,7 @@ def refine(
         # After a failed ladder the poses are those of the last selection,
         # whose loss is loss0.
         if accepted:
-            loss0 = select_targets(poses, images, cfg.truncation, projection)[1]
+            loss0 = select_targets(poses, images, cfg.truncation, evaluation)[1]
         trace.append(loss0)
     return _with_poses(state, images, poses)
 

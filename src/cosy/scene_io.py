@@ -31,11 +31,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import CameraIntrinsics, Pose
-from .numeric import pairwise_sq_reduce
+from .numeric import pairwise_sq_reduce, point_norms
 from .symmetry import SymmetrySpec
 
 DIAMETER_MIN = 0.01
 DIAMETER_MAX = 2.0
+# Up to this many points max_pairwise_distance's bound costs more than the
+# part of the scan it saves: 44 against 41 us at 64 points, 45 against 65 us
+# at 96 (one core of a 2-vCPU x86 host, numpy 2.4).
+_PRUNE_MIN_POINTS = 64
 
 
 class ParseError(ValueError):
@@ -50,11 +54,19 @@ class InvariantError(ValueError):
     """Well-formed data violating a semantic constraint (e.g. z <= 0)."""
 
 
-class UnknownLabelError(KeyError):
-    """Candidate references a label absent from the model database."""
+class _PlainKeyError(KeyError):
+    """A KeyError whose message prints as given: KeyError's own str()
+    shows the repr of its argument."""
+
+    def __str__(self) -> str:
+        return str(self.args[0]) if self.args else ""
 
 
-class UnknownViewError(KeyError):
+class UnknownLabelError(_PlainKeyError):
+    """A candidate or object references a label absent from the model database."""
+
+
+class UnknownViewError(_PlainKeyError):
     """Candidate references a view_id absent from the view list."""
 
 
@@ -108,7 +120,24 @@ class ObjectModel:
 
 
 def max_pairwise_distance(pts: np.ndarray) -> float:
-    """Largest distance between two rows of an (N, 3) point array."""
+    """Largest distance between two rows of an (N, 3) point array.
+
+    With r_i the distance of point i from the centroid, no pair (i, j) lies
+    farther apart than r_i + r_j, so a point whose r_i + max(r) is below a
+    distance already realized (the farthest point's from the point farthest
+    from the centroid) belongs to no farther pair. Only the other points
+    are compared with each other; the bounds are widened by a relative 1e-9
+    that covers their rounding. The squared distances are computed as a
+    full scan computes them, so the maximum is the scan's bit for bit.
+    Clouds of at most _PRUNE_MIN_POINTS points are scanned in full.
+    """
+    pts = np.asarray(pts, dtype=np.float64)
+    if len(pts) > _PRUNE_MIN_POINTS:
+        r = point_norms(pts - pts.mean(axis=0))
+        far = int(np.argmax(r))
+        realized = pairwise_sq_reduce(pts[far : far + 1], pts, np.maximum)[0]
+        reach = (r + r[far]) * (1.0 + 1e-9)
+        pts = pts[reach * reach >= realized]
     return float(np.sqrt(pairwise_sq_reduce(pts, pts, np.maximum).max()))
 
 
@@ -125,7 +154,7 @@ class ModelDB:
         try:
             return self.models[label]
         except KeyError:
-            raise UnknownLabelError(label) from None
+            raise UnknownLabelError(f"unknown label {label!r}") from None
 
     def __contains__(self, label: str) -> bool:
         return label in self.models
@@ -176,7 +205,7 @@ class SceneObservations:
         known = set(ids)
         for c in self.candidates:
             if c.view_id not in known:
-                raise UnknownViewError(c.view_id)
+                raise UnknownViewError(f"unknown view_id {c.view_id!r}")
 
     def by_view(self) -> dict[str, list[tuple[int, Candidate]]]:
         """Candidates grouped by view, keeping their global index."""
@@ -225,10 +254,21 @@ class GroundTruthScene:
             raise ValueError("views and camera_poses must align")
         if len(self.object_labels) != len(self.object_poses):
             raise ValueError("object_labels and object_poses must align")
+        if not (math.isfinite(self.box_size) and self.box_size > 0):
+            raise InvariantError(
+                f"box_size must be finite and > 0, got {self.box_size}"
+            )
+        for i, label in enumerate(self.object_labels):
+            if label not in self.db:
+                raise UnknownLabelError(
+                    f"objects[{i}].label: unknown label {label!r}, not in the models"
+                )
         half = self.box_size / 2 + 1e-9
         for i, t in enumerate(self.object_poses):
             if np.any(np.abs(t.translation) > half):
-                raise InvariantError(f"object {i} outside the scene box")
+                raise InvariantError(
+                    f"objects[{i}] outside the scene box of size {self.box_size}"
+                )
 
     def camera_frame_pose(self, view_index: int, object_index: int) -> Pose:
         """Ground-truth pose of an object in one camera's frame."""
@@ -456,7 +496,7 @@ def load_observations(path, db: ModelDB | None = None) -> SceneObservations:
         where = f"{path}: candidates[{i}]"
         label = _string(_require(c, "label", where), f"{where}.label")
         if db is not None and label not in db:
-            raise UnknownLabelError(label)
+            raise UnknownLabelError(f"{where}.label: unknown label {label!r}")
         candidates.append(
             Candidate(
                 view_id=_string(_require(c, "view_id", where), f"{where}.view_id"),
@@ -589,12 +629,16 @@ def load_ground_truth(path, db: ModelDB) -> tuple[GroundTruthScene, tuple[int, .
         _integer(p, f"{path}: provenance[{i}]")
         for i, p in enumerate(_list(doc.get("provenance", []), f"{path}: provenance"))
     )
-    scene = GroundTruthScene(
-        db=db,
-        views=views,
-        camera_poses=tuple(c.pose_world for c in cameras),
-        object_labels=tuple(object_labels),
-        object_poses=tuple(object_poses),
-        box_size=_number(_require(doc, "box_size", str(path)), f"{path}: box_size"),
-    )
+    box_size = _number(_require(doc, "box_size", str(path)), f"{path}: box_size")
+    try:
+        scene = GroundTruthScene(
+            db=db,
+            views=views,
+            camera_poses=tuple(c.pose_world for c in cameras),
+            object_labels=tuple(object_labels),
+            object_poses=tuple(object_poses),
+            box_size=box_size,
+        )
+    except (InvariantError, UnknownLabelError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     return scene, provenance

@@ -132,6 +132,11 @@ def discretize(
             f"discretization yields {total} elements, cap is {max_elements}"
         )
 
+    if not spec.continuous_axes and all(
+        np.max(np.abs(d.matrix - np.eye(4))) <= _DEDUP_TOL for d in spec.discrete
+    ):
+        # Every candidate below would be a duplicate of the identity.
+        return SymmetryGroup.identity_only()
     discrete = np.stack([d.matrix for d in spec.discrete])
     candidates = np.concatenate(
         [np.eye(4)[None], (discrete[:, None] @ axis_rotations).reshape(-1, 4, 4)]

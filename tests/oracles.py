@@ -104,6 +104,19 @@ def adds_error(matrix_est, matrix_gt, pts):
     return total / len(pts)
 
 
+def distinct_rows(points):
+    """cosy.matching._distinct_rows as first written: a sequential scan that
+    keeps a row unless it lies within IMAGE_MERGE_TOL of a kept one."""
+    from cosy.matching import IMAGE_MERGE_TOL
+    from cosy.numeric import point_norms
+
+    kept = [0]
+    for k in range(1, len(points)):
+        if np.min(point_norms(points[kept] - points[k])) > IMAGE_MERGE_TOL:
+            kept.append(k)
+    return points[kept]
+
+
 def max_pairwise_distance(pts):
     """Largest distance between two rows of pts: the original per-row loop
     of the model diameter check, kept verbatim (numpy within a row)."""

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import threading
 
 import numpy as np
@@ -107,6 +108,24 @@ def test_simulate_rejects_non_finite_noise_and_no_points(tmp_path, capsys):
         assert "Traceback" not in shown.err
         assert shown.out == ""
         assert not out_dir.exists()
+
+
+def test_simulate_rejects_one_point_models_naming_the_flag(tmp_path, capsys):
+    # A one-point model has diameter 0. Symmetric labels build an orbit of
+    # at least 16 points, so a scene of symmetric labels only still works.
+    out_dir = tmp_path / "scene"
+    capsys.readouterr()
+    assert main(["simulate", "--out-dir", str(out_dir), "--seed", "0",
+                 "--n-points", "1"]) == EXIT_CONFIG
+    shown = capsys.readouterr()
+    assert "--n-points must be >= 2 for labels without symmetry, got 1" in shown.err
+    assert "Traceback" not in shown.err
+    assert shown.out == ""
+    assert not out_dir.exists()
+    assert main(["simulate", "--out-dir", str(out_dir), "--seed", "0",
+                 "--n-objects", "2", "--n-labels", "1",
+                 "--symmetric-labels", "obj_00", "--n-points", "1"]) == EXIT_OK
+    assert len(load_json(out_dir / "models.json")["models"]) == 1
 
 
 @pytest.mark.parametrize("flag, values, message", [
@@ -747,6 +766,30 @@ def _reorder_ground_truth_cameras(doc):
     doc["cameras"].reverse()
 
 
+def _nan_box_size(doc):
+    doc["box_size"] = math.nan
+
+
+def _infinite_box_size(doc):
+    doc["box_size"] = math.inf
+
+
+def _zero_box_size(doc):
+    doc["box_size"] = 0
+
+
+def _negative_box_size(doc):
+    doc["box_size"] = -0.5
+
+
+def _unknown_ground_truth_label(doc):
+    doc["objects"][1]["label"] = "obj_99"
+
+
+def _object_outside_the_box(doc):
+    doc["objects"][0]["pose_world"][3] = doc["box_size"]
+
+
 @pytest.mark.parametrize("name, break_doc, message", [
     ("estimate.json", _break_estimate_member,
      "objects[0].members[0]: must be an object, got int"),
@@ -755,6 +798,18 @@ def _reorder_ground_truth_cameras(doc):
     ("ground_truth.json", _drop_box_size, "missing field 'box_size'"),
     ("ground_truth.json", _reorder_ground_truth_cameras,
      "ground_truth.json: cameras must list the views' view_ids"),
+    ("ground_truth.json", _nan_box_size,
+     "ground_truth.json: box_size must be finite and > 0, got nan"),
+    ("ground_truth.json", _infinite_box_size,
+     "ground_truth.json: box_size must be finite and > 0, got inf"),
+    ("ground_truth.json", _zero_box_size,
+     "ground_truth.json: box_size must be finite and > 0, got 0.0"),
+    ("ground_truth.json", _negative_box_size,
+     "ground_truth.json: box_size must be finite and > 0, got -0.5"),
+    ("ground_truth.json", _unknown_ground_truth_label,
+     "ground_truth.json: objects[1].label: unknown label 'obj_99'"),
+    ("ground_truth.json", _object_outside_the_box,
+     "ground_truth.json: objects[0] outside the scene box"),
 ])
 def test_eval_malformed_input_exits_2_naming_the_field(
         tmp_path, capsys, name, break_doc, message):

@@ -781,6 +781,48 @@ def test_distinct_images_drop_only_near_duplicates():
     assert np.array_equal(off_axis.distinct, off_axis.images)
 
 
+@pytest.mark.parametrize("chunk", [1, 7, None], ids=["row-each", "ragged", "default"])
+def test_distinct_rows_equal_sequential_scan(monkeypatch, chunk):
+    # Clouds of images with exact and near copies (within and beyond
+    # IMAGE_MERGE_TOL of a kept or of a dropped row), in several row blocks.
+    if chunk is not None:
+        monkeypatch.setattr(cosy.matching, "_PAIRWISE_CHUNK", chunk)
+    rng = np.random.default_rng(44)
+    for _ in range(60):
+        n = int(rng.integers(1, 80))
+        points = rng.normal(size=(n, 3)) * 0.01
+        copies = rng.integers(0, n, size=(n // 2, 2))
+        scale = rng.choice([0.0, 0.4, 0.9, 2.0], size=(n // 2, 1)) * IMAGE_MERGE_TOL
+        points[copies[:, 0]] = points[copies[:, 1]] + scale * np.array([1.0, 0, 0])
+        want = oracles.distinct_rows(points)
+        got = cosy.matching._distinct_rows(points)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_identity_only_geometry_equals_applied_identity():
+    # Labels without symmetry skip apply_matrices: adding 0.0 gives the
+    # same bits, -0.0 coordinates included.
+    db = make_models(["a", "b"], seed=45, n_points=30, symmetric=("b",))
+    pts = db["a"].points.copy()
+    pts[0] = [-0.0, 0.0, -0.0]
+    pts[1, 2] = -0.0
+    model = ObjectModel("a", pts, db["a"].diameter * 1.1, db["a"].symmetries)
+    geo = label_geometry(ModelDB({"a": model, "b": db["b"]}), ["a", "b"])
+    for label, size in (("a", 1), ("b", 64)):
+        entry = geo[label]
+        assert len(entry.group) == size
+        eye_images = apply_matrices(entry.group.matrices, entry.centroid)
+        want_points = apply_matrices(entry.group.matrices, entry.model.points)
+        assert entry.images.tobytes() == eye_images.reshape(size, 3).tobytes()
+        assert entry.sym_points.shape == want_points.shape
+        assert entry.sym_points.tobytes() == want_points.tobytes()
+        assert not entry.sym_points.flags.writeable
+        want = oracles.distinct_rows(entry.images)
+        assert entry.distinct.tobytes() == want.tobytes()
+    assert np.signbit(geo["a"].model.points[0]).tolist() == [True, False, True]
+    assert not np.signbit(geo["a"].sym_points[0, 0]).any()
+
+
 @pytest.mark.parametrize("symmetric", [False, True], ids=["unique", "symmetric"])
 def test_anchor_bound_covers_inliers_at_a_tight_threshold(symmetric):
     db, scene = small_scene(4, 2, seed=71, symmetric=("obj_02",) if symmetric else ())

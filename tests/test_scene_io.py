@@ -114,6 +114,39 @@ class TestMaxPairwiseDistance:
             pts = rng.normal(size=(17, 3)) * 0.05
             assert sio.max_pairwise_distance(pts) == oracles.max_pairwise_distance(pts)
 
+    def test_pruned_scan_equals_row_loop_on_hard_clouds(self, monkeypatch):
+        # Clouds where many points reach the centroid bound (points on a
+        # sphere, a shell with its centre, repeated points, two far
+        # clusters, collinear points, a cloud far from the origin, N = 2),
+        # and a check that a uniform cloud scans only some of its points.
+        rng = np.random.default_rng(25)
+        clouds = [np.array([[0.3, -0.1, 0.2], [0.3, -0.1, 0.2]]),
+                  np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.1]])]
+        for _ in range(40):
+            n = int(rng.integers(2, 200))
+            sphere = rng.normal(size=(n, 3))
+            sphere /= np.linalg.norm(sphere, axis=1)[:, None]
+            shell = np.concatenate([sphere * 0.05, [[0.0, 0.0, 0.0]]])
+            repeated = np.round(rng.uniform(-2, 2, size=(n, 3))) * 0.01
+            clusters = rng.normal(size=(n, 3)) * 1e-3
+            clusters[: n // 2] += 0.2
+            line = np.outer(rng.uniform(-1, 1, n), rng.normal(size=3)) * 0.05
+            far = rng.uniform(-0.05, 0.05, size=(n, 3)) + 1e3
+            clouds += [sphere * 0.07, shell, repeated, clusters, line, far]
+        for pts in clouds:
+            assert sio.max_pairwise_distance(pts) == oracles.max_pairwise_distance(pts)
+        scanned = []
+        real = sio.pairwise_sq_reduce
+
+        def recording(a, b, reduce):
+            scanned.append((len(a), len(b)))
+            return real(a, b, reduce)
+
+        monkeypatch.setattr(sio, "pairwise_sq_reduce", recording)
+        pts = rng.uniform(-0.05, 0.05, size=(250, 3))
+        assert sio.max_pairwise_distance(pts) == oracles.max_pairwise_distance(pts)
+        assert scanned[0] == (1, 250) and scanned[1][0] < 125
+
     def test_diameter_acceptance_at_the_tolerance(self):
         # The check rejects d < spread * (1 - 1e-6), spread from the row loop:
         # the edge itself and one ulp above load, one ulp below does not.

@@ -145,6 +145,14 @@ class TestDiscretize:
 
         return {
             "identity-only": (sym.SymmetrySpec.none(), 64),
+            # Copies within _DEDUP_TOL of the identity, and no axis: the
+            # group is the identity alone.
+            "near-identity-only": (
+                sym.SymmetrySpec(discrete=(shifted(Pose.identity(), 1e-9),
+                                           Pose.identity(),
+                                           shifted(Pose.identity(), -0.5e-9))),
+                64,
+            ),
             "discrete-x-continuous": (
                 sym.SymmetrySpec(discrete=(Pose.identity(), flip_x, flip_z, tilted),
                                  continuous_axes=z_axis),
@@ -180,7 +188,8 @@ class TestDiscretize:
 
     @pytest.mark.parametrize("block", [None, 1, 100])
     @pytest.mark.parametrize(
-        "case", ["identity-only", "discrete-x-continuous", "near-duplicates", "two-axes"]
+        "case", ["identity-only", "discrete-x-continuous", "near-duplicates", "two-axes",
+                 "near-identity-only"]
     )
     def test_equals_sequential_scan_oracle(self, monkeypatch, case, block):
         if block is not None:  # several row blocks of the pairwise table
@@ -194,6 +203,8 @@ class TestDiscretize:
         if case == "near-duplicates":
             # the identity, the 1.6e-9 copy and flip_x with its 2e-9 copy
             assert len(want) == 4 * angles
+        if case.endswith("identity-only"):
+            assert len(want) == 1
 
 
 class TestSymmetricDistance:
