@@ -370,6 +370,17 @@ def _metrics_doc(metrics) -> dict:
     }
 
 
+def _load_estimate(path, db) -> SceneEstimate:
+    """load_estimate, with each object's label checked against the models."""
+    est = load_estimate(path)
+    for i, obj in enumerate(est.objects):
+        if obj.label not in db:
+            raise UnknownLabelError(
+                f"{path}: objects[{i}].label: unknown label {obj.label!r}"
+            )
+    return est
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     # Checked before any file is read: 0 or nan would score every pair a
     # miss, and a negative gate would be written into the comparison.
@@ -378,7 +389,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if not (np.isfinite(value) and value > 0):
             raise ValueError(f"{flag} must be finite and > 0, got {value}")
     db = load_models(args.models)
-    est = load_estimate(args.estimate)
+    est = _load_estimate(args.estimate, db)
+    before_est = _load_estimate(args.before, db) if args.before else None
     scene, _provenance = load_ground_truth(args.ground_truth, db)
 
     gts = _per_view_records(
@@ -401,11 +413,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "config": _config(args),
     }
 
-    if args.before:
+    if before_est is not None:
         # Stage comparison gates at a generous fraction of the diameter so
         # pre-refinement states (which rarely clear the strict recall gate)
         # still produce a number; wildly wrong poses count as misses.
-        before_est = load_estimate(args.before)
         before_report = evaluate(
             _estimate_records(before_est),
             gts,
@@ -444,8 +455,27 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------- report
 
 
-def _fmt(value, spec=".4f") -> str:
-    return "n/a" if value is None else format(value, spec)
+def _report_object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(f"{where}: must be an object, got {type(value).__name__}")
+    return value
+
+
+def _report_metric(obj: dict, key: str, where: str, spec: str = ".4f") -> str:
+    """obj[key] formatted with `spec`; "n/a" when it is null or absent."""
+    value = obj.get(key)
+    if value is None:
+        return "n/a"
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{where}.{key}: must be a number or null, got {value!r:.40}")
+    return format(value, spec)
+
+
+def _report_count(obj: dict, key: str, where: str) -> int:
+    value = obj.get(key)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{where}.{key}: must be an integer, got {value!r:.40}")
+    return value
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -453,35 +483,44 @@ def cmd_report(args: argparse.Namespace) -> int:
     for key in ("aggregate", "per_label"):
         if key not in doc:
             raise SchemaError(f"{args.input}: missing '{key}'")
-    agg = doc["aggregate"]
+    where = f"{args.input}: aggregate"
+    agg = _report_object(doc["aggregate"], where)
     lines = [
         "aggregate metrics",
-        f"  ADD     : {_fmt(agg.get('add'))}",
-        f"  ADD-S   : {_fmt(agg.get('adds'))}",
-        f"  AUC     : {_fmt(agg.get('auc_adds'))}",
-        f"  recall  : {_fmt(agg.get('recall_0p1d'))}",
-        f"  mAP     : {_fmt(agg.get('map_adds'))}",
-        f"  matched : {agg.get('n_matched')}/{agg.get('n_gt')} "
-        f"({agg.get('n_predictions')} predictions)",
+        f"  ADD     : {_report_metric(agg, 'add', where)}",
+        f"  ADD-S   : {_report_metric(agg, 'adds', where)}",
+        f"  AUC     : {_report_metric(agg, 'auc_adds', where)}",
+        f"  recall  : {_report_metric(agg, 'recall_0p1d', where)}",
+        f"  mAP     : {_report_metric(agg, 'map_adds', where)}",
+        f"  matched : {_report_count(agg, 'n_matched', where)}/"
+        f"{_report_count(agg, 'n_gt', where)} "
+        f"({_report_count(agg, 'n_predictions', where)} predictions)",
         "",
         f"{'label':<12} {'ADD-S':>10} {'AUC':>8} {'recall':>8} {'AP':>8} {'gt':>4}",
     ]
-    for label, m in sorted(doc["per_label"].items()):
+    per_label = _report_object(doc["per_label"], f"{args.input}: per_label")
+    for label, m in sorted(per_label.items()):
+        where = f"{args.input}: per_label.{label}"
+        m = _report_object(m, where)
         lines.append(
-            f"{label:<12} {_fmt(m.get('adds'), '.6f'):>10} "
-            f"{_fmt(m.get('auc_adds')):>8} {_fmt(m.get('recall_0p1d')):>8} "
-            f"{_fmt(m.get('ap_adds')):>8} {m.get('n_gt'):>4}"
+            f"{label:<12} {_report_metric(m, 'adds', where, '.6f'):>10} "
+            f"{_report_metric(m, 'auc_adds', where):>8} "
+            f"{_report_metric(m, 'recall_0p1d', where):>8} "
+            f"{_report_metric(m, 'ap_adds', where):>8} "
+            f"{_report_count(m, 'n_gt', where):>4}"
         )
     if "comparison" in doc:
-        comp = doc["comparison"]
+        where = f"{args.input}: comparison"
+        comp = _report_object(doc["comparison"], where)
         lines += [
             "",
             "refinement comparison (ADD-S, mm)",
-            f"  before : {_fmt(comp.get('before_adds_mm'), '.2f')} "
-            f"({comp.get('before_matched')} matched)",
-            f"  after  : {_fmt(comp.get('after_adds_mm'), '.2f')} "
-            f"({comp.get('after_matched')} matched)",
-            f"  change : {_fmt(comp.get('reduction_percent'), '.1f')}% reduction",
+            f"  before : {_report_metric(comp, 'before_adds_mm', where, '.2f')} "
+            f"({_report_count(comp, 'before_matched', where)} matched)",
+            f"  after  : {_report_metric(comp, 'after_adds_mm', where, '.2f')} "
+            f"({_report_count(comp, 'after_matched', where)} matched)",
+            f"  change : {_report_metric(comp, 'reduction_percent', where, '.1f')}"
+            "% reduction",
         ]
     text = "\n".join(lines) + "\n"
     print(text, end="")

@@ -12,8 +12,8 @@ projection induced by the current world state. The symmetry choice is
 re-selected at the start of each outer iteration and frozen inside the
 linearized step, which keeps the inner problem smooth; re-selection can
 only lower the loss, so accepted steps descend monotonically in the true
-objective as well. A member's choice is re-scored over its symmetries only
-when a bound says it could have changed (see `select_targets`). Each
+objective as well. Every member of a symmetric label is scored over all
+its symmetries at each re-selection (see `select_targets`). Each
 label's discretized group and symmetry images come from the solve's
 `label_geometry` map, which matching reads too.
 """
@@ -46,10 +46,6 @@ from .symmetry import discretize  # noqa: F401
 DEFAULT_TRUNCATION_PX = 25.0
 MAX_RESIDUAL_POINTS = 500
 _DAMPING_CEILING = 1e12
-# Rounding allowance of select_targets' re-scoring bound, as a fraction of
-# the truncation: far above the rounding of a mean of contributions that are
-# each at most the truncation.
-_CHOICE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -367,26 +363,14 @@ class Projection(NamedTuple):
     valid: np.ndarray
 
 
-class Scoring(NamedTuple):
-    """The last full scoring of each member of a symmetric image stack: its
-    per-element losses, its chosen element, and the predicted pixels and
-    validity those losses were computed from."""
-
-    losses: np.ndarray  # (k, G)
-    pick: np.ndarray  # (k,)
-    pred_px: np.ndarray  # (k, M, 2)
-    pred_valid: np.ndarray  # (k, M)
-
-
 @dataclass(frozen=True)
 class Targets:
     """One outer iteration's symmetry selection, per point like its images.
 
     It keeps the selection's pose stack and its projection, so `linearize`
-    at those poses projects nothing. `scorings` follow `images.stacks`,
-    None for a G = 1 stack; `px` and `valid` are `images.fixed_px` and
-    `fixed_valid` while every member keeps its first element, and are never
-    written once built.
+    at those poses projects nothing. `px` and `valid` are `images.fixed_px`
+    and `fixed_valid` when every member picks its first element, and are
+    never written once built.
     """
 
     images: CandidateImages
@@ -397,16 +381,14 @@ class Targets:
     valid: np.ndarray  # (N,)
     active: np.ndarray  # (N,), points that carry gradient at selection
     active_counts: np.ndarray  # (T,), active points of each member
-    scorings: tuple[Scoring | None, ...]
 
 
 class FrozenEvaluation(NamedTuple):
-    """What `frozen_loss` computed at a pose stack: the projection, each
-    member's loss, and each point's pixel error and joint validity against
-    `targets`. `select_targets` at the same poses starts from it."""
+    """What `frozen_loss` computed at a pose stack against some targets:
+    the projection, each member's loss, and each point's pixel error and
+    joint validity. `select_targets` at the same poses starts from it."""
 
     poses: np.ndarray
-    targets: Targets
     projection: Projection
     member_loss: np.ndarray  # (T,)
     err: np.ndarray  # (N,)
@@ -550,95 +532,55 @@ def select_targets(
     1-D mean does), the first minimum over symmetries, and a left-to-right
     sum in member order.
 
-    Without `evaluation`, `poses` are projected, every member is scored
-    against its first element's image, and every member of a symmetric
-    stack is then scored over all its G elements. `evaluation`, when given,
-    is `frozen_loss` of the previous targets at these same poses (an
-    accepted trial's): its projection is not computed again, and its
-    per-member losses and active points stand for every member whose
-    choice cannot have changed, since they were computed against that
-    choice. A G = 1 member's choice never changes. A symmetric member's
-    element S* stands when no predicted point has changed validity since
-    its last full scoring, and
-
-        L[S*] + D < L[S] - D - slack   for every other element S,
-
-    with L its per-element losses from that scoring and D the mean
-    displacement of its valid predicted pixels since then. The truncated
-    per-point error is 1-Lipschitz in the predicted pixel, so each L[S]
-    has moved by at most D, and S* is still the first minimum; `slack`
-    (_CHOICE_SLACK of the truncation) covers rounding. Every other member
-    is scored over all its elements again, so the targets and the loss
-    are those of a full scoring, bit for bit.
+    Without `evaluation`, `poses` are projected and every member is scored
+    against its first element's image. `evaluation`, when given, is
+    `frozen_loss` at these same poses (an accepted trial's): its projection
+    is not computed again, and its losses and active points stand for every
+    G = 1 member, whose one image is its target in every selection. Either
+    way, every member of a symmetric stack is then scored over all its G
+    elements, so the targets and the loss are those of a full scoring.
     """
     if evaluation is None:
         projection = _project_points(poses, images)
-        px, valid = images.fixed_px, images.fixed_valid
-        member_loss, err, both = _frozen_terms(projection, px, valid, images, truncation)
-        scorings = (None,) * len(images.stacks)
+        member_loss, err, both = _frozen_terms(
+            projection, images.fixed_px, images.fixed_valid, images, truncation
+        )
     else:
         if evaluation.poses is not poses:
             raise ValueError("the evaluation was not made at these poses")
-        projection, previous = evaluation.projection, evaluation.targets
-        px, valid, scorings = previous.px, previous.valid, previous.scorings
+        projection = evaluation.projection
         member_loss = evaluation.member_loss.copy()
         err, both = evaluation.err, evaluation.both
     u, pred_px, pred_valid = projection
     active = both & (err < truncation)
-    slack = _CHOICE_SLACK * truncation
-    fresh = False  # whether px and valid are this selection's own copies
-    new_scorings = []
-    for st, old in zip(images.stacks, scorings):
+    px, valid = images.fixed_px, images.fixed_valid
+    for st in images.stacks:
         k, g, m = st.valid.shape
         if g == 1:
-            new_scorings.append(None)
             continue
-        if old is None:
-            stale = np.arange(k)
-            old_pick = np.zeros(k, dtype=np.intp)
-        else:
-            stale = np.flatnonzero(~_choices_stand(old, st.rows, projection, slack))
-            old_pick = old.pick
-        if stale.size == 0:
-            new_scorings.append(old)
-            continue
-        losses = np.empty((stale.size, g))
-        pick = np.empty(stale.size, dtype=np.intp)
         # Members are scored in chunks whose (chunk, G, M, 2) pixel
         # differences hold at most _PAIRWISE_CHUNK entries, so a symmetric
         # stack's temporaries are recycled from the heap (see numeric.py).
         step = max(1, _PAIRWISE_CHUNK // (2 * g * m))
-        for lo in range(0, stale.size, step):
-            # Slices, not index arrays, when every member is scored: the
-            # images are then read in place, not copied.
-            sel = slice(lo, lo + step) if old is None else stale[lo : lo + step]
+        for lo in range(0, k, step):
+            sel = slice(lo, lo + step)
             rows, img_px, img_valid = st.rows[sel], st.px[sel], st.valid[sel]
             contrib, e, b = _truncated_errors(
                 np.take(pred_px, rows, axis=0)[:, None],
                 np.take(pred_valid, rows)[:, None],
                 img_px, img_valid, truncation,
             )
-            chunk = slice(lo, lo + len(rows))
-            losses[chunk] = contrib.mean(axis=2)  # (chunk, G)
-            pick[chunk] = losses[chunk].argmin(axis=1)
-            at = (np.arange(len(rows)), pick[chunk])
-            member_loss[st.members[sel]] = losses[chunk][at]
+            losses = contrib.mean(axis=2)  # (chunk, G)
+            pick = losses.argmin(axis=1)
+            at = (np.arange(len(rows)), pick)
+            member_loss[st.members[sel]] = losses[at]
             active[rows] = b[at] & (e[at] < truncation)
-            moved = pick[chunk] != old_pick[sel]
+            moved = pick != 0
             if moved.any():
-                if not fresh:
-                    px, valid, fresh = px.copy(), valid.copy(), True
+                if px is images.fixed_px:
+                    px, valid = px.copy(), valid.copy()
                 px[rows[moved]] = img_px[at][moved]
                 valid[rows[moved]] = img_valid[at][moved]
-        rows = st.rows[stale]
-        scored = (losses, pick, np.take(pred_px, rows, axis=0), np.take(pred_valid, rows))
-        if old is None:
-            scoring = Scoring(*scored)
-        else:
-            scoring = Scoring(*(a.copy() for a in old))
-            for a, rescored in zip(scoring, scored):
-                a[stale] = rescored
-        new_scorings.append(scoring)
     targets = Targets(
         images=images,
         poses=poses,
@@ -648,35 +590,8 @@ def select_targets(
         valid=valid,
         active=active,
         active_counts=np.add.reduceat(active, images.bounds[:-1], dtype=np.intp),
-        scorings=tuple(new_scorings),
     )
     return targets, float(seq_sum(member_loss))
-
-
-def _choices_stand(
-    scoring: Scoring, rows: np.ndarray, projection: Projection, slack: float
-) -> np.ndarray:
-    """Whether each member of a symmetric stack (point indices `rows`)
-    keeps its chosen element at `projection`, by select_targets' bound."""
-    pred_valid = np.take(projection.valid, rows)
-    d = np.take(projection.px, rows, axis=0) - scoring.pred_px
-    shift = np.where(pred_valid, np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2), 0.0)
-    same_validity = (pred_valid == scoring.pred_valid).all(axis=1)
-    return same_validity & _margin_holds(
-        scoring.losses, scoring.pick, shift.mean(axis=1), slack
-    )
-
-
-def _margin_holds(
-    losses: np.ndarray, pick: np.ndarray, shift: np.ndarray, slack: float
-) -> np.ndarray:
-    """Whether losses[t, pick[t]] + shift[t] < losses[t, S] - shift[t] - slack
-    for every other element S of each row t of the (k, G) losses; always
-    for G = 1, never when a row holds a NaN."""
-    at = (np.arange(len(pick)), pick)
-    rivals = losses.copy()
-    rivals[at] = np.inf
-    return losses[at] + shift < rivals.min(axis=1) - shift - slack
 
 
 def _flat(per_stack: list[np.ndarray], order: np.ndarray) -> np.ndarray:
@@ -717,7 +632,7 @@ def frozen_loss(
     member_loss, err, both = _frozen_terms(
         projection, targets.px, targets.valid, targets.images, truncation
     )
-    evaluation = FrozenEvaluation(poses, targets, projection, member_loss, err, both)
+    evaluation = FrozenEvaluation(poses, projection, member_loss, err, both)
     return float(seq_sum(member_loss)), evaluation
 
 
@@ -879,11 +794,10 @@ def refine(
     The poses live in one `pose_stack` for the whole descent: a damping
     trial is one `retract_matrices` of rows 1: (row 0 is the gauge camera),
     the next selection starts from the `frozen_loss` evaluation of an
-    accepted trial (its projection, and the losses of every member whose
-    symmetry choice cannot have changed), and a SceneState is built only on
-    return. Every pose
-    and loss equals that of a loop over SceneStates (`oracles.refine` in
-    the tests) bit for bit.
+    accepted trial (its projection, and the losses and active points of
+    every member without symmetry), and a SceneState is built only on
+    return. Every pose and loss equals that of a loop over SceneStates
+    (`oracles.refine` in the tests) bit for bit.
 
     `trace`, when given, collects the true total loss at the start of each
     outer iteration plus the final value, unless the descent stopped on a
@@ -906,7 +820,7 @@ def refine(
 
     for _ in range(cfg.max_iterations):
         targets, loss0 = select_targets(poses, images, cfg.truncation, evaluation)
-        # The evaluation holds the previous targets: free them.
+        # Spent: free its arrays before the damping ladder.
         evaluation = trial_evaluation = None
         if trace is not None:
             trace.append(loss0)

@@ -829,6 +829,27 @@ def test_eval_malformed_input_exits_2_naming_the_field(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--estimate", "--before"])
+def test_eval_rejects_an_estimate_label_absent_from_the_models(
+        tmp_path, capsys, flag):
+    models, obs, gt_path = simulate(tmp_path, "--n-objects", "3",
+                                    "--n-views", "3")
+    out_est = tmp_path / "estimate.json"
+    assert solve(models, obs, out_est) == EXIT_OK
+    broken = tmp_path / "broken.json"
+    doc = json.loads(out_est.read_text())
+    doc["objects"][0]["label"] = "zzz"
+    broken.write_text(json.dumps(doc))
+    estimate, before = (broken, out_est) if flag == "--estimate" else (out_est, broken)
+    capsys.readouterr()
+    out = tmp_path / "report.json"
+    assert run_eval(models, estimate, gt_path, out, "--before", str(before)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{broken}: objects[0].label: unknown label 'zzz'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------- report
 
 
@@ -849,10 +870,44 @@ def test_report_renders_eval_output(tmp_path, capsys):
     assert text_out.read_text() in shown
 
 
-def test_report_rejects_non_report_json(tmp_path):
+def test_report_rejects_non_report_json(tmp_path, capsys):
     path = tmp_path / "x.json"
     path.write_text('{"not": "a report"}')
     assert main(["report", "--input", str(path)]) == EXIT_CONFIG
+    # A well-formed report renders; each broken copy exits 2 naming the key.
+    counts = {"n_gt": 2, "n_matched": 1, "n_predictions": 3}
+    good = {
+        "aggregate": {"add": 0.01, "adds": None, "auc_adds": 0.5,
+                      "recall_0p1d": 1, "map_adds": 0.5, **counts},
+        "per_label": {"obj_00": {"adds": 0.002, "auc_adds": 0.5,
+                                 "recall_0p1d": 1.0, "ap_adds": None, "n_gt": 2}},
+        "comparison": {"before_adds_mm": 4.0, "after_adds_mm": 2.0,
+                       "before_matched": 1, "after_matched": 1,
+                       "reduction_percent": 50.0},
+    }
+    path.write_text(json.dumps(good))
+    assert main(["report", "--input", str(path)]) == EXIT_OK
+    broken = [
+        ({"aggregate": []}, "aggregate: must be an object, got list"),
+        ({"per_label": {"obj_00": {}}},
+         "per_label.obj_00.n_gt: must be an integer, got None"),
+        ({"per_label": {"obj_00": 7}}, "per_label.obj_00: must be an object, got int"),
+        ({"per_label": []}, "per_label: must be an object, got list"),
+        ({"comparison": 3}, "comparison: must be an object, got int"),
+        ({"aggregate": {**good["aggregate"], "adds": "x"}},
+         "aggregate.adds: must be a number or null, got 'x'"),
+        ({"aggregate": {**good["aggregate"], "n_gt": 2.5}},
+         "aggregate.n_gt: must be an integer, got 2.5"),
+        ({"comparison": {**good["comparison"], "after_adds_mm": True}},
+         "comparison.after_adds_mm: must be a number or null, got True"),
+    ]
+    for change, message in broken:
+        path.write_text(json.dumps({**good, **change}))
+        capsys.readouterr()
+        assert main(["report", "--input", str(path)]) == EXIT_CONFIG, message
+        err = capsys.readouterr().err
+        assert f"{path}: {message}" in err
+        assert "Traceback" not in err
 
 
 # -------------------------------------------------------------------- misc
