@@ -62,6 +62,7 @@ from .scene_io import (
     SchemaError,
     UnknownLabelError,
     dump_json,
+    is_json_number,
     load_estimate,
     load_ground_truth,
     load_json,
@@ -466,7 +467,7 @@ def _report_metric(obj: dict, key: str, where: str, spec: str = ".4f") -> str:
     value = obj.get(key)
     if value is None:
         return "n/a"
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not is_json_number(value):
         raise SchemaError(f"{where}.{key}: must be a number or null, got {value!r:.40}")
     return format(value, spec)
 

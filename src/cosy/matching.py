@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Pose, apply_matrices, apply_matrix
-from .numeric import _PAIRWISE_CHUNK, point_norms
+from .numeric import _PAIRWISE_CHUNK, first_of_near, point_norms
 from .scene_io import ModelDB, ObjectModel, SceneObservations
 from .symmetry import SymmetryGroup, discretize, symmetric_distance
 
@@ -150,8 +150,9 @@ class LabelGeometry:
     group: SymmetryGroup
     sym_points: np.ndarray  # (G, M, 3): S x, read-only
     centroid: np.ndarray  # (3,)
-    images: np.ndarray  # (G, 3): S c for each group element, in group order
-    distinct: np.ndarray  # (D, 3): images, less those within IMAGE_MERGE_TOL
+    # (D, 3): the images S c of the group elements, in group order, less
+    # those within IMAGE_MERGE_TOL of an earlier one
+    distinct: np.ndarray
 
 
 def label_geometry(
@@ -168,17 +169,17 @@ def label_geometry(
             # discretize's one element is exactly the identity, whose
             # apply_matrices adds zeros: for finite points that only turns
             # -0.0 into 0.0, as adding 0.0 does.
-            images = c[None] + 0.0
             sym_points = model.points[None] + 0.0
-            distinct = images
+            distinct = c[None] + 0.0
         else:
-            images = apply_matrices(group.matrices, c).reshape(len(group), 3)
             sym_points = apply_matrices(group.matrices, model.points)
-            distinct = _distinct_rows(images)
+            distinct = _distinct_rows(
+                apply_matrices(group.matrices, c).reshape(len(group), 3)
+            )
         sym_points.setflags(write=False)
         geometry[label] = LabelGeometry(
             model=model, group=group, sym_points=sym_points, centroid=c,
-            images=images, distinct=distinct,
+            distinct=distinct,
         )
     return geometry
 
@@ -187,23 +188,16 @@ def _distinct_rows(points: np.ndarray) -> np.ndarray:
     """Rows of (G, 3) `points`, less each within IMAGE_MERGE_TOL of an
     earlier kept row.
 
-    As in symmetry._first_of_duplicates, one table of the distances between
-    each row and every earlier one, built in row blocks, decides every
-    pair; only the rows near an earlier one are then scanned in order
-    against the kept ones. point_norms of p_j - p_k and of p_k - p_j agree
-    bit for bit, so each decision is the sequential scan's.
+    point_norms of p_j - p_k and of p_k - p_j agree bit for bit, so
+    `first_of_near`'s blocked table decides each pair as a sequential scan
+    does.
     """
-    n = len(points)
-    near = np.zeros((n, n), dtype=bool)  # near[i, j]: j < i within the tolerance
-    rows = max(1, _PAIRWISE_CHUNK // n)
-    for start in range(0, n, rows):
-        stop = min(n, start + rows)
+
+    def near(start: int, stop: int) -> np.ndarray:
         d = point_norms(points[start:stop, None] - points[None, :stop])
-        near[start:stop, :stop] = np.tril(~(d > IMAGE_MERGE_TOL), start - 1)
-    keep = ~near.any(axis=1)
-    for i in np.flatnonzero(~keep):  # near[i, j] is False for j >= i
-        keep[i] = not (near[i] & keep).any()
-    return points[keep]
+        return ~(d > IMAGE_MERGE_TOL)
+
+    return points[first_of_near(len(points), near, _PAIRWISE_CHUNK)]
 
 
 def relative_pose_from_pairs(

@@ -67,3 +67,25 @@ def pairwise_sq_reduce(a: np.ndarray, b: np.ndarray, reduce: np.ufunc) -> np.nda
         dx += dz
         out[start : start + rows] = reduce.reduce(dx, axis=1)
     return out
+
+
+def first_of_near(n: int, near_block, block: int) -> np.ndarray:
+    """Mask of the n items that a sequential scan keeps: item i is kept
+    unless it is near some kept earlier item.
+
+    `near_block(start, stop)` returns the bool (stop - start, stop) table
+    of whether item j is near item i, for i in start:stop and j < stop,
+    from a symmetric relation. One table of each item against every earlier
+    one, built in row blocks of at most max(n, block) entries, decides
+    every pair; only the items near an earlier one are then scanned in
+    order against the kept ones, so each decision is the scan's.
+    """
+    near = np.zeros((n, n), dtype=bool)  # near[i, j]: j < i and j near i
+    rows = max(1, block // n)
+    for start in range(0, n, rows):
+        stop = min(n, start + rows)
+        near[start:stop, :stop] = np.tril(near_block(start, stop), start - 1)
+    keep = ~near.any(axis=1)
+    for i in np.flatnonzero(~keep):  # near[i, j] is False for j >= i
+        keep[i] = not (near[i] & keep).any()
+    return keep

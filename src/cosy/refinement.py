@@ -287,8 +287,6 @@ class CandidateImages:
     value reaches its points with np.repeat(..., counts). The candidate's
     projections of T_cand S x under every symmetry S of its label depend on
     no pose: each member's are stored once, in the stack of its (M, G).
-    Per-point values computed stack by stack, concatenated in stack order,
-    return to the flat order by np.take(..., order, axis=0).
 
     The flat layout changes no arithmetic: elementwise steps see the same
     values per point as a per-member loop, each member's mean is taken over
@@ -313,7 +311,6 @@ class CandidateImages:
     intrinsics: PointIntrinsics
     sqrt_weight: np.ndarray  # (N,), 1 / sqrt(M) of the point's member
     stacks: tuple[ImageStack, ...]
-    order: np.ndarray  # (N,), each point's position in all stacks' rows in turn
     fixed_px: np.ndarray  # (N, 2), read-only
     fixed_valid: np.ndarray  # (N,), read-only
     workspace: Workspace  # the LM loop's scratch buffers
@@ -354,45 +351,37 @@ class Workspace:
         return np.concatenate(self._runs, axis=1, out=self.entries.reshape(12, -1))
 
 
-class Projection(NamedTuple):
-    """The residual points at one pose stack: camera-frame points (3, N),
-    pixels (N, 2) and validity (N,)."""
+class Evaluation(NamedTuple):
+    """The residual points at one pose stack, scored against per-point
+    targets: camera-frame points (3, N), their pixels (N, 2) and validity
+    (N,), each member's truncated loss (T,), and each point's pixel error
+    and joint validity (N,). `_evaluate` builds it."""
 
+    poses: np.ndarray  # (C + O, 4, 4), a pose_stack
     cam_points: np.ndarray
     px: np.ndarray
     valid: np.ndarray
+    member_loss: np.ndarray
+    err: np.ndarray
+    both: np.ndarray
 
 
 @dataclass(frozen=True)
 class Targets:
     """One outer iteration's symmetry selection, per point like its images.
 
-    It keeps the selection's pose stack and its projection, so `linearize`
-    at those poses projects nothing. `px` and `valid` are `images.fixed_px`
-    and `fixed_valid` when every member picks its first element, and are
-    never written once built.
+    It keeps the evaluation it was selected from, so `linearize` at its
+    poses projects nothing. `px` and `valid` are `images.fixed_px` and
+    `fixed_valid` when every member picks its first element, and are never
+    written once built.
     """
 
     images: CandidateImages
-    poses: np.ndarray  # (C + O, 4, 4), as given to select_targets
-    cam_points: np.ndarray  # (3, N), camera-frame points at poses
-    pred_px: np.ndarray  # (N, 2), their pixels
+    at: Evaluation  # the selection's poses and their projection
     px: np.ndarray  # (N, 2), each member's image under its selected S
     valid: np.ndarray  # (N,)
     active: np.ndarray  # (N,), points that carry gradient at selection
     active_counts: np.ndarray  # (T,), active points of each member
-
-
-class FrozenEvaluation(NamedTuple):
-    """What `frozen_loss` computed at a pose stack against some targets:
-    the projection, each member's loss, and each point's pixel error and
-    joint validity. `select_targets` at the same poses starts from it."""
-
-    poses: np.ndarray
-    projection: Projection
-    member_loss: np.ndarray  # (T,)
-    err: np.ndarray  # (N,)
-    both: np.ndarray  # (N,)
 
 
 def candidate_images(
@@ -473,7 +462,6 @@ def candidate_images(
         ),
         sqrt_weight=np.repeat(np.sqrt(1.0 / counts), counts),
         stacks=tuple(stacks),
-        order=order,
         fixed_px=fixed_px,
         fixed_valid=fixed_valid,
         workspace=Workspace(counts),
@@ -509,19 +497,31 @@ def _member_poses(poses: np.ndarray, images: CandidateImages) -> np.ndarray:
     return cams[images.camera_rows] @ poses[n_cam:][images.object_rows]
 
 
-def _project_points(poses: np.ndarray, images: CandidateImages) -> Projection:
-    """The residual points at a pose stack; each point's member matrix is
-    written into the images' workspace entries buffer."""
+def _evaluate(
+    poses: np.ndarray,
+    images: CandidateImages,
+    px: np.ndarray,
+    valid: np.ndarray,
+    truncation: float,
+) -> Evaluation:
+    """The residual points at a pose stack, scored against the per-point
+    targets px, valid; each point's member matrix is written into the
+    images' workspace entries buffer."""
     entries = images.workspace.point_entries(_member_poses(poses, images))
     u = apply_point_matrices(entries.reshape(3, 4, -1), images.points)
-    return Projection(u, *project_masked_xyz(images.intrinsics, *u))
+    pred_px, pred_valid = project_masked_xyz(images.intrinsics, *u)
+    contrib, err, both = _truncated_errors(pred_px, pred_valid, px, valid, truncation)
+    member_loss = np.empty(len(images.view_ids))
+    for st in images.stacks:
+        member_loss[st.members] = np.take(contrib, st.rows).mean(axis=1)
+    return Evaluation(poses, u, pred_px, pred_valid, member_loss, err, both)
 
 
 def select_targets(
     poses: np.ndarray,
     images: CandidateImages,
     truncation: float,
-    evaluation: FrozenEvaluation | None = None,
+    evaluation: Evaluation | None = None,
 ) -> tuple[Targets, float]:
     """Pick the best symmetry per member; freeze its projected points.
 
@@ -532,27 +532,24 @@ def select_targets(
     1-D mean does), the first minimum over symmetries, and a left-to-right
     sum in member order.
 
-    Without `evaluation`, `poses` are projected and every member is scored
-    against its first element's image. `evaluation`, when given, is
-    `frozen_loss` at these same poses (an accepted trial's): its projection
-    is not computed again, and its losses and active points stand for every
-    G = 1 member, whose one image is its target in every selection. Either
-    way, every member of a symmetric stack is then scored over all its G
-    elements, so the targets and the loss are those of a full scoring.
+    Without `evaluation`, `poses` are evaluated against every member's
+    first element's image. `evaluation`, when given, is `frozen_loss`'s at
+    these same poses (an accepted trial's): nothing is projected again, and
+    its losses and active points stand for every G = 1 member, whose one
+    image is its target in every selection. Either way, every member of a
+    symmetric stack is then scored over all its G elements, so the targets
+    and the loss are those of a full scoring. The targets keep the
+    evaluation, which `linearize` reads.
     """
     if evaluation is None:
-        projection = _project_points(poses, images)
-        member_loss, err, both = _frozen_terms(
-            projection, images.fixed_px, images.fixed_valid, images, truncation
+        evaluation = _evaluate(
+            poses, images, images.fixed_px, images.fixed_valid, truncation
         )
-    else:
-        if evaluation.poses is not poses:
-            raise ValueError("the evaluation was not made at these poses")
-        projection = evaluation.projection
-        member_loss = evaluation.member_loss.copy()
-        err, both = evaluation.err, evaluation.both
-    u, pred_px, pred_valid = projection
-    active = both & (err < truncation)
+    elif evaluation.poses is not poses:
+        raise ValueError("the evaluation was not made at these poses")
+    member_loss = evaluation.member_loss.copy()
+    pred_px, pred_valid = evaluation.px, evaluation.valid
+    active = evaluation.both & (evaluation.err < truncation)
     px, valid = images.fixed_px, images.fixed_valid
     for st in images.stacks:
         k, g, m = st.valid.shape
@@ -583,9 +580,7 @@ def select_targets(
                 valid[rows[moved]] = img_valid[at][moved]
     targets = Targets(
         images=images,
-        poses=poses,
-        cam_points=u,
-        pred_px=pred_px,
+        at=evaluation,
         px=px,
         valid=valid,
         active=active,
@@ -599,27 +594,9 @@ def _flat(per_stack: list[np.ndarray], order: np.ndarray) -> np.ndarray:
     return np.take(np.concatenate(per_stack), order, axis=0)
 
 
-def _frozen_terms(
-    projection: Projection,
-    px: np.ndarray,
-    valid: np.ndarray,
-    images: CandidateImages,
-    truncation: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each member's truncated loss against fixed per-point targets, and
-    each point's pixel error and joint validity."""
-    contrib, err, both = _truncated_errors(
-        projection.px, projection.valid, px, valid, truncation
-    )
-    member_loss = np.empty(len(images.view_ids))
-    for st in images.stacks:
-        member_loss[st.members] = np.take(contrib, st.rows).mean(axis=1)
-    return member_loss, err, both
-
-
 def frozen_loss(
     poses: np.ndarray, targets: Targets, truncation: float
-) -> tuple[float, FrozenEvaluation]:
+) -> tuple[float, Evaluation]:
     """Truncated loss at a pose stack with the symmetry selection (targets)
     held fixed.
 
@@ -628,16 +605,13 @@ def frozen_loss(
     the loss equals select_targets' loss bit for bit, so a zero step never
     passes the strict acceptance test on rounding.
     """
-    projection = _project_points(poses, targets.images)
-    member_loss, err, both = _frozen_terms(
-        projection, targets.px, targets.valid, targets.images, truncation
-    )
-    evaluation = FrozenEvaluation(poses, projection, member_loss, err, both)
-    return float(seq_sum(member_loss)), evaluation
+    evaluation = _evaluate(poses, targets.images, targets.px, targets.valid, truncation)
+    return float(seq_sum(evaluation.member_loss)), evaluation
 
 
-def linearize(poses: np.ndarray, targets: Targets) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals over the active points and their compact Jacobian E.
+def linearize(targets: Targets) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals over the active points at the selection's poses and their
+    compact Jacobian E.
 
     A residual depends on its camera and object poses only through
     cam^-1 * obj, so equal left increments of both cancel: a target's
@@ -648,9 +622,9 @@ def linearize(poses: np.ndarray, targets: Targets) -> tuple[np.ndarray, np.ndarr
     point's rows are [C | -B] (rotation increment first, translation
     second, matching `retract`).
 
-    `poses` must be the stack `targets` were selected at (the same object):
-    the camera-frame points and pixels come from the selection, not from a
-    new projection. Each entry of the (2, 6) block is computed for every
+    The poses, camera-frame points and pixels are those of the evaluation
+    the targets were selected from (`targets.at`); nothing is projected
+    again. Each entry of the (2, 6) block is computed for every
     residual point as one contiguous (N,) row, from the expressions
     np.cross evaluates (b1 w2 - b2 w1, ...); the weight is applied last, as
     the row is written into its column. When some point is inactive, the
@@ -666,26 +640,25 @@ def linearize(poses: np.ndarray, targets: Targets) -> tuple[np.ndarray, np.ndarr
     every point's rows, when some are dropped) go into the workspace's
     entries buffer, so an iteration allocates no array of 12 N floats.
     """
-    if poses is not targets.poses:
-        raise ValueError("linearize needs the poses its targets were selected at")
     images = targets.images
+    at = targets.at
     ws = images.workspace
     idx = np.flatnonzero(targets.active)
     n = idx.shape[0]
     compact = n < targets.active.shape[0]
     sw = images.sqrt_weight
     n_cam = len(images.cameras)
-    cams, objs = poses[:n_cam], poses[n_cam:]
+    cams, objs = at.poses[:n_cam], at.poses[n_cam:]
     w = apply_point_matrices(
         ws.point_entries(objs[images.object_rows]).reshape(3, 4, -1), images.points
     )
     # w is computed, so the entries buffer takes the camera matrices.
     rot = ws.point_entries(cams[images.camera_rows])  # row 4j+k: R[j, k]
-    x, y, z = targets.cam_points
+    x, y, z = at.cam_points
     fx, fy = images.intrinsics.fx, images.intrinsics.fy
     # Inactive points may sit at z <= 0; their values are dropped below.
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = targets.pred_px - targets.px
+        r = at.px - targets.px
         r *= sw[:, None]
         b = []
         for i, (f, c) in enumerate(((fx, x), (fy, y))):
@@ -820,13 +793,11 @@ def refine(
 
     for _ in range(cfg.max_iterations):
         targets, loss0 = select_targets(poses, images, cfg.truncation, evaluation)
-        # Spent: free its arrays before the damping ladder.
-        evaluation = trial_evaluation = None
         if trace is not None:
             trace.append(loss0)
         if loss0 <= 1e-12:  # numerically zero; nothing left to gain
             return _with_poses(state, images, poses)
-        r, e = linearize(poses, targets)
+        r, e = linearize(targets)
         if r.size == 0:
             return _with_poses(state, images, poses)
         h, g = normal_equations(r, e, targets)

@@ -113,10 +113,36 @@ class ObjectModel:
             raise InvariantError(
                 f"model '{self.label}': matching needs >= 4 points"
             )
-        centered = self.points - self.points.mean(axis=0)
-        rank = np.linalg.matrix_rank(centered, tol=1e-9 * self.diameter)
-        if rank < 3:
+        if _coplanar(self.points, 1e-9 * self.diameter):
             raise InvariantError(f"model '{self.label}': points are coplanar")
+
+
+def _coplanar(points: np.ndarray, tol: float) -> bool:
+    """Whether an (N, 3) point array lies in one plane, to within tol.
+
+    With c the centroid, a the point farthest from c and b the point
+    farthest from the line c-a, the points are coplanar when every point
+    lies within tol of the plane (c, a, b): |(x - c) . n| <= tol |n| for
+    n = (a - c) x (b - c). They are also coplanar when every point lies
+    within tol of c or of the line c-a, where (c, a, b) spans no plane.
+    Plain elementwise numpy: no factorization.
+    """
+    d = points - points.mean(axis=0)
+    x, y, z = d.T
+    ax, ay, az = d[np.argmax(x * x + y * y + z * z)].tolist()
+    a2 = ax * ax + ay * ay + az * az
+    if a2 <= tol * tol:
+        return True
+    along = (x * ax + y * ay + z * az) / a2
+    ox, oy, oz = x - along * ax, y - along * ay, z - along * az
+    off2 = ox * ox + oy * oy + oz * oz
+    k = np.argmax(off2)
+    if off2[k] <= tol * tol:
+        return True
+    bx, by, bz = d[k].tolist()
+    nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+    norm = math.sqrt(nx * nx + ny * ny + nz * nz)
+    return bool(np.abs(x * nx + y * ny + z * nz).max() <= tol * norm)
 
 
 def max_pairwise_distance(pts: np.ndarray) -> float:
@@ -288,7 +314,7 @@ def pose_to_list(pose: Pose) -> list[float]:
 
 def pose_from_list(values, where: str) -> Pose:
     """Rigid pose from 16 row-major floats; rejects non-finite or non-rigid input."""
-    arr = _numbers(values, where)
+    arr = _numbers(values, f"{where}: pose")
     if arr.shape != (16,):
         raise SchemaError(f"{where}: pose must be 16 floats row-major, got {arr.shape}")
     try:
@@ -321,34 +347,55 @@ def _string(value, where: str) -> str:
     return value
 
 
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def is_json_number(value) -> bool:
+    """Whether a decoded JSON value is a number: an int or a float, not a
+    bool. The writers emit numbers only so."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _number(value, where: str) -> float:
-    """A number as float() reads it; other JSON types are a SchemaError."""
+    """A JSON number as a float; any other value, or an integer beyond the
+    float range, is a SchemaError."""
+    if not is_json_number(value):
+        raise SchemaError(f"{where}: must be a number, got {value!r:.40}")
     try:
         return float(value)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{where}: must be a number, got {value!r:.40}") from None
+    except OverflowError:
+        raise SchemaError(f"{where}: number beyond the float range") from None
 
 
 def _integer(value, where: str) -> int:
-    number = _number(value, where)
-    if not math.isfinite(number):
-        raise SchemaError(f"{where}: must be a finite number, got {number}")
-    return int(number)
+    """A JSON integer, never truncated; any other value is a SchemaError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{where}: must be an integer, got {value!r:.40}")
+    return value
 
 
 def _numbers(values, where: str) -> np.ndarray:
-    """An array of numbers as float64; other JSON types are a SchemaError."""
+    """A JSON list of numbers as a float64 array; any other value, or an
+    element that is not a number, is a SchemaError."""
+    # The set of element types is built in C; only a list holding some
+    # other type is scanned element by element.
+    if not _NUMBER_TYPES.issuperset(map(type, _list(values, where))):
+        for i, value in enumerate(values):
+            if not is_json_number(value):
+                raise SchemaError(f"{where}[{i}]: must be a number, got {value!r:.40}")
     try:
         return np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{where}: must be numbers") from None
+    except OverflowError:
+        raise SchemaError(f"{where}: number beyond the float range") from None
 
 
 def load_json(path) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
-    except json.JSONDecodeError as e:
+    except ValueError as e:
+        # Malformed JSON, bytes that are not UTF-8, or an integer literal
+        # longer than the interpreter converts.
         raise ParseError(f"{path}: {e}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
@@ -419,7 +466,7 @@ def load_models(path) -> ModelDB:
         if label in models:
             raise SchemaError(f"{where}: duplicate label '{label}'")
         flat = _numbers(_require(e, "points", where), f"{where}.points")
-        if flat.ndim != 1 or flat.size % 3 != 0:
+        if flat.size % 3 != 0:
             raise SchemaError(f"{where}: points must be a flat xyz array")
         if flat.size == 0:
             raise InvariantError(f"{where}: model '{label}' has zero points")

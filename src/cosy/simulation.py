@@ -42,6 +42,11 @@ OUTLIER = -1
 DEFAULT_INTRINSICS = CameraIntrinsics(
     fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480
 )
+# Uniform draw ranges of the emulated estimator: detection scores of true
+# and of injected candidates, and the depth of an injected candidate.
+TRUE_SCORE_RANGE = (0.6, 1.0)
+OUTLIER_SCORE_RANGE = (0.35, 0.9)
+OUTLIER_DEPTH_RANGE = (0.3, 2.5)
 
 
 def _require_range(name: str, bounds: tuple[float, float]) -> None:
@@ -61,7 +66,6 @@ class ScenarioConfig:
     box_size: float = 0.5
     camera_distance_range: tuple[float, float] = (1.0, 1.5)
     seed: int = 0
-    intrinsics: CameraIntrinsics = DEFAULT_INTRINSICS
 
     def __post_init__(self):
         if self.n_objects < 1 or self.n_views < 1:
@@ -84,9 +88,6 @@ class NoiseModel:
     miss_prob: float = 0.0
     outlier_prob: float = 0.0
     label_confusion_prob: float = 0.0
-    true_score_range: tuple[float, float] = (0.6, 1.0)
-    outlier_score_range: tuple[float, float] = (0.35, 0.9)
-    outlier_depth_range: tuple[float, float] = (0.3, 2.5)
 
     def __post_init__(self):
         for name in ("rot_sigma_deg", "trans_sigma", "depth_sigma_extra"):
@@ -171,7 +172,7 @@ def generate_scene(cfg: ScenarioConfig, db: ModelDB) -> GroundTruthScene:
         roll = np.deg2rad(rng.uniform(-10.0, 10.0))
         R = look_at_rotation(position, np.zeros(3), roll)
         camera_poses.append(Pose.from_rt(R, position))
-        views.append(View(view_id=f"view_{i:03d}", intrinsics=cfg.intrinsics))
+        views.append(View(view_id=f"view_{i:03d}", intrinsics=DEFAULT_INTRINSICS))
     return GroundTruthScene(
         db=db,
         views=tuple(views),
@@ -237,7 +238,7 @@ def generate_observations(
                 others = [l for l in all_labels if l != label]
                 if others:
                     out_label = others[int(rng.integers(len(others)))]
-            score = rng.uniform(*noise.true_score_range)
+            score = rng.uniform(*TRUE_SCORE_RANGE)
             candidates.append(
                 Candidate(view_id=view.view_id, label=out_label, score=score, pose=pose)
             )
@@ -248,11 +249,11 @@ def generate_observations(
                     k = view.intrinsics
                     u = rng.uniform(0.0, k.width)
                     v = rng.uniform(0.0, k.height)
-                    z = rng.uniform(*noise.outlier_depth_range)
+                    z = rng.uniform(*OUTLIER_DEPTH_RANGE)
                     t = np.array([(u - k.cx) / k.fx * z, (v - k.cy) / k.fy * z, z])
                     pose = Pose.from_rt(uniform_rotation(rng), t)
                     label = all_labels[int(rng.integers(len(all_labels)))]
-                    score = rng.uniform(*noise.outlier_score_range)
+                    score = rng.uniform(*OUTLIER_SCORE_RANGE)
                     candidates.append(
                         Candidate(
                             view_id=view.view_id, label=label, score=score, pose=pose

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Pose, apply_matrices, apply_matrix, rotations_about_axes
-from .numeric import point_l1, point_norms, seq_sum
+from .numeric import first_of_near, point_l1, point_norms, seq_sum
 
 DEFAULT_ANGLES_PER_AXIS = 64
 MAX_GROUP_ELEMENTS = 4096
@@ -149,26 +149,20 @@ def _first_of_duplicates(matrices: np.ndarray) -> np.ndarray:
     """Mask of the matrices kept by a sequential scan that keeps a matrix
     unless some kept earlier one is within _DEDUP_TOL (max abs entry).
 
-    One table of max-abs differences between each matrix and every earlier
-    one, built in row blocks, decides every pair; only the matrices near an
-    earlier one are then scanned in order against the kept ones. Max-abs is
-    exact and |a - b| == |b - a|, so each decision is the scan's.
+    Max-abs is exact and |a - b| == |b - a|, so `first_of_near`'s blocked
+    table decides each pair as the scan does.
     """
     n = matrices.shape[0]
     flat = matrices.reshape(n, 16)
-    near = np.zeros((n, n), dtype=bool)  # near[i, j]: j < i within _DEDUP_TOL
-    rows = max(1, _DEDUP_BLOCK // n)
-    for start in range(0, n, rows):
-        stop = min(n, start + rows)
+
+    def near(start: int, stop: int) -> np.ndarray:
         diff = np.zeros((stop - start, stop))
         for k in range(16):
             d = np.subtract.outer(flat[start:stop, k], flat[:stop, k])
             np.maximum(diff, np.abs(d, out=d), out=diff)
-        near[start:stop, :stop] = np.tril(diff <= _DEDUP_TOL, start - 1)
-    keep = ~near.any(axis=1)
-    for i in np.flatnonzero(~keep):  # near[i, j] is False for j >= i
-        keep[i] = not (near[i] & keep).any()
-    return keep
+        return diff <= _DEDUP_TOL
+
+    return first_of_near(n, near, _DEDUP_BLOCK)
 
 
 def _distances_per_element(

@@ -35,16 +35,6 @@ def point_distance(p, q):
     return math.sqrt((dx * dx + dy * dy) + dz * dz)
 
 
-def mean_pairwise_distance(matrix_a, matrix_b, pts):
-    """Mean over points of || A p - B p ||."""
-    total = 0.0
-    for p in pts:
-        pa = transform_point(matrix_a, p)
-        pb = transform_point(matrix_b, p)
-        total += point_distance(pa, pb)
-    return total / len(pts)
-
-
 def symmetric_distance(matrix_a, matrix_b, sym_matrices, pts):
     """min over symmetries S of mean_p || A S p - B p ||."""
     best = math.inf
@@ -115,6 +105,12 @@ def distinct_rows(points):
         if np.min(point_norms(points[kept] - points[k])) > IMAGE_MERGE_TOL:
             kept.append(k)
     return points[kept]
+
+
+def coplanar_by_rank(points, tol):
+    """cosy.scene_io's coplanarity test as first written: the centered
+    points have rank below 3 at singular-value tolerance tol."""
+    return np.linalg.matrix_rank(points - points.mean(axis=0), tol=tol) < 3
 
 
 def max_pairwise_distance(pts):
@@ -443,12 +439,12 @@ def project_points(poses, images, rows=slice(None)):
     return u, px, valid
 
 
-def select_targets(poses, images, truncation, projection=None):
+def select_targets(poses, images, truncation, evaluation=None):
     """Per-member symmetry selection of a CandidateImages: (targets, loss).
 
-    The targets carry the per-member view as `images`; the other three
-    functions read only that. `projection` is ignored: the state is always
-    projected again, into new arrays.
+    The targets carry the per-member view as `images` and the selection's
+    `poses`; the other three functions read only those. `evaluation` is
+    ignored: the state is always projected again, into new arrays.
     """
     from types import SimpleNamespace
 
@@ -472,6 +468,7 @@ def select_targets(poses, images, truncation, projection=None):
         active.append(both[best] & (err[best] < truncation))
     targets = SimpleNamespace(
         images=images,
+        poses=poses,
         px=np.concatenate(px),
         valid=np.concatenate(valid),
         active=np.concatenate(active),
@@ -493,8 +490,8 @@ def frozen_loss(poses, targets, truncation):
     return total, None
 
 
-def linearize(poses, targets):
-    images = targets.images
+def linearize(targets):
+    images, poses = targets.images, targets.poses
     state = as_state(poses, images)
     act = targets.active
     member = images.member[act]
@@ -671,8 +668,12 @@ def residual_vector(poses, targets):
     import cosy.refinement as lm
 
     act = targets.active
-    px = lm._project_points(poses, targets.images).px
-    sw = targets.images.sqrt_weight[act]
+    images = targets.images
+    # The truncation changes no pixel.
+    px = lm._evaluate(
+        poses, images, targets.px, targets.valid, lm.DEFAULT_TRUNCATION_PX
+    ).px
+    sw = images.sqrt_weight[act]
     return ((px[act] - targets.px[act]) * sw[:, None]).ravel()
 
 
@@ -699,7 +700,7 @@ def refine(state, objects, obs, geometry, cfg, *, trace=None, images=None, stops
         if loss0 <= 1e-12:
             stop = "zero"
             break
-        r, e = lm.linearize(poses, targets)
+        r, e = lm.linearize(targets)
         if r.size == 0:
             stop = "saturated"
             break

@@ -403,7 +403,7 @@ def test_criterion_7_optimizer_correctness():
             )
             targets, _ = select_targets(noisy, images, cfg.truncation)
             all_active = all_active and bool(targets.active.all())
-            _, block = linearize(noisy, targets)
+            _, block = linearize(targets)
             jac = oracles.dense_jacobian(block, targets)
             h = 1e-6
             fd = np.zeros_like(jac)

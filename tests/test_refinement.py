@@ -479,7 +479,7 @@ def test_jacobian_matches_central_differences():
         noisy = pose_stack(perturbed_state(state, rng, rot=0.01, trans=0.005), images)
         targets, _ = select_targets(noisy, images, cfg.truncation)
         assert targets.active.all()  # nothing truncated
-        r0, block = linearize(noisy, targets)
+        r0, block = linearize(targets)
         jac = oracles.dense_jacobian(block, targets)
         assert np.max(np.abs(r0 - oracles.residual_vector(noisy, targets))) < 1e-9
 
@@ -520,7 +520,7 @@ def test_normal_equations_match_dense_oracle():
     assert images.cameras[0] in images.view_ids
     assert len(discretize(db["obj_01"].symmetries)) > 1
 
-    r, block = linearize(noisy, targets)
+    r, block = linearize(targets)
     h, g = normal_equations(r, block, targets)
     d = oracles.dense_jacobian(block, targets)
     ad = np.abs(d)
@@ -625,28 +625,30 @@ def test_flat_inner_loop_equals_per_member_oracle(nan_member):
     poses = pose_stack(state, images)
     u, pred_px, pred_valid = oracles.project_points(
         poses, oracles.per_member_view(images))
-    got = cosy.refinement._project_points(poses, images)
-    assert np.array_equal(got[0], u.T) and np.array_equal(got[1], pred_px)
-    assert np.array_equal(got[2], pred_valid)
+    got = cosy.refinement._evaluate(
+        poses, images, images.fixed_px, images.fixed_valid, cfg.truncation)
+    assert np.array_equal(got.cam_points, u.T) and np.array_equal(got.px, pred_px)
+    assert np.array_equal(got.valid, pred_valid)
 
     targets, loss = select_targets(poses, images, cfg.truncation)
     want, want_loss = oracles.select_targets(poses, images, cfg.truncation)
-    assert np.array_equal(targets.cam_points, u.T)
-    assert np.array_equal(targets.pred_px, pred_px)
+    assert targets.at.poses is poses
+    assert np.array_equal(targets.at.cam_points, u.T)
+    assert np.array_equal(targets.at.px, pred_px)
     assert same_float(loss, want_loss)
     assert math.isnan(loss) == nan_member
     assert np.array_equal(targets.px, want.px, equal_nan=True)
     assert np.array_equal(targets.valid, want.valid)
     assert np.array_equal(targets.active, want.active)
-    z = targets.cam_points[2]
+    z = targets.at.cam_points[2]
     assert (z == DEFAULT_Z_MIN).any() and (z < 0).any()
     assert 0 < targets.active.sum() < targets.active.size
     # Object 1's three members (moved onto view_000's camera plane), the
     # off-image member, and the NaN member carry no active point.
     assert (targets.active_counts == 0).sum() == 4 + nan_member
 
-    r, e = linearize(poses, targets)
-    want_r, want_e = oracles.linearize(poses, want)
+    r, e = linearize(targets)
+    want_r, want_e = oracles.linearize(want)
     assert np.array_equal(r, want_r) and np.array_equal(e, want_e)
     assert e.flags.c_contiguous and e.shape == (r.size, 6)
     h, g = normal_equations(r, e, targets)
@@ -700,7 +702,9 @@ def test_selection_from_an_evaluation_equals_full_scoring():
     def to_plane(p, height):
         # view_000 is the world frame: lift object 0's nearest point to
         # DEFAULT_Z_MIN + height.
-        z = cosy.refinement._project_points(p, images).cam_points[2, member0]
+        z = cosy.refinement._evaluate(
+            p, images, images.fixed_px, images.fixed_valid, cfg.truncation
+        ).cam_points[2, member0]
         out = p.copy()
         out[n_cam, 2, 3] += DEFAULT_Z_MIN + height - z.min()
         return out
@@ -719,6 +723,8 @@ def test_selection_from_an_evaluation_equals_full_scoring():
         full, full_loss = select_targets(trial, images, cfg.truncation)
         want, want_loss = oracles.select_targets(trial, images, cfg.truncation)
         assert loss == full_loss == want_loss
+        # Each selection keeps the evaluation it started from, at its poses.
+        assert got.at is evaluation and full.at.poses is trial
         for name in ("px", "valid", "active", "active_counts"):
             assert np.array_equal(getattr(got, name), getattr(full, name))
         for name in ("px", "valid", "active"):
@@ -730,7 +736,7 @@ def test_selection_from_an_evaluation_equals_full_scoring():
         choices_changed += not (
             np.array_equal(got.px[rows], targets.px[rows])
             and np.array_equal(got.valid[rows], targets.valid[rows]))
-        validity.append(evaluation.projection.valid[member0])
+        validity.append(evaluation.valid[member0])
         targets = got
     assert choices_changed >= 1
     # The camera-plane trials change the validity of a predicted point.
@@ -753,8 +759,8 @@ def test_stacked_normal_equations_equal_per_member_loop():
         want, _ = oracles.select_targets(poses, images, cfg.truncation)
         counts = targets.active_counts[targets.active_counts > 0]
         shapes.append(len(set(counts.tolist())))
-        r, e = linearize(poses, targets)
-        want_r, want_e = oracles.linearize(poses, want)
+        r, e = linearize(targets)
+        want_r, want_e = oracles.linearize(want)
         h, g = normal_equations(r, e, targets)
         want_h, want_g = oracles.normal_equations(want_r, want_e, want)
         assert np.array_equal(h, want_h) and np.array_equal(g, want_g)
@@ -790,13 +796,10 @@ def test_linearize_projects_nothing(monkeypatch):
     monkeypatch.setattr(cosy.refinement, "project_masked_xyz", counting)
     targets, _ = select_targets(poses, images, cfg.truncation)
     assert len(projections) == 1
-    r, _ = linearize(poses, targets)
+    r, _ = linearize(targets)
     assert len(projections) == 1
     assert np.array_equal(oracles.residual_vector(poses, targets), r)
     assert len(projections) == 2
-    moved = step(poses, np.zeros(6 * (len(poses) - 1)))
-    with pytest.raises(ValueError):
-        linearize(moved, targets)
 
 
 def mixed_match():
@@ -845,8 +848,8 @@ def test_refine_best_of_linearizes_into_one_workspace(monkeypatch):
         starts.append(len(calls))
         return real_refine(*args, **kwargs)
 
-    def recording_linearize(poses, targets):
-        r, e = real_linearize(poses, targets)
+    def recording_linearize(targets):
+        r, e = real_linearize(targets)
         calls.append((targets.images.workspace, int(targets.active.sum()), r, e))
         return r, e
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -79,6 +80,43 @@ class TestObjectModel:
         flat = sio.ObjectModel(label="x", points=flat_pts, diameter=0.05)
         with pytest.raises(sio.InvariantError):
             flat.require_matchable()
+
+    @pytest.mark.parametrize("offset, coplanar", [(1e-12, True), (1e-6, False)])
+    def test_one_point_off_a_tilted_plane(self, offset, coplanar):
+        # The tolerance is 1e-9 of the diameter: a point 1e-12 d off the
+        # plane of the others leaves them coplanar, one 1e-6 d off does not.
+        rng = np.random.default_rng(7)
+        d = 0.2
+        flat = np.c_[rng.uniform(-0.04, 0.04, size=(20, 2)), np.zeros(20)]
+        flat[5, 2] = offset * d
+        pts = flat @ oracles.random_rotation(rng).T + [0.01, -0.02, 0.03]
+        model = sio.ObjectModel(label="x", points=pts, diameter=d)
+        assert sio._coplanar(pts, 1e-9 * d) == coplanar
+        assert oracles.coplanar_by_rank(pts, 1e-9 * d) == coplanar
+        if coplanar:
+            with pytest.raises(sio.InvariantError, match="'x': points are coplanar"):
+                model.require_matchable()
+        else:
+            model.require_matchable()
+
+    def test_coplanarity_equals_the_rank_test(self):
+        # Random clouds, exactly planar, collinear and coincident points,
+        # each at several placements: the same verdicts as a rank test.
+        rng = np.random.default_rng(8)
+        for n in (4, 5, 12, 48):
+            for _ in range(10):
+                rot = oracles.random_rotation(rng)
+                shift = rng.uniform(-0.05, 0.05, size=3)
+                cloud = rng.uniform(-0.04, 0.04, size=(n, 3))
+                plane = cloud * [1.0, 1.0, 0.0]
+                line = cloud * [1.0, 0.0, 0.0]
+                same = np.zeros((n, 3))
+                for pts, want in ((cloud, False), (plane, True), (line, True),
+                                  (same, True)):
+                    pts = pts @ rot.T + shift
+                    tol = 1e-9 * 0.2
+                    assert sio._coplanar(pts, tol) == want
+                    assert oracles.coplanar_by_rank(pts, tol) == want
 
 
 def _clouds():
@@ -466,3 +504,74 @@ class TestEstimateFile:
         sio.save_estimate(est, p1)
         sio.save_estimate(est, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_simulated_files_round_trip_to_their_bytes(tmp_path):
+    # Saving what was loaded gives each of the four formats' file back,
+    # byte for byte: one scene with a symmetric label and outliers, and its
+    # estimate.
+    models, obs, gt = simulate(
+        tmp_path, "--n-objects", "4", "--n-views", "3", "--symmetric-labels",
+        "obj_00", "--rot-sigma-deg", "2", "--trans-sigma", "0.005",
+        "--outlier-prob", "0.3")
+    est = tmp_path / "estimate.json"
+    assert solve(models, obs, est) == 0
+    db = sio.load_models(models)
+    out = tmp_path / "saved"
+    out.mkdir()
+    sio.save_models(db, out / models.name)
+    sio.save_observations(sio.load_observations(obs, db), out / obs.name)
+    sio.save_ground_truth(*sio.load_ground_truth(gt, db), out / gt.name)
+    sio.save_estimate(sio.load_estimate(est), out / est.name)
+    for path in (models, obs, gt, est):
+        assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+class TestTypedReaders:
+    # The readers accept only the JSON types the writers emit, as `cosy
+    # report` does: numbers are int or float but not bool, integers are
+    # ints, and nothing is parsed from a string or truncated.
+    @pytest.mark.parametrize("value", [0, -3, 0.5, math.nan, 10 ** 30])
+    def test_number_accepts_ints_and_floats(self, value):
+        got = sio._number(value, "f: x")
+        assert type(got) is float and (got == float(value) or math.isnan(value))
+
+    @pytest.mark.parametrize("value", [True, False, "0.5", "7", None, [1.0], {}])
+    def test_number_rejects_other_types(self, value):
+        with pytest.raises(sio.SchemaError, match=r"^f: x: must be a number"):
+            sio._number(value, "f: x")
+
+    def test_integer_accepts_ints_only(self):
+        assert sio._integer(7, "f: i") == 7
+        for value in (1.5, 1.0, True, "7", None):
+            with pytest.raises(sio.SchemaError, match=r"^f: i: must be an integer"):
+                sio._integer(value, "f: i")
+
+    @pytest.mark.parametrize("bad", [True, "1.0", None, [0.0]])
+    def test_numbers_reject_any_non_number_element(self, bad):
+        # numpy would read [1.0, True] as float64 [1.0, 1.0].
+        with pytest.raises(sio.SchemaError, match=r"^f: p\[2\]: must be a number"):
+            sio._numbers([1.0, 0, bad, 2.0], "f: p")
+        with pytest.raises(sio.SchemaError, match=r"^f: p: must be a list"):
+            sio._numbers("1.0", "f: p")
+
+    @pytest.mark.parametrize("text", [b'{"a": ' + b"9" * 5000 + b"}", b'{"a": "\xff"}'],
+                             ids=["integer-too-long", "not-utf-8"])
+    def test_undecodable_json_is_a_parse_error_naming_the_file(self, tmp_path, text):
+        p = tmp_path / "models.json"
+        p.write_bytes(text)
+        with pytest.raises(sio.ParseError, match=f"^{re.escape(str(p))}: "):
+            sio.load_models(p)
+
+    def test_integers_beyond_the_float_range_are_a_schema_error(self, tmp_path):
+        with pytest.raises(sio.SchemaError, match="beyond the float range"):
+            sio._number(10 ** 400, "f: x")
+        with pytest.raises(sio.SchemaError, match=r"^f: p: number beyond"):
+            sio._numbers([0.0, 10 ** 400], "f: p")
+        p = tmp_path / "obs.json"
+        sio.save_observations(_observations(2, 2), p)
+        doc = json.loads(p.read_text())
+        doc["candidates"][1]["score"] = 10 ** 400
+        p.write_text(json.dumps(doc))
+        with pytest.raises(sio.SchemaError, match=r"candidates\[1\]\.score: number"):
+            sio.load_observations(p)

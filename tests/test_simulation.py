@@ -227,14 +227,12 @@ class TestGenerateObservations:
         for c, oi in zip(obs.candidates, prov):
             assert c.label != scene.object_labels[oi]
 
-    def test_scores_in_configured_ranges(self):
+    def test_scores_in_configured_ranges(self, monkeypatch):
         db = _db()
         scene = sim.generate_scene(_cfg(2, 4, seed=15), db)
-        noise = sim.NoiseModel(
-            outlier_prob=0.5,
-            true_score_range=(0.8, 0.9),
-            outlier_score_range=(0.4, 0.5),
-        )
+        monkeypatch.setattr(sim, "TRUE_SCORE_RANGE", (0.8, 0.9))
+        monkeypatch.setattr(sim, "OUTLIER_SCORE_RANGE", (0.4, 0.5))
+        noise = sim.NoiseModel(outlier_prob=0.5)
         obs, prov = sim.generate_observations(scene, noise, np.random.default_rng(16))
         for c, p in zip(obs.candidates, prov):
             lo, hi = (0.4, 0.5) if p == sim.OUTLIER else (0.8, 0.9)

@@ -7,6 +7,11 @@ to the solver's inputs, models.json and observations.json, or to the
 evaluator's, estimate.json and ground_truth.json, and runs the command
 in-process. Every solve must end with exit 0, 2 or 3 and every eval with
 exit 0 or 2; an exception escaping `main` would be a traceback for the user.
+
+A typed oracle then puts, one at a time, a numeric string or a bool in
+every number field the loaders read, and a fraction in every integer
+field: each such file must exit 2 with an error naming the file and the
+field, since the loaders accept only the JSON types the writers emit.
 """
 
 import contextlib
@@ -24,6 +29,9 @@ from test_cli import run_eval, simulate, solve
 
 FILES = ("models.json", "observations.json")
 EVAL_FILES = ("estimate.json", "ground_truth.json")
+# Top-level fields that no loader reads: the estimate's echo of the solve
+# flags and its counts.
+UNREAD = {"estimate.json": ("config", "stats")}
 
 ODD_VALUES = st.one_of(
     st.none(),
@@ -94,6 +102,45 @@ def _mutations(files):
     )
 
 
+def _typed_cases(doc, unread=()):
+    """(path, value) pairs that put a wrongly typed value in a number field
+    of `doc`: the number's decimal string and True, and for an integer the
+    integer plus one half."""
+    for path in _paths(doc):
+        if not path or path[0] in unread:
+            continue
+        value = doc
+        for key in path:
+            value = value[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            continue
+        yield path, str(value)
+        yield path, True
+        if isinstance(value, int):
+            yield path, value + 0.5
+
+
+def _run_solve(base):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main([
+            "solve",
+            "--models", str(base / "fuzz_models.json"),
+            "--observations", str(base / "fuzz_observations.json"),
+            "--out", str(base / "fuzz_estimate.json"),
+            "--seed", "1",
+        ])
+    return rc, err.getvalue()
+
+
+def _run_eval(base):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = run_eval(base / "models.json", base / "fuzz_estimate.json",
+                      base / "fuzz_ground_truth.json", base / "fuzz_report.json")
+    return rc, err.getvalue()
+
+
 def _write_mutated(scene, mutations, files):
     """Write fuzz_<name> for each of `files`, mutated as listed."""
     base, docs, paths = scene
@@ -113,30 +160,38 @@ def _write_mutated(scene, mutations, files):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(mutations=_mutations(FILES))
 def test_mutated_inputs_exit_cleanly(scene, mutations):
-    base = scene[0]
     _write_mutated(scene, mutations, FILES)
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        rc = main([
-            "solve",
-            "--models", str(base / "fuzz_models.json"),
-            "--observations", str(base / "fuzz_observations.json"),
-            "--out", str(base / "fuzz_estimate.json"),
-            "--seed", "1",
-        ])
+    rc, err = _run_solve(scene[0])
     assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_NO_SCENE)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(mutations=_mutations(EVAL_FILES))
 def test_mutated_eval_inputs_exit_cleanly(scene, mutations):
-    base = scene[0]
     _write_mutated(scene, mutations, EVAL_FILES)
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        rc = run_eval(base / "models.json", base / "fuzz_estimate.json",
-                      base / "fuzz_ground_truth.json", base / "fuzz_report.json")
+    rc, err = _run_eval(scene[0])
     assert rc in (EXIT_OK, EXIT_CONFIG)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", FILES + EVAL_FILES)
+def test_mistyped_numbers_exit_config(scene, name):
+    base, docs, _ = scene
+    files, run = (FILES, _run_solve) if name in FILES else (EVAL_FILES, _run_eval)
+    for other in files:
+        (base / f"fuzz_{other}").write_text(json.dumps(docs[other]))
+    cases = list(_typed_cases(docs[name], UNREAD.get(name, ())))
+    kinds = {type(value) for _, value in cases}
+    # Numeric strings and bools everywhere; fractions wherever the file has
+    # an integer field (models.json has none).
+    assert kinds == {str, bool} | ({float} if name != "models.json" else set())
+    for path, value in cases:
+        mutated = _mutate(copy.deepcopy(docs[name]), path, "replace", value)
+        (base / f"fuzz_{name}").write_text(json.dumps(mutated))
+        rc, err = run(base)
+        field = [key for key in path if isinstance(key, str)][-1]
+        assert rc == EXIT_CONFIG, (path, value, err)
+        assert str(base / f"fuzz_{name}") in err and "must be" in err, err
+        assert field.removesuffix("_world") in err, (path, err)
