@@ -535,8 +535,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ parsing
 
 
-def _add_simulate(sub) -> None:
-    p = sub.add_parser("simulate", help="generate a synthetic scene on disk")
+def _simulate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--n-objects", type=int, default=6)
@@ -559,8 +558,7 @@ def _add_simulate(sub) -> None:
     p.add_argument("--label-confusion-prob", type=float, default=0.0)
 
 
-def _add_solve(sub) -> None:
-    p = sub.add_parser("solve", help="reconstruct a consistent scene from observations")
+def _solve_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--models", required=True)
     p.add_argument("--observations", required=True)
     p.add_argument("--out", required=True)
@@ -573,7 +571,8 @@ def _add_solve(sub) -> None:
     p.add_argument("--min-inliers", type=int, default=3)
     p.add_argument("--lm-iters", type=int, default=100)
     p.add_argument("--truncation-px", type=float, default=25.0)
-    p.add_argument("--damping-init", type=float, default=1e-4)
+    p.add_argument("--damping-init", type=float, default=1e-4,
+                   help="initial and minimum Levenberg-Marquardt damping")
     p.add_argument("--damping-factor", type=float, default=10.0)
     p.add_argument("--rel-tol", type=float, default=1e-6)
     p.add_argument("--symmetry-angles", type=int, default=DEFAULT_SYMMETRY_ANGLES)
@@ -584,8 +583,7 @@ def _add_solve(sub) -> None:
                         "pairs in one thread, because the work is GIL-bound")
 
 
-def _add_eval(sub) -> None:
-    p = sub.add_parser("eval", help="score an estimate against ground truth")
+def _eval_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--models", required=True)
     p.add_argument("--estimate", required=True)
     p.add_argument("--ground-truth", required=True)
@@ -600,42 +598,57 @@ def _add_eval(sub) -> None:
                         "before/after table")
 
 
-def _add_report(sub) -> None:
-    p = sub.add_parser("report", help="render an eval output as text")
+def _report_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True)
     p.add_argument("--out", default=None)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name: (help, arguments, handler)
+_COMMANDS = {
+    "simulate": ("generate a synthetic scene on disk", _simulate_arguments,
+                 cmd_simulate),
+    "solve": ("reconstruct a consistent scene from observations", _solve_arguments,
+              cmd_solve),
+    "eval": ("score an estimate against ground truth", _eval_arguments, cmd_eval),
+    "report": ("render an eval output as text", _report_arguments, cmd_report),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `cosy` parser, or, given a command, one that parses only that
+    command: its usage names every command as the full parser's does, so
+    its help and error text are the full parser's."""
     parser = argparse.ArgumentParser(
         prog="cosy",
         description="multi-view object-pose scene reconstruction pipeline",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    _add_simulate(sub)
-    _add_solve(sub)
-    _add_eval(sub)
-    _add_report(sub)
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+        names = list(_COMMANDS)
+    else:
+        sub = parser.add_subparsers(
+            dest="command", required=True, metavar="{%s}" % ",".join(_COMMANDS)
+        )
+        names = [command]
+    for name in names:
+        help_text, add_arguments, _ = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "solve": cmd_solve,
-    "eval": cmd_eval,
-    "report": cmd_report,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # Only the invoked command's parser is built; anything else (-h, a
+    # missing or unknown command) gets the full parser.
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags, 0 on --help; keep those codes
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -688,6 +688,51 @@ def linearize(targets: Targets) -> tuple[np.ndarray, np.ndarray]:
     return r.ravel(), rows.reshape(-1, 6)
 
 
+def _live_members(targets: Targets) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Members with some active point, their active counts, and whether
+    every such member has the same count (so their rows of linearize's E
+    stack into one (k, 2n, 6) array)."""
+    live = np.flatnonzero(targets.active_counts)
+    counts = targets.active_counts[live]
+    return live, counts, bool(live.size) and bool((counts == counts[0]).all())
+
+
+def _member_products(
+    e: np.ndarray, v: np.ndarray, counts: np.ndarray, uniform: bool
+) -> np.ndarray:
+    """E_t^T v_t over each live member's rows of linearize's E, with `v`
+    that E, giving (k, 6, 6), or a vector over its rows, giving (k, 6).
+
+    One stacked matmul when `uniform`, a loop of 2-D products otherwise;
+    each member's product is its 2-D product bit for bit either way.
+    """
+    if uniform:
+        e_3t = e.reshape(counts.size, -1, 6).transpose(0, 2, 1)
+        out = e_3t @ v.reshape(counts.size, e_3t.shape[2], -1)
+        return out if v.ndim == 2 else out[:, :, 0]
+    ends = (2 * np.cumsum(counts)).tolist()
+    out = np.empty((counts.size, 6) + v.shape[1:])
+    for t, (start, end) in enumerate(zip([0] + ends, ends)):
+        out[t] = e[start:end].T @ v[start:end]
+    return out
+
+
+def _block_vector(
+    k_vec: np.ndarray, live: np.ndarray, images: CandidateImages
+) -> np.ndarray:
+    """The parameter vector with each live member's k at its camera block
+    and -k at its object block (the gauge camera has none), applied in
+    member order."""
+    n_cam = len(images.cameras)
+    c = images.camera_rows[live] - 1
+    o = images.object_rows[live] + n_cam - 1
+    out = np.zeros((n_cam - 1 + len(images.objects), 6))
+    np.subtract.at(out, o, k_vec)
+    free = c >= 0
+    np.add.at(out, c[free], k_vec[free])
+    return out.ravel()
+
+
 def normal_equations(
     r: np.ndarray, e: np.ndarray, targets: Targets
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -708,37 +753,44 @@ def normal_equations(
     images = targets.images
     n_cam = len(images.cameras)
     n_blocks = n_cam - 1 + len(images.objects)
-    live = np.flatnonzero(targets.active_counts)
-    counts = targets.active_counts[live]
-    if live.size and (counts == counts[0]).all():
-        # Every member has the same rows: one stacked matmul per product,
-        # each member's equal to its 2-D product bit for bit.
-        e_3 = e.reshape(live.size, -1, 6)
-        e_3t = e_3.transpose(0, 2, 1)
-        k_mat = e_3t @ e_3
-        k_vec = (e_3t @ r.reshape(live.size, -1, 1))[:, :, 0]
-    else:
-        ends = (2 * np.cumsum(counts)).tolist()
-        k_mat = np.empty((live.size, 6, 6))
-        k_vec = np.empty((live.size, 6))
-        for t, (start, end) in enumerate(zip([0] + ends, ends)):
-            e_t = e[start:end]
-            k_mat[t] = e_t.T @ e_t
-            k_vec[t] = e_t.T @ r[start:end]
+    live, counts, uniform = _live_members(targets)
+    k_mat = _member_products(e, e, counts, uniform)
+    g = _block_vector(_member_products(e, r, counts, uniform), live, images)
     c = images.camera_rows[live] - 1
     o = images.object_rows[live] + n_cam - 1
     h = np.zeros((n_blocks, n_blocks, 6, 6))
-    g = np.zeros((n_blocks, 6))
     np.add.at(h, (o, o), k_mat)
-    np.subtract.at(g, o, k_vec)
     free = c >= 0  # members outside the gauge camera
-    c, o, k_mat, k_vec = c[free], o[free], k_mat[free], k_vec[free]
+    c, o, k_mat = c[free], o[free], k_mat[free]
     np.add.at(h, (c, c), k_mat)
     np.subtract.at(h, (c, o), k_mat)
     np.subtract.at(h, (o, c), k_mat)
-    np.add.at(g, c, k_vec)
     size = 6 * n_blocks
-    return h.transpose(0, 2, 1, 3).reshape(size, size), g.ravel()
+    return h.transpose(0, 2, 1, 3).reshape(size, size), g
+
+
+def loss_gradient(r: np.ndarray, e: np.ndarray, targets: Targets) -> np.ndarray:
+    """Gradient of `frozen_loss` at the selection's poses, from linearize's
+    weighted residuals and compact Jacobian.
+
+    A member's loss is the mean of its points' truncated errors, so an
+    active point adds (1 / M) unit(d)^T J, d its pixel difference and J its
+    pixel Jacobian; with r = d / sqrt(M) and E = J / sqrt(M) that is
+    sqrt_weight * unit(r)^T E, at its camera block, and its negation at its
+    object block, as `normal_equations` places J^T r. A point on its target
+    adds nothing. Inactive points contribute the constant truncation value
+    and have no gradient; the sum is exact away from the truncation, where
+    no point's activity changes.
+    """
+    images = targets.images
+    live, counts, uniform = _live_members(targets)
+    d = r.reshape(-1, 2)
+    norm = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2)
+    # A zero residual divides by `tiny` and stays zero.
+    unit = (d / np.maximum(norm, np.finfo(np.float64).tiny)[:, None]).ravel()
+    k_vec = _member_products(e, unit, counts, uniform)
+    k_vec *= np.sqrt(1.0 / images.counts[live])[:, None]
+    return _block_vector(k_vec, live, images)
 
 
 # --------------------------------------------------------------------- LM
@@ -752,6 +804,7 @@ def refine(
     cfg: RefineConfig = RefineConfig(),
     *,
     trace: list | None = None,
+    stops: list | None = None,
     images: CandidateImages | None = None,
 ) -> SceneState:
     """Levenberg-Marquardt descent on the truncated symmetric loss.
@@ -760,9 +813,22 @@ def refine(
     squared surrogate and are accepted only when the frozen truncated loss
     strictly decreases, so the returned state never scores worse than the
     input. Damping multiplies up on rejection and divides down on
-    acceptance. Stops on max_iterations, a relative decrease below
-    rel_tol, an exactly-zero loss, or a fully saturated (gradient-free)
-    residual set.
+    acceptance, but never below cfg.damping_init: a lambda far below the
+    smallest eigenvalue of J^T J only repeats the Gauss-Newton step.
+
+    The surrogate's gradient g = J^T r is not the gradient of the accepted
+    loss, so a step may not descend it at all. Each iteration also forms
+    that gradient (`loss_gradient`). When neither the first solved step
+    nor the surrogate's steepest descent -g descends it to first order, the
+    restart ends there, with no trial: the ladder would climb toward
+    -g / lambda and be rejected at every rung (Madsen, Nielsen & Tingleff,
+    "Methods for Non-Linear Least Squares Problems", 2004, section 3.2).
+
+    `stops`, when given, receives why the restart ended: "zero" (an
+    exactly-zero loss), "saturated" (no point carries gradient),
+    "no_descent" (the stop above), "ladder" (every damping up to the
+    ceiling rejected), "rel_tol" (a relative decrease below cfg.rel_tol)
+    or "max_iterations".
 
     The poses live in one `pose_stack` for the whole descent: a damping
     trial is one `retract_matrices` of rows 1: (row 0 is the gauge camera),
@@ -790,17 +856,23 @@ def refine(
     evaluation = None  # frozen_loss at poses, kept from an accepted trial
     lam = cfg.damping_init
     eye = np.eye(6 * (len(poses) - 1))
+    stop = "max_iterations"
 
     for _ in range(cfg.max_iterations):
         targets, loss0 = select_targets(poses, images, cfg.truncation, evaluation)
         if trace is not None:
             trace.append(loss0)
         if loss0 <= 1e-12:  # numerically zero; nothing left to gain
-            return _with_poses(state, images, poses)
+            stop = "zero"
+            break
         r, e = linearize(targets)
         if r.size == 0:
-            return _with_poses(state, images, poses)
+            stop = "saturated"
+            break
         h, g = normal_equations(r, e, targets)
+        grad = loss_gradient(r, e, targets)
+        # Whether -g fails to descend the loss; checked with the first step.
+        uphill = grad @ g <= 0
 
         accepted = False
         rel_decrease = 0.0
@@ -810,24 +882,34 @@ def refine(
             except np.linalg.LinAlgError:
                 lam *= cfg.damping_factor
                 continue
+            if uphill:
+                if grad @ delta >= 0:
+                    stop = "no_descent"
+                    break
+                uphill = False
             trial = poses.copy()
             trial[1:] = retract_matrices(poses[1:], delta)
             trial_loss, trial_evaluation = frozen_loss(trial, targets, cfg.truncation)
             if trial_loss < loss0:
                 rel_decrease = (loss0 - trial_loss) / loss0
                 poses, evaluation = trial, trial_evaluation
-                lam = max(lam / cfg.damping_factor, 1e-15)
+                lam = max(lam / cfg.damping_factor, cfg.damping_init)
                 accepted = True
                 break
             lam *= cfg.damping_factor
+        else:
+            stop = "ladder"
         if not accepted:
             break
         if rel_decrease < cfg.rel_tol:
+            stop = "rel_tol"
             break
 
-    if trace is not None:
-        # After a failed ladder the poses are those of the last selection,
-        # whose loss is loss0.
+    if stops is not None:
+        stops.append(stop)
+    if trace is not None and stop not in ("zero", "saturated"):
+        # After a failed ladder or a no-descent stop the poses are those of
+        # the last selection, whose loss is loss0.
         if accepted:
             loss0 = select_targets(poses, images, cfg.truncation, evaluation)[1]
         trace.append(loss0)

@@ -677,10 +677,47 @@ def residual_vector(poses, targets):
     return ((px[act] - targets.px[act]) * sw[:, None]).ravel()
 
 
+def loss_gradient(r, e, targets):
+    """Gradient of the frozen truncated loss at the selection poses, point
+    by point: active point i adds sqrt_weight_i * unit(r_i)^T E_i at its
+    member's camera block (none for the gauge view) and the negation at its
+    object block; a zero residual adds nothing."""
+    images = targets.images
+    cam_offset, obj_offset, size = block_offsets(images)
+    r, e = r.tolist(), e.tolist()
+    grad = [0.0] * size
+    row = 0
+    for t in range(len(images.view_ids)):
+        cam = cam_offset[images.view_ids[t]]
+        obj = obj_offset[images.object_ids[t]]
+        for i in range(images.bounds[t], images.bounds[t + 1]):
+            if not targets.active[i]:
+                continue
+            ru, rv = r[row], r[row + 1]
+            eu, ev = e[row], e[row + 1]
+            row += 2
+            norm = math.hypot(ru, rv)
+            if norm == 0.0:
+                continue
+            w = float(images.sqrt_weight[i]) / norm
+            for j in range(6):
+                v = w * (ru * eu[j] + rv * ev[j])
+                if cam is not None:
+                    grad[cam + j] += v
+                grad[obj + j] -= v
+    return np.array(grad)
+
+
 def refine(state, objects, obs, geometry, cfg, *, trace=None, images=None, stops=None):
     """The loop-over-SceneStates refine; `stops`, when given, receives why
-    the descent stopped: "zero", "saturated", "ladder", "rel_tol" or
-    "max_iterations"."""
+    the descent stopped: "zero", "saturated", "no_descent", "ladder",
+    "rel_tol" or "max_iterations".
+
+    Each iteration ends the restart before any trial when the first solved
+    step d and the surrogate's steepest descent -g both fail to descend the
+    frozen loss to first order (`loss_gradient` . d >= 0 and . g <= 0), and
+    an accepted step divides the damping down to no less than
+    cfg.damping_init."""
     import cosy.refinement as lm
 
     if not objects:
@@ -705,8 +742,10 @@ def refine(state, objects, obs, geometry, cfg, *, trace=None, images=None, stops
             stop = "saturated"
             break
         h, g = lm.normal_equations(r, e, targets)
+        grad = loss_gradient(r, e, targets)
 
         accepted = False
+        solved = False
         rel_decrease = 0.0
         while lam <= lm._DAMPING_CEILING:
             try:
@@ -714,6 +753,11 @@ def refine(state, objects, obs, geometry, cfg, *, trace=None, images=None, stops
             except np.linalg.LinAlgError:
                 lam *= cfg.damping_factor
                 continue
+            if not solved:
+                solved = True
+                if grad @ delta >= 0 and grad @ g <= 0:
+                    stop = "no_descent"
+                    break
             trial = apply_delta(state, images, delta)
             trial_loss = lm.frozen_loss(
                 lm.pose_stack(trial, images), targets, cfg.truncation
@@ -721,10 +765,12 @@ def refine(state, objects, obs, geometry, cfg, *, trace=None, images=None, stops
             if trial_loss < loss0:
                 rel_decrease = (loss0 - trial_loss) / loss0
                 state = trial
-                lam = max(lam / cfg.damping_factor, 1e-15)
+                lam = max(lam / cfg.damping_factor, cfg.damping_init)
                 accepted = True
                 break
             lam *= cfg.damping_factor
+        if stop == "no_descent":
+            break
         if not accepted:
             stop = "ladder"
             break

@@ -33,6 +33,46 @@ from cosy.scene_io import (
 from test_matching import manual_observations, small_scene
 
 
+def parser_output(capsys, parse, argv):
+    """(exit code, stdout, stderr) of one parse; SystemExit gives the code."""
+    capsys.readouterr()
+    try:
+        code = parse(argv)
+    except SystemExit as exc:
+        code = int(exc.code or 0)
+    shown = capsys.readouterr()
+    return code, shown.out, shown.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["solve", "-h"], ["eval", "-h"], ["simulate", "--help"],
+    [], ["bogus"], ["solve", "--bogus"], ["eval", "--models"], ["solve"],
+    ["simulate", "--seed", "x", "--out-dir", "d"], ["report", "--input", "a", "b"],
+], ids=lambda argv: " ".join(argv) or "none")
+def test_main_parses_as_the_full_parser(capsys, argv):
+    # main builds only the invoked command's parser; its help, its error
+    # text and its exit code are the full parser's, byte for byte.
+    want = parser_output(capsys, cli.build_parser().parse_args, argv)
+    got = parser_output(capsys, main, argv)
+    assert want[0] in (0, 2) and (want[1] or want[2])
+    assert got == want
+
+
+def test_main_builds_only_the_invoked_command(monkeypatch, tmp_path):
+    built = []
+    commands = {
+        name: (help_text, lambda p, name=name, add=add: (built.append(name), add(p)),
+               handler)
+        for name, (help_text, add, handler) in cli._COMMANDS.items()
+    }
+    monkeypatch.setattr(cli, "_COMMANDS", commands)
+    assert main(["report", "--input", str(tmp_path / "missing.json")]) == EXIT_CONFIG
+    assert built == ["report"]
+    built.clear()
+    assert main(["-h"]) == EXIT_OK
+    assert built == list(commands)
+
+
 def simulate(tmp_path, *extra, seed=3):
     args = [
         "simulate",

@@ -496,20 +496,8 @@ def test_jacobian_matches_central_differences():
 
 
 def test_normal_equations_match_dense_oracle():
-    db, scene, obs, objects, state = consistent_setup(
-        n_objects=3, n_views=3, seed=26, symmetric=("obj_01",)
-    )
-    geo = label_geometry(db, db.models)
-    # Move one candidate far off-image: its target saturates completely.
-    cands = list(obs.candidates)
-    view_id, idx = objects[2].members[1]
-    m = cands[idx].pose.matrix.copy()
-    m[0, 3] += 50.0
-    cands[idx] = Candidate(view_id, cands[idx].label, cands[idx].score,
-                           Pose.from_matrix(m))
-    obs = SceneObservations(views=obs.views, candidates=tuple(cands))
+    db, objects, state, images = off_image_setup(26)
     cfg = RefineConfig()
-    images = candidate_images(objects, obs, geo)
     noisy = pose_stack(perturbed_state(state, np.random.default_rng(26)), images)
     targets, _ = select_targets(noisy, images, cfg.truncation)
     per_member = [
@@ -526,6 +514,61 @@ def test_normal_equations_match_dense_oracle():
     ad = np.abs(d)
     assert np.all(np.abs(h - d.T @ d) <= 1e-9 * (ad.T @ ad))
     assert np.all(np.abs(g - d.T @ r) <= 1e-9 * (ad.T @ np.abs(r)))
+
+
+def off_image_setup(seed):
+    """consistent_setup with a symmetric label, one candidate moved far
+    off-image (its target saturates completely), and its candidate images."""
+    db, scene, obs, objects, state = consistent_setup(
+        n_objects=3, n_views=3, seed=seed, symmetric=("obj_01",)
+    )
+    geo = label_geometry(db, db.models)
+    cands = list(obs.candidates)
+    view_id, idx = objects[2].members[1]
+    m = cands[idx].pose.matrix.copy()
+    m[0, 3] += 50.0
+    cands[idx] = Candidate(view_id, cands[idx].label, cands[idx].score,
+                           Pose.from_matrix(m))
+    obs = SceneObservations(views=obs.views, candidates=tuple(cands))
+    return db, objects, state, candidate_images(objects, obs, geo)
+
+
+@pytest.mark.parametrize("off_image", [False, True], ids=["all-active", "off-image"])
+def test_loss_gradient_matches_central_differences(off_image):
+    # The gradient of the loss refine accepts on equals central differences
+    # of frozen_loss along random directions, in states where no point
+    # crosses the truncation within the difference step.
+    seed = 26 if off_image else 18
+    if off_image:
+        db, objects, state, images = off_image_setup(seed)
+    else:
+        db, scene, obs, objects, state = consistent_setup(
+            n_objects=3, n_views=3, seed=seed, symmetric=("obj_01",)
+        )
+        images = candidate_images(objects, obs, label_geometry(db, db.models))
+    cfg = RefineConfig()
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        noisy = pose_stack(perturbed_state(state, rng, rot=0.01, trans=0.005), images)
+        targets, loss = select_targets(noisy, images, cfg.truncation)
+        assert targets.active.all() != off_image
+        r, e = linearize(targets)
+        grad = cosy.refinement.loss_gradient(r, e, targets)
+        want = oracles.loss_gradient(r, e, targets)
+        assert np.allclose(grad, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        assert frozen_loss(noisy, targets, cfg.truncation)[0] == loss
+        h = 1e-6
+        for _ in range(4):
+            d = rng.normal(size=grad.size)
+            sides = []
+            for sign in (1.0, -1.0):
+                at = step(noisy, sign * h * d)
+                side, ev = frozen_loss(at, targets, cfg.truncation)
+                active = ev.both & (ev.err < cfg.truncation)
+                assert np.array_equal(active, targets.active)
+                sides.append(side)
+            fd = (sides[0] - sides[1]) / (2 * h)
+            assert abs(fd - grad @ d) <= 1e-4 * abs(fd)
 
 
 def test_frozen_loss_agrees_with_selection_loss():
@@ -822,7 +865,8 @@ def test_refine_best_of_equals_per_member_oracle_loop(monkeypatch):
     geo, obs, graph, objs = mixed_match()
     cfg = RefineConfig()
     got, kept, _, _ = refine_best_of(objs, graph.hypotheses, obs, geo, cfg, n_starts=3)
-    for name in ("select_targets", "linearize", "frozen_loss", "normal_equations"):
+    for name in ("select_targets", "linearize", "frozen_loss", "normal_equations",
+                 "loss_gradient"):
         monkeypatch.setattr(cosy.refinement, name, getattr(oracles, name))
     want, want_kept, _, _ = refine_best_of(objs, graph.hypotheses, obs, geo, cfg,
                                            n_starts=3)
@@ -951,15 +995,20 @@ def case_setup(setup):
     return setup[0]() if callable(setup[0]) else lm_setup(*setup)
 
 
-# (setup, RefineConfig fields, the oracle's stop reason). "mixed-stacks"
+# (setup, RefineConfig fields, the stop reason of both loops). "mixed-stacks"
 # descends on image stacks of (M, G) = (40, 1), (250, 1), (500, 1) and
 # (48, 64), with members that carry no active point, so one workspace
-# serves stacks of every shape across iterations.
+# serves stacks of every shape across iterations. The "ladder" cases end in
+# a failed damping ladder that the stop lets run, since the first step or -g
+# descends the loss to first order; the "no-descent" ones stop before it.
 LM_CASES = {
     "unique": ((40,), {}, "rel_tol"),
-    "ladder": ((41,), {}, "ladder"),
-    "symmetric": ((40, ("obj_01",)), {}, "ladder"),
-    "subsampled-ladder": ((42, (), MAX_RESIDUAL_POINTS + 20), {}, "ladder"),
+    "ladder": ((45,), {}, "ladder"),
+    "no-descent": ((41,), {}, "no_descent"),
+    "symmetric": ((40, ("obj_01",)), {}, "no_descent"),
+    "symmetric-ladder": ((67, ("obj_01",)), {}, "ladder"),
+    "subsampled-ladder": ((50, (), MAX_RESIDUAL_POINTS + 20), {}, "ladder"),
+    "subsampled-no-descent": ((42, (), MAX_RESIDUAL_POINTS + 20), {}, "no_descent"),
     "subsampled-rel-tol": ((42, ("obj_01",), MAX_RESIDUAL_POINTS + 20), {}, "rel_tol"),
     "rel-tol": ((43,), {"rel_tol": 0.05}, "rel_tol"),
     "max-iterations-1": ((44,), {"max_iterations": 1}, "max_iterations"),
@@ -970,11 +1019,12 @@ LM_CASES = {
 
 
 def run_both(geo, obs, objects, state0, cfg):
-    """(library state, trace), (oracle state, trace, stop reasons)."""
-    got_trace, want_trace, stops = [], [], []
-    got = refine(state0, objects, obs, geo, cfg, trace=got_trace)
+    """(library state, trace, stop reasons), (oracle state, trace, stop
+    reasons)."""
+    got_trace, want_trace, got_stops, stops = [], [], [], []
+    got = refine(state0, objects, obs, geo, cfg, trace=got_trace, stops=got_stops)
     want = oracles.refine(state0, objects, obs, geo, cfg, trace=want_trace, stops=stops)
-    return (got, got_trace), (want, want_trace, stops)
+    return (got, got_trace, got_stops), (want, want_trace, stops)
 
 
 @pytest.mark.parametrize("case", sorted(LM_CASES))
@@ -984,8 +1034,10 @@ def test_stacked_refine_equals_scene_state_loop(case):
     if len(setup) > 1:
         assert {o.label for o in kept} >= set(setup[1])
     cfg = RefineConfig(**fields)
-    (got, got_trace), (want, want_trace, stops) = run_both(geo, obs, kept, state0, cfg)
-    assert stops == [stop]
+    (got, got_trace, got_stops), (want, want_trace, stops) = run_both(
+        geo, obs, kept, state0, cfg
+    )
+    assert got_stops == stops == [stop]
     assert got_trace == want_trace
     assert len(got_trace) >= 2 and got_trace[-1] < got_trace[0]
     assert_same_state(got, want)
@@ -998,8 +1050,10 @@ def test_stacked_refine_equals_scene_state_loop_on_zero_loss():
     db, scene, obs, objects, state = consistent_setup(n_objects=3, n_views=2, seed=20)
     geo = label_geometry(db, db.models)
     cfg = RefineConfig()
-    (got, got_trace), (want, want_trace, stops) = run_both(geo, obs, objects, state, cfg)
-    assert stops == ["zero"]
+    (got, got_trace, got_stops), (want, want_trace, stops) = run_both(
+        geo, obs, objects, state, cfg
+    )
+    assert got_stops == stops == ["zero"]
     assert got_trace == want_trace and len(got_trace) == 1
     assert_same_state(got, want)
     assert_same_state(got, state)
@@ -1090,6 +1144,65 @@ def test_refine_projects_each_accepted_state_once(monkeypatch, case):
     refine(state0, kept, obs, geo, cfg, trace=trace)
     assert len(trace) >= 3
     assert len(projections) == len(trials) + 1
+
+
+def test_no_descent_stop_tries_no_step(monkeypatch):
+    # In the iteration where the stop fires, the first solved step and -g
+    # both fail to descend the loss to first order, and refine ends the
+    # restart after that one solve, with no trial.
+    setup, fields, _ = LM_CASES["no-descent"]
+    geo, obs, kept, state0 = case_setup(setup)
+    events, outputs = [], []
+    names = ("linearize", "frozen_loss", "normal_equations", "loss_gradient")
+
+    def recording(name, fn):
+        def wrapper(*args):
+            events.append(name)
+            outputs.append(fn(*args))
+            return outputs[-1]
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(cosy.refinement, name,
+                            recording(name, getattr(cosy.refinement, name)))
+    monkeypatch.setattr(np.linalg, "solve", recording("solve", np.linalg.solve))
+    stops = []
+    refine(state0, kept, obs, geo, RefineConfig(**fields), stops=stops)
+    monkeypatch.undo()
+    assert stops == ["no_descent"]
+    last = len(events) - 1 - events[::-1].index("linearize")
+    assert events[last:] == ["linearize", "normal_equations", "loss_gradient", "solve"]
+    assert events.count("linearize") > 1 and "frozen_loss" in events[:last]
+    (_, g), grad, delta = outputs[-3:]
+    assert grad @ delta >= 0 and grad @ g <= 0
+
+
+def test_damping_stays_at_or_above_its_initial_value(monkeypatch):
+    # Every damped system solved is J^T J + lambda I with lambda at least
+    # damping_init, also after runs of accepted steps.
+    setup, fields, _ = LM_CASES["unique"]
+    geo, obs, kept, state0 = case_setup(setup)
+    cfg = RefineConfig(damping_init=1e-2)
+    real_normal, real_solve = normal_equations, np.linalg.solve
+    normals, lams = [], []
+
+    def recording_normal(*args):
+        h, g = real_normal(*args)
+        normals.append(h)
+        return h, g
+
+    def recording_solve(a, b):
+        lams.append(np.diag(a - normals[-1]))
+        return real_solve(a, b)
+
+    monkeypatch.setattr(cosy.refinement, "normal_equations", recording_normal)
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    trace = []
+    refine(state0, kept, obs, geo, cfg, trace=trace)
+    monkeypatch.undo()
+    assert len(trace) >= 4  # at least three accepted steps
+    assert np.allclose(lams[0], cfg.damping_init, rtol=1e-6)
+    assert min(d.min() for d in lams) >= cfg.damping_init * (1 - 1e-6)
 
 
 def object_gt_index(obj, obs, provenance):
