@@ -61,8 +61,10 @@ from .scene_io import (
     SceneObservations,
     SchemaError,
     UnknownLabelError,
+    UnknownViewError,
     dump_json,
     is_json_number,
+    json_integer,
     load_estimate,
     load_ground_truth,
     load_json,
@@ -371,13 +373,20 @@ def _metrics_doc(metrics) -> dict:
     }
 
 
-def _load_estimate(path, db) -> SceneEstimate:
-    """load_estimate, with each object's label checked against the models."""
+def _load_estimate(path, db, view_ids) -> SceneEstimate:
+    """load_estimate, with each object's label checked against the models
+    and each camera's view against the ground truth's `view_ids`."""
     est = load_estimate(path)
     for i, obj in enumerate(est.objects):
         if obj.label not in db:
             raise UnknownLabelError(
                 f"{path}: objects[{i}].label: unknown label {obj.label!r}"
+            )
+    for i, cam in enumerate(est.cameras):
+        if cam.view_id not in view_ids:
+            raise UnknownViewError(
+                f"{path}: cameras[{i}].view_id: unknown view_id {cam.view_id!r}, "
+                "not in the ground truth"
             )
     return est
 
@@ -390,9 +399,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if not (np.isfinite(value) and value > 0):
             raise ValueError(f"{flag} must be finite and > 0, got {value}")
     db = load_models(args.models)
-    est = _load_estimate(args.estimate, db)
-    before_est = _load_estimate(args.before, db) if args.before else None
     scene, _provenance = load_ground_truth(args.ground_truth, db)
+    view_ids = {v.view_id for v in scene.views}
+    est = _load_estimate(args.estimate, db, view_ids)
+    before_est = _load_estimate(args.before, db, view_ids) if args.before else None
 
     gts = _per_view_records(
         [(v.view_id, p) for v, p in zip(scene.views, scene.camera_poses)],
@@ -473,10 +483,7 @@ def _report_metric(obj: dict, key: str, where: str, spec: str = ".4f") -> str:
 
 
 def _report_count(obj: dict, key: str, where: str) -> int:
-    value = obj.get(key)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{where}.{key}: must be an integer, got {value!r:.40}")
-    return value
+    return json_integer(obj.get(key), f"{where}.{key}")
 
 
 def cmd_report(args: argparse.Namespace) -> int:

@@ -130,6 +130,11 @@ class CameraIntrinsics:
             raise ValueError("focal lengths must be positive")
         if not np.isfinite([self.fx, self.fy, self.cx, self.cy]).all():
             raise ValueError("intrinsics fx, fy, cx, cy must be finite")
+        if not (self.width >= 1 and self.height >= 1):
+            raise ValueError(
+                f"image width and height must be >= 1, got {self.width} x "
+                f"{self.height}"
+            )
 
 
 def apply_matrix(matrix: np.ndarray, pts) -> np.ndarray:

@@ -414,6 +414,9 @@ def candidate_images(
         key = (int(counts[t]), len(geometry[obj.label].group))
         by_shape.setdefault(key, []).append(t)
     stacks = []
+    # Every point is in one stack, which writes its first element's images.
+    fixed_px = np.empty((int(bounds[-1]), 2))
+    fixed_valid = np.empty(int(bounds[-1]), dtype=bool)
     for (m, g), ts in by_shape.items():
         px = np.empty((len(ts), g, m, 2))
         valid = np.empty((len(ts), g, m), dtype=bool)
@@ -423,17 +426,10 @@ def candidate_images(
                 obs.candidates[cand_idx].pose, sym_points[obj.label], intr[view_id]
             )
         ts = np.array(ts)
-        stacks.append(
-            ImageStack(ts, bounds[ts][:, None] + np.arange(m), px, valid)
-        )
+        rows = bounds[ts][:, None] + np.arange(m)
+        fixed_px[rows], fixed_valid[rows] = px[:, 0], valid[:, 0]
+        stacks.append(ImageStack(ts, rows, px, valid))
     cams = [intr[v] for v, _, _ in members]
-    order = np.empty(int(bounds[-1]), dtype=np.intp)
-    fixed_px, fixed_valid = np.zeros((0, 2)), np.zeros(0, dtype=bool)
-    if stacks:
-        stacked_rows = np.concatenate([st.rows.ravel() for st in stacks])
-        order[stacked_rows] = np.arange(order.size)
-        fixed_px = _flat([st.px[:, 0].reshape(-1, 2) for st in stacks], order)
-        fixed_valid = _flat([st.valid[:, 0].ravel() for st in stacks], order)
     fixed_px.setflags(write=False)
     fixed_valid.setflags(write=False)
     view_ids = [v for v, _, _ in members]
@@ -589,11 +585,6 @@ def select_targets(
     return targets, float(seq_sum(member_loss))
 
 
-def _flat(per_stack: list[np.ndarray], order: np.ndarray) -> np.ndarray:
-    """Per-point values computed stack by stack, in the flat point order."""
-    return np.take(np.concatenate(per_stack), order, axis=0)
-
-
 def frozen_loss(
     poses: np.ndarray, targets: Targets, truncation: float
 ) -> tuple[float, Evaluation]:
@@ -688,15 +679,6 @@ def linearize(targets: Targets) -> tuple[np.ndarray, np.ndarray]:
     return r.ravel(), rows.reshape(-1, 6)
 
 
-def _live_members(targets: Targets) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Members with some active point, their active counts, and whether
-    every such member has the same count (so their rows of linearize's E
-    stack into one (k, 2n, 6) array)."""
-    live = np.flatnonzero(targets.active_counts)
-    counts = targets.active_counts[live]
-    return live, counts, bool(live.size) and bool((counts == counts[0]).all())
-
-
 def _member_products(
     e: np.ndarray, v: np.ndarray, counts: np.ndarray, uniform: bool
 ) -> np.ndarray:
@@ -717,80 +699,66 @@ def _member_products(
     return out
 
 
-def _block_vector(
-    k_vec: np.ndarray, live: np.ndarray, images: CandidateImages
-) -> np.ndarray:
-    """The parameter vector with each live member's k at its camera block
-    and -k at its object block (the gauge camera has none), applied in
-    member order."""
-    n_cam = len(images.cameras)
-    c = images.camera_rows[live] - 1
-    o = images.object_rows[live] + n_cam - 1
-    out = np.zeros((n_cam - 1 + len(images.objects), 6))
-    np.subtract.at(out, o, k_vec)
-    free = c >= 0
-    np.add.at(out, c[free], k_vec[free])
-    return out.ravel()
-
-
 def normal_equations(
     r: np.ndarray, e: np.ndarray, targets: Targets
-) -> tuple[np.ndarray, np.ndarray]:
-    """J^T J and J^T r from linearize's compact Jacobian, by 6x6 blocks.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One pass forms J^T J, J^T r and the accepted loss's gradient, from
+    linearize's weighted residuals and compact Jacobian, by 6x6 blocks.
 
     With K = E_t^T E_t and k = E_t^T r_t over target t's rows, the target
     adds [[K, -K], [-K, K]] and [k, -k] at its camera and object blocks;
     the gauge camera has no columns, so only its object block remains. A
     member's blocks are its camera and object rows of `pose_stack` less
     one. K and k are BLAS products per member, taken by one stacked
-    matmul when every member has the same number of active points and by a
-    loop of 2-D products otherwise (the same bits either way); np.add.at and
-    np.subtract.at apply them in member order, and the four kinds of block
-    (object-object, camera-camera, camera-object, object-camera) never
-    share an entry, so each entry receives its additions in the order of a
-    per-member loop of += and -=.
+    matmul when every member with some active point has the same number of
+    them and by a loop of 2-D products otherwise (the same bits either
+    way); np.add.at and np.subtract.at apply them in member order, and the
+    four kinds of block (object-object, camera-camera, camera-object,
+    object-camera) never share an entry, so each entry receives its
+    additions in the order of a per-member loop of += and -=.
+
+    The gradient is that of `frozen_loss` at the selection's poses. A
+    member's loss is the mean of its points' truncated errors, so an active
+    point adds (1 / M) unit(d)^T J, d its pixel difference and J its pixel
+    Jacobian; with r = d / sqrt(M) and E = J / sqrt(M) that is
+    sqrt_weight * unit(r)^T E, placed as k is. A point on its target adds
+    nothing. Inactive points contribute the constant truncation value and
+    have no gradient; the sum is exact away from the truncation, where no
+    point's activity changes. Returns (J^T J, J^T r, gradient).
     """
     images = targets.images
     n_cam = len(images.cameras)
     n_blocks = n_cam - 1 + len(images.objects)
-    live, counts, uniform = _live_members(targets)
-    k_mat = _member_products(e, e, counts, uniform)
-    g = _block_vector(_member_products(e, r, counts, uniform), live, images)
-    c = images.camera_rows[live] - 1
-    o = images.object_rows[live] + n_cam - 1
-    h = np.zeros((n_blocks, n_blocks, 6, 6))
-    np.add.at(h, (o, o), k_mat)
-    free = c >= 0  # members outside the gauge camera
-    c, o, k_mat = c[free], o[free], k_mat[free]
-    np.add.at(h, (c, c), k_mat)
-    np.subtract.at(h, (c, o), k_mat)
-    np.subtract.at(h, (o, c), k_mat)
-    size = 6 * n_blocks
-    return h.transpose(0, 2, 1, 3).reshape(size, size), g
-
-
-def loss_gradient(r: np.ndarray, e: np.ndarray, targets: Targets) -> np.ndarray:
-    """Gradient of `frozen_loss` at the selection's poses, from linearize's
-    weighted residuals and compact Jacobian.
-
-    A member's loss is the mean of its points' truncated errors, so an
-    active point adds (1 / M) unit(d)^T J, d its pixel difference and J its
-    pixel Jacobian; with r = d / sqrt(M) and E = J / sqrt(M) that is
-    sqrt_weight * unit(r)^T E, at its camera block, and its negation at its
-    object block, as `normal_equations` places J^T r. A point on its target
-    adds nothing. Inactive points contribute the constant truncation value
-    and have no gradient; the sum is exact away from the truncation, where
-    no point's activity changes.
-    """
-    images = targets.images
-    live, counts, uniform = _live_members(targets)
+    live = np.flatnonzero(targets.active_counts)
+    counts = targets.active_counts[live]
+    uniform = bool(live.size) and bool((counts == counts[0]).all())
     d = r.reshape(-1, 2)
     norm = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2)
     # A zero residual divides by `tiny` and stays zero.
     unit = (d / np.maximum(norm, np.finfo(np.float64).tiny)[:, None]).ravel()
-    k_vec = _member_products(e, unit, counts, uniform)
-    k_vec *= np.sqrt(1.0 / images.counts[live])[:, None]
-    return _block_vector(k_vec, live, images)
+    k_grad = _member_products(e, unit, counts, uniform)
+    k_grad *= np.sqrt(1.0 / images.counts[live])[:, None]
+    # (k, 2, 6): each live member's J^T r block, then its gradient block.
+    k_vec = np.stack([_member_products(e, r, counts, uniform), k_grad], axis=1)
+    k_mat = _member_products(e, e, counts, uniform)
+    c = images.camera_rows[live] - 1
+    o = images.object_rows[live] + n_cam - 1
+    vec = np.zeros((n_blocks, 2, 6))
+    h = np.zeros((n_blocks, n_blocks, 6, 6))
+    np.subtract.at(vec, o, k_vec)
+    np.add.at(h, (o, o), k_mat)
+    free = c >= 0  # members outside the gauge camera
+    c, o, k_mat = c[free], o[free], k_mat[free]
+    np.add.at(vec, c, k_vec[free])
+    np.add.at(h, (c, c), k_mat)
+    np.subtract.at(h, (c, o), k_mat)
+    np.subtract.at(h, (o, c), k_mat)
+    size = 6 * n_blocks
+    return (
+        h.transpose(0, 2, 1, 3).reshape(size, size),
+        vec[:, 0].ravel(),
+        vec[:, 1].ravel(),
+    )
 
 
 # --------------------------------------------------------------------- LM
@@ -817,9 +785,10 @@ def refine(
     smallest eigenvalue of J^T J only repeats the Gauss-Newton step.
 
     The surrogate's gradient g = J^T r is not the gradient of the accepted
-    loss, so a step may not descend it at all. Each iteration also forms
-    that gradient (`loss_gradient`). When neither the first solved step
-    nor the surrogate's steepest descent -g descends it to first order, the
+    loss, so a step may not descend it at all. In each iteration one pass
+    forms J^T J, J^T r and the accepted loss's gradient
+    (`normal_equations`). When neither the first solved step nor the
+    surrogate's steepest descent -g descends it to first order, the
     restart ends there, with no trial: the ladder would climb toward
     -g / lambda and be rejected at every rung (Madsen, Nielsen & Tingleff,
     "Methods for Non-Linear Least Squares Problems", 2004, section 3.2).
@@ -869,8 +838,7 @@ def refine(
         if r.size == 0:
             stop = "saturated"
             break
-        h, g = normal_equations(r, e, targets)
-        grad = loss_gradient(r, e, targets)
+        h, g, grad = normal_equations(r, e, targets)
         # Whether -g fails to descend the loss; checked with the first step.
         uphill = grad @ g <= 0
 

@@ -367,11 +367,22 @@ def _number(value, where: str) -> float:
         raise SchemaError(f"{where}: number beyond the float range") from None
 
 
-def _integer(value, where: str) -> int:
-    """A JSON integer, never truncated; any other value is a SchemaError."""
+def json_integer(value, where: str) -> int:
+    """A JSON integer, never truncated; any other value is a SchemaError
+    naming `where`."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{where}: must be an integer, got {value!r:.40}")
     return value
+
+
+def _unique(ids: list[str], where: str, key: str) -> None:
+    """A SchemaError naming the first entry of the list at `where` whose
+    `key` repeats an earlier entry's."""
+    seen = set()
+    for i, value in enumerate(ids):
+        if value in seen:
+            raise SchemaError(f"{where}[{i}].{key}: duplicate {key} {value!r}")
+        seen.add(value)
 
 
 def _numbers(values, where: str) -> np.ndarray:
@@ -522,7 +533,7 @@ def view_from_json(v, where: str) -> View:
         name: convert(_require(intr, name, at), f"{at}.{name}")
         for name, convert in (
             ("fx", _number), ("fy", _number), ("cx", _number), ("cy", _number),
-            ("width", _integer), ("height", _integer),
+            ("width", json_integer), ("height", json_integer),
         )
     }
     try:
@@ -538,6 +549,7 @@ def load_observations(path, db: ModelDB | None = None) -> SceneObservations:
     views_raw = _list(_require(doc, "views", str(path)), f"{path}: views")
     cands_raw = _list(_require(doc, "candidates", str(path)), f"{path}: candidates")
     views = [view_from_json(v, f"{path}: views[{i}]") for i, v in enumerate(views_raw)]
+    _unique([v.view_id for v in views], f"{path}: views", "view_id")
     candidates = []
     for i, c in enumerate(cands_raw):
         where = f"{path}: candidates[{i}]"
@@ -607,8 +619,11 @@ def save_estimate(est: SceneEstimate, path) -> None:
 
 
 def load_estimate(path) -> SceneEstimate:
+    """An estimate whose cameras name distinct views and whose objects have
+    distinct object_ids."""
     doc = load_json(path)
     cameras = _cameras_from_json(doc, path)
+    _unique([c.view_id for c in cameras], f"{path}: cameras", "view_id")
     objects = []
     for i, o in enumerate(_list(_require(doc, "objects", str(path)), f"{path}: objects")):
         where = f"{path}: objects[{i}]"
@@ -620,7 +635,9 @@ def load_estimate(path) -> SceneEstimate:
             at = f"{where}.members[{j}]"
             members.append((
                 _string(_require(m, "view_id", at), f"{at}.view_id"),
-                _integer(_require(m, "candidate_index", at), f"{at}.candidate_index"),
+                json_integer(
+                    _require(m, "candidate_index", at), f"{at}.candidate_index"
+                ),
             ))
         objects.append(
             EstimatedObject(
@@ -631,6 +648,7 @@ def load_estimate(path) -> SceneEstimate:
                 members=tuple(members),
             )
         )
+    _unique([o.object_id for o in objects], f"{path}: objects", "object_id")
     return SceneEstimate(
         cameras=cameras,
         objects=tuple(objects),
@@ -666,6 +684,7 @@ def load_ground_truth(path, db: ModelDB) -> tuple[GroundTruthScene, tuple[int, .
         view_from_json(v, f"{path}: views[{i}]")
         for i, v in enumerate(_list(_require(doc, "views", str(path)), f"{path}: views"))
     )
+    _unique([v.view_id for v in views], f"{path}: views", "view_id")
     cameras = _cameras_from_json(doc, path, [v.view_id for v in views])
     object_labels, object_poses = [], []
     for i, o in enumerate(_list(_require(doc, "objects", str(path)), f"{path}: objects")):
@@ -673,7 +692,7 @@ def load_ground_truth(path, db: ModelDB) -> tuple[GroundTruthScene, tuple[int, .
         object_labels.append(_string(_require(o, "label", where), f"{where}.label"))
         object_poses.append(pose_from_list(_require(o, "pose_world", where), where))
     provenance = tuple(
-        _integer(p, f"{path}: provenance[{i}]")
+        json_integer(p, f"{path}: provenance[{i}]")
         for i, p in enumerate(_list(doc.get("provenance", []), f"{path}: provenance"))
     )
     box_size = _number(_require(doc, "box_size", str(path)), f"{path}: box_size")

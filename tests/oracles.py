@@ -353,7 +353,8 @@ def discretize_matrices(spec, angles_per_axis):
 # ---------------------------------------------------------------------------
 # Per-member Levenberg-Marquardt inner loop: the loop-over-members version of
 # cosy.refinement's select_targets, frozen_loss, linearize (with np.cross)
-# and normal_equations, kept as written before the flat per-point rewrite.
+# and normal_equations (its h and g), kept as written before the flat
+# per-point rewrite; normal_equations appends `loss_gradient`.
 # `per_member_view` turns a CandidateImages into the per-member layout these
 # functions read; the library's results must equal theirs bit for bit, and
 # they can stand in for the library's functions inside `refine`. Like those,
@@ -516,6 +517,7 @@ def linearize(targets):
 
 
 def normal_equations(r, e, targets):
+    """(J^T J, J^T r, gradient): the per-member loop, then `loss_gradient`."""
     images = targets.images
     cam_offset, obj_offset, size = block_offsets(images)
     h = np.zeros((size, size))
@@ -541,7 +543,7 @@ def normal_equations(r, e, targets):
             h[c : c + 6, o : o + 6] -= k_mat
             h[o : o + 6, c : c + 6] -= k_mat
             g[c : c + 6] += k_vec
-    return h, g
+    return h, g, loss_gradient(r, e, targets)
 
 
 # cosy.matching.two_view_ransac's hypothesis loop as written before exact
@@ -631,9 +633,10 @@ def two_view_ransac(view_a, view_b, obs, geometry, params):
 # cosy.refinement.refine as written before it kept each restart's poses in one
 # stack: a SceneState and an apply_delta per damping trial, a new projection
 # for every selection, and a final selection for the trace. It calls
-# select_targets, linearize, normal_equations and frozen_loss through the
-# cosy.refinement module, so a test may count or replace them, and hands them
-# the pose_stack of each SceneState.
+# select_targets, linearize, normal_equations (for J^T J and J^T r) and
+# frozen_loss through the cosy.refinement module, so a test may count or
+# replace them, and hands them the pose_stack of each SceneState; the
+# gradient of the accepted loss is always `loss_gradient`'s.
 
 
 def apply_delta(state, images, delta):
@@ -741,7 +744,7 @@ def refine(state, objects, obs, geometry, cfg, *, trace=None, images=None, stops
         if r.size == 0:
             stop = "saturated"
             break
-        h, g = lm.normal_equations(r, e, targets)
+        h, g = lm.normal_equations(r, e, targets)[:2]
         grad = loss_gradient(r, e, targets)
 
         accepted = False

@@ -548,6 +548,21 @@ def test_solve_rejects_non_rigid_candidate_pose(tmp_path, capsys, edit):
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("field, value", [("width", -640), ("height", 0)])
+def test_solve_rejects_a_non_positive_image_size(tmp_path, capsys, field, value):
+    models, obs, _ = simulate(tmp_path, "--n-objects", "4", "--n-views", "3")
+    doc = json.loads(obs.read_text())
+    doc["views"][1]["intrinsics"][field] = value
+    obs.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    assert solve(models, obs, out) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "observations.json: views[1]: image width and height must be >= 1" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_solve_rejects_nan_min_score(tmp_path, capsys):
     models, obs, _ = simulate(tmp_path, "--n-objects", "4", "--n-views", "3")
     capsys.readouterr()
@@ -830,6 +845,35 @@ def _object_outside_the_box(doc):
     doc["objects"][0]["pose_world"][3] = doc["box_size"]
 
 
+def _repeat_estimate_camera(doc):
+    doc["cameras"].append(doc["cameras"][0])
+
+
+def _repeat_estimate_object(doc):
+    doc["objects"][1]["object_id"] = doc["objects"][0]["object_id"]
+
+
+def _unknown_estimate_camera_view(doc):
+    doc["cameras"][0]["view_id"] = "view_999"
+
+
+def _repeat_ground_truth_view(doc):
+    for key in ("views", "cameras"):
+        doc[key][2]["view_id"] = doc[key][1]["view_id"]
+
+
+# (break an estimate, the message that names its file's field after
+# "<file>: ")
+_BAD_ESTIMATE_IDS = {
+    "repeated-camera": (_repeat_estimate_camera, "cameras[{n}].view_id: "
+                        "duplicate view_id 'view_000'"),
+    "repeated-object": (_repeat_estimate_object, "objects[1].object_id: "
+                        "duplicate object_id 'P000'"),
+    "unknown-view": (_unknown_estimate_camera_view, "cameras[0].view_id: unknown "
+                     "view_id 'view_999', not in the ground truth"),
+}
+
+
 @pytest.mark.parametrize("name, break_doc, message", [
     ("estimate.json", _break_estimate_member,
      "objects[0].members[0]: must be an object, got int"),
@@ -850,6 +894,14 @@ def _object_outside_the_box(doc):
      "ground_truth.json: objects[1].label: unknown label 'obj_99'"),
     ("ground_truth.json", _object_outside_the_box,
      "ground_truth.json: objects[0] outside the scene box"),
+    ("ground_truth.json", _repeat_ground_truth_view,
+     "ground_truth.json: views[2].view_id: duplicate view_id 'view_001'"),
+    ("estimate.json", _repeat_estimate_camera,
+     "estimate.json: cameras[3].view_id: duplicate view_id 'view_000'"),
+    ("estimate.json", _repeat_estimate_object,
+     "estimate.json: objects[1].object_id: duplicate object_id 'P000'"),
+    ("estimate.json", _unknown_estimate_camera_view,
+     "estimate.json: cameras[0].view_id: unknown view_id 'view_999'"),
 ])
 def test_eval_malformed_input_exits_2_naming_the_field(
         tmp_path, capsys, name, break_doc, message):
@@ -886,6 +938,31 @@ def test_eval_rejects_an_estimate_label_absent_from_the_models(
     assert run_eval(models, estimate, gt_path, out, "--before", str(before)) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"{broken}: objects[0].label: unknown label 'zzz'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_ESTIMATE_IDS))
+def test_eval_rejects_repeated_or_unknown_ids_in_before(tmp_path, capsys, case):
+    # Each would otherwise score with exit 0: a repeated camera duplicates
+    # its view's records, a repeated object changes mAP, and an unknown
+    # view's records are all false positives. The --estimate cases are in
+    # test_eval_malformed_input_exits_2_naming_the_field.
+    break_doc, message = _BAD_ESTIMATE_IDS[case]
+    models, obs, gt_path = simulate(tmp_path, "--n-objects", "4",
+                                    "--n-views", "3")
+    out_est = tmp_path / "estimate.json"
+    assert solve(models, obs, out_est) == EXIT_OK
+    broken = tmp_path / "broken.json"
+    doc = json.loads(out_est.read_text())
+    n_cameras = len(doc["cameras"])
+    break_doc(doc)
+    broken.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "report.json"
+    assert run_eval(models, out_est, gt_path, out, "--before", str(broken)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{broken}: {message.format(n=n_cameras)}" in err
     assert "Traceback" not in err
     assert not out.exists()
 

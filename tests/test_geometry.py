@@ -142,6 +142,14 @@ class TestProjection:
             with pytest.raises(ValueError, match="finite|positive"):
                 geo.CameraIntrinsics(**(good | {field: value}))
 
+    @pytest.mark.parametrize("field", ["width", "height"])
+    @pytest.mark.parametrize("value", [0, -640])
+    def test_rejects_non_positive_image_size(self, field, value):
+        good = dict(fx=600.0, fy=600.0, cx=0.0, cy=0.0, width=10, height=10)
+        geo.CameraIntrinsics(**(good | {field: 1}))
+        with pytest.raises(ValueError, match="width and height must be >= 1"):
+            geo.CameraIntrinsics(**(good | {field: value}))
+
 
 class TestRotation6d:
     def test_fixed_point_on_rotations(self):

@@ -509,7 +509,7 @@ def test_normal_equations_match_dense_oracle():
     assert len(discretize(db["obj_01"].symmetries)) > 1
 
     r, block = linearize(targets)
-    h, g = normal_equations(r, block, targets)
+    h, g, _ = normal_equations(r, block, targets)
     d = oracles.dense_jacobian(block, targets)
     ad = np.abs(d)
     assert np.all(np.abs(h - d.T @ d) <= 1e-9 * (ad.T @ ad))
@@ -553,7 +553,7 @@ def test_loss_gradient_matches_central_differences(off_image):
         targets, loss = select_targets(noisy, images, cfg.truncation)
         assert targets.active.all() != off_image
         r, e = linearize(targets)
-        grad = cosy.refinement.loss_gradient(r, e, targets)
+        grad = normal_equations(r, e, targets)[2]
         want = oracles.loss_gradient(r, e, targets)
         assert np.allclose(grad, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
         assert frozen_loss(noisy, targets, cfg.truncation)[0] == loss
@@ -694,8 +694,8 @@ def test_flat_inner_loop_equals_per_member_oracle(nan_member):
     want_r, want_e = oracles.linearize(want)
     assert np.array_equal(r, want_r) and np.array_equal(e, want_e)
     assert e.flags.c_contiguous and e.shape == (r.size, 6)
-    h, g = normal_equations(r, e, targets)
-    want_h, want_g = oracles.normal_equations(want_r, want_e, want)
+    h, g, _ = normal_equations(r, e, targets)
+    want_h, want_g, _ = oracles.normal_equations(want_r, want_e, want)
     assert np.array_equal(h, want_h) and np.array_equal(g, want_g)
 
     rng = np.random.default_rng(32)
@@ -705,6 +705,22 @@ def test_flat_inner_loop_equals_per_member_oracle(nan_member):
                           oracles.frozen_loss(trial, want, cfg.truncation)[0])
     if not nan_member:
         assert frozen_loss(poses, targets, cfg.truncation)[0] == loss
+
+
+def test_fixed_images_are_each_members_first_element():
+    # Each stack writes its members' element-0 images into the flat arrays
+    # at its rows; together they equal the member-order concatenation.
+    geo, obs, objects, state = mixed_setup()
+    images = candidate_images(objects, obs, geo)
+    view = oracles.per_member_view(images)
+    # Four stacks, two of which skip members of another stack.
+    assert len(images.stacks) == 4
+    assert sum((np.diff(st.members) > 1).any() for st in images.stacks) == 2
+    assert np.array_equal(images.fixed_px, np.concatenate([p[0] for p in view.images]))
+    assert np.array_equal(images.fixed_valid,
+                          np.concatenate([v[0] for v in view.image_valid]))
+    assert not images.fixed_px.flags.writeable
+    assert not images.fixed_valid.flags.writeable
 
 
 @pytest.mark.parametrize("chunk", [1, 10 ** 9], ids=["member-each", "whole-stack"])
@@ -804,9 +820,13 @@ def test_stacked_normal_equations_equal_per_member_loop():
         shapes.append(len(set(counts.tolist())))
         r, e = linearize(targets)
         want_r, want_e = oracles.linearize(want)
-        h, g = normal_equations(r, e, targets)
-        want_h, want_g = oracles.normal_equations(want_r, want_e, want)
+        h, g, grad = normal_equations(r, e, targets)
+        want_h, want_g, want_grad = oracles.normal_equations(want_r, want_e, want)
         assert np.array_equal(h, want_h) and np.array_equal(g, want_g)
+        # The oracle's gradient sums point by point in Python floats, the
+        # library's by one BLAS product per member, so they agree to rounding.
+        assert np.allclose(grad, want_grad, rtol=0,
+                           atol=1e-14 * np.abs(want_grad).max())
     assert shapes[0] == 1 and shapes[1] > 1
 
 
@@ -865,8 +885,7 @@ def test_refine_best_of_equals_per_member_oracle_loop(monkeypatch):
     geo, obs, graph, objs = mixed_match()
     cfg = RefineConfig()
     got, kept, _, _ = refine_best_of(objs, graph.hypotheses, obs, geo, cfg, n_starts=3)
-    for name in ("select_targets", "linearize", "frozen_loss", "normal_equations",
-                 "loss_gradient"):
+    for name in ("select_targets", "linearize", "frozen_loss", "normal_equations"):
         monkeypatch.setattr(cosy.refinement, name, getattr(oracles, name))
     want, want_kept, _, _ = refine_best_of(objs, graph.hypotheses, obs, geo, cfg,
                                            n_starts=3)
@@ -1153,7 +1172,7 @@ def test_no_descent_stop_tries_no_step(monkeypatch):
     setup, fields, _ = LM_CASES["no-descent"]
     geo, obs, kept, state0 = case_setup(setup)
     events, outputs = [], []
-    names = ("linearize", "frozen_loss", "normal_equations", "loss_gradient")
+    names = ("linearize", "frozen_loss", "normal_equations")
 
     def recording(name, fn):
         def wrapper(*args):
@@ -1171,9 +1190,9 @@ def test_no_descent_stop_tries_no_step(monkeypatch):
     monkeypatch.undo()
     assert stops == ["no_descent"]
     last = len(events) - 1 - events[::-1].index("linearize")
-    assert events[last:] == ["linearize", "normal_equations", "loss_gradient", "solve"]
+    assert events[last:] == ["linearize", "normal_equations", "solve"]
     assert events.count("linearize") > 1 and "frozen_loss" in events[:last]
-    (_, g), grad, delta = outputs[-3:]
+    (_, g, grad), delta = outputs[-2:]
     assert grad @ delta >= 0 and grad @ g <= 0
 
 
@@ -1187,9 +1206,9 @@ def test_damping_stays_at_or_above_its_initial_value(monkeypatch):
     normals, lams = [], []
 
     def recording_normal(*args):
-        h, g = real_normal(*args)
+        h, g, grad = real_normal(*args)
         normals.append(h)
-        return h, g
+        return h, g, grad
 
     def recording_solve(a, b):
         lams.append(np.diag(a - normals[-1]))

@@ -506,6 +506,69 @@ class TestEstimateFile:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+class TestRepeatedIds:
+    # A repeated id would silently change what `cosy eval` scores: each
+    # list names the first entry that repeats an earlier one.
+    def _estimate(self, tmp_path):
+        obj = sio.EstimatedObject(object_id="obj_000", label="box",
+                                  pose_world=Pose.identity(), score=1.0,
+                                  members=(("v0", 0), ("v1", 0)))
+        p = tmp_path / "estimate.json"
+        sio.save_estimate(sio.SceneEstimate(
+            cameras=(sio.EstimatedCamera("v0", Pose.identity()),
+                     sio.EstimatedCamera("v1", Pose.identity())),
+            objects=(obj, obj)), p)
+        return p
+
+    def test_estimate_rejects_a_repeated_camera_view(self, tmp_path):
+        p = self._estimate(tmp_path)
+        doc = json.loads(p.read_text())
+        doc["objects"][1]["object_id"] = "obj_001"
+        p.write_text(json.dumps(doc))
+        sio.load_estimate(p)
+        doc["cameras"][1]["view_id"] = "v0"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(sio.SchemaError, match=(
+                f"^{re.escape(str(p))}: cameras\\[1\\]\\.view_id: "
+                "duplicate view_id 'v0'$")):
+            sio.load_estimate(p)
+
+    def test_estimate_rejects_a_repeated_object_id(self, tmp_path):
+        p = self._estimate(tmp_path)
+        with pytest.raises(sio.SchemaError, match=(
+                f"^{re.escape(str(p))}: objects\\[1\\]\\.object_id: "
+                "duplicate object_id 'obj_000'$")):
+            sio.load_estimate(p)
+
+    def test_observations_and_ground_truth_reject_a_repeated_view(self, tmp_path):
+        models, obs, gt = simulate(tmp_path, "--n-objects", "2", "--n-views", "3")
+        db = sio.load_models(models)
+        for path, keys, load in ((obs, ("views",), sio.load_observations),
+                                 (gt, ("views", "cameras"), sio.load_ground_truth)):
+            doc = json.loads(path.read_text())
+            for key in keys:
+                doc[key][2]["view_id"] = doc[key][1]["view_id"]
+            path.write_text(json.dumps(doc))
+            with pytest.raises(sio.SchemaError, match=(
+                    f"^{re.escape(str(path))}: views\\[2\\]\\.view_id: "
+                    "duplicate view_id 'view_001'$")):
+                load(path, db)
+
+
+@pytest.mark.parametrize("field, value", [("width", -640), ("height", 0)])
+def test_non_positive_image_size_is_rejected_naming_the_view(tmp_path, field, value):
+    models, obs, gt = simulate(tmp_path, "--n-objects", "2", "--n-views", "3")
+    db = sio.load_models(models)
+    for path, load in ((obs, sio.load_observations), (gt, sio.load_ground_truth)):
+        doc = json.loads(path.read_text())
+        doc["views"][1]["intrinsics"][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(sio.InvariantError, match=(
+                f"^{re.escape(str(path))}: views\\[1\\]: image width and height "
+                "must be >= 1")):
+            load(path, db)
+
+
 def test_simulated_files_round_trip_to_their_bytes(tmp_path):
     # Saving what was loaded gives each of the four formats' file back,
     # byte for byte: one scene with a symmetric label and outliers, and its
@@ -542,10 +605,10 @@ class TestTypedReaders:
             sio._number(value, "f: x")
 
     def test_integer_accepts_ints_only(self):
-        assert sio._integer(7, "f: i") == 7
+        assert sio.json_integer(7, "f: i") == 7
         for value in (1.5, 1.0, True, "7", None):
             with pytest.raises(sio.SchemaError, match=r"^f: i: must be an integer"):
-                sio._integer(value, "f: i")
+                sio.json_integer(value, "f: i")
 
     @pytest.mark.parametrize("bad", [True, "1.0", None, [0.0]])
     def test_numbers_reject_any_non_number_element(self, bad):
