@@ -37,7 +37,6 @@ from .evaluation import (
     nms_3d,
 )
 from .matching import (
-    DEFAULT_SYMMETRY_ANGLES,
     MatchParams,
     PhysicalObject,
     build_match_graph,
@@ -82,6 +81,7 @@ from .simulation import (
     generate_scene,
     make_models,
 )
+from .symmetry import DEFAULT_ANGLES_PER_AXIS, GroupTooLargeError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -123,9 +123,11 @@ def _config(args: argparse.Namespace) -> dict:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.n_objects < 1:
+        raise ValueError(f"--n-objects must be >= 1, got {args.n_objects}")
     n_labels = args.n_labels if args.n_labels is not None else args.n_objects
     if n_labels < 1:
-        raise ValueError("n_labels must be >= 1")
+        raise ValueError(f"--n-labels must be >= 1, got {n_labels}")
     labels = tuple(f"obj_{i:02d}" for i in range(n_labels))
     symmetric = tuple(s for s in args.symmetric_labels.split(",") if s)
     for s in symmetric:
@@ -219,6 +221,10 @@ def _estimate(
 def cmd_solve(args: argparse.Namespace) -> int:
     if not np.isfinite(args.min_score):
         raise ValueError(f"min_score must be finite, got {args.min_score}")
+    for flag, value in (("--ransac-max-iters", args.ransac_max_iters),
+                        ("--lm-iters", args.lm_iters)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     match = MatchParams(
         inlier_threshold=args.inlier_threshold,
         max_iterations=args.ransac_max_iters,
@@ -269,9 +275,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
     }
 
     t0 = time.perf_counter()
-    geometry = label_geometry(
-        db, (c.label for c in obs.candidates), args.symmetry_angles
-    )
+    try:
+        geometry = label_geometry(
+            db, (c.label for c in obs.candidates), args.symmetry_angles
+        )
+    except GroupTooLargeError as exc:
+        raise GroupTooLargeError(
+            f"--symmetry-angles {args.symmetry_angles}: {exc}"
+        ) from None
     graph = build_match_graph(obs, geometry, match)
     objects = extract_physical_objects(graph)
     t_match = time.perf_counter() - t0
@@ -582,7 +593,7 @@ def _solve_arguments(p: argparse.ArgumentParser) -> None:
                    help="initial and minimum Levenberg-Marquardt damping")
     p.add_argument("--damping-factor", type=float, default=10.0)
     p.add_argument("--rel-tol", type=float, default=1e-6)
-    p.add_argument("--symmetry-angles", type=int, default=DEFAULT_SYMMETRY_ANGLES)
+    p.add_argument("--symmetry-angles", type=int, default=DEFAULT_ANGLES_PER_AXIS)
     p.add_argument("--nms-radius", type=float, default=DEFAULT_NMS_RADIUS)
     p.add_argument("--restarts", type=int, default=4)
     p.add_argument("--threads", type=int, default=1,

@@ -23,12 +23,17 @@ import numpy as np
 from .geometry import Pose, apply_matrices, apply_matrix
 from .numeric import _PAIRWISE_CHUNK, first_of_near, point_norms
 from .scene_io import ModelDB, ObjectModel, SceneObservations
-from .symmetry import SymmetryGroup, discretize, symmetric_distance
+from .symmetry import (
+    DEFAULT_ANGLES_PER_AXIS,
+    GroupTooLargeError,
+    SymmetryGroup,
+    discretize,
+    symmetric_distance,
+)
 
 DEFAULT_INLIER_THRESHOLD = 0.02  # meters
 DEFAULT_MAX_ITERATIONS = 2000
 DEFAULT_MIN_INLIERS = 3
-DEFAULT_SYMMETRY_ANGLES = 64
 
 # Slack added to a centroid lower bound before it may skip an exact
 # symmetric distance. Float64 rounding on metre-scale coordinates is around
@@ -156,26 +161,25 @@ class LabelGeometry:
 
 
 def label_geometry(
-    db: ModelDB, labels, angles_per_axis: int = DEFAULT_SYMMETRY_ANGLES
+    db: ModelDB, labels, angles_per_axis: int = DEFAULT_ANGLES_PER_AXIS
 ) -> dict[str, LabelGeometry]:
     """The LabelGeometry of each distinct label, its symmetries discretized
-    with `angles_per_axis` rotations per continuous axis."""
+    with `angles_per_axis` rotations per continuous axis.
+
+    Raises GroupTooLargeError naming the label whose group exceeds the cap.
+    """
     geometry = {}
     for label in sorted(set(labels)):
         model = db[label]
-        group = discretize(model.symmetries, angles_per_axis)
+        try:
+            group = discretize(model.symmetries, angles_per_axis)
+        except GroupTooLargeError as exc:
+            raise GroupTooLargeError(f"label {label!r}: {exc}") from None
         c = np.mean(model.points, axis=0)
-        if len(group) == 1:
-            # discretize's one element is exactly the identity, whose
-            # apply_matrices adds zeros: for finite points that only turns
-            # -0.0 into 0.0, as adding 0.0 does.
-            sym_points = model.points[None] + 0.0
-            distinct = c[None] + 0.0
-        else:
-            sym_points = apply_matrices(group.matrices, model.points)
-            distinct = _distinct_rows(
-                apply_matrices(group.matrices, c).reshape(len(group), 3)
-            )
+        sym_points = apply_matrices(group.matrices, model.points)
+        distinct = _distinct_rows(
+            apply_matrices(group.matrices, c).reshape(len(group), 3)
+        )
         sym_points.setflags(write=False)
         geometry[label] = LabelGeometry(
             model=model, group=group, sym_points=sym_points, centroid=c,
@@ -231,19 +235,17 @@ def relative_pose_from_pairs(
 
     entry1 = geometry[c_a1.label]
     entry2 = geometry[c_a2.label]
-    elements = entry1.group.elements
+    matrices = entry1.group.matrices
 
     t_b1_inv = c_b1.pose.inverse()
-    if len(elements) == 1:
-        return c_a1.pose.compose(elements[0]).compose(t_b1_inv)
+    if len(matrices) == 1:
+        return Pose(c_a1.pose.matrix @ matrices[0] @ t_b1_inv.matrix)
 
     # Under element S the second model's centroid lands at T_a1 S q in view
     # a, with q = T_b1^-1 T_b2 c; compare with its distinct images T_a2 S2 c
     # there.
     q = apply_matrix(t_b1_inv.compose(c_b2.pose).matrix, entry2.centroid)
-    moved = apply_matrix(
-        c_a1.pose.matrix, apply_matrices(entry1.group.matrices, q).reshape(-1, 3)
-    )
+    moved = apply_matrix(c_a1.pose.matrix, apply_matrices(matrices, q).reshape(-1, 3))
     fixed = apply_matrix(c_a2.pose.matrix, entry2.distinct)
     bounds = np.min(point_norms(moved[:, None, :] - fixed[None, :, :]), axis=1)
 
@@ -254,13 +256,9 @@ def relative_pose_from_pairs(
     for k in np.argsort(bounds, kind="stable").tolist():
         if bounds[k] > best_d + BOUND_MARGIN:
             break
-        t_ab = c_a1.pose.compose(elements[k]).compose(t_b1_inv)
+        t_ab = Pose(c_a1.pose.matrix @ matrices[k] @ t_b1_inv.matrix)
         d = symmetric_distance(
-            points2,
-            entry2.group,
-            c_a2.pose,
-            t_ab.compose(c_b2.pose),
-            sym_points=entry2.sym_points,
+            points2, entry2.sym_points, c_a2.pose, t_ab.compose(c_b2.pose)
         )
         if best_pose is None or d < best_d or (d == best_d and k < best_k):
             best_k, best_d, best_pose = k, d, t_ab
@@ -375,11 +373,7 @@ def _inlier_matches(
         cb = pair_bounds.candidates[pair.b]
         entry = geometry[ca.label]
         d = symmetric_distance(
-            entry.model.points,
-            entry.group,
-            ca.pose,
-            t_ab.compose(cb.pose),
-            sym_points=entry.sym_points,
+            entry.model.points, entry.sym_points, ca.pose, t_ab.compose(cb.pose)
         )
         if d < threshold:
             scored.append((d, pair.a, pair.b))

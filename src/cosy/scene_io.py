@@ -375,14 +375,15 @@ def json_integer(value, where: str) -> int:
     return value
 
 
-def _unique(ids: list[str], where: str, key: str) -> None:
-    """A SchemaError naming the first entry of the list at `where` whose
-    `key` repeats an earlier entry's."""
+def _unique(ids: list[str], where: str, key: str) -> set[str]:
+    """The set of `ids`; a SchemaError naming the first entry of the list at
+    `where` whose `key` repeats an earlier entry's."""
     seen = set()
     for i, value in enumerate(ids):
         if value in seen:
             raise SchemaError(f"{where}[{i}].{key}: duplicate {key} {value!r}")
         seen.add(value)
+    return seen
 
 
 def _numbers(values, where: str) -> np.ndarray:
@@ -549,16 +550,19 @@ def load_observations(path, db: ModelDB | None = None) -> SceneObservations:
     views_raw = _list(_require(doc, "views", str(path)), f"{path}: views")
     cands_raw = _list(_require(doc, "candidates", str(path)), f"{path}: candidates")
     views = [view_from_json(v, f"{path}: views[{i}]") for i, v in enumerate(views_raw)]
-    _unique([v.view_id for v in views], f"{path}: views", "view_id")
+    view_ids = _unique([v.view_id for v in views], f"{path}: views", "view_id")
     candidates = []
     for i, c in enumerate(cands_raw):
         where = f"{path}: candidates[{i}]"
         label = _string(_require(c, "label", where), f"{where}.label")
         if db is not None and label not in db:
             raise UnknownLabelError(f"{where}.label: unknown label {label!r}")
+        view_id = _string(_require(c, "view_id", where), f"{where}.view_id")
+        if view_id not in view_ids:
+            raise UnknownViewError(f"{where}.view_id: unknown view_id {view_id!r}")
         candidates.append(
             Candidate(
-                view_id=_string(_require(c, "view_id", where), f"{where}.view_id"),
+                view_id=view_id,
                 label=label,
                 score=_number(_require(c, "score", where), f"{where}.score"),
                 pose=pose_from_list(_require(c, "pose", where), where),

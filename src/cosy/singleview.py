@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Pose, project, rotation_from_6d
+from .geometry import CameraIntrinsics, Pose, apply_matrices, project, rotation_from_6d
 from .scene_io import ObjectModel
-from .symmetry import SymmetryGroup, discretize, symmetric_distance_l1
+from .symmetry import SymmetryGroup, symmetric_distance_l1
 
 CROP_WIDTH = 320
 CROP_HEIGHT = 240
@@ -191,7 +191,7 @@ def disentangled_loss(
     t_gt: Pose,
     model: ObjectModel,
     crop: CropCamera,
-    group: SymmetryGroup | None = None,
+    group: SymmetryGroup,
 ) -> float:
     """Three-term symmetric loss isolating xy, depth, and rotation errors.
 
@@ -210,19 +210,19 @@ def loss_terms(
     t_gt: Pose,
     model: ObjectModel,
     crop: CropCamera,
-    group: SymmetryGroup | None = None,
+    group: SymmetryGroup,
 ) -> tuple[float, float, float]:
-    """The three disentangled_loss terms separately (xy, depth, rotation)."""
-    if group is None:
-        group = discretize(model.symmetries)
+    """The three disentangled_loss terms separately (xy, depth, rotation);
+    the group's images of the model points are built once per call."""
     hat = target_update(t_k, t_gt, crop)
     R_hat = rotation_from_6d(hat.e1, hat.e2)
     pose_xy = _update_with_rotation(t_k, p.vx, p.vy, hat.vz, R_hat, crop)
     pose_z = _update_with_rotation(t_k, hat.vx, hat.vy, p.vz, R_hat, crop)
     pose_rot = _update_with_rotation(t_k, hat.vx, hat.vy, hat.vz, p.rotation(), crop)
     pts = model.points
+    sym_points = apply_matrices(group.matrices, pts)
     return (
-        symmetric_distance_l1(pts, group, pose_xy, t_gt),
-        symmetric_distance_l1(pts, group, pose_z, t_gt),
-        symmetric_distance_l1(pts, group, pose_rot, t_gt),
+        symmetric_distance_l1(pts, sym_points, pose_xy, t_gt),
+        symmetric_distance_l1(pts, sym_points, pose_z, t_gt),
+        symmetric_distance_l1(pts, sym_points, pose_rot, t_gt),
     )

@@ -10,18 +10,20 @@ The distance between poses t1, t2 over model points X is
 
     d = min_S mean_x || t1 S x - t2 x ||
 
-with S ranging over the discretized group. Computation applies S to the
-points first (never forming t1 @ S), keeping results bit-identical to a
+with S ranging over the discretized group, kept as one read-only (G, 4, 4)
+stack whose first element is the identity. The kernels take the images
+S x of one label's points, built once per label (`apply_matrices`), and
+apply t1 to them (never forming t1 @ S), keeping results bit-identical to a
 scalar double loop; exactness tests depend on this.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose, apply_matrices, apply_matrix, rotations_about_axes
+from .geometry import Pose, apply_matrix, rotations_about_axes
 from .numeric import first_of_near, point_l1, point_norms, seq_sum
 
 DEFAULT_ANGLES_PER_AXIS = 64
@@ -76,26 +78,26 @@ class SymmetrySpec:
 
 @dataclass(frozen=True)
 class SymmetryGroup:
-    """Finite set of symmetry poses; element 0 is always the identity."""
+    """Finite set of symmetry motions as one read-only (G, 4, 4) stack;
+    element 0 is always the identity."""
 
-    elements: tuple[Pose, ...]
-    matrices: np.ndarray = field(repr=False, default=None)
+    matrices: np.ndarray
 
     def __post_init__(self):
-        if not self.elements:
+        mats = np.array(self.matrices, dtype=np.float64)
+        if mats.ndim != 3 or mats.shape[1:] != (4, 4):
+            raise ValueError(
+                f"symmetry group must be a (G, 4, 4) stack, got shape {mats.shape}"
+            )
+        if not len(mats):
             raise ValueError("symmetry group must be non-empty")
-        if np.max(np.abs(self.elements[0].matrix - np.eye(4))) > _DEDUP_TOL:
+        if np.max(np.abs(mats[0] - np.eye(4))) > _DEDUP_TOL:
             raise ValueError("first group element must be the identity")
-        mats = np.stack([e.matrix for e in self.elements])
         mats.setflags(write=False)
         object.__setattr__(self, "matrices", mats)
 
     def __len__(self) -> int:
-        return len(self.elements)
-
-    @staticmethod
-    def identity_only() -> "SymmetryGroup":
-        return SymmetryGroup(elements=(Pose.identity(),))
+        return len(self.matrices)
 
 
 def discretize(
@@ -136,13 +138,12 @@ def discretize(
         np.max(np.abs(d.matrix - np.eye(4))) <= _DEDUP_TOL for d in spec.discrete
     ):
         # Every candidate below would be a duplicate of the identity.
-        return SymmetryGroup.identity_only()
+        return SymmetryGroup(np.eye(4)[None])
     discrete = np.stack([d.matrix for d in spec.discrete])
     candidates = np.concatenate(
         [np.eye(4)[None], (discrete[:, None] @ axis_rotations).reshape(-1, 4, 4)]
     )
-    kept = candidates[_first_of_duplicates(candidates)]
-    return SymmetryGroup(elements=tuple(Pose(m) for m in kept))
+    return SymmetryGroup(candidates[_first_of_duplicates(candidates)])
 
 
 def _first_of_duplicates(matrices: np.ndarray) -> np.ndarray:
@@ -165,15 +166,10 @@ def _first_of_duplicates(matrices: np.ndarray) -> np.ndarray:
     return first_of_near(n, near, _DEDUP_BLOCK)
 
 
-def _distances_per_element(
-    points: np.ndarray,
-    group: SymmetryGroup,
-    t1: Pose,
-    t2: Pose,
-    sym_points: np.ndarray | None = None,
-    norm=point_norms,
-) -> np.ndarray:
-    """Mean point error for every group element; order matches the group.
+def _min_distance(
+    points: np.ndarray, sym_points: np.ndarray, t1: Pose, t2: Pose, norm
+) -> float:
+    """Least mean point error over the group elements.
 
     `norm` maps (..., 3) differences to per-point errors: the Euclidean
     `point_norms`, or `point_l1`.
@@ -181,37 +177,25 @@ def _distances_per_element(
     pts = np.asarray(points, dtype=np.float64)
     if pts.size == 0:
         raise ValueError("point set must be non-empty")
-    if sym_points is None:
-        sym_points = apply_matrices(group.matrices, pts)  # (G, M, 3)
     g, m, _ = sym_points.shape
     a = apply_matrix(t1.matrix, sym_points.reshape(g * m, 3)).reshape(g, m, 3)
     b = apply_matrix(t2.matrix, pts)  # (M, 3)
     per_point = norm(a - b[None, :, :])  # (G, M)
-    return seq_sum(per_point, axis=1) / m
+    return float(np.min(seq_sum(per_point, axis=1) / m))
 
 
-def symmetric_distance(
-    points,
-    group: SymmetryGroup,
-    t1: Pose,
-    t2: Pose,
-    *,
-    sym_points: np.ndarray | None = None,
-) -> float:
+def symmetric_distance(points, sym_points: np.ndarray, t1: Pose, t2: Pose) -> float:
     """min over S in group of mean_x || t1 S x - t2 x ||, in meters.
 
-    `sym_points`, when given, must be apply_matrices(group.matrices, points),
-    the (G, M, 3) images S x; callers that reuse one label's group many
-    times build it once.
+    `sym_points` is apply_matrices(group.matrices, points), the (G, M, 3)
+    images S x of the label's points.
     """
-    return float(np.min(_distances_per_element(points, group, t1, t2, sym_points)))
+    return _min_distance(points, sym_points, t1, t2, point_norms)
 
 
-def symmetric_distance_l1(points, group: SymmetryGroup, t1: Pose, t2: Pose) -> float:
+def symmetric_distance_l1(points, sym_points: np.ndarray, t1: Pose, t2: Pose) -> float:
     """L1-norm variant: min over S of mean_x | t1 S x - t2 x |_1.
 
     Used as the pose-error term of the single-view training loss.
     """
-    return float(
-        np.min(_distances_per_element(points, group, t1, t2, norm=point_l1))
-    )
+    return _min_distance(points, sym_points, t1, t2, point_l1)

@@ -565,7 +565,7 @@ def inlier_matches(t_ab, cands_a, cands_b, geometry, threshold):
                 continue
             entry = geometry[ca.label]
             d = symmetric_distance(
-                entry.model.points, entry.group,
+                entry.model.points, entry.sym_points,
                 ca.pose, t_ab.compose(cb.pose),
             )
             if d < threshold:

@@ -21,7 +21,7 @@ import numpy as np
 
 import oracles
 from cosy import evaluation as ev
-from cosy.geometry import CameraIntrinsics, Pose, rotation_from_6d
+from cosy.geometry import CameraIntrinsics, Pose, apply_matrices, rotation_from_6d
 from cosy.matching import (
     MatchParams,
     _candidate_pairs,
@@ -105,7 +105,6 @@ def test_criterion_1_symmetric_distance_oracle():
             angles_per_axis=8,
         ),
     ]
-    group_mats = [[e.matrix for e in g.elements] for g in groups]
 
     rng = np.random.default_rng(101)
     exact = True
@@ -116,12 +115,13 @@ def test_criterion_1_symmetric_distance_oracle():
         pts = rng.uniform(-0.05, 0.05, size=(int(rng.integers(10, 41)), 3))
         t1 = Pose(oracles.random_pose_matrix(rng))
         t2 = Pose(oracles.random_pose_matrix(rng))
-        d = symmetric_distance(pts, g, t1, t2)
-        want = oracles.symmetric_distance(t1.matrix, t2.matrix, group_mats[gi], pts)
+        images = apply_matrices(g.matrices, pts)
+        d = symmetric_distance(pts, images, t1, t2)
+        want = oracles.symmetric_distance(t1.matrix, t2.matrix, g.matrices, pts)
         exact = exact and d == want
         for _ in range(3):
-            s = g.elements[int(rng.integers(len(g.elements)))]
-            ds = symmetric_distance(pts, g, t1.compose(s), t2)
+            s = Pose(g.matrices[int(rng.integers(len(g)))])
+            ds = symmetric_distance(pts, images, t1.compose(s), t2)
             worst_inv = max(worst_inv, abs(ds - d) / max(d, 1e-12))
     dt = time.perf_counter() - t0
     ok = exact and worst_inv <= 1e-9 and dt < 5.0

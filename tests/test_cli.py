@@ -139,6 +139,7 @@ def test_simulate_rejects_non_finite_noise_and_no_points(tmp_path, capsys):
         ("--trans-sigma", "inf", "trans_sigma must be finite and >= 0"),
         ("--depth-sigma-extra", "-inf", "depth_sigma_extra must be finite"),
         ("--n-points", "0", "n_points must be >= 1"),
+        ("--n-objects", "0", "--n-objects must be >= 1, got 0"),
     ]:
         capsys.readouterr()
         assert main(["simulate", "--out-dir", str(out_dir), "--seed", "0",
@@ -401,6 +402,8 @@ def test_solve_rejects_symmetry_angles_below_one(tmp_path, capsys):
         ("--inlier-threshold", "inf", "inlier_threshold must be > 0 and finite"),
         ("--rel-tol", "inf", "rel_tol must be > 0 and finite"),
         ("--nms-radius", "inf", "nms_radius must be > 0 and finite"),
+        ("--lm-iters", "0", "--lm-iters must be >= 1, got 0"),
+        ("--ransac-max-iters", "0", "--ransac-max-iters must be >= 1, got 0"),
     ]:
         capsys.readouterr()
         assert solve(models, obs, out, flag, value) == EXIT_CONFIG
@@ -409,6 +412,33 @@ def test_solve_rejects_symmetry_angles_below_one(tmp_path, capsys):
         assert "Traceback" not in shown.err
         assert shown.out == ""
         assert not out.exists()
+
+
+def test_solve_rejects_a_group_over_the_cap_naming_flag_and_label(tmp_path, capsys):
+    models, obs, _ = simulate(tmp_path, "--n-objects", "4", "--n-views", "3",
+                              "--symmetric-labels", "obj_01")
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert solve(models, obs, out, "--symmetry-angles", "5000") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert ("error: --symmetry-angles 5000: label 'obj_01': discretization "
+            "yields 5000 elements, cap is 4096") in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_solve_rejects_an_unknown_candidate_view_naming_the_field(tmp_path, capsys):
+    models, obs, _ = simulate(tmp_path, "--n-objects", "4", "--n-views", "3")
+    doc = load_json(obs)
+    doc["candidates"][5]["view_id"] = "view_777"
+    obs.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert solve(models, obs, out) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"error: {obs}: candidates[5].view_id: unknown view_id 'view_777'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("factor", ["1", "0.5"])

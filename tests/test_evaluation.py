@@ -5,7 +5,7 @@ import pytest
 
 from cosy import evaluation as ev
 from cosy import numeric
-from cosy.geometry import Pose
+from cosy.geometry import Pose, apply_matrices
 from cosy.scene_io import ModelDB, ObjectModel
 from cosy.symmetry import SymmetrySpec, discretize
 
@@ -62,10 +62,10 @@ class TestAddsError:
             angles_per_axis=8,
         )
         seeds = np.random.default_rng(4).uniform(-0.03, 0.03, size=(3, 3))
-        pts = np.concatenate([e.transform(seeds) for e in group.elements])
+        pts = apply_matrices(group.matrices, seeds).reshape(-1, 3)
         m = ObjectModel(label="ring", points=pts, diameter=0.2)
         t = _pose(5)
-        t_sym = t.compose(group.elements[3])
+        t_sym = t.compose(Pose(group.matrices[3]))
         assert ev.adds_error(m, t_sym, t) < 1e-12
         assert ev.add_error(m, t_sym, t) > 1e-3  # ADD is fooled, ADD-S is not
 

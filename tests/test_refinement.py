@@ -284,9 +284,9 @@ def test_candidate_loss_absorbs_symmetry():
     obj = objects[1]
     view_id, idx = obj.members[0]
     base = obs.candidates[idx]
-    for s in (group.elements[1], group.elements[17]):
+    for s in (group.matrices[1], group.matrices[17]):
         twisted = Candidate(
-            base.view_id, base.label, base.score, base.pose.compose(s)
+            base.view_id, base.label, base.score, base.pose.compose(Pose(s))
         )
         loss = candidate_loss(state, twisted, obj, geo, intr[view_id])
         assert loss < 1e-9
@@ -356,10 +356,10 @@ def test_total_loss_matches_naive_resummation():
                 @ noisy.object_poses[obj.id].matrix
             )
             best = np.inf
-            for s in groups[obj.label].elements:
+            for s in groups[obj.label].matrices:
                 tot = 0.0
                 for p in pts:
-                    sp = oracles.transform_point(s.matrix, p)
+                    sp = oracles.transform_point(s, p)
                     q_t = oracles.transform_point(cand.pose.matrix, sp)
                     q_s = oracles.transform_point(t_state, p)
                     if q_t[2] <= 1e-3 or q_s[2] <= 1e-3:

@@ -554,6 +554,16 @@ class TestRepeatedIds:
                     "duplicate view_id 'view_001'$")):
                 load(path, db)
 
+    def test_observations_reject_a_candidate_of_an_unknown_view(self, tmp_path):
+        models, obs, _ = simulate(tmp_path, "--n-objects", "2", "--n-views", "3")
+        doc = json.loads(obs.read_text())
+        doc["candidates"][0]["view_id"] = "view_777"
+        obs.write_text(json.dumps(doc))
+        with pytest.raises(sio.UnknownViewError, match=(
+                f"^{re.escape(str(obs))}: candidates\\[0\\]\\.view_id: "
+                "unknown view_id 'view_777'$")):
+            sio.load_observations(obs, sio.load_models(models))
+
 
 @pytest.mark.parametrize("field, value", [("width", -640), ("height", 0)])
 def test_non_positive_image_size_is_rejected_naming_the_view(tmp_path, field, value):

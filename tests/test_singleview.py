@@ -6,7 +6,7 @@ import pytest
 from cosy import singleview as sv
 from cosy.geometry import CameraIntrinsics, Pose, BehindCameraError, project
 from cosy.scene_io import ObjectModel
-from cosy.symmetry import SymmetrySpec, discretize
+from cosy.symmetry import SymmetrySpec, discretize, symmetric_distance_l1
 
 import oracles
 
@@ -205,13 +205,15 @@ class TestDisentangledLoss:
     def test_zero_at_target(self):
         model, t_k, t_gt, crop = self._setup()
         p = sv.target_update(t_k, t_gt, crop)
-        assert sv.disentangled_loss(t_k, p, t_gt, model, crop) < 1e-9
+        group = discretize(model.symmetries)
+        assert sv.disentangled_loss(t_k, p, t_gt, model, crop, group) < 1e-9
 
     def test_only_vz_wrong_isolates_depth_term(self):
         model, t_k, t_gt, crop = self._setup(13)
         hat = sv.target_update(t_k, t_gt, crop)
         p = sv.UpdateParams(vx=hat.vx, vy=hat.vy, vz=hat.vz * 1.3, e1=hat.e1, e2=hat.e2)
-        xy, depth, rot = sv.loss_terms(t_k, p, t_gt, model, crop)
+        group = discretize(model.symmetries)
+        xy, depth, rot = sv.loss_terms(t_k, p, t_gt, model, crop, group)
         assert xy < 1e-9
         assert rot < 1e-9
         assert depth > 1e-3
@@ -220,7 +222,8 @@ class TestDisentangledLoss:
         model, t_k, t_gt, crop = self._setup(14)
         hat = sv.target_update(t_k, t_gt, crop)
         p = sv.UpdateParams(vx=hat.vx + 15.0, vy=hat.vy, vz=hat.vz, e1=hat.e1, e2=hat.e2)
-        xy, depth, rot = sv.loss_terms(t_k, p, t_gt, model, crop)
+        group = discretize(model.symmetries)
+        xy, depth, rot = sv.loss_terms(t_k, p, t_gt, model, crop, group)
         assert xy > 1e-4
         assert depth < 1e-9
         assert rot < 1e-9
@@ -231,7 +234,8 @@ class TestDisentangledLoss:
         bump = oracles.rotation_about_axis([0, 1, 0], 0.3)
         R = bump @ sv.rotation_from_6d(hat.e1, hat.e2)
         p = sv.UpdateParams(vx=hat.vx, vy=hat.vy, vz=hat.vz, e1=R[:, 0], e2=R[:, 1])
-        xy, depth, rot = sv.loss_terms(t_k, p, t_gt, model, crop)
+        group = discretize(model.symmetries)
+        xy, depth, rot = sv.loss_terms(t_k, p, t_gt, model, crop, group)
         assert xy < 1e-9
         assert depth < 1e-9
         assert rot > 1e-3
@@ -242,19 +246,54 @@ class TestDisentangledLoss:
         group = discretize(model.symmetries, angles_per_axis=16)
         hat = sv.target_update(t_k, t_gt, crop)
         R_hat = sv.rotation_from_6d(hat.e1, hat.e2)
-        sym_rot = group.elements[5].rotation
+        sym_rot = group.matrices[5][:3, :3]
         # Apply the symmetry on the object side of the target rotation.
         R = R_hat @ t_k.rotation @ sym_rot @ t_k.rotation.T
         p = sv.UpdateParams(vx=hat.vx, vy=hat.vy, vz=hat.vz, e1=R[:, 0], e2=R[:, 1])
-        _, _, rot = sv.loss_terms(t_k, p, t_gt, model, crop, group=group)
+        _, _, rot = sv.loss_terms(t_k, p, t_gt, model, crop, group)
         assert rot < 1e-9
         # The same perturbation on an asymmetric model does cost.
         plain = ObjectModel(label="p", points=model.points, diameter=model.diameter)
-        _, _, rot_plain = sv.loss_terms(t_k, p, t_gt, plain, crop)
+        plain_group = discretize(plain.symmetries)
+        _, _, rot_plain = sv.loss_terms(t_k, p, t_gt, plain, crop, plain_group)
         assert rot_plain > 1e-4
+
+    def test_builds_the_group_images_once(self, monkeypatch):
+        model, t_k, t_gt, crop = self._setup(19, symmetric=True)
+        group = discretize(model.symmetries, angles_per_axis=16)
+        hat = sv.target_update(t_k, t_gt, crop)
+        R = oracles.rotation_about_axis([1, 0, 0], 0.2)
+        p = sv.UpdateParams(vx=hat.vx + 3.0, vy=hat.vy, vz=hat.vz * 1.1,
+                            e1=R[:, 0], e2=R[:, 1])
+        real = sv.apply_matrices
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(sv, "apply_matrices", counting)
+        terms = sv.loss_terms(t_k, p, t_gt, model, crop, group)
+        assert len(calls) == 1
+        # The same bits as building the images once per term.
+        R_hat = sv.rotation_from_6d(hat.e1, hat.e2)
+        poses = (
+            sv._update_with_rotation(t_k, p.vx, p.vy, hat.vz, R_hat, crop),
+            sv._update_with_rotation(t_k, hat.vx, hat.vy, p.vz, R_hat, crop),
+            sv._update_with_rotation(t_k, hat.vx, hat.vy, hat.vz, p.rotation(), crop),
+        )
+        want = tuple(
+            symmetric_distance_l1(
+                model.points, real(group.matrices, model.points), pose, t_gt
+            )
+            for pose in poses
+        )
+        assert terms == want
+        assert min(terms) > 1e-4
 
     def test_nonnegative_and_zero_iff_symmetry(self):
         model, t_k, t_gt, crop = self._setup(17)
+        group = discretize(model.symmetries)
         rng = np.random.default_rng(18)
         for _ in range(10):
             R = oracles.random_rotation(rng)
@@ -265,7 +304,7 @@ class TestDisentangledLoss:
                 e1=R[:, 0],
                 e2=R[:, 1],
             )
-            loss = sv.disentangled_loss(t_k, p, t_gt, model, crop)
+            loss = sv.disentangled_loss(t_k, p, t_gt, model, crop, group)
             assert loss >= 0.0
             decoded = sv.apply_update(t_k, p, crop)
             matches = np.max(np.abs(decoded.matrix - t_gt.matrix)) < 1e-6

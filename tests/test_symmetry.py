@@ -1,12 +1,13 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from cosy import symmetry as sym
 from cosy.cli import EXIT_CONFIG
-from cosy.geometry import Pose, rotation_about_axis
+from cosy.geometry import Pose, apply_matrices, apply_matrix, rotation_about_axis
 
 import oracles
 from test_cli import simulate, solve
@@ -70,11 +71,35 @@ class TestSpec:
         assert not s.continuous_axes
 
 
+class TestSymmetryGroup:
+    @pytest.mark.parametrize(
+        "matrices, message",
+        [
+            (np.zeros((0, 4, 4)), "non-empty"),
+            (np.eye(4), "(G, 4, 4) stack"),
+            (np.zeros((2, 3, 4)), "(G, 4, 4) stack"),
+            (np.stack([_pose_rz(0.5).matrix, np.eye(4)]), "identity"),
+        ],
+    )
+    def test_rejects(self, matrices, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sym.SymmetryGroup(matrices)
+
+    def test_stack_is_read_only_copy(self):
+        mats = np.stack([np.eye(4), _pose_rz(0.5).matrix])
+        g = sym.SymmetryGroup(mats)
+        mats[1] = np.eye(4)
+        assert len(g) == 2
+        assert np.array_equal(g.matrices[1], _pose_rz(0.5).matrix)
+        with pytest.raises(ValueError):
+            g.matrices[1, 0, 3] = 1.0
+
+
 class TestDiscretize:
     def test_identity_only(self):
         g = sym.discretize(sym.SymmetrySpec.none())
         assert len(g) == 1
-        assert np.array_equal(g.elements[0].matrix, np.eye(4))
+        assert np.array_equal(g.matrices[0], np.eye(4))
 
     def test_single_axis_64(self):
         spec = sym.SymmetrySpec(continuous_axes=(([0, 0, 1.0], [0, 0, 0]),))
@@ -105,7 +130,7 @@ class TestDiscretize:
     def test_identity_is_first(self):
         spec = sym.SymmetrySpec(continuous_axes=(([0, 1.0, 0], [0, 0, 0]),))
         g = sym.discretize(spec, angles_per_axis=8)
-        assert np.array_equal(g.elements[0].matrix, np.eye(4))
+        assert np.array_equal(g.matrices[0], np.eye(4))
 
     def test_too_large(self):
         axes = tuple(
@@ -120,14 +145,14 @@ class TestDiscretize:
         spec = sym.SymmetrySpec(continuous_axes=(([0, 0, 1.0], [0, 0, 0]),))
         g = sym.discretize(spec, angles_per_axis=4)
         want = oracles.rotation_about_axis([0, 0, 1], math.pi / 2)
-        assert any(np.max(np.abs(e.rotation - want)) < 1e-12 for e in g.elements)
+        assert any(np.max(np.abs(m[:3, :3] - want)) < 1e-12 for m in g.matrices)
 
     def test_offset_axis_fixes_offset_point(self):
         offset = np.array([0.1, -0.2, 0.05])
         spec = sym.SymmetrySpec(continuous_axes=(([0, 0, 1.0], offset),))
         g = sym.discretize(spec, angles_per_axis=16)
-        for e in g.elements:
-            moved = e.transform(offset)
+        for m in g.matrices:
+            moved = apply_matrix(m, offset)
             assert np.max(np.abs(moved - offset)) < 1e-12
 
     @staticmethod
@@ -198,8 +223,8 @@ class TestDiscretize:
         want = oracles.discretize_matrices(spec, angles)
         got = sym.discretize(spec, angles_per_axis=angles)
         assert len(got) == len(want)
-        for e, m in zip(got.elements, want):
-            assert np.array_equal(e.matrix, m)
+        for e, m in zip(got.matrices, want):
+            assert np.array_equal(e, m)
         if case == "near-duplicates":
             # the identity, the 1.6e-9 copy and flip_x with its 2e-9 copy
             assert len(want) == 4 * angles
@@ -209,16 +234,17 @@ class TestDiscretize:
 
 class TestSymmetricDistance:
     def test_equal_poses_zero(self):
-        g = sym.SymmetryGroup.identity_only()
+        pts = _points()
         t = Pose.from_rt(oracles.rotation_about_axis([1, 1, 0], 0.4), [0.1, 0, 0.5])
-        assert sym.symmetric_distance(_points(), g, t, t) == 0.0
+        assert sym.symmetric_distance(pts, pts[None], t, t) == 0.0
 
     def test_group_member_attains_zero(self):
         spec = sym.SymmetrySpec(continuous_axes=(([0, 0, 1.0], [0, 0, 0]),))
         g = sym.discretize(spec, angles_per_axis=16)
         t1 = Pose.from_rt(oracles.rotation_about_axis([0, 1, 0], 0.3), [0, 0, 1.0])
-        t2 = t1.compose(g.elements[5])
-        d = sym.symmetric_distance(_points(), g, t1, t2)
+        t2 = t1.compose(Pose(g.matrices[5]))
+        pts = _points()
+        d = sym.symmetric_distance(pts, apply_matrices(g.matrices, pts), t1, t2)
         assert d < 1e-12
 
     def test_translation_lower_bound(self):
@@ -229,7 +255,7 @@ class TestSymmetricDistance:
         g = sym.discretize(spec, angles_per_axis=64)
         t1 = Pose.identity()
         t2 = Pose.from_rt(np.eye(3), [0.01, 0, 0])
-        d = sym.symmetric_distance(pts, g, t1, t2)
+        d = sym.symmetric_distance(pts, apply_matrices(g.matrices, pts), t1, t2)
         assert abs(d - 0.01) < 1e-12
 
     def test_matches_loop_oracle_exactly(self):
@@ -241,12 +267,12 @@ class TestSymmetricDistance:
         )
         g = sym.discretize(spec, angles_per_axis=16)
         pts = _points(n=33, seed=22)
-        sym_mats = [e.matrix for e in g.elements]
+        images = apply_matrices(g.matrices, pts)
         for _ in range(10):
             t1 = Pose(oracles.random_pose_matrix(rng))
             t2 = Pose(oracles.random_pose_matrix(rng))
-            got = sym.symmetric_distance(pts, g, t1, t2)
-            want = oracles.symmetric_distance(t1.matrix, t2.matrix, sym_mats, pts)
+            got = sym.symmetric_distance(pts, images, t1, t2)
+            want = oracles.symmetric_distance(t1.matrix, t2.matrix, g.matrices, pts)
             assert got == want
 
     def test_l1_matches_loop_oracle_exactly(self):
@@ -254,12 +280,12 @@ class TestSymmetricDistance:
         spec = sym.SymmetrySpec(continuous_axes=(([0, 1.0, 0], [0, 0, 0]),))
         g = sym.discretize(spec, angles_per_axis=8)
         pts = _points(n=17, seed=24)
-        sym_mats = [e.matrix for e in g.elements]
+        images = apply_matrices(g.matrices, pts)
         for _ in range(10):
             t1 = Pose(oracles.random_pose_matrix(rng))
             t2 = Pose(oracles.random_pose_matrix(rng))
-            got = sym.symmetric_distance_l1(pts, g, t1, t2)
-            want = oracles.symmetric_distance_l1(t1.matrix, t2.matrix, sym_mats, pts)
+            got = sym.symmetric_distance_l1(pts, images, t1, t2)
+            want = oracles.symmetric_distance_l1(t1.matrix, t2.matrix, g.matrices, pts)
             assert got == want
 
     def test_group_invariance(self):
@@ -270,9 +296,10 @@ class TestSymmetricDistance:
         rng = np.random.default_rng(26)
         t1 = Pose(oracles.random_pose_matrix(rng))
         t2 = Pose(oracles.random_pose_matrix(rng))
-        base = sym.symmetric_distance(pts, g, t1, t2)
-        for s in g.elements:
-            d = sym.symmetric_distance(pts, g, t1.compose(s), t2)
+        images = apply_matrices(g.matrices, pts)
+        base = sym.symmetric_distance(pts, images, t1, t2)
+        for s in g.matrices:
+            d = sym.symmetric_distance(pts, images, t1.compose(Pose(s)), t2)
             assert abs(d - base) <= 1e-9 * max(1.0, base)
 
     def test_argument_symmetry_for_rotation_group(self):
@@ -282,12 +309,13 @@ class TestSymmetricDistance:
         g = sym.discretize(spec, angles_per_axis=8)
         rng = np.random.default_rng(28)
         seeds = rng.uniform(-0.05, 0.05, size=(3, 3))
-        pts = np.concatenate([e.transform(seeds) for e in g.elements])
+        pts = apply_matrices(g.matrices, seeds).reshape(-1, 3)
+        images = apply_matrices(g.matrices, pts)
         for _ in range(5):
             t1 = Pose(oracles.random_pose_matrix(rng))
             t2 = Pose(oracles.random_pose_matrix(rng))
-            d12 = sym.symmetric_distance(pts, g, t1, t2)
-            d21 = sym.symmetric_distance(pts, g, t2, t1)
+            d12 = sym.symmetric_distance(pts, images, t1, t2)
+            d21 = sym.symmetric_distance(pts, images, t2, t1)
             assert abs(d12 - d21) <= 1e-9 * max(1.0, d12)
 
     def test_zero_iff_relative_pose_in_group(self):
@@ -296,13 +324,15 @@ class TestSymmetricDistance:
         pts = _points(n=30, seed=29)  # full-rank
         rng = np.random.default_rng(30)
         t1 = Pose(oracles.random_pose_matrix(rng))
+        images = apply_matrices(g.matrices, pts)
         # Relative pose in the group -> zero.
-        assert sym.symmetric_distance(pts, g, t1, t1.compose(g.elements[3])) < 1e-6
+        in_group = t1.compose(Pose(g.matrices[3]))
+        assert sym.symmetric_distance(pts, images, t1, in_group) < 1e-6
         # Relative pose off the group -> bounded away from zero.
         off = t1.compose(_pose_rz(2.0 * math.pi / 16))  # halfway between samples
-        assert sym.symmetric_distance(pts, g, t1, off) > 1e-4
+        assert sym.symmetric_distance(pts, images, t1, off) > 1e-4
 
     def test_empty_points_rejected(self):
-        g = sym.SymmetryGroup.identity_only()
+        empty = np.zeros((0, 3))
         with pytest.raises(ValueError):
-            sym.symmetric_distance(np.zeros((0, 3)), g, Pose.identity(), Pose.identity())
+            sym.symmetric_distance(empty, empty[None], Pose.identity(), Pose.identity())
