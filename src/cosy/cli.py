@@ -44,6 +44,7 @@ from .matching import (
     label_geometry,
 )
 from .refinement import (
+    _DAMPING_CEILING,
     RefineConfig,
     SceneState,
     express_in_camera_frames,
@@ -118,6 +119,37 @@ def _config(args: argparse.Namespace) -> dict:
     """The flag echo written into an output file for provenance."""
     return {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
 
+
+def _check_flags(args: argparse.Namespace, rules) -> None:
+    """Raise a ValueError naming the first flag that breaks its rule; solve
+    and eval call it before they read any file."""
+    for flag, ok, rule in rules:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if not ok(value):
+            raise ValueError(f"{flag} must {rule}, got {value}")
+
+
+# (flag, predicate, rule) rows. A non-finite value would reach the config
+# block as the non-JSON token Infinity; a damping ladder that starts above
+# its ceiling never runs, and one whose factor is <= 1 never ends.
+_POSITIVE = (lambda v: np.isfinite(v) and v > 0), "be finite and > 0"
+_COUNT = (lambda v: v >= 1), "be >= 1"
+_SOLVE_FLAG_RULES = (
+    ("--min-score", np.isfinite, "be finite"),
+    ("--inlier-threshold", *_POSITIVE),
+    ("--ransac-max-iters", *_COUNT),
+    ("--min-inliers", lambda v: v >= 3, "be >= 3"),
+    ("--lm-iters", *_COUNT),
+    ("--truncation-px", *_POSITIVE),
+    ("--damping-init", lambda v: 0 < v <= _DAMPING_CEILING,
+     f"be > 0 and <= {_DAMPING_CEILING:g}"),
+    ("--damping-factor", lambda v: np.isfinite(v) and v > 1, "be finite and > 1"),
+    ("--rel-tol", *_POSITIVE),
+    ("--symmetry-angles", *_COUNT),
+    ("--nms-radius", *_POSITIVE),
+    ("--restarts", *_COUNT),
+    ("--threads", *_COUNT),
+)
 
 # ----------------------------------------------------------------- simulate
 
@@ -219,12 +251,7 @@ def _estimate(
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    if not np.isfinite(args.min_score):
-        raise ValueError(f"min_score must be finite, got {args.min_score}")
-    for flag, value in (("--ransac-max-iters", args.ransac_max_iters),
-                        ("--lm-iters", args.lm_iters)):
-        if value < 1:
-            raise ValueError(f"{flag} must be >= 1, got {value}")
+    _check_flags(args, _SOLVE_FLAG_RULES)
     match = MatchParams(
         inlier_threshold=args.inlier_threshold,
         max_iterations=args.ransac_max_iters,
@@ -239,14 +266,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         rel_tol=args.rel_tol,
         seed=derive_seed(args.seed, "refine"),
     )
-    if args.symmetry_angles < 1:
-        raise ValueError("symmetry_angles must be >= 1")
-    if args.restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    if args.threads < 1:
-        raise ValueError("threads must be >= 1")
-    if not (np.isfinite(args.nms_radius) and args.nms_radius > 0):
-        raise ValueError(f"nms_radius must be > 0 and finite, got {args.nms_radius}")
     config = _config(args)
 
     t0 = time.perf_counter()
@@ -403,12 +422,10 @@ def _load_estimate(path, db, view_ids) -> SceneEstimate:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    # Checked before any file is read: 0 or nan would score every pair a
-    # miss, and a negative gate would be written into the comparison.
-    for flag in ("--diameter-fraction", "--compare-fraction", "--auc-max"):
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if not (np.isfinite(value) and value > 0):
-            raise ValueError(f"{flag} must be finite and > 0, got {value}")
+    # 0 or nan would score every pair a miss, and a negative gate would be
+    # written into the comparison.
+    flags = ("--diameter-fraction", "--compare-fraction", "--auc-max")
+    _check_flags(args, [(flag, *_POSITIVE) for flag in flags])
     db = load_models(args.models)
     scene, _provenance = load_ground_truth(args.ground_truth, db)
     view_ids = {v.view_id for v in scene.views}

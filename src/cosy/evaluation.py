@@ -10,8 +10,9 @@ Metrics operate on camera-frame pose pairs (prediction vs ground truth):
   - add_s_auc: exact area under the accuracy-vs-threshold curve for
     thresholds 0..max (closed form over the error list, no sampling grid).
   - recall_at_fraction_of_diameter: hit rate at a per-object threshold.
-  - map_adds: detection-style mean average precision where a prediction
-    counts as a true positive when its ADD-S error clears fraction*diameter.
+  - average_precision: detection-style AP; evaluate reports its mean over
+    labels as MetricReport.map_adds, where a prediction counts as a true
+    positive when its ADD-S error clears fraction*diameter.
 
 nms_3d greedily keeps the highest-aggregate-score object among any set
 whose world positions fall within a radius of each other.
@@ -263,16 +264,6 @@ def average_precision(tp_flags: list[bool], n_gt: int) -> float:
             area += (r - prev_recall) * p
             prev_recall = r
     return float(area)
-
-
-def map_adds(
-    preds,
-    gts,
-    db: ModelDB,
-    fraction: float = DEFAULT_DIAMETER_FRACTION,
-) -> float:
-    """Mean over GT labels of detection-style AP at ADD-S < fraction*d."""
-    return evaluate(preds, gts, db, fraction).map_adds
 
 
 def evaluate(

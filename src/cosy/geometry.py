@@ -106,9 +106,6 @@ class Pose:
     def inverse(self) -> "Pose":
         return Pose(inverse_matrices(self.matrix[None])[0])
 
-    def transform(self, pts) -> np.ndarray:
-        return apply_matrix(self.matrix, pts)
-
     def __repr__(self) -> str:  # pragma: no cover
         t = self.translation
         return f"Pose(t=[{t[0]:.4g}, {t[1]:.4g}, {t[2]:.4g}])"
@@ -287,11 +284,6 @@ def rotations_about_axes(axes, angles) -> np.ndarray:
     )[:, None, None] * (k @ k)
 
 
-def rotation_about_axis(axis, angle: float) -> np.ndarray:
-    """Rotation matrix about a (not necessarily unit) axis through the origin."""
-    return rotations_about_axes(axis, angle)[0]
-
-
 def rotation_exps(omegas) -> np.ndarray:
     """Axis-angle exponentials (Rodrigues) of (P, 3) vectors, (P, 3, 3)."""
     omegas = np.asarray(omegas, dtype=np.float64).reshape(-1, 3)
@@ -310,16 +302,12 @@ def rotation_exps(omegas) -> np.ndarray:
     return out
 
 
-def rotation_exp(omega: np.ndarray) -> np.ndarray:
-    """Axis-angle exponential (Rodrigues) of a 3-vector."""
-    return rotation_exps(omega)[0]
-
-
 def retract_matrices(matrices: np.ndarray, deltas) -> np.ndarray:
-    """`retract` of a (P, 4, 4) pose stack by (P, 6) increments, (P, 4, 4).
+    """Left increments of a (P, 4, 4) pose stack by (P, 6) deltas, (P, 4, 4).
 
-    All rotation increments are computed in one pass and applied with one
-    stacked product; each row equals `retract` of that pose bit for bit.
+    Row i is D_i @ matrices[i], D_i the pose with rotation
+    rotation_exps(deltas[i, :3]) and translation deltas[i, 3:]; a zero
+    delta leaves the pose unchanged. All rotations are computed in one pass.
     """
     deltas = np.asarray(deltas, dtype=np.float64).reshape(-1, 6)
     inc = np.zeros((deltas.shape[0], 4, 4))
@@ -327,16 +315,6 @@ def retract_matrices(matrices: np.ndarray, deltas) -> np.ndarray:
     inc[:, :3, 3] = deltas[:, 3:]
     inc[:, 3, 3] = 1.0
     return inc @ matrices
-
-
-def retract(t: Pose, delta) -> Pose:
-    """Apply a 6-dof increment (rotation xyz, translation xyz) on the left.
-
-    retract(t, 0) == t, and for small increments the update agrees with the
-    rigid-body exponential to second order.
-    """
-    delta = np.asarray(delta, dtype=np.float64).reshape(6)
-    return Pose(retract_matrices(t.matrix[None], delta)[0])
 
 
 def inverse_matrices(matrices: np.ndarray) -> np.ndarray:

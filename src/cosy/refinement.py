@@ -39,7 +39,7 @@ from .geometry import (
 )
 from .matching import LabelGeometry, PhysicalObject, TwoViewHypothesis
 from .numeric import _PAIRWISE_CHUNK, seq_sum
-from .scene_io import Candidate, ObjectModel, SceneObservations
+from .scene_io import ObjectModel, SceneObservations
 # perfbench/spans.py traces cosy.refinement.discretize by this name.
 from .symmetry import discretize  # noqa: F401
 
@@ -193,37 +193,6 @@ def _truncated_errors(pred_px, pred_valid, target_px, target_valid, truncation):
     return np.where(both, np.minimum(err, truncation), truncation), err, both
 
 
-def candidate_loss(
-    state: SceneState,
-    candidate: Candidate,
-    physical_object: PhysicalObject,
-    geometry: dict[str, LabelGeometry],
-    intrinsics: CameraIntrinsics,
-    truncation: float = DEFAULT_TRUNCATION_PX,
-) -> float:
-    """Truncated symmetric reprojection loss of one candidate, in pixels.
-
-    Points that land behind either projection contribute the truncation
-    value, so the loss saturates instead of blowing up off-image.
-    """
-    if candidate.label != physical_object.label:
-        raise ValueError("candidate label does not match the physical object")
-    if candidate.view_id not in {v for v, _ in physical_object.members}:
-        raise ValueError("candidate's view is not a member of the object")
-    entry = geometry[candidate.label]
-    pts = entry.model.points
-    cam = state.camera_poses[candidate.view_id]
-    state_pose = cam.inverse().compose(state.object_poses[physical_object.id])
-    pred_px, pred_valid = project_masked(
-        intrinsics, apply_matrix(state_pose.matrix, pts)
-    )
-    px, valid = _candidate_image(candidate.pose, entry.sym_points, intrinsics)
-    contrib, _, _ = _truncated_errors(
-        pred_px[None], pred_valid[None], px, valid, truncation
-    )
-    return float(np.min(contrib.mean(axis=1)))
-
-
 def total_loss(
     state: SceneState,
     objects: list[PhysicalObject],
@@ -231,20 +200,29 @@ def total_loss(
     geometry: dict[str, LabelGeometry],
     cfg: RefineConfig = RefineConfig(),
 ) -> float:
-    """Sum of candidate losses over every physical object's members."""
+    """Sum over every object's members, in object-id order, of the least
+    over the label's symmetries S of the mean truncated pixel distance
+    between the state's projection of each model point x and the
+    candidate's of S x. A point behind either camera contributes the
+    truncation value, so the loss saturates instead of blowing up."""
     state.require_views(objects)
     intr = {v.view_id: v.intrinsics for v in obs.views}
     total = 0.0
     for obj in sorted(objects, key=lambda o: o.id):
+        entry = geometry[obj.label]
         for view_id, cand_idx in obj.members:
-            total += candidate_loss(
-                state,
-                obs.candidates[cand_idx],
-                obj,
-                geometry,
-                intr[view_id],
-                cfg.truncation,
+            cam = state.camera_poses[view_id]
+            state_pose = cam.inverse().compose(state.object_poses[obj.id])
+            pred_px, pred_valid = project_masked(
+                intr[view_id], apply_matrix(state_pose.matrix, entry.model.points)
             )
+            px, valid = _candidate_image(
+                obs.candidates[cand_idx].pose, entry.sym_points, intr[view_id]
+            )
+            contrib, _, _ = _truncated_errors(
+                pred_px[None], pred_valid[None], px, valid, cfg.truncation
+            )
+            total += float(np.min(contrib.mean(axis=1)))
     return float(total)
 
 
@@ -611,7 +589,7 @@ def linearize(targets: Targets) -> tuple[np.ndarray, np.ndarray]:
     point with the weight applied: for world point w and camera rotation
     R, with A = d(pixel)/d(camera point), B = A R^T and C = B [w]x, a
     point's rows are [C | -B] (rotation increment first, translation
-    second, matching `retract`).
+    second, matching `retract_matrices`).
 
     The poses, camera-frame points and pixels are those of the evaluation
     the targets were selected from (`targets.at`); nothing is projected

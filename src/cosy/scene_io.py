@@ -77,7 +77,7 @@ class ObjectModel:
     label: str
     points: np.ndarray
     diameter: float
-    symmetries: SymmetrySpec = field(default_factory=SymmetrySpec.none)
+    symmetries: SymmetrySpec = field(default_factory=SymmetrySpec)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -197,7 +197,8 @@ class View:
 
 @dataclass(frozen=True, eq=False)
 class Candidate:
-    """One single-view pose hypothesis: object `label` seen in `view_id`."""
+    """One single-view pose hypothesis: object `label` seen in `view_id`.
+    An invalid field's error message starts with the field's name."""
 
     view_id: str
     label: str
@@ -207,13 +208,11 @@ class Candidate:
     def __post_init__(self):
         s = float(self.score)
         if not (0.0 <= s <= 1.0):
-            raise InvariantError(f"candidate score {s} outside [0, 1]")
+            raise InvariantError(f"score: {s} outside [0, 1]")
         object.__setattr__(self, "score", s)
-        if not self.pose.translation[2] > 0.0:
-            raise InvariantError(
-                f"candidate ({self.view_id}, {self.label}): pose depth "
-                f"{self.pose.translation[2]:.6g} must be > 0"
-            )
+        z = self.pose.translation[2]
+        if not z > 0.0:
+            raise InvariantError(f"pose: depth {z:.6g} must be > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -480,17 +479,14 @@ def load_models(path) -> ModelDB:
         flat = _numbers(_require(e, "points", where), f"{where}.points")
         if flat.size % 3 != 0:
             raise SchemaError(f"{where}: points must be a flat xyz array")
-        if flat.size == 0:
-            raise InvariantError(f"{where}: model '{label}' has zero points")
         sym_spec = _symmetries_from_json(
             e.get("symmetries", {"discrete": [], "axes": []}), where
         )
-        models[label] = ObjectModel(
-            label=label,
-            points=flat.reshape(-1, 3),
-            diameter=_number(_require(e, "diameter", where), f"{where}.diameter"),
-            symmetries=sym_spec,
-        )
+        diameter = _number(_require(e, "diameter", where), f"{where}.diameter")
+        try:
+            models[label] = ObjectModel(label, flat.reshape(-1, 3), diameter, sym_spec)
+        except InvariantError as exc:
+            raise InvariantError(f"{where}: {exc}") from None
     return ModelDB(models=models)
 
 
@@ -560,14 +556,12 @@ def load_observations(path, db: ModelDB | None = None) -> SceneObservations:
         view_id = _string(_require(c, "view_id", where), f"{where}.view_id")
         if view_id not in view_ids:
             raise UnknownViewError(f"{where}.view_id: unknown view_id {view_id!r}")
-        candidates.append(
-            Candidate(
-                view_id=view_id,
-                label=label,
-                score=_number(_require(c, "score", where), f"{where}.score"),
-                pose=pose_from_list(_require(c, "pose", where), where),
-            )
-        )
+        score = _number(_require(c, "score", where), f"{where}.score")
+        pose = pose_from_list(_require(c, "pose", where), where)
+        try:
+            candidates.append(Candidate(view_id, label, score, pose))
+        except InvariantError as exc:
+            raise InvariantError(f"{where}.{exc}") from None
     return SceneObservations(views=tuple(views), candidates=tuple(candidates))
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Pose, project_masked, rotation_about_axis
+from .geometry import CameraIntrinsics, Pose, project_masked, rotations_about_axes
 from .scene_io import (
     Candidate,
     GroundTruthScene,
@@ -99,10 +99,6 @@ class NoiseModel:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
 
-    @staticmethod
-    def none() -> "NoiseModel":
-        return NoiseModel()
-
 
 def uniform_rotation(rng: np.random.Generator) -> np.ndarray:
     """Uniform random rotation matrix (random unit quaternion)."""
@@ -143,7 +139,7 @@ def look_at_rotation(position, target, roll: float) -> np.ndarray:
     y = y / ny
     x = np.cross(y, f)
     R = np.stack([x, y, f], axis=1)
-    return R @ rotation_about_axis([0.0, 0.0, 1.0], roll)
+    return R @ rotations_about_axes([0.0, 0.0, 1.0], roll)[0]
 
 
 def generate_scene(cfg: ScenarioConfig, db: ModelDB) -> GroundTruthScene:
@@ -199,7 +195,7 @@ def _perturb(pose: Pose, noise: NoiseModel, rng: np.random.Generator) -> Pose:
     angle = abs(rng.normal(0.0, np.deg2rad(noise.rot_sigma_deg)))
     dt = rng.normal(0.0, noise.trans_sigma, size=3)
     dz = rng.normal(0.0, noise.depth_sigma_extra)
-    R = rotation_about_axis(axis, angle) @ pose.rotation
+    R = rotations_about_axes(axis, angle)[0] @ pose.rotation
     t = pose.translation + dt
     t = t + np.array([0.0, 0.0, dz])
     return Pose.from_rt(R, t)
@@ -287,7 +283,7 @@ def make_models(
             seeds = rng.uniform(-radius, radius, size=(max(2, n_points // 8), 3))
             orbit = [seeds]
             for k in range(1, 8):
-                rot = rotation_about_axis([0, 0, 1], 2.0 * np.pi * k / 8)
+                rot = rotations_about_axes([0, 0, 1], 2.0 * np.pi * k / 8)[0]
                 orbit.append(seeds @ rot.T)
             pts = np.concatenate(orbit)
             spec = SymmetrySpec(
@@ -295,7 +291,7 @@ def make_models(
             )
         else:
             pts = rng.uniform(-radius, radius, size=(n_points, 3))
-            spec = SymmetrySpec.none()
+            spec = SymmetrySpec()
         diameter = max_pairwise_distance(pts) * (1.0 + 1e-9)
         models[label] = ObjectModel(
             label=label, points=pts, diameter=diameter, symmetries=spec

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Pose, apply_matrices, project, rotation_from_6d
+from .geometry import (CameraIntrinsics, Pose, apply_matrices, apply_matrix, project,
+                       rotation_from_6d)
 from .scene_io import ObjectModel
 from .symmetry import SymmetryGroup, symmetric_distance_l1
 
@@ -108,7 +109,7 @@ def crop_from_pose(
     `padding` about its center, then widened on one axis to the output
     aspect ratio so crop-and-resize is an isotropic scaling.
     """
-    px = project(k, t.transform(model.points))  # BehindCameraError propagates
+    px = project(k, apply_matrix(t.matrix, model.points))  # BehindCameraError propagates
     lo = px.min(axis=0)
     hi = px.max(axis=0)
     center = 0.5 * (lo + hi)

@@ -70,11 +70,6 @@ class SymmetrySpec:
         object.__setattr__(self, "discrete", discrete)
         object.__setattr__(self, "continuous_axes", tuple(axes))
 
-    @staticmethod
-    def none() -> "SymmetrySpec":
-        """No symmetry beyond the identity."""
-        return SymmetrySpec()
-
 
 @dataclass(frozen=True)
 class SymmetryGroup:

@@ -94,7 +94,7 @@ def test_criterion_1_symmetric_distance_oracle():
     z_axis = (([0.0, 0.0, 1.0], [0.0, 0.0, 0.0]),)
     y_axis = (([0.0, 1.0, 0.0], [0.0, 0.0, 0.0]),)
     groups = [
-        discretize(SymmetrySpec.none()),
+        discretize(SymmetrySpec()),
         discretize(SymmetrySpec(discrete=(Pose.identity(), flip_x))),
         discretize(SymmetrySpec(continuous_axes=z_axis), angles_per_axis=4),
         discretize(SymmetrySpec(continuous_axes=z_axis), angles_per_axis=8),
@@ -221,7 +221,7 @@ def test_criterion_4_zero_noise_recovery():
         )
         scene = generate_scene(cfg, db)
         obs, _ = generate_observations(
-            scene, NoiseModel.none(), np.random.default_rng(seed)
+            scene, NoiseModel(), np.random.default_rng(seed)
         )
         geo = label_geometry(db, db.models)
         graph = build_match_graph(obs, geo)
@@ -602,7 +602,7 @@ def test_criterion_8_metric_oracles():
                         pose=pose,
                     )
                 )
-        exact = exact and ev.map_adds(preds, gts, db) == _naive_map(
+        exact = exact and ev.evaluate(preds, gts, db).map_adds == _naive_map(
             preds, gts, db, 0.1
         )
 

@@ -388,20 +388,27 @@ def test_solve_rejects_symmetry_angles_below_one(tmp_path, capsys):
     out = tmp_path / "out.json"
     # Each bad value is rejected before any file is read (no "load:" line).
     for flag, value, message in [
-        ("--symmetry-angles", "0", "symmetry_angles must be >= 1"),
-        ("--nms-radius", "0", "nms_radius must be > 0"),
-        ("--threads", "0", "threads must be >= 1"),
+        ("--symmetry-angles", "0", "--symmetry-angles must be >= 1, got 0"),
+        ("--nms-radius", "0", "--nms-radius must be finite and > 0, got 0.0"),
+        ("--threads", "0", "--threads must be >= 1, got 0"),
+        ("--restarts", "0", "--restarts must be >= 1, got 0"),
+        ("--min-inliers", "2", "--min-inliers must be >= 3, got 2"),
+        ("--min-score", "nan", "--min-score must be finite, got nan"),
         # A damping ladder that starts above its ceiling never runs, so the
         # solve would report the initialization's loss as refined.
-        ("--damping-init", "1e13", "damping_init must be <= 1e+12"),
-        ("--damping-init", "inf", "damping_init must be <= 1e+12"),
+        ("--damping-init", "1e13", "--damping-init must be > 0 and <= 1e+12"),
+        ("--damping-init", "inf", "--damping-init must be > 0 and <= 1e+12"),
+        ("--damping-init", "0", "--damping-init must be > 0 and <= 1e+12"),
         # Non-finite values would be written into the config block as the
         # non-JSON token Infinity.
-        ("--truncation-px", "inf", "truncation must be > 0 and finite"),
-        ("--damping-factor", "inf", "damping_factor must be > 1 and finite"),
-        ("--inlier-threshold", "inf", "inlier_threshold must be > 0 and finite"),
-        ("--rel-tol", "inf", "rel_tol must be > 0 and finite"),
-        ("--nms-radius", "inf", "nms_radius must be > 0 and finite"),
+        ("--truncation-px", "inf", "--truncation-px must be finite and > 0"),
+        ("--damping-factor", "inf", "--damping-factor must be finite and > 1"),
+        ("--damping-factor", "1", "--damping-factor must be finite and > 1"),
+        ("--inlier-threshold", "inf", "--inlier-threshold must be finite and > 0"),
+        ("--inlier-threshold", "0", "--inlier-threshold must be finite and > 0"),
+        ("--rel-tol", "inf", "--rel-tol must be finite and > 0"),
+        ("--rel-tol", "0", "--rel-tol must be finite and > 0"),
+        ("--nms-radius", "inf", "--nms-radius must be finite and > 0, got inf"),
         ("--lm-iters", "0", "--lm-iters must be >= 1, got 0"),
         ("--ransac-max-iters", "0", "--ransac-max-iters must be >= 1, got 0"),
     ]:
@@ -441,6 +448,20 @@ def test_solve_rejects_an_unknown_candidate_view_naming_the_field(tmp_path, caps
     assert not out.exists()
 
 
+def test_solve_rejects_a_bad_candidate_score_naming_the_entry(tmp_path, capsys):
+    models, obs, _ = simulate(tmp_path, "--n-objects", "4", "--n-views", "3")
+    doc = load_json(obs)
+    doc["candidates"][3]["score"] = 1.5
+    obs.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert solve(models, obs, out) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"error: {obs}: candidates[3].score: 1.5 outside [0, 1]" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("factor", ["1", "0.5"])
 def test_solve_rejects_damping_factor_not_above_one(tmp_path, capsys, monkeypatch,
                                                      factor):
@@ -456,7 +477,7 @@ def test_solve_rejects_damping_factor_not_above_one(tmp_path, capsys, monkeypatc
     out = tmp_path / "out.json"
     assert solve(models, obs, out, "--damping-factor", factor) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "damping_factor must be > 1" in err
+    assert "--damping-factor must be finite and > 1" in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -599,7 +620,7 @@ def test_solve_rejects_nan_min_score(tmp_path, capsys):
     out = tmp_path / "out.json"
     assert solve(models, obs, out, "--min-score", "nan") == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "min_score must be finite" in err
+    assert "--min-score must be finite, got nan" in err
     assert "Traceback" not in err
     assert not out.exists()
 

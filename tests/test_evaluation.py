@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ import oracles
 def _model(label="m", n=25, seed=0, symmetric=False):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-0.04, 0.04, size=(n, 3))
-    sym = SymmetrySpec.none()
+    sym = SymmetrySpec()
     if symmetric:
         sym = SymmetrySpec(continuous_axes=(([0.0, 0.0, 1.0], [0.0, 0.0, 0.0]),))
     return ObjectModel(label=label, points=pts, diameter=0.15, symmetries=sym)
@@ -161,12 +162,12 @@ class TestMapAdds:
         preds = [
             ev.PosePrediction("v0", "m", 0.9 - 0.1 * i, g.pose) for i, g in enumerate(gts)
         ]
-        assert ev.map_adds(preds, gts, db) == 1.0
+        assert ev.evaluate(preds, gts, db).map_adds == 1.0
 
     def test_no_predictions(self):
         db = self._db()
         gts = [ev.PosePrediction("v0", "m", 1.0, _pose(20))]
-        assert ev.map_adds([], gts, db) == 0.0
+        assert ev.evaluate([], gts, db).map_adds == 0.0
 
     def test_false_positive_hand_curve(self):
         # One GT; a wrong high-score pred ranks above the correct one.
@@ -180,14 +181,14 @@ class TestMapAdds:
             ev.PosePrediction("v0", "m", 0.95, far),
             ev.PosePrediction("v0", "m", 0.60, gt_pose),
         ]
-        assert ev.map_adds(preds, gts, db) == 0.5
+        assert ev.evaluate(preds, gts, db).map_adds == 0.5
 
     def test_view_strict_matching(self):
         db = self._db()
         gt_pose = _pose(22)
         gts = [ev.PosePrediction("v0", "m", 1.0, gt_pose)]
         preds = [ev.PosePrediction("v1", "m", 0.9, gt_pose)]  # right pose, wrong view
-        assert ev.map_adds(preds, gts, db) == 0.0
+        assert ev.evaluate(preds, gts, db).map_adds == 0.0
 
     def test_score_rank_invariance(self):
         db = self._db()
@@ -197,11 +198,11 @@ class TestMapAdds:
             ev.PosePrediction("v0", "m", s, g.pose)
             for s, g in zip([0.9, 0.7, 0.5, 0.3], gts)
         ] + [ev.PosePrediction("v0", "m", 0.8, _pose(99))]
-        base = ev.map_adds(preds, gts, db)
+        base = ev.evaluate(preds, gts, db).map_adds
         squashed = [
             ev.PosePrediction(p.view_id, p.label, p.score ** 3, p.pose) for p in preds
         ]
-        assert ev.map_adds(squashed, gts, db) == base
+        assert ev.evaluate(squashed, gts, db).map_adds == base
 
     def test_mean_over_labels(self):
         db = ModelDB(models={"a": _model("a", seed=1), "b": _model("b", seed=2)})
@@ -211,7 +212,7 @@ class TestMapAdds:
             ev.PosePrediction("v0", "b", 1.0, pb),
         ]
         preds = [ev.PosePrediction("v0", "a", 0.9, pa)]  # label b missed
-        assert ev.map_adds(preds, gts, db) == 0.5
+        assert ev.evaluate(preds, gts, db).map_adds == 0.5
 
 
 class TestEvaluateReport:
@@ -318,6 +319,22 @@ class TestEvaluateAddsOnce:
                 model.points, ev.DEFAULT_DIAMETER_FRACTION * model.diameter)
             n_examined += n
         assert len(calls) == n_examined
+
+    def test_shared_errors_equal_a_fresh_evaluate(self):
+        # cosy eval --before scores its records at a second fraction through
+        # the PairErrors of the first report.
+        db, preds, gts = _noisy_multi_view_scene()
+        shared = ev.PairErrors(preds, gts, db)
+        first = ev.evaluate(preds, gts, db, errors=shared)
+        for fraction in (0.04, 0.5):
+            got = ev.evaluate(preds, gts, db, fraction=fraction, errors=shared)
+            assert got == ev.evaluate(preds, gts, db, fraction=fraction)
+        assert ev.evaluate(preds, gts, db, 0.04).n_matched < first.n_matched
+        copies = [dataclasses.replace(p) for p in preds]
+        for errors in (ev.PairErrors(copies, gts, db),
+                       ev.PairErrors(preds[1:], gts, db)):
+            with pytest.raises(ValueError, match="other predictions"):
+                ev.evaluate(preds, gts, db, errors=errors)
 
 
 class _Obj:

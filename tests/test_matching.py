@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 import cosy.matching
-from cosy.geometry import Pose, apply_matrices, rotation_exp
+from cosy.geometry import Pose, apply_matrices, rotation_exps
 from cosy.matching import (
     BOUND_MARGIN,
     IMAGE_MERGE_TOL,
@@ -523,7 +523,7 @@ def test_centroid_bound_never_exceeds_symmetric_distance(
     sym_points = geo["m"].sym_points
     poses = []
     for rot, trans in zip(rotations, translations):
-        poses.append(Pose.from_rt(rotation_exp(rot), trans + [0.0, 0.0, 1.0]))
+        poses.append(Pose.from_rt(rotation_exps(rot)[0], trans + [0.0, 0.0, 1.0]))
     cand_a, cand_b, t_ab = poses
     view_a = [(0, Candidate("va", "m", 0.9, cand_a))]
     view_b = [(1, Candidate("vb", "m", 0.9, cand_b))]

@@ -17,7 +17,6 @@ from cosy.refinement import (
     SceneState,
     _residual_index,
     candidate_images,
-    candidate_loss,
     express_in_camera_frames,
     frozen_loss,
     initialize_scene,
@@ -100,7 +99,7 @@ def test_residual_index_subsample_is_deterministic():
     rng = np.random.default_rng(0)
     pts = rng.normal(0, 0.05, (800, 3))
     model = ObjectModel(
-        label="big", points=pts, diameter=1.0, symmetries=SymmetrySpec.none()
+        label="big", points=pts, diameter=1.0, symmetries=SymmetrySpec()
     )
     sub1 = _residual_index(model)
     sub2 = _residual_index(model)
@@ -108,7 +107,7 @@ def test_residual_index_subsample_is_deterministic():
     assert np.array_equal(sub1, sub2)
     small = ObjectModel(
         label="small", points=pts[:40], diameter=1.0,
-        symmetries=SymmetrySpec.none(),
+        symmetries=SymmetrySpec(),
     )
     assert _residual_index(small) is None
 
@@ -262,63 +261,39 @@ def test_initialize_prunes_unreachable_views_like_raise_and_retry():
 # --------------------------------------------------------------------- loss
 
 
-def test_candidate_loss_zero_when_consistent():
+def test_total_loss_zero_when_consistent():
     db, scene, obs, objects, state = consistent_setup(seed=11)
     geo = label_geometry(db, db.models)
-    intr = {v.view_id: v.intrinsics for v in obs.views}
-    for obj in objects:
-        for view_id, idx in obj.members:
-            loss = candidate_loss(
-                state, obs.candidates[idx], obj, geo, intr[view_id]
-            )
-            assert loss < 1e-9
+    assert total_loss(state, objects, obs, geo) < 1e-9
 
 
-def test_candidate_loss_absorbs_symmetry():
+def test_total_loss_absorbs_symmetry():
     db, scene, obs, objects, state = consistent_setup(
         n_objects=3, n_views=2, seed=12, symmetric=("obj_01",)
     )
     geo = label_geometry(db, db.models)
-    intr = {v.view_id: v.intrinsics for v in obs.views}
     group = discretize(db["obj_01"].symmetries)
-    obj = objects[1]
-    view_id, idx = obj.members[0]
+    _, idx = objects[1].members[0]
     base = obs.candidates[idx]
     for s in (group.matrices[1], group.matrices[17]):
-        twisted = Candidate(
+        candidates = list(obs.candidates)
+        candidates[idx] = Candidate(
             base.view_id, base.label, base.score, base.pose.compose(Pose(s))
         )
-        loss = candidate_loss(state, twisted, obj, geo, intr[view_id])
-        assert loss < 1e-9
+        twisted = SceneObservations(views=obs.views, candidates=candidates)
+        assert total_loss(state, objects, twisted, geo) < 1e-9
 
 
-def test_candidate_loss_saturates_off_image():
+def test_total_loss_saturates_off_image():
     db, scene, obs, objects, state = consistent_setup(n_objects=2, n_views=2, seed=13)
     geo = label_geometry(db, db.models)
-    intr = {v.view_id: v.intrinsics for v in obs.views}
     moved = dict(state.object_poses)
     m = moved[0].matrix.copy()
     m[0, 3] += 50.0  # far outside every frustum
     moved[0] = Pose.from_matrix(m)
     state2 = SceneState(camera_poses=state.camera_poses, object_poses=moved)
-    obj = objects[0]
-    view_id, idx = obj.members[0]
-    loss = candidate_loss(
-        state2, obs.candidates[idx], obj, geo, intr[view_id], truncation=25.0
-    )
-    assert loss == 25.0
-
-
-def test_candidate_loss_validates_membership():
-    db, scene, obs, objects, state = consistent_setup(n_objects=2, n_views=2, seed=14)
-    geo = label_geometry(db, db.models)
-    intr = obs.views[0].intrinsics
-    wrong_label = Candidate("view_000", objects[1].label, 0.9, obs.candidates[0].pose)
-    with pytest.raises(ValueError):
-        candidate_loss(state, wrong_label, objects[0], geo, intr)
-    stranger = Candidate("view_999", objects[0].label, 0.9, obs.candidates[0].pose)
-    with pytest.raises(ValueError):
-        candidate_loss(state, stranger, objects[0], geo, intr)
+    loss = total_loss(state2, objects[:1], obs, geo, RefineConfig(truncation=25.0))
+    assert loss == 25.0 * len(objects[0].members)
 
 
 def test_total_loss_matches_naive_resummation():

@@ -21,7 +21,7 @@ def _model(label="box", n=12, seed=0, diameter=None, symmetric=False):
     if diameter is None:
         diff = pts[:, None, :] - pts[None, :, :]
         diameter = float(np.sqrt((diff ** 2).sum(-1)).max()) * 1.01
-    sym = SymmetrySpec.none()
+    sym = SymmetrySpec()
     if symmetric:
         sym = SymmetrySpec(continuous_axes=(([0.0, 0.0, 1.0], [0.0, 0.0, 0.0]),))
     return sio.ObjectModel(label=label, points=pts, diameter=diameter, symmetries=sym)
@@ -316,6 +316,16 @@ class TestModelsFile:
         with pytest.raises(sio.SchemaError, match="diameter"):
             sio.load_models(p)
 
+    def test_model_invariant_names_the_entry(self, tmp_path):
+        db = sio.ModelDB(models={"a": _model("a"), "b": _model("b", seed=5)})
+        p = _edited(tmp_path / "models.json", db, sio.save_models,
+                    lambda doc: doc["models"][1].update(diameter=5.0))
+        with pytest.raises(sio.InvariantError) as info:
+            sio.load_models(p)
+        assert str(info.value).startswith(
+            f"{p}: models[1]: model 'b': diameter 5.0 m outside sanity range"
+        )
+
 
 class TestObservationsFile:
     def test_round_trip_exact(self, tmp_path):
@@ -401,6 +411,33 @@ class TestObservationsFile:
         p.write_text(json.dumps(doc))
         with pytest.raises(sio.SchemaError):
             sio.load_observations(p)
+
+    def test_bad_score_names_the_candidate(self, tmp_path):
+        p = _edited(tmp_path / "obs.json", _observations(), sio.save_observations,
+                    lambda doc: doc["candidates"][3].update(score=1.5))
+        with pytest.raises(sio.InvariantError) as info:
+            sio.load_observations(p)
+        assert str(info.value) == f"{p}: candidates[3].score: 1.5 outside [0, 1]"
+
+    def test_bad_depth_names_the_candidate(self, tmp_path):
+        # Candidates of one view and label differ only by their index.
+        def behind_camera(doc):
+            doc["candidates"][4]["pose"][11] = -0.5
+
+        p = _edited(tmp_path / "obs.json", _observations(), sio.save_observations,
+                    behind_camera)
+        with pytest.raises(sio.InvariantError) as info:
+            sio.load_observations(p)
+        assert str(info.value) == f"{p}: candidates[4].pose: depth -0.5 must be > 0"
+
+
+def _edited(path, value, save, edit):
+    """`path` holding `value` as `save` writes it, after `edit` of its JSON."""
+    save(value, path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return path
 
 
 _RIGID = [0.0, -1.0, 0.0, 0.1, 1.0, 0.0, 0.0, 0.2, 0.0, 0.0, 1.0, 1.0, 0, 0, 0, 1]

@@ -146,7 +146,7 @@ class TestGenerateObservations:
         db = _db()
         scene = sim.generate_scene(_cfg(3, 4, seed=5), db)
         obs, prov = sim.generate_observations(
-            scene, sim.NoiseModel.none(), np.random.default_rng(0)
+            scene, sim.NoiseModel(), np.random.default_rng(0)
         )
         assert len(prov) == len(obs.candidates)
         assert len(obs.candidates) > 0

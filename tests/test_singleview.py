@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from cosy import singleview as sv
-from cosy.geometry import CameraIntrinsics, Pose, BehindCameraError, project
+from cosy.geometry import (
+    CameraIntrinsics, Pose, BehindCameraError, apply_matrix, project,
+)
 from cosy.scene_io import ObjectModel
 from cosy.symmetry import SymmetrySpec, discretize, symmetric_distance_l1
 
@@ -16,7 +18,7 @@ K = CameraIntrinsics(fx=600.0, fy=580.0, cx=320.0, cy=240.0, width=640, height=4
 def _model(seed=0, symmetric=False):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-0.04, 0.04, size=(30, 3))
-    sym = SymmetrySpec.none()
+    sym = SymmetrySpec()
     if symmetric:
         sym = SymmetrySpec(continuous_axes=(([0.0, 0.0, 1.0], [0.0, 0.0, 0.0]),))
     return ObjectModel(label="m", points=pts, diameter=0.15, symmetries=sym)
@@ -61,7 +63,7 @@ class TestCropFromPose:
         far = Pose.from_rt(np.eye(3), [0.0, 0.0, 1.5])
         w = []
         for pose in (near, far):
-            px = project(K, pose.transform(model.points))
+            px = project(K, apply_matrix(pose.matrix, model.points))
             w.append(px[:, 0].max() - px[:, 0].min())
         assert abs(w[0] / w[1] - 2.0) < 1e-6
 
@@ -70,7 +72,7 @@ class TestCropFromPose:
         model = _model(3)
         pose = _pose(4)
         crop = sv.crop_from_pose(pose, model, K)
-        cam_pts = pose.transform(model.points)
+        cam_pts = apply_matrix(pose.matrix, model.points)
         direct = project(crop.intrinsics, cam_pts)
         mapped = crop.map_to_crop(project(K, cam_pts))
         assert np.max(np.abs(direct - mapped)) < 1e-9

@@ -7,7 +7,7 @@ import pytest
 
 from cosy import symmetry as sym
 from cosy.cli import EXIT_CONFIG
-from cosy.geometry import Pose, apply_matrices, apply_matrix, rotation_about_axis
+from cosy.geometry import Pose, apply_matrices, apply_matrix
 
 import oracles
 from test_cli import simulate, solve
@@ -66,7 +66,7 @@ class TestSpec:
         assert not (tmp_path / "out.json").exists()
 
     def test_none(self):
-        s = sym.SymmetrySpec.none()
+        s = sym.SymmetrySpec()
         assert len(s.discrete) == 1
         assert not s.continuous_axes
 
@@ -97,7 +97,7 @@ class TestSymmetryGroup:
 
 class TestDiscretize:
     def test_identity_only(self):
-        g = sym.discretize(sym.SymmetrySpec.none())
+        g = sym.discretize(sym.SymmetrySpec())
         assert len(g) == 1
         assert np.array_equal(g.matrices[0], np.eye(4))
 
@@ -169,7 +169,7 @@ class TestDiscretize:
             return Pose(m)
 
         return {
-            "identity-only": (sym.SymmetrySpec.none(), 64),
+            "identity-only": (sym.SymmetrySpec(), 64),
             # Copies within _DEDUP_TOL of the identity, and no axis: the
             # group is the identity alone.
             "near-identity-only": (
