@@ -5,8 +5,9 @@ Metrics operate on camera-frame pose pairs (prediction vs ground truth):
   - add_error: mean distance between same-index model points.
   - adds_error: mean distance from each ground-truth-posed point to its
     nearest predicted-posed point (symmetric-object friendly). The nearest
-    point is the row minimum of numeric.pairwise_sq_reduce's squared
-    distances, with one sqrt per ground-truth point.
+    point's squared distance comes from numeric.nearest_sq, which equals
+    the row minimum of a full pairwise scan bit for bit, with one sqrt per
+    ground-truth point.
   - add_s_auc: exact area under the accuracy-vs-threshold curve for
     thresholds 0..max (closed form over the error list, no sampling grid).
   - recall_at_fraction_of_diameter: hit rate at a per-object threshold.
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Pose, apply_matrices, apply_matrix
-from .numeric import pairwise_sq_reduce, point_norms, seq_sum
+from .numeric import nearest_sq, point_norms, seq_sum
 from .scene_io import ModelDB, ObjectModel
 
 DEFAULT_AUC_MAX = 0.10
@@ -103,7 +104,7 @@ def adds_error(model: ObjectModel, t_pred, t_gt) -> float:
     Poses or posed points are accepted as in add_error.
     """
     gt = _posed(model, t_gt)
-    mins = np.sqrt(pairwise_sq_reduce(gt, _posed(model, t_pred), np.minimum))
+    mins = np.sqrt(nearest_sq(gt, _posed(model, t_pred)))
     return float(seq_sum(mins) / gt.shape[0])
 
 

@@ -78,6 +78,16 @@ class TestAddsError:
             want = oracles.adds_error(t1.matrix, t2.matrix, m.points)
             assert got == want
 
+    def test_matches_loop_oracle_exactly_above_the_filter_size(self):
+        # 160 points reach numeric.nearest_sq's filtered argmin.
+        m = _model(n=160, seed=9)
+        assert len(m.points) >= numeric._NEAREST_MIN_POINTS
+        t = _pose(300)
+        near = Pose.from_rt(t.rotation, t.translation + [0.002, -0.001, 0.004])
+        for t1, t2 in [(near, t), (t, near), (_pose(301), t), (_pose(302), _pose(303))]:
+            got = ev.adds_error(m, t1, t2)
+            assert got == oracles.adds_error(t1.matrix, t2.matrix, m.points)
+
     @pytest.mark.parametrize("chunk", [1, 31, 4 * 31, 5 * 31 - 1, 31 * 31 - 1])
     def test_matches_loop_oracle_across_chunk_sizes(self, monkeypatch, chunk):
         # 1 and M give one-row blocks; 4M and 5M - 1 give 4-row blocks,
