@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import re
 import sys
 import time
 from dataclasses import fields
@@ -37,6 +38,9 @@ from .evaluation import (
     nms_3d,
 )
 from .matching import (
+    DEFAULT_INLIER_THRESHOLD,
+    DEFAULT_MAX_ITERATIONS,
+    DEFAULT_MIN_INLIERS,
     MatchParams,
     PhysicalObject,
     build_match_graph,
@@ -45,6 +49,7 @@ from .matching import (
 )
 from .refinement import (
     _DAMPING_CEILING,
+    DEFAULT_STARTS,
     RefineConfig,
     SceneState,
     express_in_camera_frames,
@@ -153,6 +158,24 @@ _SOLVE_FLAG_RULES = (
 
 # ----------------------------------------------------------------- simulate
 
+# The `cosy simulate` flag of each ScenarioConfig, NoiseModel and
+# make_models parameter that the library's errors name.
+_SIMULATE_FLAGS = {
+    "n_objects": "--n-objects",
+    "n_views": "--n-views",
+    "box_size": "--box-size",
+    "camera_distance_range": "--camera-distance",
+    "n_points": "--n-points",
+    "radius_range": "--radius-range",
+    "rot_sigma_deg": "--rot-sigma-deg",
+    "trans_sigma": "--trans-sigma",
+    "depth_sigma_extra": "--depth-sigma-extra",
+    "miss_prob": "--miss-prob",
+    "outlier_prob": "--outlier-prob",
+    "label_confusion_prob": "--label-confusion-prob",
+}
+_SIMULATE_FIELD = re.compile(r"\b(%s)\b" % "|".join(_SIMULATE_FLAGS))
+
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.n_objects < 1:
@@ -169,31 +192,37 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # orbit of at least 16 points whatever --n-points is.
     if args.n_points == 1 and set(labels) - set(symmetric):
         raise ValueError("--n-points must be >= 2 for labels without symmetry, got 1")
-    scenario = ScenarioConfig(
-        n_objects=args.n_objects,
-        n_views=args.n_views,
-        model_labels=labels,
-        box_size=args.box_size,
-        camera_distance_range=tuple(args.camera_distance),
-        seed=derive_seed(args.seed, "scene"),
-    )
-    noise = NoiseModel(
-        rot_sigma_deg=args.rot_sigma_deg,
-        trans_sigma=args.trans_sigma,
-        depth_sigma_extra=args.depth_sigma_extra,
-        miss_prob=args.miss_prob,
-        outlier_prob=args.outlier_prob,
-        label_confusion_prob=args.label_confusion_prob,
-    )
+    # The library checks every value before a file is written; its errors
+    # are reported with the flags in place of the parameter names.
+    try:
+        scenario = ScenarioConfig(
+            n_objects=args.n_objects,
+            n_views=args.n_views,
+            model_labels=labels,
+            box_size=args.box_size,
+            camera_distance_range=tuple(args.camera_distance),
+            seed=derive_seed(args.seed, "scene"),
+        )
+        noise = NoiseModel(
+            rot_sigma_deg=args.rot_sigma_deg,
+            trans_sigma=args.trans_sigma,
+            depth_sigma_extra=args.depth_sigma_extra,
+            miss_prob=args.miss_prob,
+            outlier_prob=args.outlier_prob,
+            label_confusion_prob=args.label_confusion_prob,
+        )
+        db = make_models(
+            labels,
+            seed=derive_seed(args.seed, "models"),
+            n_points=args.n_points,
+            symmetric=symmetric,
+            radius_range=tuple(args.radius_range),
+        )
+    except ValueError as exc:
+        message = _SIMULATE_FIELD.sub(lambda m: _SIMULATE_FLAGS[m[0]], str(exc))
+        raise ValueError(message) from None
 
     rng_obs = np.random.default_rng(derive_seed(args.seed, "observations"))
-    db = make_models(
-        labels,
-        seed=derive_seed(args.seed, "models"),
-        n_points=args.n_points,
-        symmetric=symmetric,
-        radius_range=tuple(args.radius_range),
-    )
     scene = generate_scene(scenario, db)
     obs, provenance = generate_observations(scene, noise, rng_obs)
 
@@ -594,6 +623,7 @@ def _simulate_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _solve_arguments(p: argparse.ArgumentParser) -> None:
+    refine_defaults = RefineConfig()
     p.add_argument("--models", required=True)
     p.add_argument("--observations", required=True)
     p.add_argument("--out", required=True)
@@ -601,18 +631,22 @@ def _solve_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--init-out", default=None,
                    help="also write the pre-refinement estimate here")
     p.add_argument("--min-score", type=float, default=0.3)
-    p.add_argument("--inlier-threshold", type=float, default=0.02)
-    p.add_argument("--ransac-max-iters", type=int, default=2000)
-    p.add_argument("--min-inliers", type=int, default=3)
-    p.add_argument("--lm-iters", type=int, default=100)
-    p.add_argument("--truncation-px", type=float, default=25.0)
-    p.add_argument("--damping-init", type=float, default=1e-4,
+    p.add_argument("--inlier-threshold", type=float,
+                   default=DEFAULT_INLIER_THRESHOLD)
+    p.add_argument("--ransac-max-iters", type=int, default=DEFAULT_MAX_ITERATIONS)
+    p.add_argument("--min-inliers", type=int, default=DEFAULT_MIN_INLIERS)
+    p.add_argument("--lm-iters", type=int, default=refine_defaults.max_iterations)
+    p.add_argument("--truncation-px", type=float,
+                   default=refine_defaults.truncation)
+    p.add_argument("--damping-init", type=float,
+                   default=refine_defaults.damping_init,
                    help="initial and minimum Levenberg-Marquardt damping")
-    p.add_argument("--damping-factor", type=float, default=10.0)
-    p.add_argument("--rel-tol", type=float, default=1e-6)
+    p.add_argument("--damping-factor", type=float,
+                   default=refine_defaults.damping_factor)
+    p.add_argument("--rel-tol", type=float, default=refine_defaults.rel_tol)
     p.add_argument("--symmetry-angles", type=int, default=DEFAULT_ANGLES_PER_AXIS)
     p.add_argument("--nms-radius", type=float, default=DEFAULT_NMS_RADIUS)
-    p.add_argument("--restarts", type=int, default=4)
+    p.add_argument("--restarts", type=int, default=DEFAULT_STARTS)
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility: the solve runs its view "
                         "pairs in one thread, because the work is GIL-bound")

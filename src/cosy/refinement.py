@@ -16,6 +16,20 @@ objective as well. Every member of a symmetric label is scored over all
 its symmetries at each re-selection (see `select_targets`). Each
 label's discretized group and symmetry images come from the solve's
 `label_geometry` map, which matching reads too.
+
+Each iteration linearizes in the camera frame, as bundle adjustment
+usually chains the projection derivative (Triggs et al., "Bundle
+Adjustment - A Modern Synthesis", 2000). A point's residual depends on its
+camera (R, t) and object poses only through its camera-frame coordinates
+u = R^T (w - t), w its world point, so with v = R^T w = u + R^T t and
+A = d(pixel)/du, its rows for the camera's increment are
+
+    E = A R^T [[w]x | -I] = A [[v]x | -I] diag(R^T, R^T),
+
+by R^T [w]x = [R^T w]x R^T, and for the object's increment -E. `linearize`
+writes A [[v]x | -I], ten nonzero entries per point, into rows over every
+point; `normal_equations` forms each member's Gram product of those rows
+and applies its camera's diag(R, R) once to the 6x6 blocks.
 """
 
 from __future__ import annotations
@@ -44,6 +58,7 @@ from .scene_io import ObjectModel, SceneObservations
 from .symmetry import discretize  # noqa: F401
 
 DEFAULT_TRUNCATION_PX = 25.0
+DEFAULT_STARTS = 4  # refine_best_of's restarts
 MAX_RESIDUAL_POINTS = 500
 _DAMPING_CEILING = 1e12
 
@@ -291,6 +306,7 @@ class CandidateImages:
     stacks: tuple[ImageStack, ...]
     fixed_px: np.ndarray  # (N, 2), read-only
     fixed_valid: np.ndarray  # (N,), read-only
+    scatter: tuple  # `_scatter_plan` of the members' blocks
     workspace: Workspace  # the LM loop's scratch buffers
 
 
@@ -299,20 +315,21 @@ class Workspace:
     residual points each (N in all); a field of the solve's
     `CandidateImages`.
 
-    Each iteration writes its per-point matrix entries and its Jacobian
-    rows into these buffers instead of allocating them. An array of 12 N
-    floats is larger than glibc's mmap threshold once N is in the
-    thousands: allocated per call, it goes back to the OS when freed and
-    its pages fault in afresh on the next call. Every restart of a solve
-    refines against the same images, so all of them write into one
-    workspace.
+    Each evaluation writes its per-point member matrix entries, and each
+    `linearize` its 16 rows per point, into these buffers instead of
+    allocating them. An array of 12 N or 16 N floats is larger than glibc's
+    mmap threshold once N is in the thousands: allocated per call, it goes
+    back to the OS when freed and its pages fault in afresh on the next
+    call. Every restart of a solve refines against the same images, so all
+    of them write into one workspace.
     """
 
     def __init__(self, counts: np.ndarray):
         n = int(counts.sum())
-        # (12, N) per-point matrix entries, or (N, 2, 6) rows of every point
-        self.entries = np.empty(12 * n)
-        self.jacobian = np.empty(12 * n)  # (n, 2, 6) rows of E, n active points
+        self.entries = np.empty(12 * n)  # (12, N) per-point matrix entries
+        # linearize's rows; rows 4 and 9 are entries of A [[v]x | -I] that
+        # are zero for every point, and nothing writes them.
+        self.rows = np.zeros((16, n))
         # Each member's [R | t] entries, and views repeating a member's
         # column over its points: concatenated in member order, the views
         # are np.repeat(self._member, counts, axis=1).
@@ -321,6 +338,15 @@ class Workspace:
             np.broadcast_to(self._member[:, t, None], (12, count))
             for t, count in enumerate(counts.tolist())
         ]
+        # (members, columns) of each run of consecutive members with equal
+        # point count, as slices: the members of one object are a run.
+        self.runs = []
+        start = point = 0
+        for t in range(1, len(counts) + 1):
+            if t == len(counts) or counts[t] != counts[start]:
+                end = point + int(counts[start]) * (t - start)
+                self.runs.append((slice(start, t), slice(point, end)))
+                start, point = t, end
 
     def point_entries(self, matrices: np.ndarray) -> np.ndarray:
         """(12, N) view of the entries buffer whose row 4j+k is M[j, k] of
@@ -359,7 +385,6 @@ class Targets:
     px: np.ndarray  # (N, 2), each member's image under its selected S
     valid: np.ndarray  # (N,)
     active: np.ndarray  # (N,), points that carry gradient at selection
-    active_counts: np.ndarray  # (T,), active points of each member
 
 
 def candidate_images(
@@ -414,13 +439,15 @@ def candidate_images(
     object_ids = [o.id for _, o, _ in members]
     cameras = sorted(set(view_ids))
     objects = sorted(set(object_ids))
+    camera_rows = _rows_in(cameras, view_ids)
+    object_rows = _rows_in(objects, object_ids)
     return CandidateImages(
         view_ids=tuple(view_ids),
         object_ids=tuple(object_ids),
         cameras=tuple(cameras),
-        camera_rows=_rows_in(cameras, view_ids),
+        camera_rows=camera_rows,
         objects=tuple(objects),
-        object_rows=_rows_in(objects, object_ids),
+        object_rows=object_rows,
         bounds=tuple(bounds.tolist()),
         counts=counts,
         points=np.ascontiguousarray(
@@ -438,6 +465,9 @@ def candidate_images(
         stacks=tuple(stacks),
         fixed_px=fixed_px,
         fixed_valid=fixed_valid,
+        scatter=_scatter_plan(
+            camera_rows, object_rows, len(cameras), len(objects)
+        ),
         workspace=Workspace(counts),
     )
 
@@ -558,7 +588,6 @@ def select_targets(
         px=px,
         valid=valid,
         active=active,
-        active_counts=np.add.reduceat(active, images.bounds[:-1], dtype=np.intp),
     )
     return targets, float(seq_sum(member_loss))
 
@@ -578,165 +607,196 @@ def frozen_loss(
     return float(seq_sum(evaluation.member_loss)), evaluation
 
 
+# Columns of a member's Gram product G whose u-row and v-row blocks sum to
+# [K' | J'^T r | J'^T unit(r)] (see `normal_equations`).
+_GRAM_U = np.r_[0:6, 12, 14]
+_GRAM_V = np.r_[6:12, 13, 15]
+
+
 def linearize(targets: Targets) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals over the active points at the selection's poses and their
-    compact Jacobian E.
+    """Weighted residuals at the selection's poses and their Jacobian rows
+    in each point's camera frame.
 
     A residual depends on its camera and object poses only through
-    cam^-1 * obj, so equal left increments of both cancel: a target's
-    camera columns are exactly E and its object columns exactly -E.
-    `normal_equations` places them. E is (2n, 6), rows (u, v) per active
-    point with the weight applied: for world point w and camera rotation
-    R, with A = d(pixel)/d(camera point), B = A R^T and C = B [w]x, a
-    point's rows are [C | -B] (rotation increment first, translation
-    second, matching `retract_matrices`).
+    cam^-1 * obj, so equal left increments of both cancel: a member's
+    camera columns are exactly E and its object columns exactly -E, where
+    E holds the rows (u, v) of its points (rotation increment first,
+    translation second, matching `retract_matrices`). For a point with
+    camera-frame coordinates u = R^T (w - t), w = T_obj x its world point
+    and (R, t) its camera, a camera increment (phi, rho) moves u by
+    -R^T (phi x w + rho), so E = A R^T [[w]x | -I] with A = d(pixel)/du.
+    The identity R^T [w]x = [R^T w]x R^T moves the rotation to the right:
+
+        E = A [[v]x | -I] diag(R^T, R^T),    v = R^T w = u + R^T t,
+
+    and A, of two nonzeros per row (f/z and -f c/z^2), leaves ten nonzero
+    entries of A [[v]x | -I] per point. `normal_equations` applies R once
+    per member.
+
+    Returns (r, rows). `rows` is the images' workspace buffer (16, N),
+    one contiguous row per entry over every residual point: rows 0-5 and
+    6-11 are the u and v rows of A [[v]x | -I] with the point's
+    sqrt_weight folded into A, rows 12 and 13 (`r`, a view) the weighted
+    pixel residuals, and rows 14 and 15 their unit vectors (a zero
+    residual stays zero). Every column of an inactive point is zeroed
+    after it is computed (such a point may lie at z <= 0), so it adds
+    nothing to any product. The buffer stays valid until the next
+    linearize on the same images, which overwrites it.
 
     The poses, camera-frame points and pixels are those of the evaluation
     the targets were selected from (`targets.at`); nothing is projected
-    again. Each entry of the (2, 6) block is computed for every
-    residual point as one contiguous (N,) row, from the expressions
-    np.cross evaluates (b1 w2 - b2 w1, ...); the weight is applied last, as
-    the row is written into its column. When some point is inactive, the
-    rows and residuals of the n active points are then copied out in
-    order; almost every iteration has all N points active and copies
-    nothing. Each entry equals the per-point evaluation bit for bit; the
-    values computed for inactive points, which may lie behind the camera,
-    are dropped.
-
-    E is a view of the first 2n rows of the images' workspace Jacobian
-    buffer: it stays valid until the next linearize on the same images,
-    which overwrites it. Each point's object and camera matrix entries (and
-    every point's rows, when some are dropped) go into the workspace's
-    entries buffer, so an iteration allocates no array of 12 N floats.
+    again.
     """
     images = targets.images
     at = targets.at
-    ws = images.workspace
-    idx = np.flatnonzero(targets.active)
-    n = idx.shape[0]
-    compact = n < targets.active.shape[0]
-    sw = images.sqrt_weight
-    n_cam = len(images.cameras)
-    cams, objs = at.poses[:n_cam], at.poses[n_cam:]
-    w = apply_point_matrices(
-        ws.point_entries(objs[images.object_rows]).reshape(3, 4, -1), images.points
-    )
-    # w is computed, so the entries buffer takes the camera matrices.
-    rot = ws.point_entries(cams[images.camera_rows])  # row 4j+k: R[j, k]
+    rows = images.workspace.rows
+    cams = at.poses[: len(images.cameras)]
+    # R^T t of each member's camera, summed over the rows of R in order.
+    rt = cams[:, 0, :3] * cams[:, 0, 3, None]
+    rt += cams[:, 1, :3] * cams[:, 1, 3, None]
+    rt += cams[:, 2, :3] * cams[:, 2, 3, None]
+    rt = rt[images.camera_rows]
     x, y, z = at.cam_points
-    fx, fy = images.intrinsics.fx, images.intrinsics.fy
-    # Inactive points may sit at z <= 0; their values are dropped below.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = at.px - targets.px
-        r *= sw[:, None]
-        b = []
-        for i, (f, c) in enumerate(((fx, x), (fy, y))):
-            # B = A R^T: B_j = f/z R[j, i] - (f/z) c/z R[j, 2], A having two
-            # nonzeros per row
-            f_z = f / z
-            fc_z = f_z * c / z
-            b.append([f_z * rot[4 * j + i] - fc_z * rot[4 * j + 2]
-                      for j in range(3)])
-        # rot is spent, so the entries buffer may take every point's rows
-        # when only the active ones go into the Jacobian buffer.
-        rows = (ws.entries if compact else ws.jacobian).reshape(-1, 2, 6)
-        for i, b_i in enumerate(b):
-            # B [w]x == B x w: entry j is b[p] w[q] - b[q] w[p]
-            for j, (p, q) in enumerate(((1, 2), (2, 0), (0, 1))):
-                np.multiply(b_i[p] * w[q] - b_i[q] * w[p], sw, out=rows[:, i, j])
-            for j in range(3):
-                np.multiply(-b_i[j], sw, out=rows[:, i, 3 + j])
-    if compact:
-        # mode="clip" (the indices are valid) keeps np.take from staging
-        # `out` in a temporary copy.
-        r = np.take(r, idx, axis=0)
-        rows = np.take(
-            rows.reshape(-1, 12), idx, axis=0,
-            out=ws.jacobian[: 12 * n].reshape(n, 12), mode="clip",
-        )
-    return r.ravel(), rows.reshape(-1, 6)
-
-
-def _member_products(
-    e: np.ndarray, v: np.ndarray, counts: np.ndarray, uniform: bool
-) -> np.ndarray:
-    """E_t^T v_t over each live member's rows of linearize's E, with `v`
-    that E, giving (k, 6, 6), or a vector over its rows, giving (k, 6).
-
-    One stacked matmul when `uniform`, a loop of 2-D products otherwise;
-    each member's product is its 2-D product bit for bit either way.
-    """
-    if uniform:
-        e_3t = e.reshape(counts.size, -1, 6).transpose(0, 2, 1)
-        out = e_3t @ v.reshape(counts.size, e_3t.shape[2], -1)
-        return out if v.ndim == 2 else out[:, :, 0]
-    ends = (2 * np.cumsum(counts)).tolist()
-    out = np.empty((counts.size, 6) + v.shape[1:])
-    for t, (start, end) in enumerate(zip([0] + ends, ends)):
-        out[t] = e[start:end].T @ v[start:end]
-    return out
+    # v = u + R^T t; only its negated first coordinate is used as such.
+    nv1, v2, v3 = (
+        np.repeat(-rt[:, 0], images.counts) - x,
+        y + np.repeat(rt[:, 1], images.counts),
+        z + np.repeat(rt[:, 2], images.counts),
+    )
+    # Inactive points may sit at z <= 0; their columns are zeroed below.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # A's rows (a0, 0, -q0) and (0, a1, -q1), weighted: a = sw f/z and
+        # q = a c/z.
+        s = images.sqrt_weight / z
+        a0 = images.intrinsics.fx * s
+        a1 = images.intrinsics.fy * s
+        q0 = np.multiply(a0, x / z, out=rows[5])
+        q1 = np.multiply(a1, y / z, out=rows[11])
+        # The other nonzeros of (a0, 0, -q0) [[v]x | -I] ...
+        np.multiply(q0, v2, out=rows[0])
+        np.subtract(q0 * nv1, a0 * v3, out=rows[1])
+        np.multiply(a0, v2, out=rows[2])
+        np.negative(a0, out=rows[3])
+        # ... and of (0, a1, -q1) [[v]x | -I]
+        np.add(a1 * v3, q1 * v2, out=rows[6])
+        np.multiply(q1, nv1, out=rows[7])
+        np.multiply(a1, nv1, out=rows[8])
+        np.negative(a1, out=rows[10])
+        r = rows[12:14]
+        np.subtract(at.px.T, targets.px.T, out=r)
+        r *= images.sqrt_weight
+        norm = np.sqrt(r[0] ** 2 + r[1] ** 2)
+        np.divide(r, np.maximum(norm, np.finfo(np.float64).tiny), out=rows[14:16])
+    inactive = ~targets.active
+    if inactive.any():
+        rows[:, inactive] = 0.0
+    return r, rows
 
 
 def normal_equations(
-    r: np.ndarray, e: np.ndarray, targets: Targets
+    rows: np.ndarray, targets: Targets
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One pass forms J^T J, J^T r and the accepted loss's gradient, from
-    linearize's weighted residuals and compact Jacobian, by 6x6 blocks.
+    """One pass forms J^T J, J^T r and the accepted loss's gradient from
+    linearize's rows, by 6x6 blocks.
 
-    With K = E_t^T E_t and k = E_t^T r_t over target t's rows, the target
-    adds [[K, -K], [-K, K]] and [k, -k] at its camera and object blocks;
-    the gauge camera has no columns, so only its object block remains. A
-    member's blocks are its camera and object rows of `pose_stack` less
-    one. K and k are BLAS products per member, taken by one stacked
-    matmul when every member with some active point has the same number of
-    them and by a loop of 2-D products otherwise (the same bits either
-    way); np.add.at and np.subtract.at apply them in member order, and the
-    four kinds of block (object-object, camera-camera, camera-object,
-    object-camera) never share an entry, so each entry receives its
-    additions in the order of a per-member loop of += and -=.
+    With F = A [[v]x | -I] the camera-frame rows of member t's points and
+    D = diag(R, R) for its camera rotation R, linearize's E is F D^T, so
+
+        K = E^T E = D K' D^T,    K' = F^T F,    k = E^T r = D F^T r.
+
+    The member's columns B of `rows` (16 x M) hold F's u rows transposed in
+    B[0:6], its v rows in B[6:12], r in B[12:14] and unit(r) in B[14:16],
+    so its Gram product G = B B^T gives
+
+        K' = G[:6, :6] + G[6:12, 6:12],
+        F^T r = G[:6, 12] + G[6:12, 13],
+        F^T unit(r) = G[:6, 14] + G[6:12, 15].
+
+    Rows 12-15 of G are never read, so only G[:12] = B[:12] B^T is formed,
+    by one stacked matmul per run of consecutive members with equal point
+    count (the members of one object form a run; every member of the
+    benchmark's scenes forms one). D is applied by one stacked product per
+    member. A member without an active point has zero columns and adds
+    zero blocks.
+
+    The member adds [[K, -K], [-K, K]] and [k, -k] at its camera and object
+    blocks; the gauge camera has no columns, so only its object block
+    remains. A member's blocks are its camera and object rows of
+    `pose_stack` less one. One np.bincount adds them in member order
+    (`_scatter_plan`), and the four kinds of block (object-object,
+    camera-camera, camera-object, object-camera) never share an entry, so
+    each entry receives its additions in the order of a per-member loop of
+    += and -=.
 
     The gradient is that of `frozen_loss` at the selection's poses. A
     member's loss is the mean of its points' truncated errors, so an active
     point adds (1 / M) unit(d)^T J, d its pixel difference and J its pixel
     Jacobian; with r = d / sqrt(M) and E = J / sqrt(M) that is
-    sqrt_weight * unit(r)^T E, placed as k is. A point on its target adds
+    sqrt(1 / M) unit(r)^T E, placed as k is. A point on its target adds
     nothing. Inactive points contribute the constant truncation value and
     have no gradient; the sum is exact away from the truncation, where no
     point's activity changes. Returns (J^T J, J^T r, gradient).
     """
     images = targets.images
+    n_members = len(images.view_ids)
+    # G[:12] = B[:12] B^T is one gemm per member; numpy takes the full
+    # B B^T by BLAS syrk, about twice as slow on these 16-row blocks.
+    gram = np.empty((n_members, 12, 16))
+    for ts, cols in images.workspace.runs:
+        # (k, 16, M) views of rows, so each member's product reads its
+        # columns in place, as a 2-D product of rows[:, its columns] does.
+        b = rows[:, cols].reshape(16, ts.stop - ts.start, -1).transpose(1, 0, 2)
+        np.matmul(b[:, :12], b.transpose(0, 2, 1), out=gram[ts])
+    # (T, 6, 8): [K' | F^T r | F^T unit(r)] of each member, camera frame
+    blocks = gram[:, :6, _GRAM_U] + gram[:, 6:12, _GRAM_V]
+    blocks[:, :, 7] *= np.sqrt(1.0 / images.counts)[:, None]
     n_cam = len(images.cameras)
-    n_blocks = n_cam - 1 + len(images.objects)
-    live = np.flatnonzero(targets.active_counts)
-    counts = targets.active_counts[live]
-    uniform = bool(live.size) and bool((counts == counts[0]).all())
-    d = r.reshape(-1, 2)
-    norm = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2)
-    # A zero residual divides by `tiny` and stays zero.
-    unit = (d / np.maximum(norm, np.finfo(np.float64).tiny)[:, None]).ravel()
-    k_grad = _member_products(e, unit, counts, uniform)
-    k_grad *= np.sqrt(1.0 / images.counts[live])[:, None]
-    # (k, 2, 6): each live member's J^T r block, then its gradient block.
-    k_vec = np.stack([_member_products(e, r, counts, uniform), k_grad], axis=1)
-    k_mat = _member_products(e, e, counts, uniform)
-    c = images.camera_rows[live] - 1
-    o = images.object_rows[live] + n_cam - 1
-    vec = np.zeros((n_blocks, 2, 6))
-    h = np.zeros((n_blocks, n_blocks, 6, 6))
-    np.subtract.at(vec, o, k_vec)
-    np.add.at(h, (o, o), k_mat)
-    free = c >= 0  # members outside the gauge camera
-    c, o, k_mat = c[free], o[free], k_mat[free]
-    np.add.at(vec, c, k_vec[free])
-    np.add.at(h, (c, c), k_mat)
-    np.subtract.at(h, (c, o), k_mat)
-    np.subtract.at(h, (o, c), k_mat)
-    size = 6 * n_blocks
-    return (
-        h.transpose(0, 2, 1, 3).reshape(size, size),
-        vec[:, 0].ravel(),
-        vec[:, 1].ravel(),
+    rot = np.zeros((n_members, 6, 6))
+    rot[:, :3, :3] = rot[:, 3:, 3:] = targets.at.poses[:n_cam, :3, :3][
+        images.camera_rows
+    ]
+    blocks = rot @ blocks  # [D K' | k | gradient]
+    blocks[:, :, :6] = blocks[:, :, :6] @ rot.transpose(0, 2, 1)
+    take, sign, put = images.scatter
+    size = 6 * (n_cam - 1 + len(images.objects))
+    out = np.bincount(
+        put, weights=blocks.ravel()[take] * sign, minlength=size * (size + 2)
     )
+    return out[: size * size].reshape(size, size), out[-2 * size : -size], out[-size:]
+
+
+def _scatter_plan(
+    camera_rows: np.ndarray, object_rows: np.ndarray, n_cam: int, n_objects: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(take, sign, put) of `normal_equations`' one bincount: entry i of
+    its output, J^T J (row-major) then J^T r then the gradient, receives
+    sign[i] * blocks.ravel()[take[i]] for every i with put[i] there, in
+    order, from the (T, 6, 8) member blocks [K | k | gradient].
+
+    Per member, K goes to its object-object block, and, outside the gauge
+    camera, to its camera-camera block and negated to its two camera-object
+    blocks; k and the gradient go to its camera's entries and negated to
+    its object's. Each kind of block lists its members in order and no two
+    kinds share an entry, so every entry sums its terms in member order.
+    """
+    size = 6 * (n_cam - 1 + n_objects)
+    c = camera_rows - 1
+    o = object_rows + n_cam - 1
+    free = np.flatnonzero(c >= 0)  # members outside the gauge camera
+    i = np.arange(6)
+    ij = (i[:, None] * 8 + i).ravel()  # K's 36 entries in a member's block
+    parts = []  # (members, entries in their blocks, sign, output entries)
+    for ts, rb, cb, sgn in ((np.arange(len(o)), o, o, 1.0), (free, c, c, 1.0),
+                            (free, c, o, -1.0), (free, o, c, -1.0)):
+        rows = 6 * rb[ts, None, None] + i[:, None]
+        parts.append((ts, ij, sgn, rows * size + 6 * cb[ts, None, None] + i))
+    for col, base in ((6, size * size), (7, size * (size + 1))):
+        for ts, b, sgn in ((np.arange(len(o)), o, -1.0), (free, c, 1.0)):
+            parts.append((ts, i * 8 + col, sgn, base + 6 * b[ts, None] + i))
+    take = np.concatenate([(48 * ts[:, None] + e).ravel() for ts, e, _, _ in parts])
+    sign = np.concatenate([np.full(out.size, sgn) for _, _, sgn, out in parts])
+    put = np.concatenate([out.ravel() for _, _, _, out in parts])
+    return take, sign, put
 
 
 # --------------------------------------------------------------------- LM
@@ -792,7 +852,7 @@ def refine(
     `candidate_images(objects, obs, geometry)`, built here when not given;
     they depend on no pose, so restarts may share them. Every iteration's
     projections and `linearize` write into their `workspace`, so each
-    iteration's E is valid until the next iteration's `linearize`.
+    iteration's rows are valid until the next iteration's `linearize`.
     """
     if not objects:
         return state
@@ -812,11 +872,11 @@ def refine(
         if loss0 <= 1e-12:  # numerically zero; nothing left to gain
             stop = "zero"
             break
-        r, e = linearize(targets)
-        if r.size == 0:
+        _, rows = linearize(targets)
+        if not targets.active.any():
             stop = "saturated"
             break
-        h, g, grad = normal_equations(r, e, targets)
+        h, g, grad = normal_equations(rows, targets)
         # Whether -g fails to descend the loss; checked with the first step.
         uphill = grad @ g <= 0
 
@@ -890,7 +950,7 @@ def refine_best_of(
     obs: SceneObservations,
     geometry: dict[str, LabelGeometry],
     cfg: RefineConfig = RefineConfig(),
-    n_starts: int = 4,
+    n_starts: int = DEFAULT_STARTS,
 ) -> tuple[SceneState, list[PhysicalObject], SceneState, float | None]:
     """Initialize, refine, and keep the lowest-loss result of n_starts runs.
 
@@ -903,8 +963,8 @@ def refine_best_of(
     None when no object survives initialization.
 
     Every start refines against one shared `candidate_images` build, whose
-    `Workspace` holds the Jacobian and per-point matrix entries, so the
-    whole solve allocates them once. A start is scored by the last value of
+    `Workspace` holds linearize's rows and the per-point matrix entries, so
+    the whole solve allocates them once. A start is scored by the last value of
     its `refine` trace, select_targets' loss at the refined state, which is
     total_loss bit for bit unless some model's residual points are a
     subsample (`any_subsampled`); total_loss scores the starts then, so the

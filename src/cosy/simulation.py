@@ -68,8 +68,9 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_objects < 1 or self.n_views < 1:
-            raise ValueError("n_objects and n_views must be >= 1")
+        for name in ("n_objects", "n_views"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (np.isfinite(self.box_size) and self.box_size > 0):
             raise ValueError(f"box_size must be finite and > 0, got {self.box_size}")
         if not self.model_labels:

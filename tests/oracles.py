@@ -232,7 +232,8 @@ def block_offsets(images):
 
 
 def dense_jacobian(e, targets):
-    """Dense (2N, P) Jacobian from linearize's compact (2N, 6) block.
+    """Dense (2N, P) Jacobian from compact (2N, 6) world-frame rows, as
+    `world_linearize` and `world_rows` give them.
 
     Target t owns the next 2 * (its active points) rows, in member order.
     Its rows of E go to its camera's columns (none for the gauge view) and
@@ -352,13 +353,16 @@ def discretize_matrices(spec, angles_per_axis):
 
 # ---------------------------------------------------------------------------
 # Per-member Levenberg-Marquardt inner loop: the loop-over-members version of
-# cosy.refinement's select_targets, frozen_loss, linearize (with np.cross)
-# and normal_equations (its h and g), kept as written before the flat
-# per-point rewrite; normal_equations appends `loss_gradient`.
+# cosy.refinement's select_targets and frozen_loss, kept as written before
+# the flat per-point rewrite, and of its camera-frame linearize and
+# normal_equations, with one 2-D product per member.
 # `per_member_view` turns a CandidateImages into the per-member layout these
 # functions read; the library's results must equal theirs bit for bit, and
 # they can stand in for the library's functions inside `refine`. Like those,
 # they take pose stacks (`as_state` turns one back into a SceneState).
+# `world_linearize` keeps the world-frame Jacobian formula (with np.cross)
+# that linearize used before, as the reference the camera-frame rows are
+# held to within rounding.
 
 
 def per_member_view(images):
@@ -444,8 +448,9 @@ def select_targets(poses, images, truncation, evaluation=None):
     """Per-member symmetry selection of a CandidateImages: (targets, loss).
 
     The targets carry the per-member view as `images` and the selection's
-    `poses`; the other three functions read only those. `evaluation` is
-    ignored: the state is always projected again, into new arrays.
+    poses as `at.poses`, where the library's keep them; the other functions
+    read only those. `evaluation` is ignored: the state is always projected
+    again, into new arrays.
     """
     from types import SimpleNamespace
 
@@ -469,7 +474,7 @@ def select_targets(poses, images, truncation, evaluation=None):
         active.append(both[best] & (err[best] < truncation))
     targets = SimpleNamespace(
         images=images,
-        poses=poses,
+        at=SimpleNamespace(poses=poses),
         px=np.concatenate(px),
         valid=np.concatenate(valid),
         active=np.concatenate(active),
@@ -491,8 +496,12 @@ def frozen_loss(poses, targets, truncation):
     return total, None
 
 
-def linearize(targets):
-    images, poses = targets.images, targets.poses
+def world_linearize(targets):
+    """Weighted residuals and Jacobian rows E of the active points, world
+    frame: for world point w, camera rotation R and A = d(pixel)/d(camera
+    point), B = A R^T and E = [B [w]x | -B]. (r (2n,), E (2n, 6)), rows
+    (u, v) per active point in member order, as `dense_jacobian` reads."""
+    images, poses = targets.images, targets.at.poses
     state = as_state(poses, images)
     act = targets.active
     member = images.member[act]
@@ -516,34 +525,90 @@ def linearize(targets):
     return r, e.reshape(-1, 6)
 
 
-def normal_equations(r, e, targets):
-    """(J^T J, J^T r, gradient): the per-member loop, then `loss_gradient`."""
+def world_rows(rows, targets):
+    """`world_linearize`'s (r, E) from a linearize's (16, N) rows: each
+    point's camera-frame rows F (rows 0-5 and 6-11) turned by its camera's
+    rotation R, E = F diag(R^T, R^T), and its residual (rows 12-13), over
+    the active points."""
     images = targets.images
+    cams = targets.at.poses[: len(images.cameras)]
+    row_of = {v: k for k, v in enumerate(images.cameras)}
+    rot = np.stack([cams[row_of[v], :3, :3] for v in images.view_ids])
+    rot_t = np.repeat(rot, np.diff(images.bounds), axis=0).transpose(0, 2, 1)
+    f = rows[:12].reshape(2, 6, -1).transpose(2, 0, 1)  # (N, 2, 6)
+    e = np.concatenate([f[:, :, :3] @ rot_t, f[:, :, 3:] @ rot_t], axis=2)
+    act = targets.active
+    return rows[12:14, act].T.ravel(), e[act].reshape(-1, 6)
+
+
+def linearize(targets):
+    """cosy.refinement.linearize member by member: (r, rows), rows a new
+    (16, N) array."""
+    images, poses = targets.images, targets.at.poses
+    state = as_state(poses, images)
+    u, pred_px, _ = project_points(poses, images)
+    rows = np.zeros((16, u.shape[0]))
+    tiny = np.finfo(np.float64).tiny
+    for t, view_id in enumerate(images.view_ids):
+        s, e = images.bounds[t], images.bounds[t + 1]
+        m = state.camera_poses[view_id].matrix
+        rt = m[0, :3] * m[0, 3]
+        rt += m[1, :3] * m[1, 3]
+        rt += m[2, :3] * m[2, 3]  # R^T t
+        x, y, z = u[s:e].T
+        nv1, v2, v3 = -rt[0] - x, y + rt[1], z + rt[2]  # R^T w, first negated
+        sw = images.sqrt_weight[s:e]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            a0 = images.intrinsics.fx[s:e] * (sw / z)
+            a1 = images.intrinsics.fy[s:e] * (sw / z)
+            q0 = a0 * (x / z)
+            q1 = a1 * (y / z)
+            # (a0, 0, -q0) and (0, a1, -q1) times [[v]x | -I], written out
+            zero = np.zeros(e - s)
+            rows[:6, s:e] = [q0 * v2, q0 * nv1 - a0 * v3, a0 * v2, -a0, zero, q0]
+            rows[6:12, s:e] = [a1 * v3 + q1 * v2, q1 * nv1, a1 * nv1, zero, -a1, q1]
+            d = (pred_px[s:e] - targets.px[s:e]) * sw[:, None]
+            norm = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2)
+            rows[12:14, s:e] = d.T
+            rows[14:16, s:e] = (d / np.maximum(norm, tiny)[:, None]).T
+        rows[:, s + np.flatnonzero(~targets.active[s:e])] = 0.0
+    return rows[12:14], rows
+
+
+def normal_equations(rows, targets):
+    """(J^T J, J^T r, gradient) member by member: the first 12 rows of each
+    member's Gram product B B^T, B its columns of `rows`, its camera-frame
+    blocks, turned by diag(R, R), and added to h, g and the gradient by +=
+    and -=."""
+    images = targets.images
+    state = as_state(targets.at.poses, images)
     cam_offset, obj_offset, size = block_offsets(images)
     h = np.zeros((size, size))
     g = np.zeros(size)
-    counts = np.bincount(
-        images.member[targets.active], minlength=len(images.view_ids)
-    ).tolist()
-    row = 0
-    for view_id, object_id, n in zip(images.view_ids, images.object_ids, counts):
-        if n == 0:
-            continue
-        e_t = e[row : row + 2 * n]
-        r_t = r[row : row + 2 * n]
-        row += 2 * n
-        k_mat = e_t.T @ e_t
-        k_vec = e_t.T @ r_t
+    grad = np.zeros(size)
+    cols_u, cols_v = np.r_[0:6, 12, 14], np.r_[6:12, 13, 15]
+    for t, (view_id, object_id) in enumerate(zip(images.view_ids, images.object_ids)):
+        b = rows[:, images.bounds[t] : images.bounds[t + 1]]
+        gram = b[:12] @ b.T
+        blk = gram[:6, cols_u] + gram[6:12, cols_v]  # [K' | F^T r | F^T unit]
+        blk[:, 7] *= np.sqrt(1.0 / b.shape[1])
+        rot = np.zeros((6, 6))
+        rot[:3, :3] = rot[3:, 3:] = state.camera_poses[view_id].rotation
+        blk = rot @ blk
+        k_mat = blk[:, :6] @ rot.T
+        k_vec, k_grad = blk[:, 6], blk[:, 7]
         o = obj_offset[object_id]
         h[o : o + 6, o : o + 6] += k_mat
         g[o : o + 6] -= k_vec
+        grad[o : o + 6] -= k_grad
         c = cam_offset[view_id]
         if c is not None:
             h[c : c + 6, c : c + 6] += k_mat
             h[c : c + 6, o : o + 6] -= k_mat
             h[o : o + 6, c : c + 6] -= k_mat
             g[c : c + 6] += k_vec
-    return h, g, loss_gradient(r, e, targets)
+            grad[c : c + 6] += k_grad
+    return h, g, grad
 
 
 # cosy.matching.two_view_ransac's hypothesis loop as written before exact
@@ -740,12 +805,12 @@ def refine(state, objects, obs, geometry, cfg, *, trace=None, images=None, stops
         if loss0 <= 1e-12:
             stop = "zero"
             break
-        r, e = lm.linearize(targets)
-        if r.size == 0:
+        _, rows = lm.linearize(targets)
+        if not targets.active.any():
             stop = "saturated"
             break
-        h, g = lm.normal_equations(r, e, targets)[:2]
-        grad = loss_gradient(r, e, targets)
+        h, g = lm.normal_equations(rows, targets)[:2]
+        grad = loss_gradient(*world_rows(rows, targets), targets)
 
         accepted = False
         solved = False

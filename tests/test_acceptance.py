@@ -403,8 +403,8 @@ def test_criterion_7_optimizer_correctness():
             )
             targets, _ = select_targets(noisy, images, cfg.truncation)
             all_active = all_active and bool(targets.active.all())
-            _, block = linearize(targets)
-            jac = oracles.dense_jacobian(block, targets)
+            _, e = oracles.world_rows(linearize(targets)[1], targets)
+            jac = oracles.dense_jacobian(e, targets)
             h = 1e-6
             fd = np.zeros_like(jac)
             for k in range(jac.shape[1]):

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line pipeline."""
 
 import dataclasses
+import inspect
 import json
 import math
 import threading
@@ -133,22 +134,56 @@ def test_simulate_rejects_non_finite_noise_and_no_points(tmp_path, capsys):
     # Each bad value is rejected before any file is written, naming its flag.
     out_dir = tmp_path / "scene"
     for flag, value, message in [
-        ("--rot-sigma-deg", "nan", "rot_sigma_deg must be finite and >= 0"),
-        ("--rot-sigma-deg", "inf", "rot_sigma_deg must be finite and >= 0"),
-        ("--trans-sigma", "nan", "trans_sigma must be finite and >= 0"),
-        ("--trans-sigma", "inf", "trans_sigma must be finite and >= 0"),
-        ("--depth-sigma-extra", "-inf", "depth_sigma_extra must be finite"),
-        ("--n-points", "0", "n_points must be >= 1"),
+        ("--rot-sigma-deg", "nan", "--rot-sigma-deg must be finite and >= 0, got nan"),
+        ("--rot-sigma-deg", "inf", "--rot-sigma-deg must be finite and >= 0"),
+        ("--trans-sigma", "nan", "--trans-sigma must be finite and >= 0"),
+        ("--trans-sigma", "inf", "--trans-sigma must be finite and >= 0"),
+        ("--depth-sigma-extra", "-inf", "--depth-sigma-extra must be finite"),
+        ("--miss-prob", "2", "--miss-prob must be in [0, 1], got 2.0"),
+        ("--outlier-prob", "-0.5", "--outlier-prob must be in [0, 1]"),
+        ("--label-confusion-prob", "nan", "--label-confusion-prob must be in [0, 1]"),
+        ("--n-points", "0", "--n-points must be >= 1, got 0"),
         ("--n-objects", "0", "--n-objects must be >= 1, got 0"),
+        ("--n-views", "0", "--n-views must be >= 1, got 0"),
+        ("--box-size", "-1", "--box-size must be finite and > 0, got -1.0"),
+        ("--camera-distance", "2 1", "--camera-distance must be finite with 0 < min"),
+        ("--radius-range", "0 1", "--radius-range must be finite with 0 < min"),
     ]:
         capsys.readouterr()
+        values = value.split()
+        argv = [f"{flag}={value}"] if len(values) == 1 else [flag, *values]
         assert main(["simulate", "--out-dir", str(out_dir), "--seed", "0",
-                     f"{flag}={value}"]) == EXIT_CONFIG
+                     *argv]) == EXIT_CONFIG
         shown = capsys.readouterr()
         assert message in shown.err
         assert "Traceback" not in shown.err
         assert shown.out == ""
         assert not out_dir.exists()
+
+
+def test_solve_flag_defaults_are_the_library_defaults():
+    # Each `cosy solve` default is read from the library, not restated.
+    args = cli.build_parser().parse_args(
+        ["solve", "--models", "m", "--observations", "o", "--out", "e", "--seed", "0"])
+    refine_cfg = cosy.refinement.RefineConfig()
+    n_starts = inspect.signature(cosy.refinement.refine_best_of).parameters["n_starts"]
+    assert n_starts.default == cosy.refinement.DEFAULT_STARTS
+    for got, want in [
+        (args.inlier_threshold, cosy.matching.DEFAULT_INLIER_THRESHOLD),
+        (args.ransac_max_iters, cosy.matching.DEFAULT_MAX_ITERATIONS),
+        (args.min_inliers, cosy.matching.DEFAULT_MIN_INLIERS),
+        (args.lm_iters, refine_cfg.max_iterations),
+        (args.truncation_px, refine_cfg.truncation),
+        (args.damping_init, refine_cfg.damping_init),
+        (args.damping_factor, refine_cfg.damping_factor),
+        (args.rel_tol, refine_cfg.rel_tol),
+        (args.restarts, n_starts.default),
+    ]:
+        assert type(got) is type(want) and got == want
+    # MatchParams' own defaults are the same constants.
+    match = cosy.matching.MatchParams()
+    assert (match.inlier_threshold, match.max_iterations, match.min_inliers) == (
+        args.inlier_threshold, args.ransac_max_iters, args.min_inliers)
 
 
 def test_simulate_rejects_one_point_models_naming_the_flag(tmp_path, capsys):
@@ -180,13 +215,15 @@ def test_simulate_rejects_one_point_models_naming_the_flag(tmp_path, capsys):
 ])
 def test_simulate_rejects_non_finite_or_reversed_ranges(tmp_path, capsys, flag,
                                                          values, message):
-    # Each bad range is rejected naming its field, before any file is written.
+    # Each bad range is rejected before any file is written, with its flag
+    # in place of the library's field name that `message` starts with.
     out_dir = tmp_path / "scene"
     capsys.readouterr()
     assert main(["simulate", "--out-dir", str(out_dir), "--seed", "0",
                  flag, *values]) == EXIT_CONFIG
     shown = capsys.readouterr()
-    assert message in shown.err
+    field, rule = message.split(" ", 1)
+    assert f"error: {flag} {rule}" in shown.err and field not in shown.err
     assert "Traceback" not in shown.err
     assert shown.out == ""
     assert not out_dir.exists()

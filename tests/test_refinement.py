@@ -1,9 +1,11 @@
 """Tests for scene initialization and bundle-adjustment refinement."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cosy.refinement
 import oracles
@@ -454,8 +456,8 @@ def test_jacobian_matches_central_differences():
         noisy = pose_stack(perturbed_state(state, rng, rot=0.01, trans=0.005), images)
         targets, _ = select_targets(noisy, images, cfg.truncation)
         assert targets.active.all()  # nothing truncated
-        r0, block = linearize(targets)
-        jac = oracles.dense_jacobian(block, targets)
+        r0, e = oracles.world_rows(linearize(targets)[1], targets)
+        jac = oracles.dense_jacobian(e, targets)
         assert np.max(np.abs(r0 - oracles.residual_vector(noisy, targets))) < 1e-9
 
         h = 1e-6
@@ -483,9 +485,10 @@ def test_normal_equations_match_dense_oracle():
     assert images.cameras[0] in images.view_ids
     assert len(discretize(db["obj_01"].symmetries)) > 1
 
-    r, block = linearize(targets)
-    h, g, _ = normal_equations(r, block, targets)
-    d = oracles.dense_jacobian(block, targets)
+    h, g, _ = normal_equations(linearize(targets)[1], targets)
+    want, _ = oracles.select_targets(noisy, images, cfg.truncation)
+    r, e = oracles.world_linearize(want)
+    d = oracles.dense_jacobian(e, targets)
     ad = np.abs(d)
     assert np.all(np.abs(h - d.T @ d) <= 1e-9 * (ad.T @ ad))
     assert np.all(np.abs(g - d.T @ r) <= 1e-9 * (ad.T @ np.abs(r)))
@@ -527,9 +530,9 @@ def test_loss_gradient_matches_central_differences(off_image):
         noisy = pose_stack(perturbed_state(state, rng, rot=0.01, trans=0.005), images)
         targets, loss = select_targets(noisy, images, cfg.truncation)
         assert targets.active.all() != off_image
-        r, e = linearize(targets)
-        grad = normal_equations(r, e, targets)[2]
-        want = oracles.loss_gradient(r, e, targets)
+        _, rows = linearize(targets)
+        grad = normal_equations(rows, targets)[2]
+        want = oracles.loss_gradient(*oracles.world_rows(rows, targets), targets)
         assert np.allclose(grad, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
         assert frozen_loss(noisy, targets, cfg.truncation)[0] == loss
         h = 1e-6
@@ -663,15 +666,20 @@ def test_flat_inner_loop_equals_per_member_oracle(nan_member):
     assert 0 < targets.active.sum() < targets.active.size
     # Object 1's three members (moved onto view_000's camera plane), the
     # off-image member, and the NaN member carry no active point.
-    assert (targets.active_counts == 0).sum() == 4 + nan_member
+    active_counts = np.add.reduceat(targets.active, images.bounds[:-1], dtype=np.intp)
+    assert (active_counts == 0).sum() == 4 + nan_member
 
-    r, e = linearize(targets)
-    want_r, want_e = oracles.linearize(want)
-    assert np.array_equal(r, want_r) and np.array_equal(e, want_e)
-    assert e.flags.c_contiguous and e.shape == (r.size, 6)
-    h, g, _ = normal_equations(r, e, targets)
-    want_h, want_g, _ = oracles.normal_equations(want_r, want_e, want)
-    assert np.array_equal(h, want_h) and np.array_equal(g, want_g)
+    r, rows = linearize(targets)
+    want_r, want_rows = oracles.linearize(want)
+    assert np.array_equal(rows, want_rows) and np.array_equal(r, want_r)
+    assert rows.flags.c_contiguous and rows.shape == (16, targets.active.size)
+    assert np.shares_memory(r, rows) and r.shape == (2, rows.shape[1])
+    # Every column of an inactive point is zero, also where z <= 0.
+    assert not rows[:, ~targets.active].any()
+    assert np.isfinite(rows).all()
+    for got, want_out in zip(normal_equations(rows, targets),
+                             oracles.normal_equations(want_rows, want)):
+        assert np.array_equal(got, want_out)
 
     rng = np.random.default_rng(32)
     moved = step(poses, rng.normal(size=6 * (len(poses) - 1)) * 1e-3)
@@ -759,12 +767,9 @@ def test_selection_from_an_evaluation_equals_full_scoring():
         assert loss == full_loss == want_loss
         # Each selection keeps the evaluation it started from, at its poses.
         assert got.at is evaluation and full.at.poses is trial
-        for name in ("px", "valid", "active", "active_counts"):
-            assert np.array_equal(getattr(got, name), getattr(full, name))
         for name in ("px", "valid", "active"):
+            assert np.array_equal(getattr(got, name), getattr(full, name))
             assert np.array_equal(getattr(got, name), getattr(want, name))
-        assert np.array_equal(got.active_counts, np.add.reduceat(
-            want.active, images.bounds[:-1], dtype=np.intp))
         # A symmetric member whose target image changed changed its element.
         rows = symmetric.rows.ravel()
         choices_changed += not (
@@ -778,8 +783,10 @@ def test_selection_from_an_evaluation_equals_full_scoring():
 
 
 def test_stacked_normal_equations_equal_per_member_loop():
-    # Equal active counts take one stacked matmul; unequal ones the loop.
-    # Both equal the oracle's per-member loop bit for bit.
+    # Each run of consecutive members of equal point count takes one
+    # stacked Gram product: one run in the first setup, six in the mixed
+    # one. Both equal the oracle's per-member loop of 2-D products bit for
+    # bit.
     cfg = RefineConfig()
     db, _, obs, objects, state = consistent_setup(n_objects=4, n_views=3, seed=26,
                                                   symmetric=("obj_01",))
@@ -791,18 +798,70 @@ def test_stacked_normal_equations_equal_per_member_loop():
         poses = pose_stack(state, images)
         targets, _ = select_targets(poses, images, cfg.truncation)
         want, _ = oracles.select_targets(poses, images, cfg.truncation)
-        counts = targets.active_counts[targets.active_counts > 0]
-        shapes.append(len(set(counts.tolist())))
-        r, e = linearize(targets)
-        want_r, want_e = oracles.linearize(want)
-        h, g, grad = normal_equations(r, e, targets)
-        want_h, want_g, want_grad = oracles.normal_equations(want_r, want_e, want)
+        shapes.append([(ts.stop - ts.start, int(images.counts[ts.start]))
+                       for ts, _ in images.workspace.runs])
+        _, rows = linearize(targets)
+        h, g, grad = normal_equations(rows, targets)
+        want_h, want_g, want_grad = oracles.normal_equations(
+            oracles.linearize(want)[1], want)
         assert np.array_equal(h, want_h) and np.array_equal(g, want_g)
-        # The oracle's gradient sums point by point in Python floats, the
-        # library's by one BLAS product per member, so they agree to rounding.
-        assert np.allclose(grad, want_grad, rtol=0,
-                           atol=1e-14 * np.abs(want_grad).max())
-    assert shapes[0] == 1 and shapes[1] > 1
+        assert np.array_equal(grad, want_grad)
+        # loss_gradient sums point by point in Python floats, so the two
+        # agree to rounding.
+        point_grad = oracles.loss_gradient(*oracles.world_rows(rows, targets), targets)
+        assert np.allclose(grad, point_grad, rtol=0,
+                           atol=1e-14 * np.abs(point_grad).max())
+    assert shapes[0] == [(12, 48)]
+    assert shapes[1] == [(3, 48), (3, 40), (3, 250), (3, 500), (3, 48), (3, 40)]
+
+
+@functools.cache
+def mixed_images():
+    """mixed_setup's candidate images and pose stack, built once."""
+    geo, obs, objects, state = mixed_setup()
+    images = candidate_images(objects, obs, geo)
+    return images, pose_stack(state, images)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([0.0, 1e-4, 1e-3, 3e-3]),
+       world=st.booleans())
+def test_camera_frame_normal_equations_match_world_frame_oracle(seed, scale, world):
+    # h, g and the gradient from the camera-frame rows equal those of the
+    # world-frame rows (world_linearize, made dense) to rounding, bounded
+    # by each 3-column block's norm, which the rotation diag(R, R) keeps.
+    # mixed_setup has members in the gauge camera, model point counts of
+    # 40, 48, 250 and 500 (of 520), a member with no active point and
+    # object 1's points at and behind view_000's camera plane; steps of at
+    # most 3e-3 keep them there. A random rigid transform of the world gives
+    # the gauge camera any rotation.
+    images, poses = mixed_images()
+    rng = np.random.default_rng(seed)
+    if world:
+        poses = oracles.random_pose_matrix(rng) @ poses
+    poses = step(poses, rng.normal(size=6 * (len(poses) - 1)) * scale)
+    truncation = RefineConfig().truncation
+    targets, _ = select_targets(poses, images, truncation)
+    z = targets.at.cam_points[2]
+    active_counts = np.add.reduceat(targets.active, images.bounds[:-1], dtype=np.intp)
+    assert (z <= 0).any() and (active_counts == 0).any()
+    assert targets.active.any()
+
+    h, g, grad = normal_equations(linearize(targets)[1], targets)
+    want, _ = oracles.select_targets(poses, images, truncation)
+    r, e = oracles.world_linearize(want)
+    d = oracles.dense_jacobian(e, targets)
+    block = np.sqrt((d ** 2).sum(axis=0).reshape(-1, 3).sum(axis=1)).repeat(3)
+    assert np.all(np.abs(h - d.T @ d) <= 1e-12 * np.outer(block, block))
+    assert np.all(np.abs(g - d.T @ r) <= 1e-12 * block * np.linalg.norm(r))
+    # Each active point's weight in the gradient: sqrt_weight * unit(r).
+    res = r.reshape(-1, 2)
+    norm = np.hypot(res[:, 0], res[:, 1])
+    weight = images.sqrt_weight[targets.active] * (norm > 0)
+    want_grad = oracles.loss_gradient(r, e, targets)
+    assert np.all(np.abs(grad - want_grad)
+                  <= 1e-12 * block * np.linalg.norm(weight))
 
 
 def test_member_poses_stack_each_pose_once_and_equal_oracle():
@@ -836,7 +895,8 @@ def test_linearize_projects_nothing(monkeypatch):
     assert len(projections) == 1
     r, _ = linearize(targets)
     assert len(projections) == 1
-    assert np.array_equal(oracles.residual_vector(poses, targets), r)
+    assert np.array_equal(oracles.residual_vector(poses, targets),
+                          r[:, targets.active].T.ravel())
     assert len(projections) == 2
 
 
@@ -875,34 +935,39 @@ def test_refine_best_of_equals_per_member_oracle_loop(monkeypatch):
 
 
 def test_refine_best_of_linearizes_into_one_workspace(monkeypatch):
-    # Every iteration of every restart writes E into the one Workspace of
-    # the solve, as exactly the rows of its active points: a Jacobian
+    # The solve builds one Workspace, and every iteration of every restart
+    # writes its rows into that workspace's one (16, N) buffer: rows
     # allocated per iteration would show up here.
     geo, obs, graph, objs = mixed_match()
     real_refine, real_linearize = refine, linearize
-    starts, calls = [], []
+    real_workspace = cosy.refinement.Workspace
+    starts, calls, workspaces = [], [], []
+
+    def recording_workspace(*args):
+        workspaces.append(real_workspace(*args))
+        return workspaces[-1]
 
     def recording_refine(*args, **kwargs):
         starts.append(len(calls))
         return real_refine(*args, **kwargs)
 
     def recording_linearize(targets):
-        r, e = real_linearize(targets)
-        calls.append((targets.images.workspace, int(targets.active.sum()), r, e))
-        return r, e
+        r, rows = real_linearize(targets)
+        calls.append((targets.images.workspace, int(targets.active.sum()), r, rows))
+        return r, rows
 
+    monkeypatch.setattr(cosy.refinement, "Workspace", recording_workspace)
     monkeypatch.setattr(cosy.refinement, "refine", recording_refine)
     monkeypatch.setattr(cosy.refinement, "linearize", recording_linearize)
     refine_best_of(objs, graph.hypotheses, obs, geo, RefineConfig(), n_starts=3)
     assert len(starts) == 3
     assert all(a < b for a, b in zip(starts, starts[1:] + [len(calls)]))
-    workspace = calls[0][0]
-    n_points = workspace.jacobian.size // 12
-    for ws, n_active, r, e in calls:
-        assert ws is workspace
-        assert np.shares_memory(e, workspace.jacobian)
-        assert e.shape == (2 * n_active, 6) and r.shape == (2 * n_active,)
-    # Both of linearize's paths ran: all points active, and some dropped.
+    [workspace] = workspaces
+    n_points = workspace.rows.shape[1]
+    for ws, _, r, rows in calls:
+        assert ws is workspace and rows is workspace.rows
+        assert rows.shape == (16, n_points) and np.shares_memory(r, rows)
+    # Iterations with every point active and with some zeroed both ran.
     assert {n == n_points for _, n, _, _ in calls} == {True, False}
 
 
@@ -1109,8 +1174,8 @@ def test_refine_calls_the_traced_functions_as_often_as_the_loop(monkeypatch, cas
     oracles.refine(state0, kept, obs, geo, cfg)
     assert got == counts
     assert got["linearize"] >= 1 and got["frozen_loss"] >= got["linearize"]
-    for r, e in linearized:
-        assert isinstance(e, np.ndarray) and e.shape == (r.size, 6)
+    for r, rows in linearized:
+        assert rows.shape == (16, r.shape[1]) and np.shares_memory(r, rows)
 
 
 @pytest.mark.parametrize("case", ["ladder", "unique"])
