@@ -81,6 +81,8 @@ from .scene_io import (
     save_observations,
 )
 from .simulation import (
+    DEFAULT_N_POINTS,
+    DEFAULT_RADIUS_RANGE,
     NoiseModel,
     ScenarioConfig,
     generate_observations,
@@ -600,26 +602,26 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def _simulate_arguments(p: argparse.ArgumentParser) -> None:
+    scenario_defaults = {f.name: f.default for f in fields(ScenarioConfig)}
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--n-objects", type=int, default=6)
     p.add_argument("--n-views", type=int, default=4)
     p.add_argument("--n-labels", type=int, default=None,
                    help="distinct model labels (default: one per object)")
-    p.add_argument("--box-size", type=float, default=0.5)
-    p.add_argument("--camera-distance", type=float, nargs=2, default=(1.0, 1.5),
+    p.add_argument("--box-size", type=float, default=scenario_defaults["box_size"])
+    p.add_argument("--camera-distance", type=float, nargs=2,
+                   default=scenario_defaults["camera_distance_range"],
                    metavar=("MIN", "MAX"))
-    p.add_argument("--n-points", type=int, default=48)
-    p.add_argument("--radius-range", type=float, nargs=2, default=(0.03, 0.07),
-                   metavar=("MIN", "MAX"))
+    p.add_argument("--n-points", type=int, default=DEFAULT_N_POINTS)
+    p.add_argument("--radius-range", type=float, nargs=2,
+                   default=DEFAULT_RADIUS_RANGE, metavar=("MIN", "MAX"))
     p.add_argument("--symmetric-labels", default="",
                    help="comma-separated labels given a continuous z symmetry")
-    p.add_argument("--rot-sigma-deg", type=float, default=0.0)
-    p.add_argument("--trans-sigma", type=float, default=0.0)
-    p.add_argument("--depth-sigma-extra", type=float, default=0.0)
-    p.add_argument("--miss-prob", type=float, default=0.0)
-    p.add_argument("--outlier-prob", type=float, default=0.0)
-    p.add_argument("--label-confusion-prob", type=float, default=0.0)
+    noise_defaults = NoiseModel()
+    for f in fields(NoiseModel):
+        p.add_argument(_SIMULATE_FLAGS[f.name], type=float,
+                       default=getattr(noise_defaults, f.name))
 
 
 def _solve_arguments(p: argparse.ArgumentParser) -> None:

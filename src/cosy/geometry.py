@@ -166,22 +166,6 @@ def apply_matrices(matrices: np.ndarray, pts) -> np.ndarray:
     ) + t[:, None, :]
 
 
-def apply_point_matrices(m: np.ndarray, pts_t) -> np.ndarray:
-    """Apply one transform per point: (3, 4, N) entries m, (3, N) points.
-
-    m[:, :, i] is the top three rows [R | t] of point i's matrix. Points
-    and result are coordinate-major (3, N), so every term below is a
-    contiguous row, and the sums, taken in place, follow apply_matrix's
-    order: each point matches apply_matrix with its own matrix bit for bit.
-    """
-    x, y, z = pts_t
-    out = x * m[:, 0]
-    out += y * m[:, 1]
-    out += z * m[:, 2]
-    out += m[:, 3]
-    return out
-
-
 def project(k: CameraIntrinsics, pts_camera_frame, z_min: float = DEFAULT_Z_MIN) -> np.ndarray:
     """Project camera-frame points to pixel coordinates.
 

@@ -45,7 +45,6 @@ from .geometry import (
     CameraIntrinsics,
     Pose,
     apply_matrix,
-    apply_point_matrices,
     inverse_matrices,
     project_masked,
     project_masked_xyz,
@@ -307,52 +306,14 @@ class CandidateImages:
     fixed_px: np.ndarray  # (N, 2), read-only
     fixed_valid: np.ndarray  # (N,), read-only
     scatter: tuple  # `_scatter_plan` of the members' blocks
-    workspace: Workspace  # the LM loop's scratch buffers
-
-
-class Workspace:
-    """Scratch buffers of one solve's LM loop, for members with `counts`
-    residual points each (N in all); a field of the solve's
-    `CandidateImages`.
-
-    Each evaluation writes its per-point member matrix entries, and each
-    `linearize` its 16 rows per point, into these buffers instead of
-    allocating them. An array of 12 N or 16 N floats is larger than glibc's
-    mmap threshold once N is in the thousands: allocated per call, it goes
-    back to the OS when freed and its pages fault in afresh on the next
-    call. Every restart of a solve refines against the same images, so all
-    of them write into one workspace.
-    """
-
-    def __init__(self, counts: np.ndarray):
-        n = int(counts.sum())
-        self.entries = np.empty(12 * n)  # (12, N) per-point matrix entries
-        # linearize's rows; rows 4 and 9 are entries of A [[v]x | -I] that
-        # are zero for every point, and nothing writes them.
-        self.rows = np.zeros((16, n))
-        # Each member's [R | t] entries, and views repeating a member's
-        # column over its points: concatenated in member order, the views
-        # are np.repeat(self._member, counts, axis=1).
-        self._member = np.empty((12, len(counts)))
-        self._runs = [
-            np.broadcast_to(self._member[:, t, None], (12, count))
-            for t, count in enumerate(counts.tolist())
-        ]
-        # (members, columns) of each run of consecutive members with equal
-        # point count, as slices: the members of one object are a run.
-        self.runs = []
-        start = point = 0
-        for t in range(1, len(counts) + 1):
-            if t == len(counts) or counts[t] != counts[start]:
-                end = point + int(counts[start]) * (t - start)
-                self.runs.append((slice(start, t), slice(point, end)))
-                start, point = t, end
-
-    def point_entries(self, matrices: np.ndarray) -> np.ndarray:
-        """(12, N) view of the entries buffer whose row 4j+k is M[j, k] of
-        each point's member matrix M, from the (T, 4, 4) member matrices."""
-        self._member[...] = matrices[:, :3, :].reshape(-1, 12).T
-        return np.concatenate(self._runs, axis=1, out=self.entries.reshape(12, -1))
+    runs: tuple[tuple[slice, slice], ...]  # `_runs` of counts
+    # linearize's (16, N) rows, which every linearize of every restart
+    # writes: an array of 16 N floats is larger than glibc's mmap threshold
+    # once N is in the thousands, so allocated per call it would go back to
+    # the OS when freed and fault its pages in afresh on the next call.
+    # Rows 4 and 9 are entries of A [[v]x | -I] that are zero for every
+    # point, and nothing writes them.
+    rows: np.ndarray
 
 
 class Evaluation(NamedTuple):
@@ -468,8 +429,22 @@ def candidate_images(
         scatter=_scatter_plan(
             camera_rows, object_rows, len(cameras), len(objects)
         ),
-        workspace=Workspace(counts),
+        runs=_runs(counts),
+        rows=np.zeros((16, int(bounds[-1]))),
     )
+
+
+def _runs(counts: np.ndarray) -> tuple[tuple[slice, slice], ...]:
+    """(members, columns) of each run of consecutive members with equal
+    point count, as slices: the members of one object are a run."""
+    runs = []
+    start = point = 0
+    for t in range(1, len(counts) + 1):
+        if t == len(counts) or counts[t] != counts[start]:
+            end = point + int(counts[start]) * (t - start)
+            runs.append((slice(start, t), slice(point, end)))
+            start, point = t, end
+    return tuple(runs)
 
 
 def _rows_in(keys: list, values: list) -> np.ndarray:
@@ -509,10 +484,24 @@ def _evaluate(
     truncation: float,
 ) -> Evaluation:
     """The residual points at a pose stack, scored against the per-point
-    targets px, valid; each point's member matrix is written into the
-    images' workspace entries buffer."""
-    entries = images.workspace.point_entries(_member_poses(poses, images))
-    u = apply_point_matrices(entries.reshape(3, 4, -1), images.points)
+    targets px, valid.
+
+    Camera-frame points u = R x + t are formed per run of equal-count
+    members, each coordinate as (k, M) rows summed in apply_matrix's order,
+    so each point matches apply_matrix with its member's matrix bit for bit.
+    """
+    matrices = _member_poses(poses, images)[:, :3, :, None]  # (T, 3, 4, 1)
+    u = np.empty_like(images.points)
+    for ts, cols in images.runs:
+        k = ts.stop - ts.start
+        x, y, z = images.points[:, cols].reshape(3, k, -1)
+        m = matrices[ts]
+        for j in range(3):
+            uj = u[j, cols].reshape(k, -1)
+            np.multiply(x, m[:, j, 0], out=uj)
+            uj += y * m[:, j, 1]
+            uj += z * m[:, j, 2]
+            uj += m[:, j, 3]
     pred_px, pred_valid = project_masked_xyz(images.intrinsics, *u)
     contrib, err, both = _truncated_errors(pred_px, pred_valid, px, valid, truncation)
     member_loss = np.empty(len(images.view_ids))
@@ -633,7 +622,7 @@ def linearize(targets: Targets) -> tuple[np.ndarray, np.ndarray]:
     entries of A [[v]x | -I] per point. `normal_equations` applies R once
     per member.
 
-    Returns (r, rows). `rows` is the images' workspace buffer (16, N),
+    Returns (r, rows). `rows` is the images' one `rows` buffer (16, N),
     one contiguous row per entry over every residual point: rows 0-5 and
     6-11 are the u and v rows of A [[v]x | -I] with the point's
     sqrt_weight folded into A, rows 12 and 13 (`r`, a view) the weighted
@@ -649,7 +638,7 @@ def linearize(targets: Targets) -> tuple[np.ndarray, np.ndarray]:
     """
     images = targets.images
     at = targets.at
-    rows = images.workspace.rows
+    rows = images.rows
     cams = at.poses[: len(images.cameras)]
     # R^T t of each member's camera, summed over the rows of R in order.
     rt = cams[:, 0, :3] * cams[:, 0, 3, None]
@@ -742,7 +731,7 @@ def normal_equations(
     # G[:12] = B[:12] B^T is one gemm per member; numpy takes the full
     # B B^T by BLAS syrk, about twice as slow on these 16-row blocks.
     gram = np.empty((n_members, 12, 16))
-    for ts, cols in images.workspace.runs:
+    for ts, cols in images.runs:
         # (k, 16, M) views of rows, so each member's product reads its
         # columns in place, as a 2-D product of rows[:, its columns] does.
         b = rows[:, cols].reshape(16, ts.stop - ts.start, -1).transpose(1, 0, 2)
@@ -851,7 +840,7 @@ def refine(
     last value is select_targets' loss at the returned state. `images` are
     `candidate_images(objects, obs, geometry)`, built here when not given;
     they depend on no pose, so restarts may share them. Every iteration's
-    projections and `linearize` write into their `workspace`, so each
+    `linearize` writes into their one (16, N) `rows` buffer, so each
     iteration's rows are valid until the next iteration's `linearize`.
     """
     if not objects:
@@ -963,8 +952,8 @@ def refine_best_of(
     None when no object survives initialization.
 
     Every start refines against one shared `candidate_images` build, whose
-    `Workspace` holds linearize's rows and the per-point matrix entries, so
-    the whole solve allocates them once. A start is scored by the last value of
+    one (16, N) `rows` buffer holds linearize's rows, so the whole solve
+    allocates it once. A start is scored by the last value of
     its `refine` trace, select_targets' loss at the refined state, which is
     total_loss bit for bit unless some model's residual points are a
     subsample (`any_subsampled`); total_loss scores the starts then, so the

@@ -47,6 +47,9 @@ DEFAULT_INTRINSICS = CameraIntrinsics(
 TRUE_SCORE_RANGE = (0.6, 1.0)
 OUTLIER_SCORE_RANGE = (0.35, 0.9)
 OUTLIER_DEPTH_RANGE = (0.3, 2.5)
+# make_models' defaults: points per model and the range of model radii.
+DEFAULT_N_POINTS = 48
+DEFAULT_RADIUS_RANGE = (0.03, 0.07)
 
 
 def _require_range(name: str, bounds: tuple[float, float]) -> None:
@@ -264,9 +267,9 @@ def generate_observations(
 def make_models(
     labels,
     seed: int = 0,
-    n_points: int = 48,
+    n_points: int = DEFAULT_N_POINTS,
     symmetric: tuple[str, ...] = (),
-    radius_range: tuple[float, float] = (0.03, 0.07),
+    radius_range: tuple[float, float] = DEFAULT_RADIUS_RANGE,
 ) -> ModelDB:
     """Fabricate a database of random point-cloud models.
 

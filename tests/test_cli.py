@@ -11,6 +11,7 @@ import pytest
 
 import cosy.matching
 import cosy.refinement
+import cosy.simulation
 import oracles
 from cosy import cli
 from cosy import evaluation as ev
@@ -184,6 +185,27 @@ def test_solve_flag_defaults_are_the_library_defaults():
     match = cosy.matching.MatchParams()
     assert (match.inlier_threshold, match.max_iterations, match.min_inliers) == (
         args.inlier_threshold, args.ransac_max_iters, args.min_inliers)
+
+
+def test_simulate_flag_defaults_are_the_library_defaults():
+    # Each `cosy simulate` default is read from the library, not restated.
+    args = cli.build_parser().parse_args(["simulate", "--out-dir", "d", "--seed", "0"])
+    sim = cosy.simulation
+    scenario = {f.name: f.default for f in dataclasses.fields(sim.ScenarioConfig)}
+    models = inspect.signature(sim.make_models).parameters
+    noise = sim.NoiseModel()
+    assert (models["n_points"].default, models["radius_range"].default) == (
+        sim.DEFAULT_N_POINTS, sim.DEFAULT_RADIUS_RANGE)
+    pairs = [
+        (args.box_size, scenario["box_size"]),
+        (args.camera_distance, scenario["camera_distance_range"]),
+        (args.n_points, sim.DEFAULT_N_POINTS),
+        (args.radius_range, sim.DEFAULT_RADIUS_RANGE),
+    ] + [(getattr(args, f.name), getattr(noise, f.name))
+         for f in dataclasses.fields(noise)]
+    assert len(pairs) == 10
+    for got, want in pairs:
+        assert type(got) is type(want) and got == want
 
 
 def test_simulate_rejects_one_point_models_naming_the_flag(tmp_path, capsys):

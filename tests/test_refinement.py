@@ -18,6 +18,7 @@ from cosy.refinement import (
     RefineConfig,
     SceneState,
     _residual_index,
+    _runs,
     candidate_images,
     express_in_camera_frames,
     frozen_loss,
@@ -799,7 +800,7 @@ def test_stacked_normal_equations_equal_per_member_loop():
         targets, _ = select_targets(poses, images, cfg.truncation)
         want, _ = oracles.select_targets(poses, images, cfg.truncation)
         shapes.append([(ts.stop - ts.start, int(images.counts[ts.start]))
-                       for ts, _ in images.workspace.runs])
+                       for ts, _ in images.runs])
         _, rows = linearize(targets)
         h, g, grad = normal_equations(rows, targets)
         want_h, want_g, want_grad = oracles.normal_equations(
@@ -813,6 +814,36 @@ def test_stacked_normal_equations_equal_per_member_loop():
                            atol=1e-14 * np.abs(point_grad).max())
     assert shapes[0] == [(12, 48)]
     assert shapes[1] == [(3, 48), (3, 40), (3, 250), (3, 500), (3, 48), (3, 40)]
+
+
+@pytest.mark.parametrize("counts, want", [
+    ((), ()),
+    ((40,), ((1, 40),)),
+    ((48, 48, 48, 48), ((4, 48),)),
+    ((48, 48, 250, 250, 250, 48), ((2, 48), (3, 250), (1, 48))),
+])
+def test_runs_are_maximal_contiguous_and_cover_every_member(counts, want):
+    counts = np.array(counts, dtype=np.int64)
+    runs = _runs(counts)
+    assert [(ts.stop - ts.start, int(counts[ts.start])) for ts, _ in runs] == list(want)
+    member = point = 0
+    for ts, cols in runs:
+        # Each run starts where the last ended, in members and in columns.
+        assert (ts.start, cols.start) == (member, point)
+        assert ts.step is None and cols.step is None
+        assert set(counts[ts].tolist()) == {counts[ts.start]}
+        assert cols.stop - cols.start == int(counts[ts].sum())
+        member, point = ts.stop, cols.stop
+    # Neighbouring runs differ in count, so no run could be longer.
+    for (a, _), (b, _) in zip(runs, runs[1:]):
+        assert counts[a.start] != counts[b.start]
+    assert (member, point) == (len(counts), int(counts.sum()))
+
+
+def test_candidate_images_of_no_members_has_no_runs():
+    db, _, obs, _, _ = consistent_setup(n_objects=2, n_views=2, seed=26)
+    images = candidate_images([], obs, label_geometry(db, db.models))
+    assert images.runs == () and images.rows.shape == (16, 0)
 
 
 @functools.cache
@@ -934,18 +965,18 @@ def test_refine_best_of_equals_per_member_oracle_loop(monkeypatch):
     assert total_loss(got, kept, obs, geo, cfg) == total_loss(want, kept, obs, geo, cfg)
 
 
-def test_refine_best_of_linearizes_into_one_workspace(monkeypatch):
-    # The solve builds one Workspace, and every iteration of every restart
-    # writes its rows into that workspace's one (16, N) buffer: rows
+def test_refine_best_of_linearizes_into_one_rows_buffer(monkeypatch):
+    # The solve builds its candidate images once, and every iteration of
+    # every restart writes its rows into their one (16, N) buffer: rows
     # allocated per iteration would show up here.
     geo, obs, graph, objs = mixed_match()
     real_refine, real_linearize = refine, linearize
-    real_workspace = cosy.refinement.Workspace
-    starts, calls, workspaces = [], [], []
+    real_candidate_images = cosy.refinement.candidate_images
+    starts, calls, builds = [], [], []
 
-    def recording_workspace(*args):
-        workspaces.append(real_workspace(*args))
-        return workspaces[-1]
+    def recording_candidate_images(*args):
+        builds.append(real_candidate_images(*args))
+        return builds[-1]
 
     def recording_refine(*args, **kwargs):
         starts.append(len(calls))
@@ -953,19 +984,20 @@ def test_refine_best_of_linearizes_into_one_workspace(monkeypatch):
 
     def recording_linearize(targets):
         r, rows = real_linearize(targets)
-        calls.append((targets.images.workspace, int(targets.active.sum()), r, rows))
+        calls.append((targets.images, int(targets.active.sum()), r, rows))
         return r, rows
 
-    monkeypatch.setattr(cosy.refinement, "Workspace", recording_workspace)
+    monkeypatch.setattr(cosy.refinement, "candidate_images",
+                        recording_candidate_images)
     monkeypatch.setattr(cosy.refinement, "refine", recording_refine)
     monkeypatch.setattr(cosy.refinement, "linearize", recording_linearize)
     refine_best_of(objs, graph.hypotheses, obs, geo, RefineConfig(), n_starts=3)
     assert len(starts) == 3
     assert all(a < b for a, b in zip(starts, starts[1:] + [len(calls)]))
-    [workspace] = workspaces
-    n_points = workspace.rows.shape[1]
-    for ws, _, r, rows in calls:
-        assert ws is workspace and rows is workspace.rows
+    [images] = builds
+    n_points = images.rows.shape[1]
+    for built, _, r, rows in calls:
+        assert built is images and rows is images.rows
         assert rows.shape == (16, n_points) and np.shares_memory(r, rows)
     # Iterations with every point active and with some zeroed both ran.
     assert {n == n_points for _, n, _, _ in calls} == {True, False}
@@ -1056,7 +1088,7 @@ def case_setup(setup):
 
 # (setup, RefineConfig fields, the stop reason of both loops). "mixed-stacks"
 # descends on image stacks of (M, G) = (40, 1), (250, 1), (500, 1) and
-# (48, 64), with members that carry no active point, so one workspace
+# (48, 64), with members that carry no active point, so one rows buffer
 # serves stacks of every shape across iterations. The "ladder" cases end in
 # a failed damping ladder that the stop lets run, since the first step or -g
 # descends the loss to first order; the "no-descent" ones stop before it.
