@@ -14,6 +14,8 @@ is accepted for compatibility and changes nothing.
 
 Each command reads the parsed arguments directly. The `config` block that
 solve and eval write echoes every flag except file paths and --threads.
+Config flags are bound to library fields by one map per config; the
+library alone holds each field's default and rule.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
-import re
 import sys
 import time
 from dataclasses import fields
@@ -38,9 +39,6 @@ from .evaluation import (
     nms_3d,
 )
 from .matching import (
-    DEFAULT_INLIER_THRESHOLD,
-    DEFAULT_MAX_ITERATIONS,
-    DEFAULT_MIN_INLIERS,
     MatchParams,
     PhysicalObject,
     build_match_graph,
@@ -48,7 +46,6 @@ from .matching import (
     label_geometry,
 )
 from .refinement import (
-    _DAMPING_CEILING,
     DEFAULT_STARTS,
     RefineConfig,
     SceneState,
@@ -136,22 +133,45 @@ def _check_flags(args: argparse.Namespace, rules) -> None:
             raise ValueError(f"{flag} must {rule}, got {value}")
 
 
-# (flag, predicate, rule) rows. A non-finite value would reach the config
-# block as the non-JSON token Infinity; a damping ladder that starts above
-# its ceiling never runs, and one whose factor is <= 1 never ends.
+def _flag_error(exc: ValueError, flags: dict) -> ValueError:
+    """`exc` with the flag that `flags` maps its leading field to in place."""
+    field, sep, rest = str(exc).partition(" ")
+    return ValueError(flags.get(field, field) + sep + rest)
+
+
+def _from_flags(cls, flags: dict, args: argparse.Namespace, stream: str):
+    """A `cls` from the value of each flag in `flags` and the seed of
+    `stream`; its ValueError names the flag."""
+    values = {f: getattr(args, flag[2:].replace("-", "_")) for f, flag in flags.items()}
+    try:
+        return cls(**values, seed=derive_seed(args.seed, stream))
+    except ValueError as exc:
+        raise _flag_error(exc, flags) from None
+
+
+# The `cosy solve` flag of each MatchParams and RefineConfig field but
+# `seed`, one map per config: both have a `max_iterations`.
+_MATCH_FLAGS = {
+    "inlier_threshold": "--inlier-threshold",
+    "max_iterations": "--ransac-max-iters",
+    "min_inliers": "--min-inliers",
+}
+_REFINE_FLAGS = {
+    "max_iterations": "--lm-iters",
+    "truncation": "--truncation-px",
+    "damping_init": "--damping-init",
+    "damping_factor": "--damping-factor",
+    "rel_tol": "--rel-tol",
+}
+_FLAG_HELP = {"--damping-init": "initial and minimum Levenberg-Marquardt damping"}
+
+# (flag, predicate, rule) rows for the solve flags that no config checks
+# before a file is read. A non-finite value would reach the config block
+# as the non-JSON token Infinity.
 _POSITIVE = (lambda v: np.isfinite(v) and v > 0), "be finite and > 0"
 _COUNT = (lambda v: v >= 1), "be >= 1"
 _SOLVE_FLAG_RULES = (
     ("--min-score", np.isfinite, "be finite"),
-    ("--inlier-threshold", *_POSITIVE),
-    ("--ransac-max-iters", *_COUNT),
-    ("--min-inliers", lambda v: v >= 3, "be >= 3"),
-    ("--lm-iters", *_COUNT),
-    ("--truncation-px", *_POSITIVE),
-    ("--damping-init", lambda v: 0 < v <= _DAMPING_CEILING,
-     f"be > 0 and <= {_DAMPING_CEILING:g}"),
-    ("--damping-factor", lambda v: np.isfinite(v) and v > 1, "be finite and > 1"),
-    ("--rel-tol", *_POSITIVE),
     ("--symmetry-angles", *_COUNT),
     ("--nms-radius", *_POSITIVE),
     ("--restarts", *_COUNT),
@@ -176,7 +196,6 @@ _SIMULATE_FLAGS = {
     "outlier_prob": "--outlier-prob",
     "label_confusion_prob": "--label-confusion-prob",
 }
-_SIMULATE_FIELD = re.compile(r"\b(%s)\b" % "|".join(_SIMULATE_FLAGS))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -221,8 +240,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             radius_range=tuple(args.radius_range),
         )
     except ValueError as exc:
-        message = _SIMULATE_FIELD.sub(lambda m: _SIMULATE_FLAGS[m[0]], str(exc))
-        raise ValueError(message) from None
+        raise _flag_error(exc, _SIMULATE_FLAGS) from None
 
     rng_obs = np.random.default_rng(derive_seed(args.seed, "observations"))
     scene = generate_scene(scenario, db)
@@ -282,21 +300,9 @@ def _estimate(
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    match = _from_flags(MatchParams, _MATCH_FLAGS, args, "match")
+    refine_cfg = _from_flags(RefineConfig, _REFINE_FLAGS, args, "refine")
     _check_flags(args, _SOLVE_FLAG_RULES)
-    match = MatchParams(
-        inlier_threshold=args.inlier_threshold,
-        max_iterations=args.ransac_max_iters,
-        min_inliers=args.min_inliers,
-        seed=derive_seed(args.seed, "match"),
-    )
-    refine_cfg = RefineConfig(
-        max_iterations=args.lm_iters,
-        truncation=args.truncation_px,
-        damping_init=args.damping_init,
-        damping_factor=args.damping_factor,
-        rel_tol=args.rel_tol,
-        seed=derive_seed(args.seed, "refine"),
-    )
     config = _config(args)
 
     t0 = time.perf_counter()
@@ -625,7 +631,6 @@ def _simulate_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _solve_arguments(p: argparse.ArgumentParser) -> None:
-    refine_defaults = RefineConfig()
     p.add_argument("--models", required=True)
     p.add_argument("--observations", required=True)
     p.add_argument("--out", required=True)
@@ -633,19 +638,12 @@ def _solve_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--init-out", default=None,
                    help="also write the pre-refinement estimate here")
     p.add_argument("--min-score", type=float, default=0.3)
-    p.add_argument("--inlier-threshold", type=float,
-                   default=DEFAULT_INLIER_THRESHOLD)
-    p.add_argument("--ransac-max-iters", type=int, default=DEFAULT_MAX_ITERATIONS)
-    p.add_argument("--min-inliers", type=int, default=DEFAULT_MIN_INLIERS)
-    p.add_argument("--lm-iters", type=int, default=refine_defaults.max_iterations)
-    p.add_argument("--truncation-px", type=float,
-                   default=refine_defaults.truncation)
-    p.add_argument("--damping-init", type=float,
-                   default=refine_defaults.damping_init,
-                   help="initial and minimum Levenberg-Marquardt damping")
-    p.add_argument("--damping-factor", type=float,
-                   default=refine_defaults.damping_factor)
-    p.add_argument("--rel-tol", type=float, default=refine_defaults.rel_tol)
+    for config, flags in ((MatchParams(), _MATCH_FLAGS),
+                          (RefineConfig(), _REFINE_FLAGS)):
+        for name, flag in flags.items():
+            default = getattr(config, name)
+            p.add_argument(flag, type=type(default), default=default,
+                           help=_FLAG_HELP.get(flag))
     p.add_argument("--symmetry-angles", type=int, default=DEFAULT_ANGLES_PER_AXIS)
     p.add_argument("--nms-radius", type=float, default=DEFAULT_NMS_RADIUS)
     p.add_argument("--restarts", type=int, default=DEFAULT_STARTS)

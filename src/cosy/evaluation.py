@@ -131,8 +131,8 @@ def add_s_auc(errors, max_threshold: float = DEFAULT_AUC_MAX) -> float:
         raise ValueError("auc of an empty error list")
     if np.any(e < 0):
         raise ValueError("errors must be >= 0")
-    if not max_threshold > 0:
-        raise ValueError("max_threshold must be > 0")
+    if not (np.isfinite(max_threshold) and max_threshold > 0):
+        raise ValueError(f"max_threshold must be finite and > 0, got {max_threshold}")
     contrib = np.maximum(max_threshold - e, 0.0)
     return float(seq_sum(contrib) / (e.size * max_threshold))
 

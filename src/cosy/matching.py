@@ -98,12 +98,12 @@ class MatchParams:
     def __post_init__(self):
         if not (np.isfinite(self.inlier_threshold) and self.inlier_threshold > 0):
             raise ValueError(
-                f"inlier_threshold must be > 0 and finite, got {self.inlier_threshold}"
+                f"inlier_threshold must be finite and > 0, got {self.inlier_threshold}"
             )
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.min_inliers < 3:
-            raise ValueError("min_inliers must be >= 3")
+            raise ValueError(f"min_inliers must be >= 3, got {self.min_inliers}")
 
 
 @dataclass(frozen=True)

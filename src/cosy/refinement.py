@@ -88,21 +88,22 @@ class RefineConfig:
 
     def __post_init__(self):
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        for name in ("truncation", "rel_tol"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be > 0 and finite, got {value}")
-        if not self.damping_init > 0:
-            raise ValueError("damping_init must be > 0")
-        # A damping ladder ends only once lambda grows past _DAMPING_CEILING,
-        # and one that starts above it never runs.
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if not (np.isfinite(self.truncation) and self.truncation > 0):
+            raise ValueError(f"truncation must be finite and > 0, got {self.truncation}")
+        # A damping ladder ends only once lambda grows past _DAMPING_CEILING:
+        # one that starts above it never runs, one with a factor <= 1 never ends.
+        if not 0 < self.damping_init <= _DAMPING_CEILING:
+            raise ValueError(
+                f"damping_init must be > 0 and <= {_DAMPING_CEILING:g}, "
+                f"got {self.damping_init}"
+            )
         if not (np.isfinite(self.damping_factor) and self.damping_factor > 1):
             raise ValueError(
-                f"damping_factor must be > 1 and finite, got {self.damping_factor}"
+                f"damping_factor must be finite and > 1, got {self.damping_factor}"
             )
-        if not self.damping_init <= _DAMPING_CEILING:
-            raise ValueError(f"damping_init must be <= {_DAMPING_CEILING:g}")
+        if not (np.isfinite(self.rel_tol) and self.rel_tol > 0):
+            raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
 
 
 def _residual_index(model: ObjectModel) -> np.ndarray | None:

@@ -105,10 +105,15 @@ def discretize(
     Each continuous axis contributes rotations at angles 2*pi*k/n; these are
     combined with every discrete element (product set, unioned over axes)
     and deduplicated. Raises GroupTooLargeError rather than truncating when
-    the product set exceeds max_elements.
+    the product set exceeds max_elements, before building any of it.
     """
     if angles_per_axis < 1:
         raise ValueError("angles_per_axis must be >= 1")
+    total = len(spec.discrete) * (len(spec.continuous_axes) * angles_per_axis or 1)
+    if total > max_elements:
+        raise GroupTooLargeError(
+            f"discretization yields {total} elements, cap is {max_elements}"
+        )
     axis_rotations = np.eye(4)[None]
     if spec.continuous_axes:
         angles = [2.0 * np.pi * k / angles_per_axis for k in range(angles_per_axis)]
@@ -122,12 +127,6 @@ def discretize(
             m[:, 3, 3] = 1.0
             per_axis.append(m)
         axis_rotations = np.concatenate(per_axis)
-
-    total = len(spec.discrete) * len(axis_rotations)
-    if total > max_elements:
-        raise GroupTooLargeError(
-            f"discretization yields {total} elements, cap is {max_elements}"
-        )
 
     if not spec.continuous_axes and all(
         np.max(np.abs(d.matrix - np.eye(4))) <= _DEDUP_TOL for d in spec.discrete

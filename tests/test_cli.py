@@ -480,6 +480,41 @@ def test_solve_rejects_symmetry_angles_below_one(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_config_flag_maps_bind_each_field_once_and_name_the_library_error(capsys):
+    configs = [(cosy.matching.MatchParams, cli._MATCH_FLAGS),
+               (cosy.refinement.RefineConfig, cli._REFINE_FLAGS)]
+    for cls, flags in configs:
+        assert set(flags) == {f.name for f in dataclasses.fields(cls)} - {"seed"}
+    mapped = [flag for _, flags in configs for flag in flags.values()]
+    assert len(set(mapped)) == len(mapped)
+    assert not set(mapped) & {row[0] for row in cli._SOLVE_FLAG_RULES}
+    # Bad values from test_solve_rejects_symmetry_angles_below_one's table.
+    bad = [
+        ("--inlier-threshold", "inf"), ("--inlier-threshold", "0"),
+        ("--ransac-max-iters", "0"), ("--min-inliers", "2"), ("--lm-iters", "0"),
+        ("--truncation-px", "inf"), ("--damping-init", "1e13"),
+        ("--damping-init", "inf"), ("--damping-init", "0"),
+        ("--damping-factor", "inf"), ("--damping-factor", "1"),
+        ("--rel-tol", "inf"), ("--rel-tol", "0"),
+    ]
+    assert {flag for flag, _ in bad} == set(mapped)
+    base = ["solve", "--models", "m", "--observations", "o", "--out", "e",
+            "--seed", "0"]
+    for flag, value in bad:
+        cls, field = next((cls, field) for cls, flags in configs
+                          for field, f in flags.items() if f == flag)
+        parsed = getattr(cli.build_parser().parse_args([*base, flag, value]),
+                         flag[2:].replace("-", "_"))
+        with pytest.raises(ValueError) as library:
+            cls(**{field: parsed})
+        message = str(library.value)
+        assert message.startswith(f"{field} must ")
+        capsys.readouterr()
+        # The files are never read: the configs are built first.
+        assert main([*base, flag, value]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {flag}{message[len(field):]}\n"
+
+
 def test_solve_rejects_a_group_over_the_cap_naming_flag_and_label(tmp_path, capsys):
     models, obs, _ = simulate(tmp_path, "--n-objects", "4", "--n-views", "3",
                               "--symmetric-labels", "obj_01")

@@ -140,6 +140,13 @@ class TestAuc:
     def test_infinite_errors_allowed(self):
         assert ev.add_s_auc([0.0, math.inf]) == 0.5
 
+    def test_max_threshold_must_be_finite_and_positive(self):
+        # An infinite cap would give inf / inf = nan after a RuntimeWarning.
+        for bad in (math.inf, math.nan, 0.0, -0.1):
+            with pytest.raises(ValueError) as exc:
+                ev.add_s_auc([0.01, 0.2], bad)
+            assert str(exc.value) == f"max_threshold must be finite and > 0, got {bad}"
+
 
 class TestRecall:
     def test_all_zero(self):

@@ -90,12 +90,15 @@ def test_match_params_defaults_and_validation():
     assert p.inlier_threshold == 0.02
     assert p.max_iterations == 2000
     assert p.min_inliers == 3
-    with pytest.raises(ValueError):
-        MatchParams(inlier_threshold=0.0)
-    with pytest.raises(ValueError):
-        MatchParams(min_inliers=2)
-    with pytest.raises(ValueError):
-        MatchParams(max_iterations=0)
+    # `cosy solve` prints these texts with the flag in place of the field.
+    for kwargs, message in [
+        ({"inlier_threshold": 0.0}, "inlier_threshold must be finite and > 0, got 0.0"),
+        ({"min_inliers": 2}, "min_inliers must be >= 3, got 2"),
+        ({"max_iterations": 0}, "max_iterations must be >= 1, got 0"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            MatchParams(**kwargs)
+        assert str(exc.value) == message
 
 
 def test_candidate_pair_is_ordered():

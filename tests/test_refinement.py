@@ -77,12 +77,12 @@ def test_refine_config_validation():
         RefineConfig(truncation=0.0)
     with pytest.raises(ValueError):
         RefineConfig(damping_factor=-1.0)
-    with pytest.raises(ValueError, match="damping_factor must be > 1"):
+    with pytest.raises(ValueError, match="damping_factor must be finite and > 1"):
         RefineConfig(damping_factor=1.0)
     # A ladder that starts above its ceiling would never run.
     RefineConfig(damping_init=1e12)
     for damping in (1e13, float("inf")):
-        with pytest.raises(ValueError, match="damping_init must be <="):
+        with pytest.raises(ValueError, match=r"damping_init must be > 0 and <= 1e\+12"):
             RefineConfig(damping_init=damping)
     with pytest.raises(ValueError):
         RefineConfig(rel_tol=0.0)

@@ -141,6 +141,35 @@ class TestDiscretize:
         with pytest.raises(sym.GroupTooLargeError):
             sym.discretize(spec, angles_per_axis=64, max_elements=128)
 
+    def test_cap_is_checked_before_any_rotation_is_built(self, monkeypatch):
+        # A request over the cap must fail before it allocates its group:
+        # no axis rotation may be built.
+        built = []
+        real = sym.rotations_about_axes
+
+        def spy(axes, angles):
+            built.append(len(angles))
+            return real(axes, angles)
+
+        monkeypatch.setattr(sym, "rotations_about_axes", spy)
+        cap = sym.MAX_GROUP_ELEMENTS
+        axis = (([0, 0, 1.0], [0, 0, 0]),)
+        flip = Pose.from_rt(oracles.rotation_about_axis([1, 0, 0], math.pi), [0, 0, 0])
+        for spec, angles, total in [
+            (sym.SymmetrySpec(continuous_axes=axis), cap + 1, cap + 1),
+            (sym.SymmetrySpec(discrete=(Pose.identity(), flip), continuous_axes=axis),
+             cap // 2 + 1, cap + 2),
+        ]:
+            with pytest.raises(sym.GroupTooLargeError,
+                               match=f"^discretization yields {total} elements, "
+                                     f"cap is {cap}$"):
+                sym.discretize(spec, angles_per_axis=angles)
+        assert built == []
+        # Under the cap the rotations are built through the spy.
+        assert len(sym.discretize(sym.SymmetrySpec(continuous_axes=axis),
+                                  angles_per_axis=8)) == 8
+        assert built == [8]
+
     def test_angle_values(self):
         spec = sym.SymmetrySpec(continuous_axes=(([0, 0, 1.0], [0, 0, 0]),))
         g = sym.discretize(spec, angles_per_axis=4)
