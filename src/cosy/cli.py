@@ -538,17 +538,25 @@ def _report_object(value, where: str) -> dict:
 
 
 def _report_metric(obj: dict, key: str, where: str, spec: str = ".4f") -> str:
-    """obj[key] formatted with `spec`; "n/a" when it is null or absent."""
+    """obj[key], a finite number, formatted with `spec`; "n/a" when it is
+    null or absent."""
     value = obj.get(key)
     if value is None:
         return "n/a"
     if not is_json_number(value):
         raise SchemaError(f"{where}.{key}: must be a number or null, got {value!r:.40}")
+    if not abs(value) <= sys.float_info.max:  # NaN, ±inf or beyond the float range
+        raise SchemaError(
+            f"{where}.{key}: must be a finite number or null, got {value!r:.40}"
+        )
     return format(value, spec)
 
 
 def _report_count(obj: dict, key: str, where: str) -> int:
-    return json_integer(obj.get(key), f"{where}.{key}")
+    value = json_integer(obj.get(key), f"{where}.{key}")
+    if value < 0:
+        raise SchemaError(f"{where}.{key}: must be >= 0, got {value}")
+    return value
 
 
 def cmd_report(args: argparse.Namespace) -> int:

@@ -924,16 +924,6 @@ def _with_poses(
     return SceneState(camera_poses=cameras, object_poses=objects)
 
 
-def any_subsampled(
-    objects: list[PhysicalObject], geometry: dict[str, LabelGeometry]
-) -> bool:
-    """Whether some object's residual points are a subsample of its model."""
-    return any(
-        geometry[o.label].model.points.shape[0] > MAX_RESIDUAL_POINTS
-        for o in objects
-    )
-
-
 def refine_best_of(
     objects: list[PhysicalObject],
     hypotheses: dict[tuple[str, str], TwoViewHypothesis],
@@ -954,12 +944,12 @@ def refine_best_of(
 
     Every start refines against one shared `candidate_images` build, whose
     one (16, N) `rows` buffer holds linearize's rows, so the whole solve
-    allocates it once. A start is scored by the last value of
-    its `refine` trace, select_targets' loss at the refined state, which is
-    total_loss bit for bit unless some model's residual points are a
-    subsample (`any_subsampled`); total_loss scores the starts then, so the
-    best score is always total_loss at the best state. No refined state is
-    projected again.
+    allocates it once. Each start is scored by the last value of its
+    `refine` trace, select_targets' loss at the refined state, and the best
+    score is that value: the loss refinement minimized. It is total_loss
+    bit for bit when no model has more than MAX_RESIDUAL_POINTS points, and
+    otherwise the loss over each larger model's fixed subsample of that
+    many points. No refined state is projected again.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
@@ -968,7 +958,6 @@ def refine_best_of(
     if not kept:
         return first_init, kept, first_init, None
     images = candidate_images(kept, obs, geometry)
-    subsampled = any_subsampled(kept, geometry)
     best_state = None
     best_loss = np.inf
     state0 = first_init
@@ -979,10 +968,7 @@ def refine_best_of(
         refined = refine(
             state0, kept, obs, geometry, cfg, trace=start_trace, images=images
         )
-        if subsampled:
-            loss = total_loss(refined, kept, obs, geometry, cfg)
-        else:
-            loss = start_trace[-1]
+        loss = start_trace[-1]
         if best_state is None or loss < best_loss:
             best_state, best_loss = refined, loss
     return best_state, kept, first_init, best_loss

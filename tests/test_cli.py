@@ -355,15 +355,16 @@ def test_solve_config_echo_and_stats(tmp_path):
 
 
 @pytest.mark.parametrize("n_points", ["48", "520"], ids=["full", "subsampled"])
-def test_solve_final_loss_is_total_loss_of_the_refined_state(
+def test_solve_final_loss_is_the_best_starts_trace_value(
     tmp_path, monkeypatch, n_points
 ):
-    # The written loss is refine_best_of's score of the best start; cmd_solve
-    # scores nothing again, also when a model's residual points are a
-    # subsample (520 > MAX_RESIDUAL_POINTS).
+    # The written loss is refine_best_of's score of the best start, the
+    # loss refinement minimized at the best state; a solve never calls
+    # total_loss, also when a model's residual points are a subsample
+    # (520 > MAX_RESIDUAL_POINTS).
     models, obs, _ = simulate(tmp_path, "--n-objects", "4", "--n-views", "3",
                               "--n-points", n_points)
-    real_best_of, real_total_loss = cli.refine_best_of, cli.total_loss
+    real_best_of, real_total_loss = cli.refine_best_of, cosy.refinement.total_loss
     runs, total_loss_calls = [], []
 
     def recording_best_of(*args, **kwargs):
@@ -376,13 +377,20 @@ def test_solve_final_loss_is_total_loss_of_the_refined_state(
 
     monkeypatch.setattr(cli, "refine_best_of", recording_best_of)
     monkeypatch.setattr(cli, "total_loss", counting_total_loss)
+    monkeypatch.setattr(cosy.refinement, "total_loss", counting_total_loss)
     out = tmp_path / "estimate.json"
     assert solve(models, obs, out) == EXIT_OK
     monkeypatch.undo()
     ((_, _, scene_obs, geo, cfg), (state, kept, _, _)), = runs
-    assert len(total_loss_calls) == 0
+    assert total_loss_calls == []
     final_loss = load_json(out)["stats"]["final_loss"]
-    assert final_loss == real_total_loss(state, kept, scene_obs, geo, cfg)
+    images = cosy.refinement.candidate_images(kept, scene_obs, geo)
+    poses = cosy.refinement.pose_stack(state, images)
+    assert final_loss == cosy.refinement.select_targets(
+        poses, images, cfg.truncation
+    )[1]
+    if int(n_points) <= cosy.refinement.MAX_RESIDUAL_POINTS:
+        assert final_loss == real_total_loss(state, kept, scene_obs, geo, cfg)
 
 
 def test_solve_init_out_is_the_first_initialization(tmp_path, monkeypatch):
@@ -1162,6 +1170,19 @@ def test_report_rejects_non_report_json(tmp_path, capsys):
          "aggregate.n_gt: must be an integer, got 2.5"),
         ({"comparison": {**good["comparison"], "after_adds_mm": True}},
          "comparison.after_adds_mm: must be a number or null, got True"),
+        ({"aggregate": {**good["aggregate"], "n_gt": -5}},
+         "aggregate.n_gt: must be >= 0, got -5"),
+        ({"per_label": {"obj_00": {**good["per_label"]["obj_00"], "n_gt": -1}}},
+         "per_label.obj_00.n_gt: must be >= 0, got -1"),
+        ({"comparison": {**good["comparison"], "before_matched": -2}},
+         "comparison.before_matched: must be >= 0, got -2"),
+        ({"aggregate": {**good["aggregate"], "auc_adds": math.nan}},
+         "aggregate.auc_adds: must be a finite number or null, got nan"),
+        ({"per_label": {"obj_00": {**good["per_label"]["obj_00"],
+                                   "recall_0p1d": -math.inf}}},
+         "per_label.obj_00.recall_0p1d: must be a finite number or null, got -inf"),
+        ({"comparison": {**good["comparison"], "reduction_percent": 10**400}},
+         "comparison.reduction_percent: must be a finite number or null, got 1000"),
     ]
     for change, message in broken:
         path.write_text(json.dumps({**good, **change}))

@@ -1416,16 +1416,21 @@ def test_refine_best_of_shared_images_equal_per_restart_rebuild(monkeypatch, n_p
     cfg = RefineConfig()
     n_starts = 3
 
-    # Reference: every restart's refine builds its own images, total_loss scores.
+    # Reference: every restart's refine builds its own images, and
+    # select_targets on one more build scores each refined state.
     rng = np.random.default_rng(cfg.seed)
     state0, kept = initialize_scene(objs, graph.hypotheses, obs, rng)
     assert any(o.label == "obj_03" for o in kept)
-    want_states, want_losses = [], []
+    want_states = []
     for start in range(n_starts):
         if start > 0:
             state0, _ = initialize_scene(kept, graph.hypotheses, obs, rng)
         want_states.append(refine(state0, kept, obs, geo, cfg))
-        want_losses.append(total_loss(want_states[-1], kept, obs, geo, cfg))
+    images = candidate_images(kept, obs, geo)
+    want_losses = [
+        select_targets(pose_stack(s, images), images, cfg.truncation)[1]
+        for s in want_states
+    ]
 
     real_images, real_refine = candidate_images, refine
     builds, got_states, total_loss_calls = [], [], []
@@ -1445,7 +1450,7 @@ def test_refine_best_of_shared_images_equal_per_restart_rebuild(monkeypatch, n_p
     monkeypatch.setattr(cosy.refinement, "candidate_images", counting_images)
     monkeypatch.setattr(cosy.refinement, "refine", recording_refine)
     monkeypatch.setattr(cosy.refinement, "total_loss", recording_total_loss)
-    best, got_kept, _, _ = refine_best_of(
+    best, got_kept, _, score = refine_best_of(
         objs, graph.hypotheses, obs, geo, cfg, n_starts=n_starts
     )
     assert got_kept == kept
@@ -1454,14 +1459,10 @@ def test_refine_best_of_shared_images_equal_per_restart_rebuild(monkeypatch, n_p
     for got, want in zip(got_states, want_states):
         assert_same_state(got, want)
     assert_same_state(best, want_states[int(np.argmin(want_losses))])
-    if n_points > MAX_RESIDUAL_POINTS:
-        assert total_loss_calls == want_losses
-    else:
-        assert total_loss_calls == []
-        images = real_images(kept, obs, geo)
-        for got, loss in zip(got_states, want_losses):
-            poses = pose_stack(got, images)
-            assert select_targets(poses, images, cfg.truncation)[1] == loss
+    assert score == min(want_losses)
+    assert total_loss_calls == []
+    if n_points <= MAX_RESIDUAL_POINTS:
+        assert want_losses == [total_loss(s, kept, obs, geo, cfg) for s in want_states]
 
 
 @pytest.mark.parametrize("n_points", [48, MAX_RESIDUAL_POINTS + 20],
@@ -1500,10 +1501,13 @@ def test_refine_best_of_scores_each_start_by_its_trace(monkeypatch, n_points):
         poses = pose_stack(state, images)
         assert trace[-1] == select_targets(poses, images, cfg.truncation)[1]
     assert sum(s is best for s, _, _ in starts) == 1
-    losses = [total_loss(s, kept, obs, geo, cfg) for s, _, _ in starts]
-    assert total_loss(best, kept, obs, geo, cfg) == min(losses) == score
+    scores = [t[-1] for _, t, _ in starts]
+    assert score == min(scores)
+    assert starts[scores.index(score)][0] is best
     if n_points <= MAX_RESIDUAL_POINTS:
-        assert [t[-1] for _, t, _ in starts] == losses
+        losses = [total_loss(s, kept, obs, geo, cfg) for s, _, _ in starts]
+        assert total_loss(best, kept, obs, geo, cfg) == min(losses) == score
+        assert scores == losses
 
 
 def test_refine_best_of_keeps_first_start_when_every_loss_is_nan(monkeypatch):
@@ -1514,7 +1518,6 @@ def test_refine_best_of_keeps_first_start_when_every_loss_is_nan(monkeypatch):
     real_select = select_targets
     monkeypatch.setattr(cosy.refinement, "select_targets",
                         lambda *args: (real_select(*args)[0], math.nan))
-    monkeypatch.setattr(cosy.refinement, "total_loss", lambda *a, **k: math.nan)
     state, kept, init, _ = refine_best_of(objs, graph.hypotheses, obs, geo,
                                           RefineConfig(), n_starts=2)
     assert kept
